@@ -120,7 +120,7 @@ class FedClustConfig:
         holds.
     max_clustering_attempts:
         Straggler tolerance for the one-shot round: clients that fail to
-        report (e.g. under :class:`repro.fl.failures.FaultyExecutor`) are
+        report (e.g. under ``ScenarioConfig(failure_rate=...)``) are
         retried up to this many times; clients still dark afterwards are
         provisionally assigned to the largest cluster and recorded in
         ``FittedFedClust.stragglers`` (they can be re-routed later through

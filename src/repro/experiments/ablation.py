@@ -77,8 +77,9 @@ __all__ = [
 
 #: Version stamp on every run record and report.  Bump whenever the
 #: record layout (or anything feeding :func:`cell_run_id`) changes —
-#: stale-schema records are re-executed, never silently reused.
-SCHEMA_VERSION = 1
+#: stale-schema records are re-executed, never silently reused.  Version
+#: 2: the embedded engine record counts every dispatched task.
+SCHEMA_VERSION = 2
 
 #: The knob name reserved for the unmodified baseline cell.
 BASELINE = "baseline"

@@ -329,8 +329,11 @@ def robust_weighted_average(
 #: File magic — rejects arbitrary files before any parsing happens.
 CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: Codec version word; bumped on any layout change.  Readers refuse
-#: other versions loudly instead of mis-parsing.
-CHECKPOINT_VERSION = 1
+#: other versions loudly instead of mis-parsing.  Version 2 holds the
+#: engine's one update buffer; version-1 files (separate ``stale`` and
+#: ``async`` buffers) still load, and the engine folds them on resume.
+CHECKPOINT_VERSION = 2
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"
@@ -445,10 +448,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             f"{data[: len(CHECKPOINT_MAGIC)]!r}, expected {CHECKPOINT_MAGIC!r})"
         )
     version, header_len = _HEAD.unpack_from(data, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint version mismatch in {path}: file has version "
-            f"{version}, this build reads version {CHECKPOINT_VERSION}"
+            f"{version}, this build reads version {CHECKPOINT_VERSION} "
+            "(and version 1)"
         )
     offset = prelude
     if len(data) < offset + header_len:

@@ -13,10 +13,19 @@ __all__ = ["RoundRecord", "RunHistory"]
 class RoundRecord:
     """Metrics for one communication round.
 
-    ``n_stale`` counts stale (late-arriving) updates folded into this
-    round's aggregation; ``n_departed`` counts clients whose departure
-    round is this one.  Both stay 0 under scenarios that do not
-    exercise the middleware.
+    Synchronous and async rounds run the same engine loop, and these
+    fields describe its steps.  ``n_departed`` counts clients whose
+    departure round is this one.
+
+    ``aggregation_event`` says whether the round folded the server's
+    update buffer into the model (``mean_train_loss`` is NaN when it did
+    not); ``n_stale`` counts the folded updates that came from an
+    earlier dispatch round (each discounted by ``decay ** age``), and
+    ``n_buffered`` the updates still buffered afterwards.  Synchronous
+    rounds fire an event every round unless they fail quorum, and
+    buffer only banked stragglers (``staleness_decay > 0``); async
+    rounds fire at ``buffer_size`` buffered updates and in the final
+    round.
 
     ``evaluated`` marks whether this round actually ran the Table-I
     evaluation: off-cadence rounds (``eval_every > 1``) record
@@ -24,18 +33,12 @@ class RoundRecord:
     history distinguishes "measured" from "not measured" instead of
     carrying the previous evaluation forward.
 
-    ``aggregation_event``/``n_buffered`` are the async engine's event
-    stream: whether this server step folded buffered updates into the
-    model, and how many arrived updates remain buffered afterwards.
-    Synchronous rounds aggregate every step with an empty buffer, which
-    the defaults encode.
-
     ``n_quarantined`` counts updates the admission pipeline rejected
     this round (non-finite or norm-exploded rows; the reason codes live
     in the engine's ``quarantine_log``).  ``quorum_failed`` marks a
     synchronous round that stayed below the scenario's
-    ``min_survivors`` quorum after all retries: the server froze its
-    state and logged a NaN loss instead of aggregating a cohort too
+    ``min_survivors`` quorum after all retries: no aggregation event,
+    so the server kept its state instead of aggregating a cohort too
     small to trust.
     """
 

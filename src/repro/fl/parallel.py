@@ -100,7 +100,8 @@ class UpdateTask:
 class InFlightBuffer:
     """Dispatched-but-undelivered client work, keyed by delivery round.
 
-    The async round engine's in-flight ledger.  Results are computed
+    The round engine's in-flight ledger (synchronous rounds deliver
+    everything in its dispatch round).  Results are computed
     eagerly at dispatch (every executor already guarantees (round,
     client)-seeded bit-identical updates, so *when* the work runs cannot
     change *what* it produces) and held here until their seeded training

@@ -4,15 +4,31 @@ Historically each algorithm hand-rolled its own per-round lifecycle, so
 partial participation existed only inside FedAvg and failure injection
 only as an executor wrapper.  This module extracts the loop once:
 
-    select participants → broadcast packed rows → dispatch local
-    training → collect survivors → aggregate → evaluate/log
+    select participants → broadcast packed rows → send (local training)
+    → in-flight ledger → receive due updates → buffer → aggregation
+    event → evaluate/log
 
 :class:`RoundEngine` owns that lifecycle; algorithms are reduced to
 :class:`RoundStrategy` objects with three required hooks —
 ``broadcast_for`` (participants → packed-row tasks), ``aggregate``
-(surviving updates → new server state, returning the round's train-loss
+(buffered updates → new server state, returning the round's train-loss
 statistic) and ``evaluate`` (the Table-I metric for the current state) —
 plus optional ``on_arrivals``/``on_round_end`` notifications.
+
+**One loop, two configurations.**  Every round's updates pass through
+the :class:`repro.fl.parallel.InFlightBuffer` ledger and then through
+one server buffer — client id → (dispatch round, update), insertion
+ordered, one entry per client.  An *aggregation event* hands the whole
+buffer to ``aggregate``, each update at weight × ``decay ** age`` (age =
+event round − dispatch round):
+
+* *synchronous* (``async_config=None``, the default): every update is
+  due in its dispatch round (no duration is drawn) and the event fires
+  every round — lockstep rounds;
+* *asynchronous* (:class:`AsyncConfig`, FedBuff-style): every dispatch
+  draws a seeded training duration, in-flight clients are not selected
+  again, and the event fires at ``buffer_size`` buffered updates (the
+  final round flushes a partial buffer).
 
 Scenario policy lives in :class:`ScenarioConfig` and composes with
 **every** strategy and every executor kind (serial/thread/process/
@@ -24,24 +40,19 @@ never on the executor or the payload format:
   stream (``env.server_rng(round_index)``), exactly as FedAvg's
   historical loop did;
 * **failures** — seeded pre-training drops on the stateless
-  ``(seed, round, client)`` stream the legacy
-  :class:`repro.fl.failures.FaultyExecutor` used (same tag, same
-  draws).  A failed client consumed the broadcast — the download is
-  charged — but never trains or uploads;
-* **stragglers** — seeded post-training drops on an independent stream.
-  A straggler trains and uploads, but its update arrives after the
-  aggregation deadline: both transfers are charged, the update misses
-  this round, and aggregation weights renormalise over the survivors
-  (``packed_weighted_average`` normalises by the surviving sample
-  counts, so renormalisation is automatic);
+  ``(seed, round, client)`` stream :data:`FAILURE_TAG`.  A failed client
+  consumed the broadcast — the download is charged — but never trains
+  or uploads;
+* **stragglers** — seeded post-training drops on an independent stream
+  (synchronous rounds only).  A straggler trains and uploads, but its
+  update arrives after the aggregation deadline: both transfers are
+  charged, the update misses this round, and aggregation weights
+  renormalise over the survivors;
 * **stale updates** — with ``staleness_decay > 0`` a straggler's
-  finished work is not discarded: the engine buffers the late update
-  and folds it into the *next* round's aggregation with its weight
-  multiplied by ``staleness_decay ** age`` (age in rounds).  A client
-  that produces a fresh update before its stale one is folded
-  supersedes it (the buffered copy is dropped), so aggregation never
-  sees two updates from one client.  Weights renormalise over
-  survivors + stale arrivals automatically;
+  finished work is not discarded: it is banked in the buffer after the
+  round's aggregation event and folds at a later one, discounted by
+  ``staleness_decay ** age``.  An on-time update replaces the client's
+  banked one, so aggregation never sees two updates from one client;
 * **compute budgets** — deadline as computation, not time: with
   ``compute_budget=(lo, hi)`` every participant draws a seeded
   per-(round, client) local step cap from ``[lo, hi]`` and its local
@@ -57,9 +68,9 @@ never on the executor or the payload format:
 * **departures** — the dual of arrivals: a client with departure round
   ``r`` is ineligible from round ``r`` on (it must depart strictly
   after it arrived).  Strategies are told via ``on_departures``; a
-  departed client's already-uploaded stale update still folds (the
-  server holds it), and evaluation keeps covering the client — its
-  data did not leave the benchmark, only its participation;
+  departed client's already-uploaded update still folds (the server
+  holds it), and evaluation keeps covering the client — its data did
+  not leave the benchmark, only its participation;
 * **availability traces** — the fully-explicit schedule: a replayable
   ``client_id → available-round-set`` mapping
   (:class:`repro.fl.trace.AvailabilityTrace`, JSON on disk, loadable
@@ -69,45 +80,40 @@ never on the executor or the payload format:
   never contacted — unlike a failure, which consumed the broadcast);
 * **corruption** — seeded per-(dispatch round, client) events on their
   own stream (:data:`repro.fl.defense.CORRUPTION_TAG`) that mangle the
-  *returned* update row (NaN/Inf poisoning, sign flips, scaled noise).
-  The event acts on the update list at the executor boundary, so every
-  executor kind and the async in-flight path see identical corruption;
-* **admission + robust aggregation** — before aggregation every
-  survivor row passes a finiteness guard (always on) and an optional
-  norm-bound guard; rejects land in ``engine.quarantine_log`` with
-  reason codes, keep their upload charge (the bytes crossed the
-  network), and are excluded from weight renormalisation.
+  *returned* update row (NaN/Inf poisoning, sign flips, scaled noise)
+  before it enters the in-flight ledger;
+* **admission + robust aggregation** — every received row passes a
+  finiteness guard and an optional norm-bound guard; rejects land in
+  ``engine.quarantine_log`` with reason codes, keep their upload charge
+  (the bytes crossed the network), and never reach the buffer.
   ``robust_agg`` swaps the plain weighted average at the shared choke
   point (:func:`repro.algorithms.base.survivor_weighted_average`) for
   norm-clipping, a coordinate-wise trimmed mean, or the coordinate-wise
   median — ``"none"`` stays byte-for-byte the historical rule;
 * **survivor quorum + retry** — ``min_survivors=q`` with
   ``max_retries=r`` redispatches the failed/quarantined remainder on a
-  fresh seeded epoch (``round + 1_000_000 × attempt``, the retry
-  derivation FedClust's clustering round pioneered — now an engine
-  primitive, :meth:`RoundEngine.dispatch_with_retry`).  Still below
-  quorum after the retries, the round degrades gracefully: server state
-  frozen, NaN loss, ``RoundRecord.quorum_failed=True`` — never an
-  aggregate over a cohort too small to trust;
+  fresh seeded epoch (``round + 1_000_000 × attempt``, the derivation
+  :meth:`RoundEngine.dispatch_with_retry` shares).  Still below quorum
+  after the retries, the round degrades gracefully: no aggregation
+  event, server state frozen, NaN loss, ``RoundRecord.quorum_failed``;
 * **checkpoint/resume** — with a
   :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
   writes a versioned single-file checkpoint on a round cadence (server
-  rows at wire dtype, round counter, buffers, logs, traffic, history)
-  and can resume from it; a resumed run reproduces the uninterrupted
-  one bit-identically because all middleware randomness is stateless in
-  (seed, round, client) — the file only needs the round counter, never
-  a generator state.
+  rows at wire dtype, round counter, ledger and buffer, logs, traffic,
+  history) and can resume from it; a resumed run reproduces the
+  uninterrupted one bit-identically because all middleware randomness is
+  stateless in (seed, round, client) — the file only needs the round
+  counter, never a generator state.
 
 At least one participant always survives a *dispatched* round (a round
 whose whole cohort fails or misses the deadline would deadlock
 aggregation; a real server would re-broadcast instead) — the
-deterministically-first client by id is kept, mirroring the historical
-``FaultyExecutor`` guarantee.  The guarantee is about the middleware,
-not the schedule: an availability trace may legitimately leave a round
-with **no eligible clients at all** (a replayed federation can go
-fully dark).  Such a round dispatches nothing; every strategy keeps
-its state and logs a NaN train loss, and evaluation still runs on its
-cadence.
+deterministically-first client by id is kept.  The guarantee is about
+the middleware, not the schedule: an availability trace may
+legitimately leave a round with **no eligible clients at all** (a
+replayed federation can go fully dark).  Such a round dispatches
+nothing; every strategy keeps its state and logs a NaN train loss, and
+evaluation still runs on its cadence.
 
 Under the default scenario (full participation, no failures) the engine
 performs exactly the tracker calls and aggregation arithmetic of the
@@ -173,8 +179,8 @@ __all__ = [
 ]
 
 #: rng_for namespace tag of the failure stream.  Value 13 is load-bearing:
-#: it is the stream the legacy ``FaultyExecutor`` drew from, so scenario
-#: failures reproduce the exact drop sets of historical faulty runs.
+#: historical faulty runs drew their drop sets from it, and those drop
+#: sets are pinned in ``tests/test_failures_and_stragglers.py``.
 FAILURE_TAG = 13
 #: Straggler draws use an independent stream.
 STRAGGLER_TAG = 17
@@ -226,6 +232,18 @@ def discounted_update(
     return dataclasses.replace(update, weight=base * decay**age)
 
 
+def _int_range(name: str, value, floor: int) -> tuple[int, int]:
+    """``value`` as a ``(lo, hi)`` pair with ``floor <= lo <= hi``; an int
+    ``v`` is shorthand for ``(v, v)``."""
+    pair = (value, value) if isinstance(value, (int, np.integer)) else tuple(value)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be an int or a (lo, hi) pair, got {value!r}")
+    lo, hi = (int(v) for v in pair)
+    if lo < floor or hi < lo:
+        raise ValueError(f"{name} needs {floor} <= lo <= hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class AsyncConfig:
     """FedBuff-style event-stream policy: dispatch ≠ aggregation.
@@ -243,10 +261,10 @@ class AsyncConfig:
     undiscounted — async has no "discard stragglers" mode, lateness is
     the normal case).
 
-    The synchronous engine is the exact special case
+    Without an ``AsyncConfig`` the same loop draws no durations and
+    fires an event every round, which is exactly this policy at
     ``buffer_size = |participants|``, ``duration_range = (1, 1)``,
-    ``max_concurrency = None``: every dispatched update arrives in its
-    own dispatch round and the buffer fills exactly once per round.
+    ``max_concurrency = None``.
 
     Attributes
     ----------
@@ -272,22 +290,8 @@ class AsyncConfig:
         check_positive("buffer_size", self.buffer_size)
         if self.max_concurrency is not None:
             check_positive("max_concurrency", self.max_concurrency)
-        duration = self.duration_range
-        if isinstance(duration, (int, np.integer)):
-            duration = (int(duration), int(duration))
-        else:
-            duration = tuple(int(d) for d in duration)
-        if len(duration) != 2:
-            raise ValueError(
-                "duration_range must be an int or a (lo, hi) pair, "
-                f"got {self.duration_range!r}"
-            )
-        lo, hi = duration
-        if lo < 1 or hi < lo:
-            raise ValueError(
-                f"duration_range needs 1 <= lo <= hi, got ({lo}, {hi})"
-            )
-        object.__setattr__(self, "duration_range", (lo, hi))
+        duration = _int_range("duration_range", self.duration_range, 1)
+        object.__setattr__(self, "duration_range", duration)
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,8 @@ class ScenarioConfig:
     straggler_rate:
         Per-(round, client) probability that a participant finishes too
         late for aggregation.  Download and upload charged, update
-        discarded; aggregation renormalises over the survivors.
+        discarded (or banked, see ``staleness_decay``); aggregation
+        renormalises over the survivors.
     arrivals:
         ``client_id → arrival round`` for clients that join mid-run;
         unlisted clients are present from the start.  A client is
@@ -315,12 +320,11 @@ class ScenarioConfig:
         strategies learn about arrivals via
         :meth:`RoundStrategy.on_arrivals`.
     staleness_decay:
-        ``0`` (default) discards straggler updates exactly as before.
-        A value in ``(0, 1]`` enables stale-update folding: a
-        straggler's update is buffered and folded into the next round's
-        aggregation with its weight multiplied by ``decay ** age``
-        (age in rounds; normally 1).  ``1.0`` means "late but
-        undiscounted".
+        ``0`` (default) discards straggler updates.  A value in
+        ``(0, 1]`` banks a straggler's update and folds it into a later
+        round's aggregation with its weight multiplied by
+        ``decay ** age`` (age in rounds; normally 1).  ``1.0`` means
+        "late but undiscounted".
     compute_budget:
         ``None`` (default) leaves local schedules untouched.  A pair
         ``(lo, hi)`` (or a single int, shorthand for ``(b, b)``) caps
@@ -340,11 +344,12 @@ class ScenarioConfig:
         clients are always on.  Composes with arrivals/departures by
         intersection.
     async_config:
-        ``None`` (default) keeps the synchronous lockstep loop.  An
-        :class:`AsyncConfig` switches the engine to the FedBuff-style
-        event-stream loop: dispatch and aggregation decouple, clients
-        stay in flight across server steps, and ``staleness_decay``
-        becomes the per-step-of-age buffer discount.  Incompatible with
+        ``None`` (default) runs synchronous rounds: every update is due
+        in its dispatch round and aggregates in it.  An
+        :class:`AsyncConfig` decouples dispatch from aggregation
+        (FedBuff-style): clients stay in flight across server steps, and
+        ``staleness_decay`` becomes the per-step-of-age buffer discount.
+        Incompatible with
         ``straggler_rate`` — stragglers are a synchronous-deadline
         concept; model latency via ``duration_range`` instead.  All
         other middleware (participation, failures, budgets, arrivals,
@@ -425,22 +430,8 @@ class ScenarioConfig:
                 f"staleness_decay must be in [0, 1], got {self.staleness_decay!r}"
             )
         if self.compute_budget is not None:
-            budget = self.compute_budget
-            if isinstance(budget, (int, np.integer)):
-                budget = (int(budget), int(budget))
-            else:
-                budget = tuple(int(b) for b in budget)
-            if len(budget) != 2:
-                raise ValueError(
-                    "compute_budget must be an int or a (lo, hi) pair, "
-                    f"got {self.compute_budget!r}"
-                )
-            lo, hi = budget
-            if lo < 0 or hi < lo:
-                raise ValueError(
-                    f"compute_budget needs 0 <= lo <= hi, got ({lo}, {hi})"
-                )
-            object.__setattr__(self, "compute_budget", (lo, hi))
+            budget = _int_range("compute_budget", self.compute_budget, 0)
+            object.__setattr__(self, "compute_budget", budget)
         if self.departures:
             arrivals = self.arrivals or {}
             for cid, dep in self.departures.items():
@@ -562,6 +553,8 @@ class RoundOutcome:
 
     round_index: int
     participants: np.ndarray
+    #: The updates this round's aggregation event folded (discounted
+    #: copies for stale ones); empty when no event fired.
     survivors: list[ClientUpdate]
     failed: np.ndarray
     stragglers: np.ndarray
@@ -569,7 +562,7 @@ class RoundOutcome:
     train_loss: float
     evaluated: bool
     mean_accuracy: float
-    #: Client ids whose stale (previous-round) updates were folded into
+    #: Client ids whose stale (earlier-round) updates were folded into
     #: this round's aggregation.
     stale: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     #: Client ids that departed at the start of this round.
@@ -679,7 +672,8 @@ class RoundEngine:
 
     One engine instance runs one (or several consecutive) training
     phases; it holds no model state — that lives in the strategy — only
-    the environment, the scenario policy and the failure/straggler logs.
+    the environment, the scenario policy, the middleware logs, the
+    in-flight ledger and the update buffer.
     """
 
     def __init__(
@@ -727,15 +721,16 @@ class RoundEngine:
         #: Admission rejects observed in the round currently running
         #: (feeds ``RoundRecord.n_quarantined``; reset per round).
         self._quarantined_this_round = 0
-        #: client id → (round produced, late update) awaiting folding.
-        self._stale_buffer: dict[int, tuple[int, ClientUpdate]] = {}
-        #: Async mode: dispatched-but-undelivered work (durations drawn
-        #: on the DURATION_TAG stream decide the delivery round).
+        #: Sent-but-undelivered work, keyed by delivery round (sync
+        #: rounds deliver in their dispatch round).
         self._in_flight = InFlightBuffer()
-        #: Async mode: (dispatch round, update) pairs arrived at the
-        #: server but not yet aggregated.
-        self._async_buffer: list[tuple[int, ClientUpdate]] = []
-        #: Async throughput counters (updates-absorbed/sec benchmark).
+        #: client id → (dispatch round, update) received but not yet
+        #: aggregated, in arrival order: on-time arrivals and banked
+        #: stragglers.
+        self._buffer: dict[int, tuple[int, ClientUpdate]] = {}
+        #: Tasks launched by every dispatch (retries and FedClust's
+        #: clustering round included), and the aggregation counters.
+        self.n_dispatched = 0
         self.n_aggregation_events = 0
         self.n_updates_absorbed = 0
         #: Run-state stash so ``engine.checkpoint(path)`` works without
@@ -847,9 +842,10 @@ class RoundEngine:
         reproduced exactly.
 
         ``exclude`` removes clients from the eligible pool before
-        sampling — the async loop passes the in-flight set so a client
-        is never dispatched twice concurrently.  An empty/None exclusion
-        leaves the synchronous draw sequence untouched.
+        sampling — the round loop passes the in-flight set (always empty
+        in synchronous rounds) so a client is never dispatched twice
+        concurrently.  An empty/None exclusion leaves the draw sequence
+        untouched.
         """
         eligible = self.eligible_clients(round_index)
         if exclude is not None and len(exclude) and eligible.size:
@@ -868,7 +864,7 @@ class RoundEngine:
     def _apply_failures(
         self, tasks: Sequence[UpdateTask], round_index: int
     ) -> tuple[list[UpdateTask], list[int]]:
-        """Seeded pre-training drops (legacy ``FaultyExecutor`` stream)."""
+        """Seeded pre-training drops (the :data:`FAILURE_TAG` stream)."""
         rate = self.scenario.failure_rate
         if rate <= 0.0 or not tasks:
             return list(tasks), []
@@ -926,41 +922,77 @@ class RoundEngine:
                 drawn if task.max_steps is None else min(task.max_steps, drawn)
             )
 
-    def _fold_stale(
-        self, round_index: int, dispatched: DispatchOutcome
-    ) -> list[int]:
-        """Stale-update middleware: fold buffered late work, buffer new.
+    # ------------------------------------------------------------------
+    # Dispatch: a send half and a receive half
+    # ------------------------------------------------------------------
+    def _send(
+        self,
+        tasks: Sequence[UpdateTask],
+        round_index: int,
+        phase: str,
+        charge_download: bool,
+    ) -> tuple[list[ClientUpdate], list[int]]:
+        """Launch a task list; returns (finished updates, failed ids).
 
-        Every buffered update either folds into this round's survivor
-        list (weight × ``decay ** age``) or is dropped because its
-        client delivered a fresh update this round; the buffer then
-        takes on this round's stragglers for a future round.  Returns
-        the folded client ids (sorted).
+        Downloads are charged for **every** task — a client that fails
+        mid-round already consumed the broadcast.  The clients that
+        survive the failure draw train under their budget caps, and
+        corruption fires on the returned rows, keyed by this dispatch
+        round.
         """
-        decay = self.scenario.staleness_decay
-        if decay <= 0.0:
-            return []
-        folded: list[int] = []
-        fresh = {u.client_id for u in dispatched.survivors}
-        for cid in sorted(self._stale_buffer):
-            produced, update = self._stale_buffer.pop(cid)
-            if cid in fresh:
-                continue  # superseded: one update per client per round
-            age = round_index - produced
-            # Fold a discounted *copy*: the buffered object stays
-            # pristine, so a path that observes the same update twice
-            # can never compound the decay.
-            dispatched.survivors.append(discounted_update(update, decay, age))
-            folded.append(cid)
-        for update in dispatched.late:
-            self._stale_buffer[update.client_id] = (round_index, update)
-        if folded:
-            self.stale_log.append((round_index, folded))
-        return folded
+        env = self.env
+        self.n_dispatched += len(tasks)
+        if charge_download and tasks:
+            env.tracker.record_download(env.n_params * len(tasks), phase)
+        alive, failed_ids = self._apply_failures(tasks, round_index)
+        if failed_ids:
+            self.drop_log.append((round_index, failed_ids))
+        self._apply_budgets(alive, round_index)
+        updates = env.run_updates(alive, round_index)
+        updates = self._apply_corruption(updates, round_index)
+        if self.scenario.compute_budget is not None:
+            # FedNova-style renormalisation: weight by steps actually
+            # taken, so a budget-truncated client counts for what it
+            # computed and a zero-step client counts for nothing.
+            for update in updates:
+                update.weight = float(update.n_batches)
+        return updates, failed_ids
 
-    # ------------------------------------------------------------------
-    # Dispatch: broadcast accounting + middleware + executor
-    # ------------------------------------------------------------------
+    def _receive(
+        self,
+        updates: list[ClientUpdate],
+        failed_ids: list[int],
+        round_index: int,
+        phase: str,
+        charge_upload: bool,
+    ) -> DispatchOutcome:
+        """Take delivered updates in: upload charge, admission, deadline.
+
+        Uploads are charged for every delivered update: stragglers
+        uploaded too, just late, and a quarantined row's bytes crossed
+        the network.  Admission runs before the straggler split, so a
+        quarantined client is neither a survivor nor a straggler, and
+        nothing downstream ever holds a rejected row.
+        """
+        env = self.env
+        if charge_upload and updates:
+            env.tracker.record_upload(env.n_params * len(updates), phase)
+        updates, quarantined = self._admit(updates, round_index)
+        survivors, late = self._apply_stragglers(updates, round_index)
+        straggler_ids = sorted(u.client_id for u in late)
+        if straggler_ids:
+            self.straggler_log.append((round_index, straggler_ids))
+        return DispatchOutcome(
+            survivors=survivors,
+            failed=np.array(failed_ids, dtype=np.int64),
+            stragglers=np.array(straggler_ids, dtype=np.int64),
+            # Keep the late updates alive only when stale folding banks
+            # them — otherwise they must die here (buffer-lifetime
+            # hygiene: dead cohort-sized buffers cost page faults).
+            late=late if self.scenario.staleness_decay > 0.0 else [],
+            quarantined=quarantined,
+        )
+
     def dispatch(
         self,
         tasks: Sequence[UpdateTask],
@@ -969,57 +1001,18 @@ class RoundEngine:
         charge_download: bool = True,
         charge_upload: bool = True,
     ) -> DispatchOutcome:
-        """Run one task list through failure/straggler middleware.
+        """Send ``tasks`` and receive every update at once: a barrier.
 
-        Downloads are charged for **every** task — a client that fails
-        mid-round already consumed the broadcast — while uploads are
-        charged only for clients that finished training (stragglers
-        uploaded too, just late).  ``charge_upload=False`` lets callers
-        with partial-weight uploads (FedClust's clustering round)
-        account the upload themselves.
-
-        Corruption events fire on the returned updates (after the
-        upload charge — the corrupted bytes crossed the network), then
-        — when any hardening knob arms :attr:`admission_active` —
-        every update passes admission before the straggler split:
-        quarantined clients are neither survivors nor stale candidates,
-        and a quarantined straggler never reaches the stale buffer.
-        Because admission runs here, the downstream buffers (stale,
-        async in-flight delivery aside) only ever hold admitted rows.
+        The primitive for work that must finish inside the call —
+        FedClust's clustering round (through :meth:`dispatch_with_retry`)
+        and quorum retries; the round loop itself routes its updates
+        through the in-flight ledger instead.  ``charge_upload=False``
+        lets callers with partial-weight uploads (FedClust's clustering
+        round) account the upload themselves.
         """
-        env = self.env
         phase = self.phase if phase is None else phase
-        if charge_download and tasks:
-            env.tracker.record_download(env.n_params * len(tasks), phase)
-        alive, failed_ids = self._apply_failures(tasks, round_index)
-        self._apply_budgets(alive, round_index)
-        updates = env.run_updates(alive, round_index)
-        updates = self._apply_corruption(updates, round_index)
-        if charge_upload and updates:
-            env.tracker.record_upload(env.n_params * len(updates), phase)
-        if self.scenario.compute_budget is not None:
-            # FedNova-style renormalisation: weight by steps actually
-            # taken, so a budget-truncated client counts for what it
-            # computed and a zero-step client counts for nothing.
-            for update in updates:
-                update.weight = float(update.n_batches)
-        updates, quarantined = self._admit(updates, round_index)
-        survivors, late = self._apply_stragglers(updates, round_index)
-        straggler_ids = sorted(u.client_id for u in late)
-        if failed_ids:
-            self.drop_log.append((round_index, failed_ids))
-        if straggler_ids:
-            self.straggler_log.append((round_index, straggler_ids))
-        return DispatchOutcome(
-            survivors=survivors,
-            failed=np.array(failed_ids, dtype=np.int64),
-            stragglers=np.array(straggler_ids, dtype=np.int64),
-            # Keep the late updates alive only when stale folding wants
-            # them — otherwise they must die here (buffer-lifetime
-            # hygiene: dead cohort-sized buffers cost page faults).
-            late=late if self.scenario.staleness_decay > 0.0 else [],
-            quarantined=quarantined,
-        )
+        updates, failed_ids = self._send(tasks, round_index, phase, charge_download)
+        return self._receive(updates, failed_ids, round_index, phase, charge_upload)
 
     def _apply_corruption(
         self, updates: list[ClientUpdate], round_index: int
@@ -1047,6 +1040,32 @@ class RoundEngine:
             self.quarantine_log.append((round_index, rejected))
             self._quarantined_this_round += len(rejected)
         return admitted, rejected
+
+    def _delivery_rounds(
+        self, updates: Sequence[ClientUpdate], round_index: int
+    ) -> list[int]:
+        """The round each sent update reaches the server.
+
+        Synchronous rounds deliver in the dispatch round and draw
+        nothing.  Under :class:`AsyncConfig` every update draws a seeded
+        per-(dispatch round, client) duration (tag :data:`DURATION_TAG`)
+        of ``duration_range`` server steps; a duration of 1 delivers in
+        the dispatch round.
+        """
+        cfg = self.scenario.async_config
+        if cfg is None:
+            return [round_index] * len(updates)
+        lo, hi = cfg.duration_range
+        return [
+            round_index
+            - 1
+            + int(
+                rng_for(
+                    self.env.seed, DURATION_TAG, round_index, update.client_id
+                ).integers(lo, hi + 1)
+            )
+            for update in updates
+        ]
 
     def dispatch_with_retry(
         self,
@@ -1105,26 +1124,34 @@ class RoundEngine:
     ) -> tuple[float, np.ndarray]:
         """Run ``n_rounds`` engine rounds, appending to ``history``.
 
+        Synchronous and async rounds share this body.  Each round:
+        departures and arrivals; participant selection (clients still in
+        flight are skipped, and ``max_concurrency`` caps how many are
+        sent work); broadcast; the send half of dispatch; the in-flight
+        ledger; the receive half for every update due this round, with
+        quorum retries; the buffer; and an aggregation event — every
+        round when synchronous, at ``buffer_size`` buffered updates or
+        in the final round under :class:`AsyncConfig`.  Client results
+        are computed eagerly at dispatch (they depend only on the seeded
+        (dispatch round, client) streams and the broadcast payload, so
+        the executor kind cannot change them) and merely *delivered*
+        late.  Work still in flight after the last round is abandoned
+        (server shutdown).
+
         Returns the last evaluation ``(mean accuracy, per-client
         accuracies)``; the final round is always evaluated.  Rounds off
         the ``eval_every`` cadence record ``mean_local_accuracy`` as NaN
         with ``evaluated=False`` — a history distinguishes "measured"
         from "not measured this round" instead of silently carrying the
-        previous evaluation forward.
-
-        With an :class:`AsyncConfig` on the scenario the engine runs the
-        event-stream loop (:meth:`_run_async`) instead; the synchronous
-        path below is byte-for-byte the PR-5 loop.
+        previous evaluation forward.  Rounds without an aggregation event
+        record a NaN train loss and leave the server state alone.
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-        if self.is_async:
-            return self._run_async(
-                strategy, n_rounds, history, first_round, eval_every
-            )
         env = self.env
-        m = env.federation.n_clients
-        mean_acc, per_client = float("nan"), np.full(m, np.nan)
+        cfg = self.scenario.async_config
+        decay = self.scenario.staleness_decay
+        mean_acc, per_client = float("nan"), np.full(env.federation.n_clients, np.nan)
         last_round = first_round + n_rounds - 1
         start_round, restored = self._maybe_resume(strategy, history, first_round)
         if restored is not None:
@@ -1142,52 +1169,76 @@ class RoundEngine:
             arrived = self.arrivals_at(round_index)
             if arrived.size:
                 strategy.on_arrivals(self, round_index, arrived)
-            participants = self.select_participants(round_index)
+            participants = self.select_participants(
+                round_index, exclude=self._in_flight.client_ids
+            )
+            if cfg is not None and cfg.max_concurrency is not None:
+                slots = cfg.max_concurrency - len(self._in_flight)
+                participants = participants[: max(0, slots)]
             if participants.size:
                 self.participation_log.append(
                     (round_index, [int(c) for c in participants])
                 )
             tasks = strategy.broadcast_for(self, round_index, participants)
             charge = strategy.charges_communication
-            dispatched = self.dispatch(
-                tasks,
-                round_index,
-                charge_download=charge,
-                charge_upload=charge,
+            updates, failed_ids = self._send(tasks, round_index, self.phase, charge)
+            self._in_flight.add(
+                updates, round_index, self._delivery_rounds(updates, round_index)
             )
-            quorum = self.scenario.min_survivors
-            if (
-                quorum > 0
-                and participants.size
-                and len(dispatched.survivors) < quorum
-            ):
-                self._retry_for_quorum(
-                    strategy, round_index, participants, dispatched, charge
-                )
-            quorum_failed = bool(
-                quorum > 0
-                and participants.size
-                and len(dispatched.survivors) < quorum
+            due = self._in_flight.collect_due(round_index)
+            # A client is never in flight twice, so ids map back to their
+            # dispatch round unambiguously.
+            sent_in = {update.client_id: sent for sent, update in due}
+            received = self._receive(
+                [update for _, update in due], failed_ids, round_index,
+                self.phase, charge,
             )
-            if quorum_failed:
-                # Graceful degradation: never aggregate a cohort below
-                # quorum.  State stays frozen and buffered stale work
-                # stays buffered (it would only fold at an aggregation
-                # that is not happening), but this round's own late
-                # work is still banked for a future healthy round.
-                if self.scenario.staleness_decay > 0.0:
-                    for update in dispatched.late:
-                        self._stale_buffer[update.client_id] = (
-                            round_index,
-                            update,
-                        )
-                stale_ids: list[int] = []
-                train_loss = float("nan")
+            quorum_failed = self._retry_for_quorum(
+                strategy, round_index, participants, received, charge
+            )
+            if not quorum_failed:
+                # A newer arrival replaces the client's buffered update
+                # and queues behind the others (the older upload was
+                # still charged — it did cross the network).  A round
+                # below quorum drops its own on-time work instead.
+                for update in received.survivors:
+                    self._buffer.pop(update.client_id, None)
+                    self._buffer[update.client_id] = (
+                        sent_in.get(update.client_id, round_index),
+                        update,
+                    )
+            if cfg is None:
+                aggregation_event = not quorum_failed
             else:
-                stale_ids = self._fold_stale(round_index, dispatched)
-                train_loss = strategy.aggregate(
-                    self, round_index, dispatched.survivors
+                aggregation_event = len(self._buffer) >= cfg.buffer_size or (
+                    round_index == last_round and bool(self._buffer)
                 )
+            train_loss = float("nan")
+            folded: list[ClientUpdate] = []
+            stale_ids: list[int] = []
+            if aggregation_event:
+                # Stale updates fold as discounted *copies*, so a path
+                # that observes the same update twice never compounds
+                # the decay.  Zero decay means undiscounted here: only
+                # async buffers an older update without a decay.
+                discount = decay if decay > 0.0 else 1.0
+                for sent, update in self._buffer.values():
+                    if sent < round_index:
+                        stale_ids.append(update.client_id)
+                        update = discounted_update(update, discount, round_index - sent)
+                    folded.append(update)
+                self._buffer.clear()
+                stale_ids.sort()
+                if stale_ids:
+                    self.stale_log.append((round_index, stale_ids))
+                train_loss = strategy.aggregate(self, round_index, folded)
+                self.n_aggregation_events += 1
+                self.n_updates_absorbed += len(folded)
+            # Stragglers (kept only when decay > 0) bank after the event,
+            # for a later one.
+            for update in received.late:
+                self._buffer.pop(update.client_id, None)
+                self._buffer[update.client_id] = (round_index, update)
             evaluated = round_index == last_round or round_index % eval_every == 0
             if evaluated:
                 mean_acc, per_client = strategy.evaluate(self, round_index)
@@ -1205,7 +1256,9 @@ class RoundEngine:
                     wall_seconds=time.perf_counter() - t0,
                     n_stale=len(stale_ids),
                     n_departed=int(departed.size),
+                    n_buffered=len(self._buffer),
                     n_quarantined=self._quarantined_this_round,
+                    aggregation_event=aggregation_event,
                     quorum_failed=quorum_failed,
                     evaluated=evaluated,
                 )
@@ -1215,9 +1268,9 @@ class RoundEngine:
                 RoundOutcome(
                     round_index=round_index,
                     participants=participants,
-                    survivors=dispatched.survivors,
-                    failed=dispatched.failed,
-                    stragglers=dispatched.stragglers,
+                    survivors=folded,
+                    failed=received.failed,
+                    stragglers=received.stragglers,
                     arrived=arrived,
                     train_loss=train_loss,
                     evaluated=evaluated,
@@ -1236,25 +1289,27 @@ class RoundEngine:
         participants: np.ndarray,
         dispatched: DispatchOutcome,
         charge: bool,
-    ) -> None:
+    ) -> bool:
         """Redispatch the failed/quarantined remainder toward quorum.
 
         Each attempt re-broadcasts (download re-charged — a retry is a
         real network event) to the participants that have delivered
-        nothing yet — neither an admitted update nor a buffered late
+        nothing yet — neither an admitted update nor a banked late
         one — on the fresh seeded epoch ``round + 1_000_000 × attempt``
         (attempt ≥ 1; the original dispatch was attempt 0).  Responses
         merge into ``dispatched`` in place.  Retry dispatches do not
         join the participation log: :meth:`realized_trace` captures the
         primary schedule, not the recovery traffic (the drop/straggler/
-        quarantine logs hold the derived epochs).
+        quarantine logs hold the derived epochs).  Returns True when the
+        round is still below quorum.
         """
-        scenario = self.scenario
-        delivered = {u.client_id for u in dispatched.survivors}
-        delivered |= {u.client_id for u in dispatched.late}
-        for attempt in range(1, scenario.max_retries + 1):
-            if len(dispatched.survivors) >= scenario.min_survivors:
+        quorum = self.scenario.min_survivors
+        if quorum == 0 or not participants.size:
+            return False
+        for attempt in range(1, self.scenario.max_retries + 1):
+            if len(dispatched.survivors) >= quorum:
                 break
+            delivered = {u.client_id for u in dispatched.survivors + dispatched.late}
             remainder = np.array(
                 [int(c) for c in participants if int(c) not in delivered],
                 dtype=np.int64,
@@ -1276,207 +1331,7 @@ class RoundEngine:
             dispatched.stragglers = np.union1d(
                 dispatched.stragglers, outcome.stragglers
             )
-            delivered |= {u.client_id for u in outcome.survivors}
-            delivered |= {u.client_id for u in outcome.late}
-
-    # ------------------------------------------------------------------
-    # The async event-stream lifecycle (FedBuff-style)
-    # ------------------------------------------------------------------
-    def _run_async(
-        self,
-        strategy: RoundStrategy,
-        n_rounds: int,
-        history: RunHistory,
-        first_round: int,
-        eval_every: int,
-    ) -> tuple[float, np.ndarray]:
-        """Dispatch and aggregation as separate event streams.
-
-        Per server step: deliver due in-flight updates into the buffer,
-        dispatch fresh work to free clients (failures and budgets apply
-        at dispatch; each dispatch draws a seeded duration), and fire an
-        aggregation event when the buffer holds ``buffer_size`` updates
-        — every buffered update folds at ``decay ** age`` into a *copy*
-        (:func:`discounted_update`), so strategies see one survivor list
-        exactly as in the synchronous loop.  Client results are computed
-        eagerly at dispatch time (they depend only on the seeded
-        (dispatch round, client) stream and the broadcast payload, so
-        executor kind cannot change them) and merely *delivered* late.
-
-        Steps without an aggregation event log a NaN train loss with
-        ``aggregation_event=False``; evaluation runs on its usual
-        cadence against whatever state the strategy currently holds.
-        The final round flushes a partially-filled buffer; work still in
-        flight at the end of the run is abandoned (server shutdown).
-        """
-        cfg = self.scenario.async_config
-        assert cfg is not None
-        lo, hi = cfg.duration_range
-        env = self.env
-        m = env.federation.n_clients
-        decay = self.scenario.staleness_decay
-        mean_acc, per_client = float("nan"), np.full(m, np.nan)
-        last_round = first_round + n_rounds - 1
-        budget = self.scenario.compute_budget
-        start_round, restored = self._maybe_resume(strategy, history, first_round)
-        if restored is not None:
-            mean_acc, per_client = restored
-            if start_round > last_round:
-                return mean_acc, per_client
-
-        for round_index in range(start_round, last_round + 1):
-            t0 = time.perf_counter()
-            self._quarantined_this_round = 0
-            departed = self.departures_at(round_index)
-            if departed.size:
-                self.departure_log.append((round_index, departed.tolist()))
-                strategy.on_departures(self, round_index, departed)
-            arrived = self.arrivals_at(round_index)
-            if arrived.size:
-                strategy.on_arrivals(self, round_index, arrived)
-
-            # --- dispatch stream: fresh work for free clients ---------
-            participants = self.select_participants(
-                round_index, exclude=self._in_flight.client_ids
-            )
-            if cfg.max_concurrency is not None:
-                slots = cfg.max_concurrency - len(self._in_flight)
-                participants = participants[: max(0, slots)]
-            if participants.size:
-                self.participation_log.append(
-                    (round_index, [int(c) for c in participants])
-                )
-            tasks = strategy.broadcast_for(self, round_index, participants)
-            charge = strategy.charges_communication
-            if charge and tasks:
-                env.tracker.record_download(
-                    env.n_params * len(tasks), self.phase
-                )
-            alive, failed_ids = self._apply_failures(tasks, round_index)
-            if failed_ids:
-                self.drop_log.append((round_index, failed_ids))
-            self._apply_budgets(alive, round_index)
-            updates = env.run_updates(alive, round_index)
-            # Corruption fires at dispatch (keyed by the dispatch
-            # round, like the duration draw), so the in-flight buffer
-            # carries the corrupted row and admission catches it at
-            # delivery — after the upload is charged, exactly as in the
-            # synchronous path.
-            updates = self._apply_corruption(updates, round_index)
-            if budget is not None:
-                for update in updates:
-                    update.weight = float(update.n_batches)
-            completes_at = [
-                round_index
-                - 1
-                + int(
-                    rng_for(
-                        env.seed, DURATION_TAG, round_index, task.client_id
-                    ).integers(lo, hi + 1)
-                )
-                for task in alive
-            ]
-            self._in_flight.add(updates, round_index, completes_at)
-
-            # --- arrival stream: absorb due updates into the buffer ---
-            due = self._in_flight.collect_due(round_index)
-            if charge and due:
-                env.tracker.record_upload(env.n_params * len(due), self.phase)
-            if due:
-                # Admission at delivery: the upload was charged (the
-                # bytes arrived), but a corrupted row never enters the
-                # aggregation buffer.  A client is never in flight
-                # twice, so rejected ids map back unambiguously.
-                _, rejected = self._admit(
-                    [update for _, update in due], round_index
-                )
-                if rejected:
-                    rejected_ids = {cid for cid, _ in rejected}
-                    due = [
-                        entry
-                        for entry in due
-                        if entry[1].client_id not in rejected_ids
-                    ]
-            for dispatch_round, update in due:
-                # One update per client per aggregation: a newer arrival
-                # supersedes an older buffered one (the old upload was
-                # still charged — it did cross the network).
-                self._async_buffer = [
-                    entry
-                    for entry in self._async_buffer
-                    if entry[1].client_id != update.client_id
-                ]
-                self._async_buffer.append((dispatch_round, update))
-
-            # --- aggregation event at K buffered (final round flushes)
-            aggregation_event = len(self._async_buffer) >= cfg.buffer_size or (
-                round_index == last_round and bool(self._async_buffer)
-            )
-            train_loss = float("nan")
-            stale_ids: list[int] = []
-            folded: list[ClientUpdate] = []
-            if aggregation_event:
-                folded = [
-                    update
-                    if round_index == dispatch_round
-                    else discounted_update(
-                        update, decay if decay > 0.0 else 1.0, round_index - dispatch_round
-                    )
-                    for dispatch_round, update in self._async_buffer
-                ]
-                stale_ids = sorted(
-                    update.client_id
-                    for dispatch_round, update in self._async_buffer
-                    if round_index > dispatch_round
-                )
-                if stale_ids:
-                    self.stale_log.append((round_index, stale_ids))
-                self._async_buffer = []
-                train_loss = strategy.aggregate(self, round_index, folded)
-                self.n_aggregation_events += 1
-                self.n_updates_absorbed += len(folded)
-
-            evaluated = round_index == last_round or round_index % eval_every == 0
-            if evaluated:
-                mean_acc, per_client = strategy.evaluate(self, round_index)
-            self._next_round = round_index + 1
-            self._last_eval = (mean_acc, per_client)
-            history.append(
-                RoundRecord(
-                    round_index=round_index,
-                    mean_train_loss=train_loss,
-                    mean_local_accuracy=mean_acc if evaluated else float("nan"),
-                    n_participants=len(participants),
-                    n_clusters=strategy.current_n_clusters(),
-                    uploaded_params=env.tracker.total_uploaded,
-                    downloaded_params=env.tracker.total_downloaded,
-                    wall_seconds=time.perf_counter() - t0,
-                    n_stale=len(stale_ids),
-                    n_departed=int(departed.size),
-                    n_buffered=len(self._async_buffer),
-                    n_quarantined=self._quarantined_this_round,
-                    aggregation_event=aggregation_event,
-                    evaluated=evaluated,
-                )
-            )
-            strategy.on_round_end(
-                self,
-                RoundOutcome(
-                    round_index=round_index,
-                    participants=participants,
-                    survivors=folded,
-                    failed=np.array(failed_ids, dtype=np.int64),
-                    stragglers=np.empty(0, dtype=np.int64),
-                    arrived=arrived,
-                    train_loss=train_loss,
-                    evaluated=evaluated,
-                    mean_accuracy=mean_acc,
-                    stale=np.array(stale_ids, dtype=np.int64),
-                    departed=departed,
-                ),
-            )
-            self._maybe_checkpoint(round_index, last_round)
-        return mean_acc, per_client
+        return len(dispatched.survivors) < quorum
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -1520,10 +1375,9 @@ class RoundEngine:
         :meth:`RoundStrategy.checkpoint_payload` hook), the round
         counter, every middleware log, the communication tracker's
         per-phase counters, the history records, the last evaluation,
-        and all three update buffers (stale, async in-flight, async
-        aggregation) — buffered update *rows* at float64, because a
-        corrupted row awaiting admission need not survive a wire-dtype
-        round-trip.  The rng "state" is just the seed and the round
+        the in-flight ledger and the update buffer — their update *rows*
+        at float64, because a corrupted row awaiting admission need not
+        survive a wire-dtype round-trip.  The rng "state" is just the seed and the round
         counter: every stream is stateless in (seed, tag, round,
         client), so resuming re-derives identical draws.
 
@@ -1553,38 +1407,31 @@ class RoundEngine:
             f"strategy/{name}": array for name, array in strategy_arrays.items()
         }
 
-        def buffer_rows(rows: list[np.ndarray]) -> np.ndarray:
-            if rows:
-                return np.stack(rows)
-            return np.empty((0, env.n_params), dtype=np.float64)
-
-        stale_meta: list[dict] = []
-        stale_rows: list[np.ndarray] = []
-        for cid in sorted(self._stale_buffer):
-            produced, update = self._stale_buffer[cid]
-            entry = update_to_meta(update)
-            entry["produced_round"] = int(produced)
-            stale_meta.append(entry)
-            stale_rows.append(update_row(update, layout))
-        flight_meta: list[dict] = []
-        flight_rows: list[np.ndarray] = []
-        for done, seq, dispatch_round, update in self._in_flight.snapshot():
-            entry = update_to_meta(update)
-            entry.update(
-                done=int(done), seq=int(seq), dispatch_round=int(dispatch_round)
+        def updates_meta(name: str, entries: list) -> list[dict]:
+            # (extra metadata, update) pairs: the metadata goes in the
+            # header, the rows in one array blob.
+            rows = [update_row(update, layout) for _, update in entries]
+            arrays[f"{name}_rows"] = (
+                np.stack(rows)
+                if rows
+                else np.empty((0, env.n_params), dtype=np.float64)
             )
-            flight_meta.append(entry)
-            flight_rows.append(update_row(update, layout))
-        async_meta: list[dict] = []
-        async_rows: list[np.ndarray] = []
-        for dispatch_round, update in self._async_buffer:
-            entry = update_to_meta(update)
-            entry["dispatch_round"] = int(dispatch_round)
-            async_meta.append(entry)
-            async_rows.append(update_row(update, layout))
-        arrays["stale_rows"] = buffer_rows(stale_rows)
-        arrays["in_flight_rows"] = buffer_rows(flight_rows)
-        arrays["async_rows"] = buffer_rows(async_rows)
+            return [update_to_meta(update) | extra for extra, update in entries]
+
+        buffer_meta = updates_meta(
+            "buffer",
+            [
+                ({"dispatch_round": sent}, update)
+                for sent, update in self._buffer.values()
+            ],
+        )
+        flight_meta = updates_meta(
+            "in_flight",
+            [
+                ({"done": done, "seq": seq, "dispatch_round": sent}, update)
+                for done, seq, sent, update in self._in_flight.snapshot()
+            ],
+        )
         mean_acc, per_client = self._last_eval
         arrays["per_client_accuracy"] = np.asarray(per_client, dtype=np.float64)
 
@@ -1596,20 +1443,17 @@ class RoundEngine:
             "next_round": int(self._next_round),
             "mean_accuracy": float(mean_acc),
             "strategy_meta": meta,
+            # JSON writes the (round, entries) tuples as lists.
             "logs": {
-                "drop": [[r, list(ids)] for r, ids in self.drop_log],
-                "straggler": [[r, list(ids)] for r, ids in self.straggler_log],
-                "stale": [[r, list(ids)] for r, ids in self.stale_log],
-                "departure": [[r, list(ids)] for r, ids in self.departure_log],
-                "participation": [
-                    [r, list(ids)] for r, ids in self.participation_log
-                ],
-                "quarantine": [
-                    [r, [[cid, reason] for cid, reason in entries]]
-                    for r, entries in self.quarantine_log
-                ],
+                "drop": self.drop_log,
+                "straggler": self.straggler_log,
+                "stale": self.stale_log,
+                "departure": self.departure_log,
+                "participation": self.participation_log,
+                "quarantine": self.quarantine_log,
             },
             "counters": {
+                "n_dispatched": int(self.n_dispatched),
                 "n_aggregation_events": int(self.n_aggregation_events),
                 "n_updates_absorbed": int(self.n_updates_absorbed),
             },
@@ -1625,10 +1469,9 @@ class RoundEngine:
                 "seed": int(history.seed),
                 "records": [asdict(record) for record in history.records],
             },
-            "stale": stale_meta,
+            "buffer": buffer_meta,
             "in_flight": flight_meta,
             "in_flight_seq": int(self._in_flight.next_seq),
-            "async": async_meta,
         }
         return save_checkpoint(path, header, arrays)
 
@@ -1649,7 +1492,9 @@ class RoundEngine:
         accuracies)``.  ``history.records`` is replaced wholesale, so a
         caller that pre-seeded records (FedClust re-runs its round-1
         clustering deterministically before resuming) converges on the
-        checkpointed truth.
+        checkpointed truth.  Version-1 files, which kept the synchronous
+        ``stale`` buffer and the async arrival buffer apart, resume with
+        both folded into the one buffer.
         """
         header, arrays = load_checkpoint(path)
         env = self.env
@@ -1690,6 +1535,14 @@ class RoundEngine:
             for r, entries in logs["quarantine"]
         ]
         counters = header["counters"]
+        # Version-1 files did not count dispatches; the participation
+        # log is their best lower bound (it misses retries).
+        self.n_dispatched = int(
+            counters.get(
+                "n_dispatched",
+                sum(len(ids) for _, ids in self.participation_log),
+            )
+        )
         self.n_aggregation_events = int(counters["n_aggregation_events"])
         self.n_updates_absorbed = int(counters["n_updates_absorbed"])
         tracker = env.tracker
@@ -1703,10 +1556,16 @@ class RoundEngine:
             RoundRecord(**record) for record in header["history"]["records"]
         ]
         layout = env.layout
-        self._stale_buffer.clear()
-        for entry, row in zip(header["stale"], arrays["stale_rows"]):
-            self._stale_buffer[int(entry["client_id"])] = (
-                int(entry["produced_round"]),
+        if "buffer" in header:
+            buffered = list(zip(header["buffer"], arrays["buffer_rows"]))
+        else:  # version 1; at most one of the two is non-empty
+            buffered = list(zip(header["stale"], arrays["stale_rows"]))
+            buffered += zip(header["async"], arrays["async_rows"])
+        self._buffer.clear()
+        for entry, row in buffered:
+            sent = entry.get("dispatch_round", entry.get("produced_round"))
+            self._buffer[int(entry["client_id"])] = (
+                int(sent),
                 rebuild_update(entry, row, layout),
             )
         self._in_flight.restore(
@@ -1723,10 +1582,6 @@ class RoundEngine:
             ],
             int(header["in_flight_seq"]),
         )
-        self._async_buffer[:] = [
-            (int(entry["dispatch_round"]), rebuild_update(entry, row, layout))
-            for entry, row in zip(header["async"], arrays["async_rows"])
-        ]
         mean_acc = float(header["mean_accuracy"])
         per_client = arrays["per_client_accuracy"].astype(np.float64)
         self._next_round = int(header["next_round"])
@@ -1772,21 +1627,22 @@ class RoundEngine:
         (:mod:`repro.experiments.ablation`) records per run: total events
         per middleware log (the logs themselves stay on the engine for
         callers that need the per-round detail), the quarantine reasons
-        broken out by code, async throughput counters, and the traffic
-        totals.  Algorithms attach it to ``RunResult.extras
-        ["engine_record"]`` so every run — regardless of strategy —
-        reports the same counter schema.
+        broken out by code, the dispatch and aggregation counters, and
+        the traffic totals.  ``n_dispatched`` counts every task sent,
+        retries and FedClust's clustering round included, so it bounds
+        the drop, straggler and quarantine counts from above.
+        Algorithms attach it to ``RunResult.extras["engine_record"]`` so
+        every run — regardless of strategy — reports the same counter
+        schema.
         """
         reasons: dict[str, int] = {}
         for _, entries in self.quarantine_log:
             for _, reason in entries:
                 reasons[reason] = reasons.get(reason, 0) + 1
         return {
-            "schema": 1,
+            "schema": 2,
             "async": self.is_async,
-            "n_dispatched": sum(
-                len(ids) for _, ids in self.participation_log
-            ),
+            "n_dispatched": int(self.n_dispatched),
             "n_dropped": sum(len(ids) for _, ids in self.drop_log),
             "n_stragglers": sum(len(ids) for _, ids in self.straggler_log),
             "n_stale_folded": sum(len(ids) for _, ids in self.stale_log),

@@ -27,6 +27,7 @@ from hypothesis.extra import numpy as hnp
 from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
+from repro.fl import defense
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
     CHECKPOINT_MAGIC,
@@ -296,6 +297,89 @@ class TestResumeBitIdentity:
         resumed = self._run(env, scenario(tmp_path / "cut", True), 4)
         env.close()
         self._compare(ref, resumed)
+
+    #: (scenario knobs, cut round, total rounds).  Each cut round ends
+    #: with updates in the buffer: banked stragglers, or async arrivals
+    #: short of ``buffer_size``.
+    _BUFFERED_CUTS = {
+        "sync_stale": (
+            dict(client_fraction=0.5, straggler_rate=0.4, staleness_decay=0.5),
+            3,
+            4,
+        ),
+        "async": (
+            dict(
+                staleness_decay=0.9,
+                async_config=AsyncConfig(buffer_size=3, duration_range=(1, 3)),
+            ),
+            4,
+            6,
+        ),
+    }
+
+    def _buffered_cut(self, env_factory, tmp_path, case):
+        """The uninterrupted run, which checkpoints itself at the cut
+        round (a shorter run would flush an async buffer in its final
+        round), and a function resuming a fresh run from that file."""
+        knobs, cut, total = self._BUFFERED_CUTS[case]
+        env = env_factory()
+        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        engine = RoundEngine(env, ScenarioConfig(**knobs))
+        history = RunHistory("fedavg", "synthetic", env.seed)
+
+        def cut_here(eng, outcome):
+            if outcome.round_index == cut:
+                eng.checkpoint(tmp_path / "checkpoint.bin")
+
+        strategy.on_round_end = cut_here
+        ref = (strategy, engine, history, *engine.run(strategy, total, history))
+        env.close()
+        header, _ = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert header["buffer"]
+
+        def resume():
+            env = env_factory()
+            ckpt = CheckpointConfig(directory=tmp_path, resume=True)
+            resumed = self._run(env, ScenarioConfig(**knobs, checkpoint=ckpt), total)
+            env.close()
+            return resumed
+
+        return ref, resume
+
+    def test_sync_stale_resume(self, env_factory, tmp_path):
+        ref, resume = self._buffered_cut(env_factory, tmp_path, "sync_stale")
+        self._compare(ref, resume())
+        # The stragglers banked before the cut folded after it.
+        assert ref[1].stale_log[-1][0] == 4
+
+    @pytest.mark.parametrize("case", sorted(_BUFFERED_CUTS))
+    def test_version_1_buffers_still_resume(
+        self, env_factory, tmp_path, monkeypatch, case
+    ):
+        """Version-1 files kept banked stragglers in a ``stale`` list and
+        async arrivals in an ``async`` list; resume folds them into the
+        one buffer."""
+        ref, resume = self._buffered_cut(env_factory, tmp_path, case)
+        path = tmp_path / "checkpoint.bin"
+        header, arrays = load_checkpoint(path)
+        entries, rows = header.pop("buffer"), arrays.pop("buffer_rows")
+        legacy, empty = ("async", "stale")
+        if case == "sync_stale":
+            legacy, empty = empty, legacy
+            for entry in entries:
+                entry["produced_round"] = entry.pop("dispatch_round")
+        header.update({legacy: entries, empty: []})
+        arrays[f"{legacy}_rows"] = rows
+        arrays[f"{empty}_rows"] = np.empty((0, rows.shape[1]))
+        del header["counters"]["n_dispatched"]
+        with monkeypatch.context() as patch:
+            patch.setattr(defense, "CHECKPOINT_VERSION", 1)
+            save_checkpoint(path, header, arrays)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC)) == (1,)
+        resumed = resume()
+        self._compare(ref, resumed)
+        assert resumed[1].run_record() == ref[1].run_record()
 
     def test_resume_skips_completed_rounds(self, env_factory, tmp_path):
         ckpt = CheckpointConfig(directory=tmp_path, resume=False)

@@ -511,25 +511,56 @@ class TestQuorum:
         assert any(r >= 1_000_000 for r, _ in engine.quarantine_log)
 
     def test_quorum_failure_banks_late_work_for_the_future(self, env_factory):
+        """A round below quorum keeps the older banked updates, banks its
+        own stragglers and drops its own on-time work; the next healthy
+        round folds the banked work at ``decay ** age``."""
+        decay = 0.5
         env = env_factory()
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
         engine = RoundEngine(
             env,
             ScenarioConfig(
-                straggler_rate=0.4,
-                staleness_decay=0.5,
-                corruption=CorruptionConfig(rate=1.0, kinds=("nan",)),
-                min_survivors=1,
-                max_retries=0,
+                straggler_rate=0.5, staleness_decay=decay, min_survivors=4
             ),
         )
+        buffers, outcomes = [], []
+
+        def snapshot(eng, outcome):
+            buffers.append(dict(eng._buffer))
+            outcomes.append(outcome)
+
+        strategy.on_round_end = snapshot
         history = RunHistory("fedavg", "synthetic", env.seed)
-        engine.run(strategy, 1, history)
+        engine.run(strategy, 5, history)
         env.close()
-        # Every on-time update was quarantined (corrupted); stragglers
-        # are split *after* admission so nothing late survived either —
-        # the buffer holds whatever admitted-late work there was.
-        assert history.records[0].quorum_failed
+        # The seeded schedule: round 4 fails quorum after round 3 banked
+        # stragglers, and round 5 is healthy.
+        failed = [r.round_index for r in history.records if r.quorum_failed]
+        assert 4 in failed and 5 not in failed and buffers[2]
+        before, after, out = buffers[2], buffers[3], outcomes[3]
+        late = set(out.stragglers.tolist())
+        on_time = set(out.participants.tolist()) - late
+        assert not history.records[3].aggregation_event
+        assert out.survivors == []
+        assert after == {
+            **{cid: entry for cid, entry in before.items() if cid not in late},
+            **{cid: (4, after[cid][1]) for cid in late},
+        }
+        # On-time work of the failed round never reached the buffer: a
+        # client banked earlier keeps its older update.
+        assert all(after[cid][0] < 4 for cid in on_time & set(after))
+        assert not (on_time - set(before)) & set(after)
+        # The healthy round folds what survived in the buffer, each
+        # update at decay ** age; some of it is two rounds old.
+        folded = {u.client_id: u for u in outcomes[4].survivors}
+        stale = outcomes[4].stale.tolist()
+        assert stale and history.records[4].n_stale == len(stale)
+        ages = []
+        for cid in stale:
+            sent, banked = after[cid]
+            ages.append(5 - sent)
+            assert folded[cid].weight == banked.n_samples * decay ** (5 - sent)
+        assert max(ages) == 2
 
     def test_dispatch_with_retry_first_response_wins(self, env_factory):
         env = env_factory()

@@ -220,15 +220,19 @@ class TestDispatchMiddleware:
 
     def test_failure_stream_matches_legacy_faulty_executor(self, env_factory):
         """The scenario middleware draws the exact (seed, 13, round,
-        client) stream the deprecated FaultyExecutor used, so historical
-        faulty runs reproduce under ScenarioConfig."""
-        from repro.fl.failures import FaultyExecutor
+        client) stream the removed FaultyExecutor shim used, so
+        historical faulty runs reproduce under ScenarioConfig."""
+        from repro.fl.rounds import FAILURE_TAG
+        from repro.utils.rng import rng_for
 
         env = env_factory(local_epochs=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = FaultyExecutor(0.5)
         tasks = self._tasks(env)
-        legacy_alive = [t.client_id for t in legacy.survivors(env, tasks, 3)]
+        # The shim's survivor rule: keep u >= rate, else the lowest id.
+        legacy_alive = [
+            t.client_id
+            for t in tasks
+            if rng_for(env.seed, FAILURE_TAG, 3, t.client_id).random() >= 0.5
+        ] or [min(t.client_id for t in tasks)]
         engine = RoundEngine(env, ScenarioConfig(failure_rate=0.5))
         alive, failed = engine._apply_failures(tasks, 3)
         assert [t.client_id for t in alive] == legacy_alive
@@ -257,6 +261,63 @@ class TestDispatchMiddleware:
             )
         )
         np.testing.assert_array_equal(strategy.vector, expected)
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "name, scenario",
+        [
+            (
+                "fedavg",
+                ScenarioConfig(failure_rate=0.6, min_survivors=5, max_retries=2),
+            ),
+            ("fedclust", ScenarioConfig(failure_rate=0.6)),
+        ],
+    )
+    def test_n_dispatched_counts_every_task_sent(self, env_factory, name, scenario):
+        """Quorum retries and FedClust's clustering round send tasks the
+        participation log does not list; ``n_dispatched`` counts them
+        all, so it bounds every per-fate count."""
+        env = env_factory(local_epochs=1)
+        result = make_algorithm(name, **_KWARGS[name]).run(
+            env, n_rounds=3, scenario=scenario
+        )
+        env.close()
+        record = result.extras["engine_record"]
+        # Every task sent is charged exactly one download, whatever its fate.
+        assert record["n_dispatched"] == env.tracker.total_downloaded // env.n_params
+        fates = record["n_dropped"] + record["n_stragglers"] + record["n_quarantined"]
+        assert 0 < fates <= record["n_dispatched"]
+
+    def test_sync_rounds_are_events_without_duration_draws(
+        self, env_factory, monkeypatch
+    ):
+        """A synchronous round delivers everything in its dispatch round
+        and fires one aggregation event; it draws no durations."""
+        import repro.fl.rounds as rounds
+
+        tags = []
+        draw = rounds.rng_for
+
+        def spy(seed, tag, *key):
+            tags.append(tag)
+            return draw(seed, tag, *key)
+
+        monkeypatch.setattr(rounds, "rng_for", spy)
+        env = env_factory(local_epochs=1)
+        result = make_algorithm("fedavg").run(
+            env, n_rounds=3, scenario=ScenarioConfig(failure_rate=0.3)
+        )
+        env.close()
+        record = result.extras["engine_record"]
+        assert rounds.FAILURE_TAG in tags and rounds.DURATION_TAG not in tags
+        assert record["n_aggregation_events"] == 3
+        delivered = record["n_dispatched"] - record["n_dropped"]
+        assert record["n_updates_absorbed"] == delivered
+        assert all(
+            r.aggregation_event and r.n_buffered == 0
+            for r in result.history.records
+        )
 
 
 # ----------------------------------------------------------------------
