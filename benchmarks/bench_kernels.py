@@ -89,7 +89,7 @@ if pytest is not None:
         def step():
             model.zero_grad()
             loss.forward(model.forward(x), y)
-            model.backward(loss.backward())
+            model.backward(loss.backward(), input_grad=False)
 
         benchmark(step)
 

@@ -126,7 +126,7 @@ def local_train(
             model.zero_grad()
             logits = model.forward(images)
             loss_value = loss_fn.forward(logits, labels)
-            model.backward(loss_fn.backward())
+            model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
             total_loss += loss_value
             n_batches += 1

@@ -257,7 +257,7 @@ class BatchedLinear:
     dense per-client weights or a :class:`FactoredParam`; the bias is
     always dense (``(C, out)`` is tiny).  ``needs_input_grad=False`` on
     the first parameterised layer of a chain skips the input-gradient
-    GEMM entirely — the serial reference computes and discards it.
+    GEMM entirely, as the serial training backward does.
     """
 
     def __init__(
@@ -460,9 +460,9 @@ class BatchedSequential:
     """Lockstep mirror of a :class:`~repro.nn.module.Sequential` chain.
 
     Built by :func:`build_batched`; ``forward``/``backward`` mirror the
-    serial chain with the extra client axis, and ``backward`` stops at
-    the first parameterised layer (nothing upstream consumes the input
-    gradient).
+    serial chain's training pass with the extra client axis, so
+    ``backward`` stops at the serial model's ``first_param_index``
+    (nothing upstream consumes the input gradient).
     """
 
     def __init__(self, layers: Sequence, first_param_index: int) -> None:
@@ -732,7 +732,9 @@ def build_batched(
         return param
 
     layers: list = []
-    first_param_index: int | None = None
+    first_param_index = model.first_param_index
+    if first_param_index is None:
+        raise ValueError("model has no parameterised layer")
     for index, (name, child) in enumerate(named):
         if isinstance(child, Linear):
             wkey = f"{name}.weight"
@@ -749,12 +751,9 @@ def build_batched(
             else:
                 weight = dense_param(wkey)
             bias = dense_param(f"{name}.bias") if child.has_bias else None
-            if first_param_index is None:
-                first_param_index = index
-                needs_input_grad = False
-            else:
-                needs_input_grad = True
-            layers.append(BatchedLinear(weight, bias, needs_input_grad))
+            layers.append(
+                BatchedLinear(weight, bias, index != first_param_index)
+            )
         elif isinstance(child, ReLU):
             layers.append(BatchedActivation("relu"))
         elif isinstance(child, LeakyReLU):
@@ -776,8 +775,6 @@ def build_batched(
             layers.append(BatchedFlatten())
         else:  # pragma: no cover - batchable_layers already filtered
             raise AssertionError(f"unhandled layer {type(child).__name__}")
-    if first_param_index is None:
-        raise ValueError("model has no parameterised layer")
     return BatchedSequential(layers, first_param_index), plane
 
 

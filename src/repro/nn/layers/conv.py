@@ -36,7 +36,8 @@ class Conv2d(Module):
     bank — the standard im2col strategy that keeps the hot path inside
     BLAS.  The backward pass is the exact adjoint: a matmul for the filter
     gradient and a :func:`repro.nn.functional.col2im` scatter-add for the
-    input gradient.
+    input gradient.  ``backward(..., input_grad=False)`` skips the input
+    gradient's matmul and scatter.
 
     Parameters
     ----------
@@ -186,27 +187,29 @@ class Conv2d(Module):
             )
         return out.transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, _, out_h, out_w = grad_output.shape
         # (N, F, OH, OW) -> (N*OH*OW, F), matching the forward column layout.
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        flat_w = self.weight.data.reshape(self.out_channels, -1)
         self.weight.accumulate_grad(
             (grad_flat.T @ self._cols).reshape(self.weight.data.shape)
         )
         if self.has_bias:
             self.bias.accumulate_grad(grad_flat.sum(axis=0))
-        dcols = grad_flat @ flat_w
-        dx = col2im(
-            dcols,
-            self._x_shape,
+        x_shape = self._x_shape
+        self._cols = None
+        self._x_shape = None
+        if not input_grad:
+            return None
+        flat_w = self.weight.data.reshape(self.out_channels, -1)
+        return col2im(
+            grad_flat @ flat_w,
+            x_shape,
             self.kernel_size,
             self.kernel_size,
             self.stride,
             self.padding,
         )
-        self._cols = None
-        self._x_shape = None
-        return dx

@@ -82,7 +82,9 @@ class Linear(Module):
             out += self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
@@ -90,4 +92,6 @@ class Linear(Module):
         if self.has_bias:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
         self._input = None
+        if not input_grad:
+            return None
         return grad_output @ self.weight.data

@@ -77,15 +77,20 @@ class _BatchNorm(Module):
             self._cache = None
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError(
                 "BatchNorm backward requires a preceding training-mode forward"
             )
         x_hat, inv_std, _ = self._cache
+        self._cache = None
         shape = self._bshape()
         self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=self._axes))
         self.beta.accumulate_grad(grad_output.sum(axis=self._axes))
+        if not input_grad:
+            return None
         # Standard batch-stat backward: project out the mean and the
         # component along x_hat before rescaling.
         g = grad_output
@@ -96,7 +101,6 @@ class _BatchNorm(Module):
             * inv_std.reshape(shape)
             * (g - mean_g - x_hat * mean_gx)
         )
-        self._cache = None
         return dx.astype(grad_output.dtype)
 
 
@@ -177,13 +181,18 @@ class GroupNorm(Module):
             1, c, 1, 1
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_hat, inv_std, shape = self._cache
+        self._cache = None
         n, c, h, w = shape
         self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=(0, 2, 3)))
         self.beta.accumulate_grad(grad_output.sum(axis=(0, 2, 3)))
+        if not input_grad:
+            return None
         g = (grad_output * self.gamma.data.reshape(1, c, 1, 1)).reshape(
             n, self.num_groups, c // self.num_groups, h, w
         )
@@ -191,5 +200,4 @@ class GroupNorm(Module):
         mean_g = g.mean(axis=(2, 3, 4), keepdims=True)
         mean_gx = (g * x_hat_g).mean(axis=(2, 3, 4), keepdims=True)
         dx = inv_std * (g - mean_g - x_hat_g * mean_gx)
-        self._cache = None
         return dx.reshape(n, c, h, w).astype(grad_output.dtype)

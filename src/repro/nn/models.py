@@ -316,7 +316,11 @@ class Residual(Module):
             )
         return out + x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if not input_grad:
+            return self.body.backward(grad_output, input_grad=False)
         return self.body.backward(grad_output) + grad_output
 
     def train(self) -> "Residual":

@@ -14,6 +14,11 @@ Design notes
   gradients.  For the fixed feed-forward architectures this library needs
   (LeNet-5, MLPs, VGG-style stacks), this is simpler, faster, and easier
   to verify with numerical gradient checks than a tape-based autograd.
+* **Training backward.**  Nothing reads the gradient with respect to a
+  training batch, so the trainers call ``backward(grad, input_grad=False)``:
+  a :class:`Sequential` then stops at its first parameterised layer, which
+  accumulates its parameter gradients and skips its input gradient (for
+  the first convolution of a CNN, the costliest part of the backward).
 * **Caching contract.**  ``backward`` must be called right after the
   ``forward`` whose intermediate values it consumes.  The training loop in
   :mod:`repro.fl.client` honours this; the tests enforce it.
@@ -61,7 +66,10 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Propagate ``grad_output`` and accumulate parameter gradients.
 
-        Returns the gradient with respect to this module's input.
+        Returns the gradient with respect to this module's input.  A
+        module that owns parameters also accepts ``input_grad=False``:
+        it then only accumulates its parameter gradients and returns
+        ``None`` (see :meth:`Sequential.backward`).
         """
         raise NotImplementedError
 
@@ -201,6 +209,10 @@ class Sequential(Module):
     Children may be given explicitly as ``(name, module)`` pairs, or
     anonymously (named by index).  ``backward`` replays the chain in
     reverse, matching the manual-backprop caching contract.
+
+    ``first_param_index``, fixed at construction, is the forward-order
+    index of the first child that owns parameters (``None`` if none
+    does): the training backward and its batched mirror stop there.
     """
 
     def __init__(self, *layers: Module | tuple[str, Module]) -> None:
@@ -218,6 +230,8 @@ class Sequential(Module):
             self._modules[name] = module
             object.__setattr__(self, f"_layer_{name}", module)
             self._order.append(name)
+        owners = [i for i, module in enumerate(self.layers()) if module.parameters()]
+        self.first_param_index: int | None = owners[0] if owners else None
 
     def __len__(self) -> int:
         return len(self._order)
@@ -236,10 +250,25 @@ class Sequential(Module):
             x = self._modules[name].forward(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for name in reversed(self._order):
-            grad_output = self._modules[name].backward(grad_output)
-        return grad_output
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Replay the chain in reverse; return the input gradient.
+
+        With ``input_grad=False`` the replay stops at
+        ``first_param_index`` and returns ``None``; the parameter
+        gradients are bit-identical to the full replay's.
+        """
+        if input_grad:
+            for name in reversed(self._order):
+                grad_output = self._modules[name].backward(grad_output)
+            return grad_output
+        stop = self.first_param_index
+        if stop is not None:
+            for index in range(len(self._order) - 1, stop, -1):
+                grad_output = self._modules[self._order[index]].backward(grad_output)
+            self._modules[self._order[stop]].backward(grad_output, input_grad=False)
+        return None
 
     def train(self) -> "Sequential":
         object.__setattr__(self, "training", True)

@@ -71,7 +71,7 @@ def fit(
             model.zero_grad()
             logits = model.forward(images)
             total += loss_fn.forward(logits, labels)
-            model.backward(loss_fn.backward())
+            model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
             batches += 1
         result.train_loss.append(total / max(batches, 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,21 @@ from repro.data.synthetic import make_dataset
 from repro.fl.client import local_train, run_client_update
 from repro.fl.config import TrainConfig
 from repro.fl.evaluation import evaluate_model, mean_local_accuracy
-from repro.nn.models import mlp
+from repro.nn.models import lenet5, mlp
+from repro.nn.state_flat import StateLayout
+
+#: (mean loss, sha256 of the packed final state) after four momentum-SGD
+#: steps of the serial kernel; see TestLocalTrain.test_serial_kernel_pin.
+_SERIAL_PINS = {
+    "lenet5": (
+        3.3232444524765015,
+        "e075a5d5f9d9e2816ebbff2536020bf28304f96ed88ddfa33a2c7789f40d6392",
+    ),
+    "mlp": (
+        2.4404436647892,
+        "5ebee055773cd12913af5aed285e231d496932daf5dd0a1e25d30f1995766bf6",
+    ),
+}
 
 
 @pytest.fixture
@@ -74,6 +90,29 @@ class TestLocalTrain:
             float(np.abs(model.state_dict()[k] - start[k]).sum()) for k in start
         )
         assert prox_drift < free_drift
+
+    @pytest.mark.parametrize("arch", sorted(_SERIAL_PINS))
+    def test_serial_kernel_pin(self, arch):
+        """The serial kernel trains conv and MLP models to the bit.
+
+        The table-I pins run an MLP, so this is the one exact pin on
+        conv training: any reordered float operation in the serial
+        forward, backward or optimiser step changes the hash.
+        """
+        rng = np.random.default_rng(3)
+        if arch == "lenet5":
+            model = lenet5((3, 32, 32), 10, rng)
+        else:
+            model = mlp((3, 32, 32), 10, rng, hidden=(32,))
+        data = make_dataset("cifar10", 64, 1)
+        cfg = TrainConfig(local_epochs=1, batch_size=16, lr=0.05, momentum=0.9)
+        loss, steps = local_train(model, data, cfg, np.random.default_rng(4))
+        state = model.state_dict()
+        digest = hashlib.sha256(
+            StateLayout.from_state(state).pack(state).tobytes()
+        ).hexdigest()
+        assert steps == 4
+        assert (loss, digest) == _SERIAL_PINS[arch]
 
 
 class TestRunClientUpdate:

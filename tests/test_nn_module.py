@@ -5,9 +5,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Linear, ReLU
+from repro.nn.batched import BatchedLinear, build_batched
+from repro.nn.layers import (
+    BatchNorm2d,
+    Conv2d,
+    Dropout,
+    Flatten,
+    GroupNorm,
+    Linear,
+    ReLU,
+)
+from repro.nn.models import Residual, available_models, build_model, mlp
 from repro.nn.module import Module, Sequential
 from repro.nn.parameter import Parameter
+from repro.nn.state_flat import StateLayout
+
+
+def _norm_first(name: str, rng: np.random.Generator) -> Sequential:
+    """A chain whose first parameterised layer is not a Conv2d/Linear."""
+    if name == "batchnorm_first":
+        head: Module = BatchNorm2d(3)
+    else:
+        head = Residual(
+            Sequential(
+                ("norm", GroupNorm(1, 3)),
+                ("conv", Conv2d(3, 3, 3, rng, padding=1)),
+            )
+        )
+    return Sequential(
+        ("head", head),
+        ("act", ReLU()),
+        ("flatten", Flatten()),
+        ("fc", Linear(3 * 32 * 32, 10, rng)),
+    )
 
 
 class TestParameter:
@@ -133,6 +163,50 @@ class TestModuleTree:
         assert out.shape == (5, 2)
         grad = model.backward(np.ones_like(out))
         assert grad.shape == x.shape
+
+
+class TestTrainingBackward:
+    """``backward(grad, input_grad=False)``: what the trainers call."""
+
+    @pytest.mark.parametrize(
+        "name", available_models() + ["batchnorm_first", "residual_first"]
+    )
+    def test_parameter_grads_match_full_backward(self, name):
+        rng = np.random.default_rng(0)
+        if name in available_models():
+            model = build_model(name, (3, 32, 32), 10, rng)
+            first = model[model.first_param_index]
+            assert isinstance(first, (Conv2d, Linear))
+        else:
+            model = _norm_first(name, rng)
+            assert model.first_param_index == 0
+        x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        probe = rng.standard_normal((4, 10)).astype(np.float32)
+        returned, grads = [], []
+        for input_grad in (True, False):
+            model.zero_grad()
+            model.forward(x)
+            returned.append(model.backward(probe.copy(), input_grad=input_grad))
+            grads.append([p.grad.copy() for p in model.parameters()])
+        assert returned[0].shape == x.shape
+        assert returned[1] is None
+        for full, train in zip(*grads):
+            np.testing.assert_array_equal(full, train)
+
+    def test_stop_index_is_the_batched_mirrors(self):
+        model = mlp((1, 4, 4), 3, np.random.default_rng(0), hidden=(8,))
+        state = model.state_dict()
+        layout = StateLayout.from_state(state)
+        batched, _ = build_batched(model, layout, 2, layout.pack(state))
+        assert model.first_param_index == batched.first_param_index == 1
+        linears = [m for m in batched.layers if isinstance(m, BatchedLinear)]
+        assert [m.needs_input_grad for m in linears] == [False, True]
+
+    def test_parameter_free_chain_does_nothing(self, rng):
+        model = Sequential(("flatten", Flatten()), ("act", ReLU()))
+        assert model.first_param_index is None
+        model.forward(rng.standard_normal((2, 3)))
+        assert model.backward(np.ones((2, 3)), input_grad=False) is None
 
 
 class TestCustomModule:
