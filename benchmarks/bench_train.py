@@ -1,14 +1,18 @@
-"""Batched-vs-serial cohort training benchmark (``BENCH_train.json``).
+"""Serial, thread and batched cohort training benchmark (``BENCH_train.json``).
 
 Times one communication round's local training — the dominant cost of
-every federated simulation — two ways:
+every federated simulation — three ways:
 
 * **serial executor** (:class:`repro.fl.parallel.SerialClientExecutor`):
   the reference kernel, one load → local-SGD loop → snapshot per client;
+* **thread executor** (:class:`repro.fl.parallel.ThreadClientExecutor`):
+  the same kernel on a pool of worker threads, one scratch model each,
+  overlapping clients only where NumPy releases the interpreter lock;
 * **batched executor** (:class:`repro.fl.parallel.BatchedClientExecutor`):
   the whole cohort trains in lockstep on the flat plane
-  (:mod:`repro.fl.train_flat`), with large linear layers riding the
-  shared-base factored representation (:mod:`repro.nn.batched`).
+  (:mod:`repro.fl.train_flat`), its first linear layer keyed by sample:
+  each client's weight is the broadcast base plus one coefficient row
+  per distinct scheduled sample (:mod:`repro.nn.batched`).
 
 The headline preset is the wide MLP from ``BENCH_eval.json`` (~1.6M
 params, ``hidden=(512,)``) at 64 clients × 3 local epochs — the
@@ -16,10 +20,13 @@ few-local-epochs regime clustered-FL sweeps live in.  A 2-epoch
 secondary shows the shorter-schedule ratio, and ``secondary_lenet5``
 records the honest conv story: no batched mirror exists for the im2col
 convolution, so every client falls back to the serial kernel and the
-"speedup" is ~1x by construction (the dispatch counts prove the routing).
+batched "speedup" is ~1x by construction (the dispatch counts prove the
+routing).
 
-Also recorded: the worst per-client update deviation between the two
-executors (the fast correctness gates live in
+Also recorded: each executor's peak traced heap for one round (Python
+and NumPy allocations, via :mod:`tracemalloc`), and the worst
+per-client update deviation of the batched and thread executors from
+serial (the fast correctness gates live in
 ``tests/test_fl_train_flat.py``; this is the per-PR trajectory record).
 
 Run via ``python benchmarks/bench_train.py`` or ``scripts/bench.sh``.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,7 @@ from repro.fl.config import TrainConfig
 from repro.fl.parallel import (
     BatchedClientExecutor,
     SerialClientExecutor,
+    ThreadClientExecutor,
     UpdateTask,
 )
 
@@ -58,6 +67,22 @@ def _time_ms(fn, reps: int, warmup: int = 1) -> float:
     return float(np.median(samples))
 
 
+def _peak_mb(fn) -> float:
+    """Peak traced heap of one ``fn()`` call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _max_abs_diff(reference, updates) -> float:
+    return max(
+        float(np.abs(r.flat - u.flat).max()) for r, u in zip(reference, updates)
+    )
+
+
 def run_serial_vs_batched(
     n_clients: int = 64,
     samples_per_client: int = 40,
@@ -67,9 +92,10 @@ def run_serial_vs_batched(
     model_kwargs: dict | None = None,
     reps: int = 5,
 ) -> dict:
-    """Time one round of cohort training, serial vs batched executor.
+    """Time one round of cohort training on the serial, thread and
+    batched executors.
 
-    Both executors receive identical tasks (one shared packed broadcast
+    Every executor receives identical tasks (one shared packed broadcast
     row, the flat payload the in-tree algorithms ship) and the same
     round index, so per-client RNG streams and minibatch schedules are
     identical — the measured difference is purely execution strategy.
@@ -87,16 +113,23 @@ def run_serial_vs_batched(
     tasks = [UpdateTask(cid, flat=vector) for cid in range(n_clients)]
 
     serial = SerialClientExecutor()
+    thread = ThreadClientExecutor()
     batched = BatchedClientExecutor()
-    serial_ms = _time_ms(lambda: serial.run(env, tasks, 1), reps=reps)
-    batched_ms = _time_ms(lambda: batched.run(env, tasks, 1), reps=reps)
-
-    serial_updates = serial.run(env, tasks, 1)
-    batched_updates = batched.run(env, tasks, 1)
-    max_diff = max(
-        float(np.abs(s.flat - b.flat).max())
-        for s, b in zip(serial_updates, batched_updates)
-    )
+    executors = {"serial": serial, "thread": thread, "batched": batched}
+    try:
+        times = {
+            kind: _time_ms(lambda ex=ex: ex.run(env, tasks, 1), reps=reps)
+            for kind, ex in executors.items()
+        }
+        peak_mb = {
+            kind: round(_peak_mb(lambda ex=ex: ex.run(env, tasks, 1)), 1)
+            for kind, ex in executors.items()
+        }
+        updates = {kind: ex.run(env, tasks, 1) for kind, ex in executors.items()}
+    finally:
+        thread.close()
+    serial_ms, batched_ms = times["serial"], times["batched"]
+    serial_updates = updates["serial"]
     scale = max(float(np.abs(s.flat).max()) for s in serial_updates)
 
     return {
@@ -112,10 +145,18 @@ def run_serial_vs_batched(
         "serial_ms": round(serial_ms, 3),
         "batched_ms": round(batched_ms, 3),
         "speedup": round(serial_ms / batched_ms, 2),
+        "thread_workers": thread.n_workers,
+        "thread_ms": round(times["thread"], 3),
+        "thread_speedup": round(serial_ms / times["thread"], 2),
+        "peak_mb": peak_mb,
         # Worst per-client deviation between executors (float32 models
         # diverge at summation-order level; the tolerance gate is in
-        # tests/test_fl_train_flat.py).
-        "max_update_abs_diff": float(max_diff),
+        # tests/test_fl_train_flat.py).  The thread executor runs the
+        # serial kernel, so its deviation should be exactly 0.
+        "max_update_abs_diff": _max_abs_diff(serial_updates, updates["batched"]),
+        "thread_max_update_abs_diff": _max_abs_diff(
+            serial_updates, updates["thread"]
+        ),
         "max_update_abs": float(scale),
         # How the batched executor actually routed the tasks — "serial"
         # counts are transparent fallbacks (conv models).
@@ -133,8 +174,9 @@ if __name__ == "__main__":
     )
     result = {
         "benchmark": (
-            "cohort local training: lockstep batched executor (flat plane, "
-            "shared-base factored linear layers) vs serial per-client loop"
+            "cohort local training: serial per-client loop vs thread pool vs "
+            "lockstep batched executor (flat plane, sample-keyed factored "
+            "first layer)"
         )
     }
     result.update(run_serial_vs_batched())
@@ -144,7 +186,15 @@ if __name__ == "__main__":
     short = run_serial_vs_batched(local_epochs=2)
     result["secondary_2_epochs"] = {
         k: short[k]
-        for k in ("local_epochs", "serial_ms", "batched_ms", "speedup", "dispatch")
+        for k in (
+            "local_epochs",
+            "serial_ms",
+            "batched_ms",
+            "speedup",
+            "thread_ms",
+            "thread_speedup",
+            "dispatch",
+        )
     }
     # Conv counterpoint: LeNet-5 has no batched mirror, so the batched
     # executor routes every client to the serial reference kernel —
@@ -154,7 +204,18 @@ if __name__ == "__main__":
     )
     result["secondary_lenet5"] = {
         k: conv[k]
-        for k in ("model", "serial_ms", "batched_ms", "speedup", "dispatch")
+        for k in (
+            "model",
+            "serial_ms",
+            "batched_ms",
+            "speedup",
+            "thread_workers",
+            "thread_ms",
+            "thread_speedup",
+            "peak_mb",
+            "thread_max_update_abs_diff",
+            "dispatch",
+        )
     }
     Path(target).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

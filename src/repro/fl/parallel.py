@@ -497,8 +497,8 @@ class BatchedClientExecutor:
         #: ("batched", n_tasks) / ("serial", n_tasks) counts of the most
         #: recent run — the conv-fallback visibility hook.
         self.last_dispatch: dict[str, int] = {}
-        # Round-to-round gather buffers (see train_cohort_flat): the
-        # per-round factor slab is first-touch-faulted once per shape,
+        # Round-to-round gather buffers (see train_cohort_flat): a dense
+        # cohort's step buffer is first-touch-faulted once per shape,
         # not once per round.
         self._gather_cache: dict = {}
 

@@ -19,9 +19,14 @@ Pipeline per cohort:
    the optimiser step entirely.
 2. **Lockstep train** — one :class:`repro.nn.batched.BatchedSequential`
    mirror of the architecture runs fused forward/backward over
-   ``(n_clients, batch, ...)`` tensors; large linear layers use the
-   factored shared-base representation (see :mod:`repro.nn.batched`),
-   small ones dense per-client planes.
+   ``(n_clients, batch, ...)`` tensors.  Every layer keeps dense
+   per-client planes except, when it pays, the first: the schedule
+   already names every sample a client will visit, so that layer is
+   keyed by sample (see :mod:`repro.nn.batched`).  Each client's
+   distinct samples are gathered once per round, and a step feeds the
+   layer ``(n_clients, batch)`` slots into them instead of an image
+   batch — a sample revisited in later local epochs is never gathered
+   or multiplied against the broadcast weight again.
 3. **Emit** — final per-client states are materialised straight into a
    ``(n_clients, n_params)`` float64 matrix; each
    :class:`~repro.fl.client.ClientUpdate` carries its row as ``flat``
@@ -51,12 +56,11 @@ from repro.nn.batched import (
     BatchedCrossEntropyLoss,
     BatchedProximalSGD,
     BatchedSGD,
-    batchable_layers,
     build_batched,
+    factorable_layer,
     flush_cohort,
     supports_batched,
 )
-from repro.nn.layers.linear import Linear
 from repro.nn.state_flat import LazyStateView, StateLayout
 from repro.utils.rng import rng_for
 
@@ -81,10 +85,11 @@ _CLIENT_UPDATE_TAG = 1
 #: generator in execution order, which no parallel executor reproduces).
 _BATCHED_DROPOUT_TAG = 17
 
-#: Upper bound on total factor storage per cohort before a layer is
-#: kept dense instead (bytes).  Factors hold every step's layer input
-#: and output gradient; long local schedules would otherwise hoard
-#: memory that the dense representation bounds by construction.
+#: Upper bound on a factored layer's per-cohort storage before it is
+#: kept dense instead (bytes).  It holds every client's distinct
+#: samples plus three output-width rows per sample; large cohorts over
+#: large local datasets would otherwise hoard memory that the dense
+#: representation bounds by construction.
 _FACTOR_BYTES_CAP = 512 * 1024 * 1024
 
 
@@ -180,99 +185,82 @@ def plan_cohort_schedule(
 def select_factored_keys(
     model,
     n_clients: int,
-    n_steps: int,
-    batch_width: int,
+    n_samples: int,
     factor_bytes_cap: int = _FACTOR_BYTES_CAP,
-    step_counts: Sequence[int] | None = None,
+    sample_counts: Sequence[int] | None = None,
 ) -> frozenset[str]:
-    """Linear weights that should use the factored representation.
+    """The weight key to factor: :func:`factorable_layer`'s, when it pays.
 
-    A layer is factored while the accumulated rank (``steps × batch``)
-    stays below its smallest dimension — beyond that the per-step
-    corrections and final materialisation cost as much as dense
-    updates — and while the cohort's total factor storage stays under
-    ``factor_bytes_cap``.
+    ``n_samples`` is the most distinct samples any client visits this
+    round and ``sample_counts`` (when given) each client's own count.
+    The layer is factored while the mean count stays below its smallest
+    dimension — beyond that computing the sample-space products and
+    materialising the weights costs as much as dense updates — and
+    while the cohort's factored storage, sized by ``n_samples``, stays
+    under ``factor_bytes_cap``.
 
-    ``step_counts`` (when given) are the *per-client* step counts of the
-    planned schedule — the compute-budget path, where clients drop out
-    of the lockstep schedule early.  A client's effective factor rank is
-    its own ``steps_c × batch``, so the rank criterion uses the cohort
-    mean instead of the cohort max: without it, one unbudgeted client
-    forces the whole cohort dense even when the typical member's rank is
-    far below the threshold.  The storage estimate stays at the cohort
-    max — factors allocate full ``(clients, batch)`` planes per lockstep
-    position regardless of who is active.  With uniform step counts
-    (every ``None``-budget cohort) the mean equals ``n_steps`` and the
-    selection is unchanged.
+    The rank criterion takes the mean over clients, not the cohort
+    maximum: under compute budgets clients drop out of the lockstep
+    schedule early, and one unbudgeted client must not force the whole
+    cohort dense when the typical member's rank is far below the
+    threshold.  With uniform counts the mean is ``n_samples``.
     """
-    named = batchable_layers(model)
-    if named is None:
+    found = factorable_layer(model)
+    if found is None:
         return frozenset()
-    if step_counts is not None:
-        if len(step_counts) != n_clients:
+    name, layer = found
+    if sample_counts is not None:
+        if len(sample_counts) != n_clients:
             raise ValueError(
-                f"step_counts has {len(step_counts)} entries for "
+                f"sample_counts has {len(sample_counts)} entries for "
                 f"{n_clients} clients"
             )
-        mean_steps = float(np.mean([int(s) for s in step_counts]))
+        rank = float(np.mean([int(n) for n in sample_counts]))
     else:
-        mean_steps = float(n_steps)
-    rank = mean_steps * batch_width
-    keys: set[str] = set()
-    budget = factor_bytes_cap
-    for name, child in named:
-        if not isinstance(child, Linear):
-            continue
-        if rank > min(child.in_features, child.out_features):
-            continue
-        need = (
-            n_steps
-            * n_clients
-            * batch_width
-            * (child.in_features + child.out_features)
-            * child.weight.data.dtype.itemsize
-        )
-        if need > budget:
-            continue
-        budget -= need
-        keys.add(f"{name}.weight")
-    return frozenset(keys)
+        rank = float(n_samples)
+    if rank > min(layer.in_features, layer.out_features):
+        return frozenset()
+    rows = n_samples + 1
+    need = (
+        n_clients
+        * rows
+        * (layer.in_features + 3 * layer.out_features + rows)
+        * layer.weight.data.dtype.itemsize
+    )
+    if need > factor_bytes_cap:
+        return frozenset()
+    return frozenset({f"{name}.weight"})
 
 
 def _gather_step(
     datasets: Sequence[ArrayDataset],
     step: LockstepStep,
-    batch_width: int,
-    input_shape: tuple[int, ...],
+    x: np.ndarray,
     label_buf: np.ndarray,
     weight_buf: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Materialise one lockstep batch ``(C, B, *input_shape)``.
+    visited: "Sequence[np.ndarray] | None" = None,
+) -> None:
+    """Fill one lockstep batch into ``x`` and the label/weight buffers.
 
-    Without ``out`` the image tensor is freshly allocated; with it the
-    batch is gathered straight into the given buffer (the preallocated
-    factor-slab / step-buffer path — factored layers retain references
-    to layer inputs, so a caller passing ``out`` must hand each lockstep
-    position a distinct slab slice).  Padding rows stay zero with zero
-    row weight.
+    ``x`` is the ``(C, B, *input_shape)`` image batch, or — given each
+    client's sorted ``visited`` sample indices — the ``(C, B)`` slot
+    matrix of a factored first layer: every real row's position in its
+    client's samples.  Padding rows keep a zero image or slot ``-1``
+    (the factored layer's zero row) and zero row weight.
     """
-    c = len(datasets)
-    if out is None:
-        x = np.zeros((c, batch_width) + tuple(input_shape), dtype=np.float32)
-    else:
-        x = out
-        x[...] = 0.0
+    x[...] = 0 if visited is None else -1
     label_buf[...] = 0
     weight_buf[...] = 0.0
     for i, idx in enumerate(step.indices):
         if idx is None:
             continue
         k = len(idx)
-        x[i, :k] = datasets[i].images[idx]
+        if visited is None:
+            x[i, :k] = datasets[i].images[idx]
+        else:
+            x[i, :k] = np.searchsorted(visited[i], idx)
         label_buf[i, :k] = datasets[i].labels[idx]
         weight_buf[i, :k] = 1.0 / k
-    return x
 
 
 def train_cohort_flat(
@@ -301,14 +289,13 @@ def train_cohort_flat(
     the broadcast rounded through the parameter dtypes.
 
     ``gather_cache`` is an optional dict the caller keeps across rounds
-    (the batched executor owns one): lockstep batches are gathered
-    straight into preallocated factor storage — a ``(steps, C, B, ...)``
-    slab for factored cohorts (each position needs a distinct buffer the
-    factored layers can retain), one reused step buffer otherwise — so
-    repeated rounds skip both the per-step allocations and the
-    first-touch page faults of fresh buffers.  The gathered values are
-    identical either way; results are bit-identical with or without the
-    cache.
+    (the batched executor owns one): a cohort whose first layer is dense
+    gathers every lockstep batch into one image buffer per shape kept
+    there, so repeated rounds skip the allocation and the first-touch
+    page faults of a fresh buffer.  A factored cohort gathers each
+    client's distinct samples once per round instead, and each step
+    only fills a small slot matrix.  Results are bit-identical with or
+    without the cache.
     """
     cfg = env.train_cfg
     layout: StateLayout = env.layout
@@ -321,22 +308,30 @@ def train_cohort_flat(
     ]
     steps, batch_width = plan_cohort_schedule(sizes, cfg, rngs, max_steps)
     n_clients = len(client_ids)
-    if factored_keys is None:
-        # Per-client step counts feed the rank estimate so budgeted
-        # cohorts route factored by their typical (not worst-case) rank.
-        step_counts = (
-            np.sum([step.active for step in steps], axis=0).astype(int)
-            if steps
-            else np.zeros(n_clients, dtype=int)
+    # Each client's distinct scheduled samples, sorted: the rows a
+    # factored first layer is keyed by.
+    visited = []
+    for i in range(n_clients):
+        batches = [s.indices[i] for s in steps if s.indices[i] is not None]
+        visited.append(
+            np.unique(np.concatenate(batches)) if batches else np.zeros(0, int)
         )
+    if factored_keys is None:
+        # Per-client counts feed the rank estimate so budgeted cohorts
+        # route factored by their typical (not worst-case) rank.
+        counts = [len(v) for v in visited]
         factored_keys = select_factored_keys(
-            env.scratch_model,
-            n_clients,
-            len(steps),
-            batch_width,
-            step_counts=step_counts,
+            env.scratch_model, n_clients, max(counts), sample_counts=counts
         )
 
+    input_shape = tuple(env.federation.input_shape)
+    samples = None
+    if factored_keys:
+        in_features = int(np.prod(input_shape))
+        samples = [
+            d.images[v].reshape(len(v), in_features)
+            for d, v in zip(datasets, visited)
+        ]
     incoming_flat = np.asarray(incoming_flat, dtype=np.float64)
     batched, _plane = build_batched(
         env.scratch_model,
@@ -345,6 +340,7 @@ def train_cohort_flat(
         incoming_flat,
         factored_keys=factored_keys,
         dropout_rng=rng_for(env.seed, _BATCHED_DROPOUT_TAG, round_index),
+        samples=samples,
     )
     params = batched.params()
     if prox_mu > 0.0:
@@ -364,46 +360,28 @@ def train_cohort_flat(
         )
     loss_fn = BatchedCrossEntropyLoss()
 
-    input_shape = tuple(env.federation.input_shape)
     labels = np.zeros((n_clients, batch_width), dtype=np.int64)
     weights = np.zeros((n_clients, batch_width), dtype=np.float32)
     total_loss = np.zeros(n_clients, dtype=np.float64)
     n_batches = np.zeros(n_clients, dtype=np.int64)
 
-    x_shape = (n_clients, batch_width) + input_shape
-    step_buffers: list[np.ndarray] | None = None
-    if gather_cache is not None and steps:
-        if factored_keys:
-            # Factored layers retain every step's input until flush, so
-            # each lockstep position needs its own slab slice; the slab
-            # is capped like the factors it feeds.
-            need = len(steps) * int(np.prod(x_shape)) * 4
-            if need <= _FACTOR_BYTES_CAP:
-                key = ("slab",) + x_shape
-                slab = gather_cache.get(key)
-                if slab is None or slab.shape[0] < len(steps):
-                    slab = np.zeros((len(steps),) + x_shape, dtype=np.float32)
-                    gather_cache[key] = slab
-                step_buffers = [slab[t] for t in range(len(steps))]
-        else:
-            # Dense-only cohorts consume the batch within the step, so
-            # one buffer serves every position.
-            key = ("step",) + x_shape
-            buf = gather_cache.get(key)
-            if buf is None:
-                buf = np.zeros(x_shape, dtype=np.float32)
-                gather_cache[key] = buf
-            step_buffers = [buf] * len(steps)
-
-    for t, step in enumerate(steps):
-        x = _gather_step(
+    if batched.factored:
+        x = np.empty((n_clients, batch_width), dtype=np.intp)
+    else:
+        x_shape = (n_clients, batch_width) + input_shape
+        x = gather_cache.get(x_shape) if gather_cache is not None else None
+        if x is None:
+            x = np.zeros(x_shape, dtype=np.float32)
+            if gather_cache is not None:
+                gather_cache[x_shape] = x
+    for step in steps:
+        _gather_step(
             datasets,
             step,
-            batch_width,
-            input_shape,
+            x,
             labels,
             weights,
-            out=step_buffers[t] if step_buffers is not None else None,
+            visited if batched.factored else None,
         )
         logits = batched.forward(x)
         losses = loss_fn.forward(logits, labels, weights)

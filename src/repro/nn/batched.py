@@ -17,18 +17,19 @@ Two weight representations coexist behind one interface:
   einsum/``matmul`` batches over the client axis, and the optimiser
   steps directly on the plane.  General: any schedule length, any
   layer mix supported here.
-* **Factored** (:class:`FactoredParam`) — exploits that a cohort
-  *starts* from one shared state: after ``t`` lockstep steps each
-  client's weight is ``a·W0 + Σ_j A_j · (go_jᵀ x_j)`` — the shared
-  broadcast base plus a low-rank sum of its own SGD-step outer products.
-  Forward/backward then ride **one shared full-cohort GEMM** against
-  ``W0`` (far better BLAS shapes than per-client slices) plus cheap
-  rank-``batch`` corrections, SGD/momentum/weight-decay/proximal become
-  scalar-coefficient recurrences per client, and the dense per-client
-  weights are materialised **once** at round end.  Profitable while the
-  accumulated rank ``steps × batch`` stays below the layer's smallest
-  dimension — exactly the few-local-epochs regime of federated
-  simulation.
+* **Factored** (:class:`FactoredParam`) — for the first parameterised
+  layer only, whose input is the raw sample.  Every SGD update it gets
+  lies in the span of the samples its client visits this round, so
+  each client's weight is ``a·W0 + Gᵀ X``: the shared broadcast base
+  plus one coefficient row per distinct scheduled sample.  ``X W0ᵀ``
+  and the Gram matrix ``X Xᵀ`` are computed once per round, a step's
+  forward gathers their rows, SGD/momentum/weight-decay/proximal
+  become recurrences on ``G`` and the scalar ``a``, and the dense
+  per-client weights are materialised **once** at round end.  A sample
+  seen in several local epochs costs one row, not one per visit, so the
+  representation pays while the mean number of distinct samples per
+  client stays below the layer's smallest dimension — exactly the
+  few-samples-many-epochs regime of federated simulation.
 
 Both representations produce the same numbers as the serial trainer up
 to float summation order (gated by the parity suite in
@@ -69,6 +70,7 @@ __all__ = [
     "BatchedSGD",
     "BatchedProximalSGD",
     "batchable_layers",
+    "factorable_layer",
     "supports_batched",
     "build_batched",
 ]
@@ -109,142 +111,94 @@ class CohortParam:
 
 
 class FactoredParam:
-    """Factored cohort weight: ``W[c] = a[c]·W0 + Σ_j A[j][c]·(go_jᵀ x_j[c])``.
+    """Sample-keyed first-layer weight: ``W[c] = a[c]·W0 + G[c]ᵀ X[c]``.
 
-    ``base`` is the shared broadcast weight ``(out, in)``; every lockstep
-    step appends one factor ``(x_j, go_j)`` — the layer input and output
-    gradient, whose outer product is that step's weight gradient — and
-    the optimiser updates the per-client coefficient vectors instead of
-    any dense weight.  ``a`` starts at 1 and stays 1 unless weight decay
-    bends the base (the scalar recurrence handles it exactly).
+    ``base`` ``W0`` is the shared broadcast weight ``(out, in)``.
+    ``samples`` ``X`` is ``(C, N, in)``: client ``c``'s distinct scheduled
+    samples fill its first ``counts[c]`` rows and zeros the rest, and
+    the last row is zero for every client — a step's padding slots
+    (``-1``) point at it.  ``coef`` ``G`` ``(C, N, out)`` holds one
+    coefficient row per sample, which the optimiser steps in place of
+    any dense weight; ``base_coef`` ``a`` starts at 1 and moves only
+    under weight decay or the proximal pull.  ``Z0 = X W0ᵀ`` and the
+    Gram matrix ``K = X Xᵀ`` are computed on the round's first forward.
     """
 
     __slots__ = (
         "key",
         "base",
-        "base_t",
         "base_coef",
-        "factors_x",
-        "factors_go",
-        "coefs",
+        "samples",
+        "counts",
+        "coef",
+        "z0",
+        "gram",
         "pending",
-        "mu_anchor_is_base",
     )
 
-    def __init__(self, key: str, base: np.ndarray, n_clients: int) -> None:
+    def __init__(
+        self, key: str, base: np.ndarray, samples: Sequence[np.ndarray]
+    ) -> None:
         self.key = key
         self.base = np.ascontiguousarray(base)
-        # Pre-transposed base for the forward's single shared GEMM.
-        self.base_t = np.ascontiguousarray(base.T)
-        self.base_coef = np.ones(n_clients, dtype=np.float64)
-        self.factors_x: list[np.ndarray] = []  # each (C, B_j, in)
-        self.factors_go: list[np.ndarray] = []  # each (C, B_j, out)
-        self.coefs: list[np.ndarray] = []  # each (C,) float64
-        #: Set by backward; consumed by the optimiser step.
+        out_f, in_f = self.base.shape
+        self.counts = [len(s) for s in samples]
+        rows = max(self.counts) + 1
+        self.samples = np.zeros((len(samples), rows, in_f), dtype=self.base.dtype)
+        for x, s in zip(self.samples, samples):
+            x[: len(s)] = s
+        self.base_coef = np.ones(len(samples), dtype=np.float64)
+        self.coef = np.zeros((len(samples), rows, out_f), dtype=self.base.dtype)
+        self.z0: np.ndarray | None = None
+        self.gram: np.ndarray | None = None
+        #: ``(slots, go)`` set by backward; consumed by the optimiser step.
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
-        self.mu_anchor_is_base = True
 
-    @property
-    def n_clients(self) -> int:
-        return self.base_coef.shape[0]
+    def forward(self, slots: np.ndarray) -> np.ndarray:
+        """``x @ W[c].T`` for the step whose inputs are ``X[c][slots[c]]``.
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.coefs)
-
-    def forward_contribution(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W[c].T`` for the whole cohort, shared GEMM + corrections."""
-        c, b, in_f = x.shape
-        out = np.matmul(x.reshape(c * b, in_f), self.base_t).reshape(c, b, -1)
+        ``a·Z0[slots] + K[slots] @ G``: no sample gather and no GEMM
+        against ``W0`` after the first call.
+        """
+        if self.z0 is None:
+            c, rows, in_f = self.samples.shape
+            self.z0 = np.matmul(
+                self.samples.reshape(c * rows, in_f), self.base.T
+            ).reshape(c, rows, -1)
+            self.gram = np.zeros((c, rows, rows), dtype=self.samples.dtype)
+            for x, k, n in zip(self.samples, self.gram, self.counts):
+                k[:n, :n] = np.dot(x[:n], x[:n].T)
+        ci = np.arange(slots.shape[0])[:, None]
+        out = self.z0[ci, slots]
         if not np.all(self.base_coef == 1.0):
             out *= self.base_coef[:, None, None].astype(out.dtype)
-        for x_j, go_j, coef in zip(self.factors_x, self.factors_go, self.coefs):
-            if not np.any(coef):
-                continue
-            # (C,B,in)@(C,in,B_j) -> (C,B,B_j): rank-B_j correction.
-            s = np.matmul(x, x_j.transpose(0, 2, 1))
-            s *= coef[:, None, None].astype(s.dtype)
-            out += np.matmul(s, go_j)
+        out += np.matmul(self.gram[ci, slots], self.coef)
         return out
-
-    def input_grad(self, go: np.ndarray) -> np.ndarray:
-        """``go @ W[c]`` for the whole cohort, shared GEMM + corrections."""
-        c, b, out_f = go.shape
-        gi = np.matmul(go.reshape(c * b, out_f), self.base).reshape(c, b, -1)
-        if not np.all(self.base_coef == 1.0):
-            gi *= self.base_coef[:, None, None].astype(gi.dtype)
-        for x_j, go_j, coef in zip(self.factors_x, self.factors_go, self.coefs):
-            if not np.any(coef):
-                continue
-            s = np.matmul(go, go_j.transpose(0, 2, 1))
-            s *= coef[:, None, None].astype(s.dtype)
-            gi += np.matmul(s, x_j)
-        return gi
-
-    def append_factor(self, x: np.ndarray, go: np.ndarray) -> None:
-        """Record this step's gradient factor (coefficient starts at 0)."""
-        self.factors_x.append(x)
-        self.factors_go.append(go)
-        self.coefs.append(np.zeros(self.n_clients, dtype=np.float64))
 
     def materialize(self, out: np.ndarray) -> None:
         """Write dense per-client weights ``(C, out·in)`` into ``out``.
 
-        The scaled output gradients of every step stack along the sample
-        axis, so each client's accumulated delta is one
-        ``(out, Σ B_j) @ (Σ B_j, in)`` GEMM — the same flops as the
-        per-step weight gradients the serial trainer computed, paid once.
-        Runs as a per-client loop with a single reused scratch buffer:
-        the scratch stays cache-resident and no cohort-sized dense
-        intermediate is ever allocated (the float64 ``out`` rows are the
-        only full-cohort weight storage).
+        One ``(out × n) @ (n × in)`` GEMM per client over its ``n``
+        distinct samples, paid once per round, into a single reused
+        scratch buffer (the float64 ``out`` rows are the only
+        full-cohort weight storage).  A client that took no step gets
+        the base unchanged.
         """
-        c = self.n_clients
-        h, in_f = self.base.shape
-        live = [j for j, coef in enumerate(self.coefs) if np.any(coef)]
         base_flat = self.base.reshape(-1)
-        if not live:
-            if np.all(self.base_coef == 1.0):
-                out[...] = base_flat
-            else:
-                np.multiply(
-                    self.base_coef[:, None], base_flat, out=out
-                )
-            return
-        if len(live) == 1:
-            j = live[0]
-            go_cat = self.factors_go[j] * self.coefs[j][:, None, None].astype(
-                self.factors_go[j].dtype
-            )
-            x_cat = self.factors_x[j]
-        else:
-            go_cat = np.concatenate(
-                [
-                    self.factors_go[j]
-                    * self.coefs[j][:, None, None].astype(self.factors_go[j].dtype)
-                    for j in live
-                ],
-                axis=1,
-            )
-            x_cat = np.concatenate([self.factors_x[j] for j in live], axis=1)
-        scratch = np.empty((h, in_f), dtype=self.base.dtype)
+        scratch = np.empty(self.base.shape, dtype=self.base.dtype)
         base_scaled = np.empty_like(base_flat)
-        for i in range(c):
-            np.matmul(go_cat[i].T, x_cat[i], out=scratch)
-            if self.base_coef[i] == 1.0:
-                np.add(scratch.reshape(-1), base_flat, out=out[i])
-            else:
-                np.multiply(
+        for i, n in enumerate(self.counts):
+            base_i = base_flat
+            if self.base_coef[i] != 1.0:
+                base_i = np.multiply(
                     base_flat, self.base.dtype.type(self.base_coef[i]),
                     out=base_scaled,
                 )
-                np.add(scratch.reshape(-1), base_scaled, out=out[i])
-
-    def release(self) -> None:
-        """Drop factor storage (after :meth:`materialize`)."""
-        self.factors_x.clear()
-        self.factors_go.clear()
-        self.coefs.clear()
+            if n == 0:
+                out[i] = base_i
+                continue
+            np.matmul(self.coef[i, :n].T, self.samples[i, :n], out=scratch)
+            np.add(scratch.reshape(-1), base_i, out=out[i])
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +208,10 @@ class BatchedLinear:
     """Cohort-batched affine map ``y[c] = x[c] @ W[c].T + b[c]``.
 
     ``weight`` is either a :class:`CohortParam` holding ``(C, out, in)``
-    dense per-client weights or a :class:`FactoredParam`; the bias is
-    always dense (``(C, out)`` is tiny).  ``needs_input_grad=False`` on
-    the first parameterised layer of a chain skips the input-gradient
+    dense per-client weights or a :class:`FactoredParam`, whose forward
+    takes the step's ``(C, B)`` sample slots instead of ``x``; the bias
+    is always dense (``(C, out)`` is tiny).  ``needs_input_grad=False``
+    on the first parameterised layer of a chain skips the input-gradient
     GEMM entirely, as the serial training backward does.
     """
 
@@ -274,7 +229,7 @@ class BatchedLinear:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input = x
         if isinstance(self.weight, FactoredParam):
-            out = self.weight.forward_contribution(x)
+            out = self.weight.forward(x)
         else:
             out = np.einsum("cbi,chi->cbh", x, self.weight.data, optimize=True)
         if self.bias is not None:
@@ -289,10 +244,9 @@ class BatchedLinear:
         if self.bias is not None:
             self.bias.grad = go.sum(axis=1)
         if isinstance(self.weight, FactoredParam):
+            # Always the first layer: no input gradient to return.
             self.weight.pending = (x, go)
-            if not self.needs_input_grad:
-                return None
-            return self.weight.input_grad(go)
+            return None
         # Dense: per-client weight-gradient GEMMs.  A Python loop over
         # BLAS slices beats the 3-D matmul gufunc here (transposed first
         # operands defeat its blocking).
@@ -468,9 +422,17 @@ class BatchedSequential:
     def __init__(self, layers: Sequence, first_param_index: int) -> None:
         self.layers = list(layers)
         self.first_param_index = first_param_index
+        #: True when the first parameterised layer is factored: ``forward``
+        #: then takes the step's ``(C, B)`` sample slots and skips the
+        #: ``Flatten`` layers before that layer.
+        self.factored = isinstance(
+            getattr(self.layers[first_param_index], "weight", None),
+            FactoredParam,
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
+        start = self.first_param_index if self.factored else 0
+        for layer in self.layers[start:]:
             x = layer.forward(x)
         return x
 
@@ -517,10 +479,11 @@ class BatchedSGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
+        # Velocity per param: dense planes, and a factored weight's
+        # sample coefficients (``H``, shaped like ``G``).
         self._velocity: dict[int, np.ndarray] = {}
-        # Factored velocity state: base coefficient + per-factor coefs.
+        # Factored velocity of the base coefficient ``a``.
         self._f_base: dict[int, np.ndarray] = {}
-        self._f_coefs: dict[int, list[np.ndarray]] = {}
 
     # -- dense -----------------------------------------------------------
     def _step_dense(self, p: CohortParam, rows) -> None:
@@ -568,31 +531,34 @@ class BatchedSGD:
     # -- factored --------------------------------------------------------
     def _step_factored(self, p: FactoredParam, rows) -> None:
         if p.pending is None:
-            raise RuntimeError(f"no pending factor for {p.key!r}")
-        x, go = p.pending
+            raise RuntimeError(f"no pending gradient for {p.key!r}")
+        slots, go = p.pending
         p.pending = None
-        p.append_factor(x, go)
         m, wd, mu, lr = self.momentum, self.weight_decay, self.mu, self.lr
         vb = self._f_base.get(id(p))
         if vb is None:
             vb = np.zeros_like(p.base_coef)
             self._f_base[id(p)] = vb
-        vcs = self._f_coefs.setdefault(id(p), [])
-        while len(vcs) < p.n_factors:
-            vcs.append(np.zeros_like(p.base_coef))
-        a = p.base_coef
-        sel = slice(None) if rows is None else rows
-        # Velocity coefficients: v = m·v + g_eff where
-        # g_eff = F_t + wd·W + mu·(W − W0); W = a·W0 + Σ A_j F_j.
+        h = self._velocity.get(id(p))
+        if h is None:
+            h = np.zeros_like(p.coef)
+            self._velocity[id(p)] = h
+        a, g = p.base_coef, p.coef
+        if rows is None:
+            sel, ci = slice(None), np.arange(a.shape[0])[:, None]
+        else:
+            sel, ci, slots, go = rows, rows[:, None], slots[rows], go[rows]
+        # v = m·v + g_eff with g_eff = (go-scatter)ᵀX + wd·W + mu·(W − W0)
+        # and W = a·W0 + GᵀX, split into its W0 and sample components.
         vb[sel] = m * vb[sel] + wd * a[sel] + mu * (a[sel] - 1.0)
-        couple = wd + mu
-        for j in range(p.n_factors - 1):
-            vcs[j][sel] = m * vcs[j][sel] + couple * p.coefs[j][sel]
-        vcs[-1][sel] = 1.0  # the new factor enters with gradient coefficient 1
-        # Parameter coefficients: W ← W − lr·v.
         a[sel] -= lr * vb[sel]
-        for j in range(p.n_factors):
-            p.coefs[j][sel] -= lr * vcs[j][sel]
+        h[sel] *= m
+        if wd + mu:
+            h[sel] += (wd + mu) * g[sel]
+        # A client's real slots are distinct within a batch; its padding
+        # slots all name the zero row and carry zero gradient rows.
+        h[ci, slots] += go
+        g[sel] -= lr * h[sel]
 
     def step(self, active: np.ndarray | None = None) -> None:
         """Apply one lockstep SGD step to the clients in ``active``."""
@@ -600,11 +566,6 @@ class BatchedSGD:
         if active is not None and not bool(np.all(active)):
             rows = np.flatnonzero(active)
             if rows.size == 0:
-                for p in self.params:
-                    if isinstance(p, FactoredParam) and p.pending is not None:
-                        x, go = p.pending
-                        p.pending = None
-                        p.append_factor(x, go)
                 return
         for p in self.params:
             if isinstance(p, FactoredParam):
@@ -660,6 +621,22 @@ def batchable_layers(model: Module) -> "list[tuple[str, Module]] | None":
     return layers
 
 
+def factorable_layer(model: Module) -> "tuple[str, Linear] | None":
+    """``(name, layer)`` of the one ``Linear`` that can be factored.
+
+    Only the first parameterised layer sees raw samples, and only when
+    every layer before it is a ``Flatten`` (a ``Dropout`` there would
+    rescale each sample differently every step).  ``None`` when the
+    model has no such layer or no batched mirror.
+    """
+    for name, child in batchable_layers(model) or ():
+        if isinstance(child, Linear):
+            return name, child
+        if not isinstance(child, Flatten):
+            return None
+    return None
+
+
 def supports_batched(model: Module) -> bool:
     """True when the cohort trainer can batch this architecture.
 
@@ -681,13 +658,17 @@ def build_batched(
     factored_keys: "set[str] | frozenset[str]" = frozenset(),
     plane: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
+    samples: "Sequence[np.ndarray] | None" = None,
 ) -> tuple[BatchedSequential, np.ndarray]:
     """Build the lockstep mirror of ``model`` for one cohort.
 
     ``broadcast`` is the packed float64 state every client starts from
-    (one row, on ``layout``).  Weight keys named in ``factored_keys``
-    get the shared-base factored representation; all other parameters
-    are materialised as views into a ``(n_clients, n_params)`` working
+    (one row, on ``layout``).  ``factored_keys`` may name the weight of
+    :func:`factorable_layer` (any other key raises ``ValueError``); it
+    then gets the sample-keyed :class:`FactoredParam`, and ``samples``
+    must give each client's distinct scheduled samples for the round as
+    an ``(n_c, in_features)`` matrix.  All other parameters are
+    materialised as views into a ``(n_clients, n_params)`` working
     plane at the model's parameter dtype (allocated here unless the
     caller passes one to reuse).  Returns ``(batched_model, plane)``.
 
@@ -706,6 +687,16 @@ def build_batched(
             f"batched cohorts need a uniform parameter dtype, got {sorted(map(str, dtypes))}"
         )
     dtype = dtypes.pop()
+    factorable = factorable_layer(model)
+    allowed = {f"{factorable[0]}.weight"} if factorable is not None else set()
+    if set(factored_keys) - allowed:
+        raise ValueError(
+            f"cannot factor {sorted(set(factored_keys) - allowed)}: only the "
+            "first parameterised layer, reached through Flatten layers "
+            "alone, sees raw samples"
+        )
+    if factored_keys and (samples is None or len(samples) != n_clients):
+        raise ValueError("a factored first layer needs every client's samples")
     if plane is None:
         plane = np.empty((n_clients, layout.n_params), dtype=dtype)
     elif plane.shape != (n_clients, layout.n_params) or plane.dtype != dtype:
@@ -746,7 +737,7 @@ def build_batched(
                     .astype(dtype)
                 )
                 weight: CohortParam | FactoredParam = FactoredParam(
-                    wkey, base, n_clients
+                    wkey, base, samples
                 )
             else:
                 weight = dense_param(wkey)
@@ -785,17 +776,16 @@ def flush_cohort(
 ) -> None:
     """Write every client's final state into ``out`` ``(C, n_params)`` float64.
 
-    Dense params copy their plane views (one cast); factored weights
-    materialise ``a·W0 + Σ A_j·(go_jᵀ x_j)`` directly into their column
-    slice — the deferred equivalent of every per-step weight update the
-    serial trainer applied, and the only time the cohort's dense
-    per-client weights exist at all.
+    Dense params copy their plane views (one cast); a factored weight
+    materialises ``a·W0 + Gᵀ X`` directly into its column slice — the
+    deferred equivalent of every per-step weight update the serial
+    trainer applied, and the only time the cohort's dense per-client
+    weights exist at all.
     """
     for p in batched.params():
         sl = layout.slice_of(p.key)
         target = out[:, sl]
         if isinstance(p, FactoredParam):
             p.materialize(target)
-            p.release()
         else:
             p.flush_into(target)

@@ -103,26 +103,80 @@ class TestBatchedSerialParity:
         _assert_parity(serial, batched)
 
     def test_factored_and_dense_modes_agree(self, mlp_env_factory):
-        """Forcing every linear weight factored vs every weight dense
+        """Forcing the first layer factored vs keeping every weight dense
         gives the same updates — the representations are two kernels for
-        one computation."""
-        env = mlp_env_factory(
-            TrainConfig(local_epochs=1, batch_size=32, lr=0.05, momentum=0.9),
-            hidden=(128,),
+        one computation — under momentum, weight decay, the proximal
+        pull and per-client budgets on the ragged fixture.  A zero-budget
+        client returns the broadcast bit-for-bit."""
+        cases = [
+            (TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.9), 0.0, None),
+            (TrainConfig(local_epochs=2, batch_size=32, lr=0.05, weight_decay=1e-3), 0.0, None),
+            (TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.9), 0.5, None),
+            (
+                TrainConfig(
+                    local_epochs=3, batch_size=16, lr=0.05, momentum=0.9, weight_decay=1e-3
+                ),
+                0.5,
+                [0, 1, 3, None, 0, 5],
+            ),
+        ]
+        for cfg, prox_mu, budgets in cases:
+            env = mlp_env_factory(cfg, hidden=(128,))
+            vector = env.layout.pack(env.init_state())
+            cids = list(range(env.federation.n_clients))
+            dense, factored = (
+                train_cohort_flat(
+                    env,
+                    cids,
+                    vector,
+                    round_index=1,
+                    prox_mu=prox_mu,
+                    factored_keys=keys,
+                    max_steps=budgets,
+                )
+                for keys in (frozenset(), frozenset({"fc1.weight"}))
+            )
+            _assert_parity(dense, factored)
+            for budget, update in zip(budgets or [], factored):
+                if budget == 0:
+                    assert update.n_batches == 0
+                    np.testing.assert_array_equal(
+                        update.flat, env.layout.round_trip(vector)
+                    )
+
+    def test_multi_epoch_cohort_factors_by_distinct_samples(self, monkeypatch):
+        """Four epochs over 80 samples per client: 12 steps x 32 rows
+        exceed the 96-wide hidden layer, but 80 distinct samples do not,
+        so the first layer routes factored — and still matches serial."""
+        import repro.fl.train_flat as train_flat
+
+        chosen = []
+        orig = train_flat.select_factored_keys
+
+        def spy(*args, **kwargs):
+            chosen.append(orig(*args, **kwargs))
+            return chosen[-1]
+
+        monkeypatch.setattr(train_flat, "select_factored_keys", spy)
+        federation = build_federation(
+            "cifar10", n_clients=4, n_samples=400, seed=11, partition="iid"
         )
-        vector = env.layout.pack(env.init_state())
-        cids = list(range(env.federation.n_clients))
-        dense = train_cohort_flat(
-            env, cids, vector, round_index=1, factored_keys=frozenset()
+        assert {len(c.train) for c in federation.clients} == {80}
+        env = FederatedEnv(
+            federation,
+            model_name="mlp",
+            model_kwargs={"hidden": (96,)},
+            train_cfg=TrainConfig(
+                local_epochs=4, batch_size=32, lr=0.05, momentum=0.9
+            ),
+            seed=0,
         )
-        factored = train_cohort_flat(
-            env,
-            cids,
-            vector,
-            round_index=1,
-            factored_keys=frozenset({"fc1.weight", "classifier.weight"}),
-        )
-        _assert_parity(dense, factored)
+        tasks = _broadcast_tasks(env)
+        serial = SerialClientExecutor().run(env, tasks, round_index=2)
+        batched = BatchedClientExecutor().run(env, tasks, round_index=2)
+        assert chosen == [frozenset({"fc1.weight"})]
+        assert all(u.n_batches == 12 for u in batched)
+        _assert_parity(serial, batched)
 
     def test_weight_decay_parity(self, mlp_env_factory):
         """Weight decay bends the factored base coefficient away from 1
@@ -319,13 +373,51 @@ class TestRepresentationPlumbing:
         env = mlp_env_factory(
             TrainConfig(local_epochs=1, batch_size=32, lr=0.05), hidden=(128,)
         )
-        # rank 32 < 128: hidden layer factored; classifier (10 outputs)
-        # always dense.
-        keys = select_factored_keys(env.scratch_model, 6, 1, 32)
-        assert "fc1.weight" in keys
-        assert "classifier.weight" not in keys
+        # 32 distinct samples per client < 128: the first layer is
+        # factored; deeper layers never are.
+        keys = select_factored_keys(env.scratch_model, 6, 32)
+        assert keys == frozenset({"fc1.weight"})
         # rank beyond the hidden width: nothing factored.
-        assert select_factored_keys(env.scratch_model, 6, 10, 32) == frozenset()
+        assert select_factored_keys(env.scratch_model, 6, 320) == frozenset()
+
+    def test_dropout_before_first_layer_routes_dense(self):
+        """Only Flatten layers may precede the factored layer: a Dropout
+        there rescales each sample differently every step."""
+        from repro.nn.layers import Dropout, Flatten, Linear, ReLU
+        from repro.nn.module import Sequential
+
+        rng = np.random.default_rng(0)
+
+        def chain(*head):
+            return Sequential(
+                ("flatten", Flatten()),
+                *head,
+                ("fc1", Linear(12, 8, rng)),
+                ("act1", ReLU()),
+                ("classifier", Linear(8, 4, rng)),
+            ).finalize_names()
+
+        assert select_factored_keys(chain(), 3, 4) == frozenset({"fc1.weight"})
+        dropout = chain(("drop", Dropout(0.5, rng)))
+        assert select_factored_keys(dropout, 3, 4) == frozenset()
+
+    def test_deeper_factored_key_raises(self, mlp_env_factory):
+        """Only the first layer's input is the raw sample."""
+        from repro.nn.batched import build_batched
+
+        env = mlp_env_factory(
+            TrainConfig(local_epochs=1, batch_size=32, lr=0.05), hidden=(128,)
+        )
+        vector = env.layout.pack(env.init_state())
+        with pytest.raises(ValueError, match="classifier.weight"):
+            build_batched(
+                env.scratch_model,
+                env.layout,
+                2,
+                vector,
+                factored_keys=frozenset({"classifier.weight"}),
+                samples=[np.zeros((1, 3072), np.float32)] * 2,
+            )
 
     def test_updates_carry_lazy_state_views(self, mlp_env_factory):
         env = mlp_env_factory(
@@ -462,26 +554,26 @@ class TestBudgetAwareFactoredRouting:
     def test_mean_step_rank_replaces_cohort_max(self, mlp_env_factory):
         env = mlp_env_factory(self._CFG, hidden=(128,))
         model = env.scratch_model
-        # Unbudgeted 16-step cohort: rank 16 x 32 = 512 > 128 -> dense.
-        assert select_factored_keys(model, 6, 16, 32) == frozenset()
-        # Every member budgeted to (1, 2) steps: the effective rank is
-        # the mean (<= 2 x 32 = 64 < 128), not the lockstep length.
+        # Unbudgeted members each visit 200 distinct samples: rank
+        # 200 > 128 -> dense.
+        assert select_factored_keys(model, 6, 200) == frozenset()
+        # Budgeted members visit 32-192: the effective rank is the mean
+        # (~69 < 128), not the widest member.
         keys = select_factored_keys(
-            model, 6, 16, 32, step_counts=[1, 2, 1, 2, 1, 2]
+            model, 6, 192, sample_counts=[32, 64, 192, 32, 64, 32]
         )
-        assert "fc1.weight" in keys
-        assert "classifier.weight" not in keys
+        assert keys == frozenset({"fc1.weight"})
 
     def test_one_unbudgeted_client_no_longer_forces_dense(
         self, mlp_env_factory
     ):
-        """The old cohort-max criterion let a single full-length member
+        """A cohort-max criterion would let a single full-length member
         veto factoring for everyone; the mean keeps the typical member's
         rank in charge."""
         env = mlp_env_factory(self._CFG, hidden=(128,))
-        # mean([1]*5 + [16]) = 3.5 -> rank 112 < 128: factored.
+        # mean([32]*5 + [200]) = 60 < 128: factored.
         keys = select_factored_keys(
-            env.scratch_model, 6, 16, 32, step_counts=[1, 1, 1, 1, 1, 16]
+            env.scratch_model, 6, 200, sample_counts=[32] * 5 + [200]
         )
         assert "fc1.weight" in keys
 
@@ -489,19 +581,19 @@ class TestBudgetAwareFactoredRouting:
         self, mlp_env_factory
     ):
         env = mlp_env_factory(self._CFG, hidden=(128,))
-        for n_steps in (1, 10, 16):
+        for n_samples in (32, 128, 200):
             np.testing.assert_equal(
-                select_factored_keys(env.scratch_model, 6, n_steps, 32),
+                select_factored_keys(env.scratch_model, 6, n_samples),
                 select_factored_keys(
-                    env.scratch_model, 6, n_steps, 32, step_counts=[n_steps] * 6
+                    env.scratch_model, 6, n_samples, sample_counts=[n_samples] * 6
                 ),
             )
 
     def test_step_counts_length_is_validated(self, mlp_env_factory):
         env = mlp_env_factory(self._CFG, hidden=(128,))
-        with pytest.raises(ValueError, match="step_counts"):
+        with pytest.raises(ValueError, match="sample_counts"):
             select_factored_keys(
-                env.scratch_model, 6, 4, 32, step_counts=[1, 2]
+                env.scratch_model, 6, 64, sample_counts=[32, 64]
             )
 
     def test_batched_budget_cohort_routes_factored(
@@ -509,7 +601,8 @@ class TestBudgetAwareFactoredRouting:
     ):
         """End to end through the batched executor: a cohort whose every
         member carries a (1, 2)-step budget must select the factored
-        representation even though the unbudgeted schedule would not."""
+        representation even though the unbudgeted schedule, which visits
+        every client's whole dataset, would not."""
         import repro.fl.train_flat as train_flat
 
         calls = []
@@ -517,11 +610,16 @@ class TestBudgetAwareFactoredRouting:
 
         def spy(*args, **kwargs):
             keys = orig(*args, **kwargs)
-            calls.append((keys, kwargs.get("step_counts")))
+            calls.append((keys, kwargs.get("sample_counts")))
             return keys
 
         monkeypatch.setattr(train_flat, "select_factored_keys", spy)
-        env = mlp_env_factory(self._CFG, hidden=(128,), executor="batched")
+        env = mlp_env_factory(self._CFG, hidden=(64,), executor="batched")
+        sizes = [len(c.train) for c in env.federation.clients]
+        assert (
+            orig(env.scratch_model, len(sizes), max(sizes), sample_counts=sizes)
+            == frozenset()
+        )
         vector = env.layout.pack(env.init_state())
         tasks = [
             UpdateTask(cid, flat=vector, max_steps=1 + cid % 2)
@@ -530,8 +628,8 @@ class TestBudgetAwareFactoredRouting:
         updates = env.run_updates(tasks, 1)
         assert len(updates) == env.federation.n_clients
         assert calls, "the batched path selects its representation"
-        keys, step_counts = calls[-1]
+        keys, sample_counts = calls[-1]
         assert "fc1.weight" in keys
-        assert step_counts is not None and max(step_counts) <= 2
+        assert sample_counts is not None and max(sample_counts) <= 2 * 32
         # The budget really truncated the work, not just the estimate.
         assert all(u.n_batches <= 2 for u in updates)
