@@ -1,13 +1,10 @@
-"""Serial, thread and batched cohort training benchmark (``BENCH_train.json``).
+"""Serial vs batched cohort training benchmark (``BENCH_train.json``).
 
 Times one communication round's local training — the dominant cost of
-every federated simulation — three ways:
+every federated simulation — two ways:
 
 * **serial executor** (:class:`repro.fl.parallel.SerialClientExecutor`):
   the reference kernel, one load → local-SGD loop → snapshot per client;
-* **thread executor** (:class:`repro.fl.parallel.ThreadClientExecutor`):
-  the same kernel on a pool of worker threads, one scratch model each,
-  overlapping clients only where NumPy releases the interpreter lock;
 * **batched executor** (:class:`repro.fl.parallel.BatchedClientExecutor`):
   the whole cohort trains in lockstep on the flat plane
   (:mod:`repro.fl.train_flat`), its first linear layer keyed by sample:
@@ -25,9 +22,9 @@ routing).
 
 Also recorded: each executor's peak traced heap for one round (Python
 and NumPy allocations, via :mod:`tracemalloc`), and the worst
-per-client update deviation of the batched and thread executors from
-serial (the fast correctness gates live in
-``tests/test_fl_train_flat.py``; this is the per-PR trajectory record).
+per-client update deviation of the batched executor from serial (the
+fast correctness gates live in ``tests/test_fl_train_flat.py``; this is
+the per-PR trajectory record).
 
 Run via ``python benchmarks/bench_train.py`` or ``scripts/bench.sh``.
 """
@@ -50,7 +47,6 @@ from repro.fl.config import TrainConfig
 from repro.fl.parallel import (
     BatchedClientExecutor,
     SerialClientExecutor,
-    ThreadClientExecutor,
     UpdateTask,
 )
 
@@ -92,8 +88,8 @@ def run_serial_vs_batched(
     model_kwargs: dict | None = None,
     reps: int = 5,
 ) -> dict:
-    """Time one round of cohort training on the serial, thread and
-    batched executors.
+    """Time one round of cohort training on the serial and batched
+    executors.
 
     Every executor receives identical tasks (one shared packed broadcast
     row, the flat payload the in-tree algorithms ship) and the same
@@ -112,22 +108,17 @@ def run_serial_vs_batched(
     vector = env.layout.pack(env.init_state())
     tasks = [UpdateTask(cid, flat=vector) for cid in range(n_clients)]
 
-    serial = SerialClientExecutor()
-    thread = ThreadClientExecutor()
     batched = BatchedClientExecutor()
-    executors = {"serial": serial, "thread": thread, "batched": batched}
-    try:
-        times = {
-            kind: _time_ms(lambda ex=ex: ex.run(env, tasks, 1), reps=reps)
-            for kind, ex in executors.items()
-        }
-        peak_mb = {
-            kind: round(_peak_mb(lambda ex=ex: ex.run(env, tasks, 1)), 1)
-            for kind, ex in executors.items()
-        }
-        updates = {kind: ex.run(env, tasks, 1) for kind, ex in executors.items()}
-    finally:
-        thread.close()
+    executors = {"serial": SerialClientExecutor(), "batched": batched}
+    times = {
+        kind: _time_ms(lambda ex=ex: ex.run(env, tasks, 1), reps=reps)
+        for kind, ex in executors.items()
+    }
+    peak_mb = {
+        kind: round(_peak_mb(lambda ex=ex: ex.run(env, tasks, 1)), 1)
+        for kind, ex in executors.items()
+    }
+    updates = {kind: ex.run(env, tasks, 1) for kind, ex in executors.items()}
     serial_ms, batched_ms = times["serial"], times["batched"]
     serial_updates = updates["serial"]
     scale = max(float(np.abs(s.flat).max()) for s in serial_updates)
@@ -145,18 +136,11 @@ def run_serial_vs_batched(
         "serial_ms": round(serial_ms, 3),
         "batched_ms": round(batched_ms, 3),
         "speedup": round(serial_ms / batched_ms, 2),
-        "thread_workers": thread.n_workers,
-        "thread_ms": round(times["thread"], 3),
-        "thread_speedup": round(serial_ms / times["thread"], 2),
         "peak_mb": peak_mb,
         # Worst per-client deviation between executors (float32 models
         # diverge at summation-order level; the tolerance gate is in
-        # tests/test_fl_train_flat.py).  The thread executor runs the
-        # serial kernel, so its deviation should be exactly 0.
+        # tests/test_fl_train_flat.py).
         "max_update_abs_diff": _max_abs_diff(serial_updates, updates["batched"]),
-        "thread_max_update_abs_diff": _max_abs_diff(
-            serial_updates, updates["thread"]
-        ),
         "max_update_abs": float(scale),
         # How the batched executor actually routed the tasks — "serial"
         # counts are transparent fallbacks (conv models).
@@ -174,9 +158,8 @@ if __name__ == "__main__":
     )
     result = {
         "benchmark": (
-            "cohort local training: serial per-client loop vs thread pool vs "
-            "lockstep batched executor (flat plane, sample-keyed factored "
-            "first layer)"
+            "cohort local training: serial per-client loop vs lockstep "
+            "batched executor (flat plane, sample-keyed factored first layer)"
         )
     }
     result.update(run_serial_vs_batched())
@@ -191,8 +174,6 @@ if __name__ == "__main__":
             "serial_ms",
             "batched_ms",
             "speedup",
-            "thread_ms",
-            "thread_speedup",
             "dispatch",
         )
     }
@@ -209,11 +190,7 @@ if __name__ == "__main__":
             "serial_ms",
             "batched_ms",
             "speedup",
-            "thread_workers",
-            "thread_ms",
-            "thread_speedup",
             "peak_mb",
-            "thread_max_update_abs_diff",
             "dispatch",
         )
     }

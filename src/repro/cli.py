@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--model", default="lenet5")
     p.add_argument("--executor", default="serial",
-                   choices=["serial", "thread", "process", "batched"])
+                   choices=["serial", "process", "batched"])
     p.add_argument("--store", default="dense", choices=["dense", "sharded"],
                    help="client-state store backing per-client algorithms: "
                         "'dense' keeps one wire-dtype matrix (the "

@@ -2,7 +2,7 @@
 
 The scenario middleware has ~9 knobs (failures, stragglers, stale
 folding, budgets, traces, async, corruption, quorum, robust
-aggregation) composing with 7 algorithms × 4 executors — nobody can
+aggregation) composing with 7 algorithms × 3 executors — nobody can
 hold that matrix in their head.  This module turns "has many scenarios"
 into "measures which scenarios matter", the question FedClust's own
 Table I answers by sweeping one factor at a time:

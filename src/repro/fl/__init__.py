@@ -49,7 +49,6 @@ from repro.fl.parallel import (
     BatchedClientExecutor,
     ProcessClientExecutor,
     SerialClientExecutor,
-    ThreadClientExecutor,
     UpdateTask,
     make_executor,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "BatchedClientExecutor",
     "ProcessClientExecutor",
     "SerialClientExecutor",
-    "ThreadClientExecutor",
     "UpdateTask",
     "make_executor",
     "RoundEngine",

@@ -4,7 +4,7 @@ The functions here implement one client's work during a round: load the
 received state into a scratch model, run ``local_epochs`` of (proximal)
 SGD over the local split, and return the updated state.  They are plain
 functions over explicit arguments — no hidden globals — so the parallel
-executors can ship them across threads or processes unchanged.
+executors can ship them to worker processes unchanged.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ arrives on time but is **wrong**.  Four pieces, wired through
   failure/straggler/budget/duration tags) that mangle the *returned*
   update row at the executor boundary: NaN/Inf poisoning, sign flips,
   scaled noise.  Because the corruption acts on the update list — never
-  on the executor or the payload — all four executor kinds and the
+  on the executor or the payload — all three executor kinds and the
   async in-flight path are exercised identically.
 * **Update admission** (:func:`admit_updates`) — every survivor row
   passes a finiteness guard (always on) and an optional norm-bound

@@ -7,10 +7,9 @@ the serial path** — every (round, client) pair derives its RNG stream
 statelessly via :func:`repro.utils.rng.rng_for`, so execution order and
 worker count cannot change the outcome.
 
-All three executors move model states as *packed vectors* (see
+All executors move model states as *packed vectors* (see
 :mod:`repro.nn.state_flat`): the broadcast state is packed once per
 round (not once per client — broadcast tasks share one state object),
-each worker trains via :func:`repro.fl.client.run_client_update_flat`,
 and every returned :class:`ClientUpdate` carries its ``flat`` vector so
 the server can aggregate with a single GEMV without repacking.  Packing
 is exact, so the flat transport changes no numbers.
@@ -18,24 +17,21 @@ is exact, so the flat transport changes no numbers.
 Three executors:
 
 * :class:`SerialClientExecutor` — the default; zero overhead, easiest to
-  debug.
-* :class:`ThreadClientExecutor` — threads share the process; NumPy's BLAS
-  kernels release the GIL, so medium/large batches see real speedups.
-  Each thread owns a private scratch model (models cache forward state,
-  so sharing one across threads would race).
-* :class:`ProcessClientExecutor` — fork-based process pool for maximum
-  isolation; worker processes rebuild the environment once via an
-  initializer, and per-task IPC is one contiguous buffer each way
-  (encoded at the layout's wire dtype — float32 for float32 models,
-  half the bytes of the former pickled-dict payload) instead of a
-  pickled dict of arrays.
+  debug.  Each update runs :func:`repro.fl.client.run_client_update_flat`.
+* :class:`ProcessClientExecutor` — fork-based process pool; worker
+  processes rebuild the environment once via an initializer, and
+  per-task IPC is one contiguous buffer each way, encoded at the
+  layout's wire dtype (float32 for float32 models).
+* :class:`BatchedClientExecutor` — trains each cohort that shares a
+  broadcast in lockstep (:mod:`repro.fl.train_flat`), equal to the
+  serial path up to float summation order; convolutional models fall
+  back to the serial kernel.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -53,7 +49,6 @@ __all__ = [
     "UpdateTask",
     "InFlightBuffer",
     "SerialClientExecutor",
-    "ThreadClientExecutor",
     "ProcessClientExecutor",
     "BatchedClientExecutor",
     "make_executor",
@@ -303,45 +298,6 @@ class SerialClientExecutor:
         """No resources to release."""
 
 
-class ThreadClientExecutor:
-    """Thread pool with one private scratch model per worker thread."""
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        if n_workers is not None and n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
-        self.n_workers = n_workers if n_workers is not None else min(8, os.cpu_count() or 1)
-        self._local = threading.local()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _model_for_thread(self, env: "FederatedEnv"):
-        model = getattr(self._local, "model", None)
-        if model is None:
-            model = env.make_model()
-            self._local.model = model
-        return model
-
-    def run(
-        self, env: "FederatedEnv", tasks: Sequence[UpdateTask], round_index: int
-    ) -> list[ClientUpdate]:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="repro-client"
-            )
-        vectors = _pack_tasks(env, tasks)
-
-        def work(pair: tuple[UpdateTask, np.ndarray]) -> ClientUpdate:
-            task, vec = pair
-            model = self._model_for_thread(env)
-            return _run_flat(env, model, task, vec, round_index)
-
-        return list(self._pool.map(work, zip(tasks, vectors)))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # ----------------------------------------------------------------------
 # Process pool: module-level worker state, installed by the initializer.
 # ----------------------------------------------------------------------
@@ -401,6 +357,12 @@ def _process_worker_run(
 
 class ProcessClientExecutor:
     """Fork-based process pool; workers hold a full environment copy.
+
+    Slower than serial unless BLAS is pinned to one thread.  On a 2-CPU
+    host with 2 workers (64 MLP clients or 32 LeNet-5 clients, 40
+    samples and 3 local epochs each), a round ran at 0.17–0.28× the
+    serial executor's speed at the default BLAS threading; with one
+    BLAS thread it ran at 1.03× on the MLP and 1.80× on LeNet-5.
 
     The pool is created lazily on first use (so the environment is fully
     constructed when pickled to workers) and must be :meth:`close`-d, or
@@ -545,14 +507,13 @@ class BatchedClientExecutor:
 
 _EXECUTORS = {
     "serial": SerialClientExecutor,
-    "thread": ThreadClientExecutor,
     "process": ProcessClientExecutor,
     "batched": BatchedClientExecutor,
 }
 
 
 def make_executor(kind: str, n_workers: int | None = None):
-    """Factory: ``"serial"``, ``"thread"``, ``"process"`` or ``"batched"``."""
+    """Factory: ``"serial"``, ``"process"`` or ``"batched"``."""
     if kind not in _EXECUTORS:
         raise ValueError(f"unknown executor {kind!r}; options: {sorted(_EXECUTORS)}")
     if kind == "serial":

@@ -31,9 +31,9 @@ event round − dispatch round):
   final round flushes a partial buffer).
 
 Scenario policy lives in :class:`ScenarioConfig` and composes with
-**every** strategy and every executor kind (serial/thread/process/
-batched), because it acts on the engine's task lists and update lists,
-never on the executor or the payload format:
+**every** strategy and every executor kind (serial/process/batched),
+because it acts on the engine's task lists and update lists, never on
+the executor or the payload format:
 
 * **participation** — FedAvg's client fraction ``C``, sampled per round
   via :func:`repro.fl.sampling.uniform_sample` from the server RNG

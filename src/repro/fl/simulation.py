@@ -73,7 +73,7 @@ class FederatedEnv:
     executor:
         Client executor, or an executor kind name for
         :func:`repro.fl.parallel.make_executor` (``"serial"`` default;
-        ``"thread"``/``"process"`` for multi-core, ``"batched"`` for
+        ``"process"`` for a worker pool, ``"batched"`` for
         lockstep cohort training on the flat plane).
     tracker:
         Communication tracker (new one by default).
@@ -237,7 +237,7 @@ class FederatedEnv:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release executor resources (thread/process pools)."""
+        """Release executor resources (process pools, gather buffers)."""
         self.executor.close()
 
     def __enter__(self) -> "FederatedEnv":

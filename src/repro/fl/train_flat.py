@@ -79,12 +79,6 @@ __all__ = [
 #: trainer must consume the *same* per-(round, client) streams.
 _CLIENT_UPDATE_TAG = 1
 
-#: Tag for the cohort-level dropout stream (models with dropout train
-#: correctly but are not bit-comparable across executors — the serial
-#: path's dropout draws come from the shared scratch model's own
-#: generator in execution order, which no parallel executor reproduces).
-_BATCHED_DROPOUT_TAG = 17
-
 #: Upper bound on a factored layer's per-cohort storage before it is
 #: kept dense instead (bytes).  It holds every client's distinct
 #: samples plus three output-width rows per sample; large cohorts over
@@ -339,7 +333,6 @@ def train_cohort_flat(
         n_clients,
         incoming_flat,
         factored_keys=factored_keys,
-        dropout_rng=rng_for(env.seed, _BATCHED_DROPOUT_TAG, round_index),
         samples=samples,
     )
     params = batched.params()

@@ -1,31 +1,17 @@
 """From-scratch NumPy deep-learning substrate.
 
-Implements everything the FedClust reproduction needs from a deep-learning
-framework: a module tree with manual backpropagation, im2col convolutions,
-pooling, batch norm, dropout, losses, SGD-family optimisers (including the
-FedProx proximal variant), weight initialisers, a model zoo (LeNet-5, MLP,
-VGG-style nets), and state-dict arithmetic for federated aggregation.
+Implements what the FedClust reproduction needs from a deep-learning
+framework: a module tree with manual backpropagation, im2col
+convolutions, max pooling, ReLU, softmax cross-entropy, SGD (including
+the FedProx proximal variant), a model zoo (LeNet-5, MLP, VGG-style
+nets), state-dict arithmetic for federated aggregation, and the batched
+cohort mirror of the MLP path.
 """
 
 from repro.nn import batched, functional, init, state, state_flat
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GroupNorm,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.loss import CrossEntropyLoss, Loss, MSELoss
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn.models import (
-    Residual,
     available_models,
     build_model,
     cnn_small,
@@ -34,7 +20,6 @@ from repro.nn.models import (
     minivgg,
     mlp,
     parameterized_layers,
-    resnet_tiny,
     vgg16_style,
 )
 from repro.nn.module import Module, Sequential
@@ -46,15 +31,8 @@ from repro.nn.state_flat import (
     unpack_keys,
     unpack_state,
 )
-from repro.nn.optim import SGD, Adam, Optimizer, ProximalSGD
+from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.parameter import Parameter
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    Scheduler,
-    StepLR,
-)
 
 __all__ = [
     "batched",
@@ -68,21 +46,12 @@ __all__ = [
     "pack_states",
     "unpack_keys",
     "unpack_state",
-    "AvgPool2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Flatten",
-    "LeakyReLU",
     "Linear",
     "MaxPool2d",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "CrossEntropyLoss",
-    "Loss",
-    "MSELoss",
     "available_models",
     "build_model",
     "cnn_small",
@@ -95,16 +64,6 @@ __all__ = [
     "Module",
     "Sequential",
     "SGD",
-    "Adam",
-    "Optimizer",
     "ProximalSGD",
     "Parameter",
-    "GroupNorm",
-    "Residual",
-    "resnet_tiny",
-    "ConstantLR",
-    "CosineAnnealingLR",
-    "ExponentialLR",
-    "Scheduler",
-    "StepLR",
 ]

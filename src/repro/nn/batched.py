@@ -36,9 +36,8 @@ to float summation order (gated by the parity suite in
 ``tests/test_fl_train_flat.py``); the serial path remains the reference
 kernel.
 
-Supported layers: :class:`~repro.nn.layers.linear.Linear`, the
-elementwise activations (ReLU/LeakyReLU/Tanh/Sigmoid),
-:class:`~repro.nn.layers.dropout.Dropout`,
+Supported layers: :class:`~repro.nn.layers.linear.Linear`,
+:class:`~repro.nn.layers.activation.ReLU`,
 :class:`~repro.nn.layers.flatten.Flatten`, and softmax cross-entropy.
 Convolutional models are *not* batchable here — the cohort trainer
 falls back to the serial path for them (see
@@ -52,8 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.functional import log_softmax, one_hot, softmax
-from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.layers.dropout import Dropout
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.linear import Linear
 from repro.nn.module import Module, Sequential
@@ -64,7 +62,6 @@ __all__ = [
     "BatchedLinear",
     "BatchedActivation",
     "BatchedFlatten",
-    "BatchedDropout",
     "BatchedSequential",
     "BatchedCrossEntropyLoss",
     "BatchedSGD",
@@ -74,9 +71,6 @@ __all__ = [
     "supports_batched",
     "build_batched",
 ]
-
-#: Activation classes with a pure elementwise backward, keyed by type.
-_ACTIVATION_TYPES = (ReLU, LeakyReLU, Tanh, Sigmoid)
 
 
 # ----------------------------------------------------------------------
@@ -272,48 +266,22 @@ class BatchedLinear:
 
 
 class BatchedActivation:
-    """Elementwise activation over ``(C, B, ...)`` cohort tensors."""
+    """ReLU over ``(C, B, ...)`` cohort tensors."""
 
-    def __init__(self, kind: str, negative_slope: float = 0.01) -> None:
-        if kind not in ("relu", "leaky_relu", "tanh", "sigmoid"):
-            raise ValueError(f"unsupported activation kind {kind!r}")
-        self.kind = kind
-        self.negative_slope = negative_slope
-        self._cache: np.ndarray | None = None
+    def __init__(self) -> None:
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "relu":
-            mask = x > 0
-            self._cache = mask
-            return np.where(mask, x, 0)
-        if self.kind == "leaky_relu":
-            mask = x > 0
-            self._cache = mask
-            return np.where(mask, x, self.negative_slope * x)
-        if self.kind == "tanh":
-            out = np.tanh(x)
-            self._cache = out
-            return out
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._cache = out
-        return out
+        mask = x > 0
+        self._mask = mask
+        return np.where(mask, x, 0)
 
     def backward(self, go: np.ndarray) -> np.ndarray:
-        cache = self._cache
-        if cache is None:
+        mask = self._mask
+        if mask is None:
             raise RuntimeError("backward called before forward")
-        self._cache = None
-        if self.kind == "relu":
-            return np.where(cache, go, 0)
-        if self.kind == "leaky_relu":
-            return np.where(cache, go, self.negative_slope * go)
-        if self.kind == "tanh":
-            return go * (1.0 - cache**2)
-        return go * cache * (1.0 - cache)
+        self._mask = None
+        return np.where(mask, go, 0)
 
     def params(self) -> list:
         return []
@@ -334,43 +302,6 @@ class BatchedFlatten:
             raise RuntimeError("backward called before forward")
         shape, self._shape = self._shape, None
         return go.reshape(shape)
-
-    def params(self) -> list:
-        return []
-
-
-class BatchedDropout:
-    """Inverted dropout over the cohort tensor.
-
-    Draws one mask for the whole ``(C, B, ...)`` tensor from its own
-    generator.  Per-client draws cannot reproduce the serial path's
-    stream (the serial scratch model's dropout generator is shared
-    across clients in execution order), so models with active dropout
-    train correctly but not bit-comparably across executors — exactly
-    the existing thread/process-executor caveat.
-    """
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        self._mask = mask
-        return x * mask
-
-    def backward(self, go: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return go
-        mask, self._mask = self._mask, None
-        return go * mask
 
     def params(self) -> list:
         return []
@@ -604,17 +535,15 @@ class BatchedProximalSGD(BatchedSGD):
 def batchable_layers(model: Module) -> "list[tuple[str, Module]] | None":
     """The model's layer list if every layer has a batched mirror.
 
-    Returns ``None`` when any layer lacks one (convolutions, pooling,
-    norms) — the caller should fall back to the serial trainer.
+    Returns ``None`` when any layer lacks one (convolutions, pooling)
+    — the caller should fall back to the serial trainer.
     """
     if not isinstance(model, Sequential):
         return None
     layers = []
     for name in model._order:
         child = model._modules[name]
-        if isinstance(
-            child, (Linear, Flatten, Dropout) + _ACTIVATION_TYPES
-        ):
+        if isinstance(child, (Linear, Flatten, ReLU)):
             layers.append((name, child))
         else:
             return None
@@ -625,9 +554,8 @@ def factorable_layer(model: Module) -> "tuple[str, Linear] | None":
     """``(name, layer)`` of the one ``Linear`` that can be factored.
 
     Only the first parameterised layer sees raw samples, and only when
-    every layer before it is a ``Flatten`` (a ``Dropout`` there would
-    rescale each sample differently every step).  ``None`` when the
-    model has no such layer or no batched mirror.
+    every layer before it is a ``Flatten``.  ``None`` when the model has
+    no such layer or no batched mirror.
     """
     for name, child in batchable_layers(model) or ():
         if isinstance(child, Linear):
@@ -657,7 +585,6 @@ def build_batched(
     broadcast: np.ndarray,
     factored_keys: "set[str] | frozenset[str]" = frozenset(),
     plane: np.ndarray | None = None,
-    dropout_rng: np.random.Generator | None = None,
     samples: "Sequence[np.ndarray] | None" = None,
 ) -> tuple[BatchedSequential, np.ndarray]:
     """Build the lockstep mirror of ``model`` for one cohort.
@@ -746,22 +673,7 @@ def build_batched(
                 BatchedLinear(weight, bias, index != first_param_index)
             )
         elif isinstance(child, ReLU):
-            layers.append(BatchedActivation("relu"))
-        elif isinstance(child, LeakyReLU):
-            layers.append(BatchedActivation("leaky_relu", child.negative_slope))
-        elif isinstance(child, Tanh):
-            layers.append(BatchedActivation("tanh"))
-        elif isinstance(child, Sigmoid):
-            layers.append(BatchedActivation("sigmoid"))
-        elif isinstance(child, Dropout):
-            if dropout_rng is None:
-                # Never draw from the template layer's generator — the
-                # template is the environment's shared scratch model.
-                raise ValueError(
-                    "model has dropout; the cohort trainer must supply "
-                    "dropout_rng"
-                )
-            layers.append(BatchedDropout(child.p, dropout_rng))
+            layers.append(BatchedActivation())
         elif isinstance(child, Flatten):
             layers.append(BatchedFlatten())
         else:  # pragma: no cover - batchable_layers already filtered

@@ -13,16 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "compute_fans",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
-    "lecun_normal",
-    "zeros",
-    "uniform_bias",
-]
+__all__ = ["compute_fans", "kaiming_uniform", "uniform_bias"]
 
 
 def compute_fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -50,58 +41,6 @@ def kaiming_uniform(
     fan_in, _ = compute_fans(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def kaiming_normal(
-    rng: np.random.Generator,
-    shape: tuple[int, ...],
-    gain: float = math.sqrt(2.0),
-    dtype: np.dtype | type = np.float32,
-) -> np.ndarray:
-    """He/Kaiming normal init."""
-    fan_in, _ = compute_fans(shape)
-    std = gain / math.sqrt(fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def xavier_uniform(
-    rng: np.random.Generator,
-    shape: tuple[int, ...],
-    gain: float = 1.0,
-    dtype: np.dtype | type = np.float32,
-) -> np.ndarray:
-    """Glorot/Xavier uniform init — the default for tanh networks."""
-    fan_in, fan_out = compute_fans(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_normal(
-    rng: np.random.Generator,
-    shape: tuple[int, ...],
-    gain: float = 1.0,
-    dtype: np.dtype | type = np.float32,
-) -> np.ndarray:
-    """Glorot/Xavier normal init."""
-    fan_in, fan_out = compute_fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def lecun_normal(
-    rng: np.random.Generator,
-    shape: tuple[int, ...],
-    dtype: np.dtype | type = np.float32,
-) -> np.ndarray:
-    """LeCun normal init (historically used with LeNet-style tanh nets)."""
-    fan_in, _ = compute_fans(shape)
-    std = math.sqrt(1.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def zeros(shape: tuple[int, ...], dtype: np.dtype | type = np.float32) -> np.ndarray:
-    """All-zero array (the default bias init)."""
-    return np.zeros(shape, dtype=dtype)
 
 
 def uniform_bias(

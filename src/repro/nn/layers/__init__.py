@@ -1,25 +1,15 @@
 """Layer catalogue."""
 
-from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2d
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d, GroupNorm
-from repro.nn.layers.pool import AvgPool2d, MaxPool2d
+from repro.nn.layers.pool import MaxPool2d
 
 __all__ = [
-    "LeakyReLU",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "Linear",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "GroupNorm",
-    "AvgPool2d",
     "MaxPool2d",
 ]

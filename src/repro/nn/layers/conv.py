@@ -62,7 +62,6 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        weight_init: str = "kaiming_uniform",
         dtype: np.dtype | type = np.float32,
     ) -> None:
         super().__init__()
@@ -79,15 +78,7 @@ class Conv2d(Module):
         self.padding = padding
 
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        if weight_init == "kaiming_uniform":
-            weight = init_fns.kaiming_uniform(rng, shape, dtype=dtype)
-        elif weight_init == "xavier_uniform":
-            weight = init_fns.xavier_uniform(rng, shape, dtype=dtype)
-        elif weight_init == "lecun_normal":
-            weight = init_fns.lecun_normal(rng, shape, dtype=dtype)
-        else:
-            raise ValueError(f"unknown weight_init {weight_init!r}")
-        self.weight = Parameter(weight)
+        self.weight = Parameter(init_fns.kaiming_uniform(rng, shape, dtype=dtype))
         self.has_bias = bias
         if bias:
             fan_in = in_channels * kernel_size * kernel_size

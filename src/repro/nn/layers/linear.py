@@ -26,21 +26,10 @@ class Linear(Module):
         Generator used for weight init.
     bias:
         Include an additive bias (default ``True``).
-    weight_init:
-        One of ``"kaiming_uniform"``, ``"kaiming_normal"``,
-        ``"xavier_uniform"``, ``"xavier_normal"``, ``"lecun_normal"``.
     dtype:
         Parameter dtype; ``float32`` matches the 4-byte-per-parameter
         communication model in :mod:`repro.fl.communication`.
     """
-
-    _INITS = {
-        "kaiming_uniform": init_fns.kaiming_uniform,
-        "kaiming_normal": init_fns.kaiming_normal,
-        "xavier_uniform": init_fns.xavier_uniform,
-        "xavier_normal": init_fns.xavier_normal,
-        "lecun_normal": init_fns.lecun_normal,
-    }
 
     def __init__(
         self,
@@ -48,7 +37,6 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        weight_init: str = "kaiming_uniform",
         dtype: np.dtype | type = np.float32,
     ) -> None:
         super().__init__()
@@ -56,14 +44,11 @@ class Linear(Module):
             raise ValueError(
                 f"features must be positive, got in={in_features}, out={out_features}"
             )
-        if weight_init not in self._INITS:
-            raise ValueError(
-                f"unknown weight_init {weight_init!r}; options: {sorted(self._INITS)}"
-            )
         self.in_features = in_features
         self.out_features = out_features
-        init = self._INITS[weight_init]
-        self.weight = Parameter(init(rng, (out_features, in_features), dtype=dtype))
+        self.weight = Parameter(
+            init_fns.kaiming_uniform(rng, (out_features, in_features), dtype=dtype)
+        )
         self.has_bias = bias
         if bias:
             self.bias = Parameter(

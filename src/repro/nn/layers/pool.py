@@ -1,22 +1,22 @@
-"""Spatial pooling layers.
+"""Spatial max pooling.
 
-Both pools support arbitrary kernel/stride (including overlapping
-windows); the backward passes scatter-add through
-:func:`repro.nn.functional.col2im`, so overlaps accumulate correctly.
+Any kernel/stride is supported, including overlapping windows; the
+backward pass scatter-adds through :func:`repro.nn.functional.col2im`,
+so overlaps accumulate correctly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 
-__all__ = ["MaxPool2d", "AvgPool2d"]
+__all__ = ["MaxPool2d"]
 
 
-class _Pool2d(Module):
-    """Shared plumbing: lower to columns with channels folded into batch."""
+class MaxPool2d(Module):
+    """Max pooling; gradient routes to the argmax element of each window."""
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
@@ -27,14 +27,10 @@ class _Pool2d(Module):
         if self.stride <= 0:
             raise ValueError(f"stride must be positive, got {self.stride}")
         self._x_shape: tuple[int, int, int, int] | None = None
+        self._argmax: np.ndarray | None = None
+        self._n_windows: int = 0
 
-    def output_shape(self, h: int, w: int) -> tuple[int, int]:
-        return (
-            conv_output_size(h, self.kernel_size, self.stride, 0),
-            conv_output_size(w, self.kernel_size, self.stride, 0),
-        )
-
-    def _lower(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"pooling expects (N, C, H, W), got {x.shape}")
         n, c, h, w = x.shape
@@ -44,56 +40,21 @@ class _Pool2d(Module):
             x.reshape(n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride, 0
         )
         self._x_shape = x.shape
-        return cols, (out_h, out_w)
-
-    def _lift(self, dcols: np.ndarray) -> np.ndarray:
-        assert self._x_shape is not None
-        n, c, h, w = self._x_shape
-        dx = col2im(
-            dcols, (n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride, 0
-        )
-        self._x_shape = None
-        return dx.reshape(n, c, h, w)
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling; gradient routes to the argmax element of each window."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__(kernel_size, stride)
-        self._argmax: np.ndarray | None = None
-        self._n_windows: int = 0
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[:2]
-        cols, (out_h, out_w) = self._lower(x)
         self._argmax = cols.argmax(axis=1)
         self._n_windows = cols.shape[0]
         out = cols[np.arange(cols.shape[0]), self._argmax]
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._argmax is None:
+        if self._argmax is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         k2 = self.kernel_size * self.kernel_size
         dcols = np.zeros((self._n_windows, k2), dtype=grad_output.dtype)
         dcols[np.arange(self._n_windows), self._argmax] = grad_output.ravel()
+        n, c, h, w = self._x_shape
         self._argmax = None
-        return self._lift(dcols)
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling; gradient spreads uniformly over each window."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[:2]
-        cols, (out_h, out_w) = self._lower(x)
-        return cols.mean(axis=1).reshape(n, c, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        k2 = self.kernel_size * self.kernel_size
-        flat = grad_output.ravel() / k2
-        dcols = np.repeat(flat[:, None], k2, axis=1)
-        return self._lift(dcols)
+        self._x_shape = None
+        dx = col2im(
+            dcols, (n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride, 0
+        )
+        return dx.reshape(n, c, h, w)

@@ -1,6 +1,6 @@
-"""Loss functions with explicit backward passes.
+"""Softmax cross-entropy loss with an explicit backward pass.
 
-A loss object is used like a layer: ``value = loss.forward(outputs,
+The loss is used like a layer: ``value = loss.forward(outputs,
 targets)`` followed by ``grad = loss.backward()`` which returns the
 gradient with respect to ``outputs`` (already averaged over the batch, so
 the training loop feeds it straight into ``model.backward``).
@@ -12,23 +12,10 @@ import numpy as np
 
 from repro.nn.functional import log_softmax, one_hot, softmax
 
-__all__ = ["Loss", "CrossEntropyLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
-class Loss:
-    """Interface: ``forward`` returns a scalar, ``backward`` the output grad."""
-
-    def forward(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(outputs, targets)
-
-
-class CrossEntropyLoss(Loss):
+class CrossEntropyLoss:
     """Softmax cross-entropy over logits with integer class targets.
 
     Fuses log-softmax and the negative log-likelihood for numerical
@@ -59,30 +46,5 @@ class CrossEntropyLoss(Loss):
         grad = softmax(outputs, axis=1)
         grad -= one_hot(targets, c, dtype=grad.dtype)
         grad /= n
-        self._cache = None
-        return grad.astype(outputs.dtype)
-
-
-class MSELoss(Loss):
-    """Mean squared error over all elements (used by regression tests)."""
-
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=outputs.dtype)
-        if targets.shape != outputs.shape:
-            raise ValueError(
-                f"targets shape {targets.shape} must match outputs {outputs.shape}"
-            )
-        self._cache = (outputs, targets)
-        diff = outputs - targets
-        return float((diff * diff).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        outputs, targets = self._cache
-        grad = 2.0 * (outputs - targets) / outputs.size
         self._cache = None
         return grad.astype(outputs.dtype)

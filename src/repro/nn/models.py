@@ -13,7 +13,9 @@ so that
 The paper evaluates LeNet-5 (Table I) and motivates the method with
 VGG-16 (Fig. 1).  :func:`vgg16_style` reproduces VGG-16's *layout* —
 13 convolutions + 3 fully-connected layers = 16 weighted layers — at a
-configurable width so the probe runs in seconds on a CPU.
+configurable width so the probe runs in seconds on a CPU.  :func:`mlp`
+and :func:`cnn_small` are the small models the benchmarks and the
+federated tests train.  Every model is ReLU-activated and max-pooled.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.nn.functional import conv_output_size
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.module import Module, Sequential
 
 __all__ = [
@@ -45,14 +39,6 @@ __all__ = [
     "parameterized_layers",
     "final_linear_name",
 ]
-
-_ACTIVATIONS: dict[str, Callable[[], Module]] = {"relu": ReLU, "tanh": Tanh}
-
-
-def _activation(name: str) -> Module:
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}; options: {sorted(_ACTIVATIONS)}")
-    return _ACTIVATIONS[name]()
 
 
 def _check_input_shape(input_shape: Sequence[int]) -> tuple[int, int, int]:
@@ -74,8 +60,6 @@ def lenet5(
     input_shape: Sequence[int],
     n_classes: int,
     rng: np.random.Generator,
-    activation: str = "relu",
-    pool: str = "max",
     dtype: np.dtype | type = np.float32,
 ) -> Sequential:
     """LeNet-5 (LeCun et al. 1989), the Table I model.
@@ -85,9 +69,6 @@ def lenet5(
     MNIST adaptation); 32×32 inputs need none.
     """
     c, h, w = _check_input_shape(input_shape)
-    pool_cls = {"max": MaxPool2d, "avg": AvgPool2d}.get(pool)
-    if pool_cls is None:
-        raise ValueError(f"pool must be 'max' or 'avg', got {pool!r}")
     pad1 = 2 if h < 32 else 0
     h1 = conv_output_size(h, 5, 1, pad1) // 2
     w1 = conv_output_size(w, 5, 1, pad1) // 2
@@ -96,16 +77,16 @@ def lenet5(
     flat = 16 * h2 * w2
     layers: list[tuple[str, Module]] = [
         ("conv1", Conv2d(c, 6, 5, rng, padding=pad1, dtype=dtype)),
-        ("act1", _activation(activation)),
-        ("pool1", pool_cls(2)),
+        ("act1", ReLU()),
+        ("pool1", MaxPool2d(2)),
         ("conv2", Conv2d(6, 16, 5, rng, dtype=dtype)),
-        ("act2", _activation(activation)),
-        ("pool2", pool_cls(2)),
+        ("act2", ReLU()),
+        ("pool2", MaxPool2d(2)),
         ("flatten", Flatten()),
         ("fc1", Linear(flat, 120, rng, dtype=dtype)),
-        ("act3", _activation(activation)),
+        ("act3", ReLU()),
         ("fc2", Linear(120, 84, rng, dtype=dtype)),
-        ("act4", _activation(activation)),
+        ("act4", ReLU()),
         ("classifier", Linear(84, n_classes, rng, dtype=dtype)),
     ]
     return _stamp(Sequential(*layers), "lenet5", (c, h, w), n_classes)
@@ -116,16 +97,15 @@ def mlp(
     n_classes: int,
     rng: np.random.Generator,
     hidden: Sequence[int] = (128, 64),
-    activation: str = "relu",
     dtype: np.dtype | type = np.float32,
 ) -> Sequential:
-    """Flatten → stack of Linear+activation → classifier."""
+    """Flatten → stack of Linear+ReLU → classifier."""
     c, h, w = _check_input_shape(input_shape)
     dims = [c * h * w, *hidden]
     layers: list[tuple[str, Module]] = [("flatten", Flatten())]
     for i in range(len(dims) - 1):
         layers.append((f"fc{i + 1}", Linear(dims[i], dims[i + 1], rng, dtype=dtype)))
-        layers.append((f"act{i + 1}", _activation(activation)))
+        layers.append((f"act{i + 1}", ReLU()))
     layers.append(("classifier", Linear(dims[-1], n_classes, rng, dtype=dtype)))
     return _stamp(Sequential(*layers), "mlp", (c, h, w), n_classes)
 
@@ -293,85 +273,3 @@ def final_linear_name(model: Module) -> str:
     if last is None:
         raise ValueError("model contains no Linear layer")
     return last
-
-
-class Residual(Module):
-    """Residual wrapper: ``y = body(x) + x``.
-
-    The body must preserve the input shape.  Backward sums the gradient
-    flowing through the body with the identity shortcut — the one place in
-    the model zoo where backprop is genuinely non-sequential, so it gets
-    its own gradient-checked module.
-    """
-
-    def __init__(self, body: Module) -> None:
-        super().__init__()
-        self.body = body
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.body.forward(x)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"residual body changed shape {x.shape} -> {out.shape}"
-            )
-        return out + x
-
-    def backward(
-        self, grad_output: np.ndarray, input_grad: bool = True
-    ) -> np.ndarray | None:
-        if not input_grad:
-            return self.body.backward(grad_output, input_grad=False)
-        return self.body.backward(grad_output) + grad_output
-
-    def train(self) -> "Residual":
-        object.__setattr__(self, "training", True)
-        self.body.train()
-        return self
-
-    def eval(self) -> "Residual":
-        object.__setattr__(self, "training", False)
-        self.body.eval()
-        return self
-
-
-def resnet_tiny(
-    input_shape: Sequence[int],
-    n_classes: int,
-    rng: np.random.Generator,
-    width: int = 8,
-    n_blocks: int = 2,
-    groups: int = 2,
-    dtype: np.dtype | type = np.float32,
-) -> Sequential:
-    """A small residual CNN with GroupNorm (the FL-friendly norm).
-
-    stem conv → ``n_blocks`` × [Residual(GN → ReLU → conv3×3)] → pool →
-    classifier.  Provided as an extension beyond the paper's LeNet-5 to
-    exercise skip connections and GroupNorm under federated aggregation.
-    """
-    from repro.nn.layers.norm import GroupNorm
-
-    c, h, w = _check_input_shape(input_shape)
-    if width % groups:
-        raise ValueError(f"groups {groups} must divide width {width}")
-    layers: list[tuple[str, Module]] = [
-        ("stem", Conv2d(c, width, 3, rng, padding=1, dtype=dtype)),
-        ("stem_act", ReLU()),
-    ]
-    for i in range(n_blocks):
-        body = Sequential(
-            ("norm", GroupNorm(groups, width, dtype=dtype)),
-            ("act", ReLU()),
-            ("conv", Conv2d(width, width, 3, rng, padding=1, dtype=dtype)),
-        )
-        layers.append((f"block{i + 1}", Residual(body)))
-    layers.append(("pool", MaxPool2d(2)))
-    h2, w2 = h // 2, w // 2
-    layers.append(("flatten", Flatten()))
-    layers.append(("classifier", Linear(width * h2 * w2, n_classes, rng, dtype=dtype)))
-    return _stamp(Sequential(*layers), "resnet_tiny", (c, h, w), n_classes)
-
-
-_REGISTRY["resnet_tiny"] = resnet_tiny
-__all__.append("resnet_tiny")
-__all__.append("Residual")

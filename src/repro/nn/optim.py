@@ -14,30 +14,10 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "ProximalSGD", "Adam"]
+__all__ = ["SGD", "ProximalSGD"]
 
 
-class Optimizer:
-    """Base optimiser over an explicit parameter list."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float) -> None:
-        params = list(params)
-        if not params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.params = params
-        self.lr = lr
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-
-class SGD(Optimizer):
+class SGD:
     """Stochastic gradient descent with momentum, weight decay, Nesterov.
 
     Matches the reference semantics: weight decay is added to the gradient
@@ -52,13 +32,19 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
-        super().__init__(params, lr)
+        params = list(params)
+        if not params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"lr must be positive, got {lr}")
         if momentum < 0:
             raise ValueError(f"momentum must be >= 0, got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         if nesterov and momentum == 0:
             raise ValueError("nesterov momentum requires momentum > 0")
+        self.params = params
+        self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.nesterov = nesterov
@@ -84,6 +70,10 @@ class SGD(Optimizer):
                 p.data -= self.lr * (g + self.momentum * v)
             else:
                 p.data -= self.lr * v
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def reset_state(self) -> None:
         """Zero the momentum buffers (e.g. when a client gets a new model)."""
@@ -160,19 +150,11 @@ class ProximalSGD(SGD):
             anchor.append(vector[lo:hi].reshape(shape).astype(p.data.dtype))
         self._anchor = anchor
 
-    def _effective_grad(self, p: Parameter) -> np.ndarray:
-        g = super()._effective_grad(p)
-        if self.mu and self._anchor is not None:
-            index = self.params.index(p)
-            g = g + self.mu * (p.data - self._anchor[index])
-        return g
-
     def step(self) -> None:
         if self.mu and self._anchor is None:
             raise RuntimeError(
                 "ProximalSGD.step() before set_anchor(); call it at round start"
             )
-        # Avoid the O(n) index lookup of _effective_grad in the hot loop.
         if self._velocity is None:
             anchors = self._anchor or [None] * len(self.params)
             for p, a in zip(self.params, anchors):
@@ -193,65 +175,3 @@ class ProximalSGD(SGD):
             v *= self.momentum
             v += g
             p.data -= self.lr * v
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
-
-    Used by the centralised-training utilities and available to FL local
-    training as an alternative to SGD (momentum-free adaptive steps are
-    sometimes preferred for very unbalanced local datasets).
-
-    ``decoupled_weight_decay=True`` gives AdamW semantics (decay applied
-    directly to the weights rather than folded into the gradient).
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled_weight_decay: bool = False,
-    ) -> None:
-        super().__init__(params, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled_weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            if self.decoupled and self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_state(self) -> None:
-        """Zero the moment buffers and the step counter."""
-        for m, v in zip(self._m, self._v):
-            m[...] = 0
-            v[...] = 0
-        self._t = 0

@@ -1,4 +1,4 @@
-"""Shared infrastructure: RNG discipline, logging, timing, tables, I/O."""
+"""Shared infrastructure: RNG discipline, logging, tables, I/O."""
 
 from repro.utils.logging import RoundLogger, enable_console_logging, get_logger
 from repro.utils.rng import derive_rng, make_rng, spawn_rngs, spawn_seeds
@@ -10,7 +10,6 @@ from repro.utils.serialization import (
     to_jsonable,
 )
 from repro.utils.tables import Table, format_mean_std, render_matrix
-from repro.utils.timer import StageTimer, Timer, profiled
 
 __all__ = [
     "RoundLogger",
@@ -28,7 +27,4 @@ __all__ = [
     "Table",
     "format_mean_std",
     "render_matrix",
-    "StageTimer",
-    "Timer",
-    "profiled",
 ]

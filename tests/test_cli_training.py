@@ -1,16 +1,12 @@
-"""CLI plumbing and the centralised training utility."""
+"""CLI plumbing: argument parsing and end-to-end commands."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.data.synthetic import make_dataset
-from repro.nn import SGD, StepLR, mlp
-from repro.nn.training import accuracy, fit
 
 
 class TestParser:
@@ -177,41 +173,3 @@ class TestCliExecution:
         code = main(["fig2", "--dataset", "fmnist"])
         assert code == 0
         assert "⑥" in capsys.readouterr().out
-
-
-class TestFit:
-    @pytest.fixture
-    def data(self):
-        ds = make_dataset("fmnist", 160, 5, noise_std=0.25)
-        return ds.subset(np.arange(120)), ds.subset(np.arange(120, 160))
-
-    def test_loss_decreases_and_val_tracked(self, data, rng):
-        train, val = data
-        model = mlp((1, 28, 28), 10, rng, hidden=(16,))
-        opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
-        result = fit(model, train, opt, epochs=5, batch_size=32, val=val)
-        assert result.n_epochs == 5
-        assert result.train_loss[-1] < result.train_loss[0]
-        assert len(result.val_accuracy) == 5
-        assert result.final_val_accuracy > 0.3
-
-    def test_scheduler_steps_per_epoch(self, data, rng):
-        train, _ = data
-        model = mlp((1, 28, 28), 10, rng, hidden=(8,))
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = StepLR(opt, step_size=1, gamma=0.5)
-        fit(model, train, opt, epochs=3, scheduler=sched)
-        assert opt.lr == pytest.approx(0.125)
-
-    def test_accuracy_helper(self, data, rng):
-        train, _ = data
-        model = mlp((1, 28, 28), 10, rng, hidden=(8,))
-        value = accuracy(model, train)
-        assert 0.0 <= value <= 1.0
-
-    def test_validation(self, data, rng):
-        train, _ = data
-        model = mlp((1, 28, 28), 10, rng, hidden=(8,))
-        opt = SGD(model.parameters(), lr=0.1)
-        with pytest.raises(ValueError, match="epochs"):
-            fit(model, train, opt, epochs=0)

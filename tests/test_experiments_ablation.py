@@ -127,7 +127,7 @@ class TestRunIds:
         config = tiny_config()
         ids = [cell_run_id(config, c) for c in generate_cells(config)]
         for variant in (
-            tiny_config(executor="thread"),
+            tiny_config(executor="batched"),
             tiny_config(checkpoint_every=1),
             tiny_config(name="renamed"),
         ):

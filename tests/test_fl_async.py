@@ -11,8 +11,7 @@ Four contracts:
 2. **Seeded determinism** — async interleavings are a pure function of
    (seed, scenario): durations draw from their own ``DURATION_TAG``
    stream and results are computed eagerly at dispatch, so the same
-   config replays identically across serial/thread/process/batched
-   executors.
+   config replays identically across serial/process/batched executors.
 3. **Buffer semantics** — aggregation fires at K buffered arrivals (the
    final round flushes partial buffers); each buffered update folds at
    ``decay ** age`` into a *copy*; one update per client per event
@@ -208,7 +207,7 @@ class TestAsyncDeterminism:
         )
         assert self._record_key(runs[0]) == self._record_key(runs[1])
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "batched"])
+    @pytest.mark.parametrize("executor", ["process", "batched"])
     def test_executor_invariance(self, env_factory, executor):
         """Durations draw from the DURATION_TAG stream and results are
         computed eagerly at dispatch, so the executor kind cannot change

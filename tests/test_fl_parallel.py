@@ -9,7 +9,6 @@ from repro.fl.aggregation import packed_weighted_average
 from repro.fl.parallel import (
     ProcessClientExecutor,
     SerialClientExecutor,
-    ThreadClientExecutor,
     UpdateTask,
     make_executor,
 )
@@ -23,19 +22,6 @@ def _tasks(env):
 
 
 class TestExecutorEquivalence:
-    def test_thread_matches_serial(self, small_env):
-        serial = SerialClientExecutor().run(small_env, _tasks(small_env), 1)
-        thread_exec = ThreadClientExecutor(n_workers=4)
-        try:
-            threaded = thread_exec.run(small_env, _tasks(small_env), 1)
-        finally:
-            thread_exec.close()
-        assert len(serial) == len(threaded)
-        for s, t in zip(serial, threaded):
-            assert s.client_id == t.client_id
-            assert s.mean_loss == pytest.approx(t.mean_loss, rel=1e-6)
-            assert state_allclose(s.state, t.state, rtol=1e-6, atol=1e-7)
-
     @pytest.mark.slow
     def test_process_matches_serial(self, small_env):
         serial = SerialClientExecutor().run(small_env, _tasks(small_env), 1)
@@ -86,18 +72,6 @@ class TestFlatTransportParity:
         for u in updates:
             assert u.flat is not None and u.flat.dtype == np.float64
             np.testing.assert_array_equal(u.flat, small_env.layout.pack(u.state))
-
-    def test_thread_round_byte_identical(self, small_env):
-        serial_updates, serial_vec = self._round(small_env, SerialClientExecutor())
-        thread_updates, thread_vec = self._round(
-            small_env, ThreadClientExecutor(n_workers=4)
-        )
-        for s, t in zip(serial_updates, thread_updates):
-            assert s.client_id == t.client_id
-            assert s.mean_loss == t.mean_loss
-            np.testing.assert_array_equal(s.flat, t.flat)
-            assert state_allclose(s.state, t.state, rtol=0, atol=0)
-        np.testing.assert_array_equal(serial_vec, thread_vec)
 
     @pytest.mark.slow
     def test_process_round_byte_identical(self, small_env):
@@ -181,20 +155,20 @@ class TestEnvDispatch:
 class TestFactory:
     def test_kinds(self):
         assert isinstance(make_executor("serial"), SerialClientExecutor)
-        ex = make_executor("thread", n_workers=2)
-        assert isinstance(ex, ThreadClientExecutor)
-        ex.close()
         ex = make_executor("process", n_workers=2)
         assert isinstance(ex, ProcessClientExecutor)
         ex.close()
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
+        options = r"\['batched', 'process', 'serial'\]"
+        for kind in ("gpu", "thread"):
+            message = f"unknown executor '{kind}'; options: {options}"
+            with pytest.raises(ValueError, match=message):
+                make_executor(kind)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            ThreadClientExecutor(n_workers=0)
+            ProcessClientExecutor(n_workers=0)
 
 
 class TestEnvBasics:
@@ -221,7 +195,7 @@ class TestEnvBasics:
             model_name="cnn_small",
             model_kwargs={"width": 4, "fc_dim": 16},
             train_cfg=fast_train_cfg,
-            executor=ThreadClientExecutor(n_workers=2),
+            executor=ProcessClientExecutor(n_workers=2),
         ) as env:
             env.run_updates(_tasks(env)[:2], 1)
         # pool shut down without error

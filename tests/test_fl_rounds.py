@@ -8,7 +8,7 @@ Three contracts:
    were captured from the hand-rolled loops immediately before the
    engine refactor.
 2. **Scenario matrix** — every (sampling × failure × straggler) cell is
-   deterministic and identical across the serial/thread/process/batched
+   deterministic and identical across the serial/process/batched
    executor kinds (scenario middleware acts on task lists and update
    lists, never on the executor).
 3. **Middleware semantics** — failures consume the download but never
@@ -372,7 +372,7 @@ class TestScenarioMatrix:
         return result
 
     @pytest.mark.parametrize("scenario_name", sorted(_SCENARIOS))
-    @pytest.mark.parametrize("executor", ["thread", "process", "batched"])
+    @pytest.mark.parametrize("executor", ["process", "batched"])
     def test_cells_identical_across_executors(
         self, env_factory, scenario_name, executor
     ):
@@ -934,7 +934,7 @@ class TestStoreIntegration:
             sharded.per_client_accuracy, dense.per_client_accuracy
         )
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "batched"])
+    @pytest.mark.parametrize("executor", ["process", "batched"])
     def test_sharded_store_cell_identical_across_executors(
         self, env_factory, executor
     ):

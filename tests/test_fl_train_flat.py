@@ -380,27 +380,6 @@ class TestRepresentationPlumbing:
         # rank beyond the hidden width: nothing factored.
         assert select_factored_keys(env.scratch_model, 6, 320) == frozenset()
 
-    def test_dropout_before_first_layer_routes_dense(self):
-        """Only Flatten layers may precede the factored layer: a Dropout
-        there rescales each sample differently every step."""
-        from repro.nn.layers import Dropout, Flatten, Linear, ReLU
-        from repro.nn.module import Sequential
-
-        rng = np.random.default_rng(0)
-
-        def chain(*head):
-            return Sequential(
-                ("flatten", Flatten()),
-                *head,
-                ("fc1", Linear(12, 8, rng)),
-                ("act1", ReLU()),
-                ("classifier", Linear(8, 4, rng)),
-            ).finalize_names()
-
-        assert select_factored_keys(chain(), 3, 4) == frozenset({"fc1.weight"})
-        dropout = chain(("drop", Dropout(0.5, rng)))
-        assert select_factored_keys(dropout, 3, 4) == frozenset()
-
     def test_deeper_factored_key_raises(self, mlp_env_factory):
         """Only the first layer's input is the raw sample."""
         from repro.nn.batched import build_batched
@@ -443,55 +422,6 @@ class TestRepresentationPlumbing:
         env.scratch_model.load_state_dict(dict(update.state))
         repacked = env.layout.pack(env.scratch_model.state_dict(copy=False))
         np.testing.assert_array_equal(repacked, update.flat)
-
-
-class TestBatchedDropout:
-    def test_inverted_dropout_scaling_and_backward(self):
-        from repro.nn.batched import BatchedDropout
-
-        rng = np.random.default_rng(3)
-        layer = BatchedDropout(0.25, np.random.default_rng(0))
-        x = rng.standard_normal((2, 4, 8)).astype(np.float32)
-        y = layer.forward(x)
-        kept = y != 0
-        # Inverted scaling: surviving entries are x / keep_prob.
-        np.testing.assert_allclose(y[kept], (x / 0.75)[kept], rtol=1e-6)
-        go = np.ones_like(x)
-        gi = layer.backward(go)
-        np.testing.assert_array_equal(gi != 0, kept)
-
-    def test_zero_p_is_identity(self):
-        from repro.nn.batched import BatchedDropout
-
-        layer = BatchedDropout(0.0, np.random.default_rng(0))
-        x = np.ones((1, 2, 3), dtype=np.float32)
-        assert layer.forward(x) is x
-        go = np.full_like(x, 2.0)
-        assert layer.backward(go) is go
-
-    def test_builder_requires_dropout_rng(self):
-        from repro.nn.batched import build_batched
-        from repro.nn.layers import Dropout, Flatten, Linear, ReLU
-        from repro.nn.module import Sequential
-        from repro.nn.state_flat import StateLayout
-
-        rng = np.random.default_rng(0)
-        model = Sequential(
-            ("flatten", Flatten()),
-            ("fc1", Linear(12, 8, rng)),
-            ("act1", ReLU()),
-            ("drop", Dropout(0.5, rng)),
-            ("classifier", Linear(8, 4, rng)),
-        ).finalize_names()
-        layout = StateLayout.from_model(model)
-        broadcast = layout.pack(model.state_dict(copy=False))
-        with pytest.raises(ValueError, match="dropout_rng"):
-            build_batched(model, layout, 3, broadcast)
-        batched, _ = build_batched(
-            model, layout, 3, broadcast, dropout_rng=np.random.default_rng(1)
-        )
-        out = batched.forward(np.ones((3, 5, 12), dtype=np.float32))
-        assert out.shape == (3, 5, 4)
 
 
 # ----------------------------------------------------------------------

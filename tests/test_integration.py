@@ -16,7 +16,7 @@ from repro.core.clustering import ClusteringConfig
 from repro.core.fedclust import FedClust, FedClustConfig
 from repro.data.federation import build_federation
 from repro.fl.config import TrainConfig
-from repro.fl.parallel import ThreadClientExecutor
+from repro.fl.parallel import ProcessClientExecutor
 from repro.fl.simulation import FederatedEnv
 
 pytestmark = pytest.mark.slow
@@ -105,19 +105,19 @@ class TestReproducibility:
             a.history.accuracy_curve(), b.history.accuracy_curve()
         )
 
-    def test_thread_executor_matches_serial_end_to_end(self, planted_federation):
+    def test_process_executor_matches_serial_end_to_end(self, planted_federation):
         env_s = _env(planted_federation)
         serial = FedClust(_FEDCLUST).run(env_s, n_rounds=3, eval_every=3)
-        executor = ThreadClientExecutor(n_workers=4)
-        env_t = _env(planted_federation, executor=executor)
+        executor = ProcessClientExecutor(n_workers=2)
+        env_p = _env(planted_federation, executor=executor)
         try:
-            threaded = FedClust(_FEDCLUST).run(env_t, n_rounds=3, eval_every=3)
+            parallel = FedClust(_FEDCLUST).run(env_p, n_rounds=3, eval_every=3)
         finally:
             executor.close()
         assert serial.final_accuracy == pytest.approx(
-            threaded.final_accuracy, abs=1e-6
+            parallel.final_accuracy, abs=1e-6
         )
-        np.testing.assert_array_equal(serial.cluster_labels, threaded.cluster_labels)
+        np.testing.assert_array_equal(serial.cluster_labels, parallel.cluster_labels)
 
     def test_different_seeds_differ(self, planted_federation):
         env_a = _env(planted_federation, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.functional import softmax
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 
 from helpers import numerical_grad_entries, sample_indices
 
@@ -75,24 +75,3 @@ class TestCrossEntropy:
         value = loss.forward(logits, np.array([0, 1]))
         assert np.isfinite(value)
         assert np.isfinite(loss.backward()).all()
-
-
-class TestMSE:
-    def test_value(self):
-        loss = MSELoss()
-        out = np.array([[1.0, 2.0]])
-        target = np.array([[0.0, 0.0]])
-        assert loss.forward(out, target) == pytest.approx(2.5)
-
-    def test_gradient(self, rng):
-        loss = MSELoss()
-        out = rng.standard_normal((3, 4))
-        target = rng.standard_normal((3, 4))
-        loss.forward(out, target)
-        np.testing.assert_allclose(
-            loss.backward(), 2 * (out - target) / out.size, rtol=1e-10
-        )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -1,4 +1,4 @@
-"""Utility substrate: RNG discipline, tables, timers, serialization, validation."""
+"""Utility substrate: RNG discipline, tables, serialization, validation."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from repro.utils.serialization import (
     to_jsonable,
 )
 from repro.utils.tables import Table, format_mean_std, render_matrix
-from repro.utils.timer import StageTimer, Timer, profiled
 from repro.utils.validation import (
     check_array,
     check_fraction,
@@ -110,35 +109,6 @@ class TestTables:
             render_matrix(np.zeros(3))
         with pytest.raises(ValueError, match="row_labels"):
             render_matrix(np.zeros((2, 2)), row_labels=["a"])
-
-
-class TestTimers:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.calls == 2
-        assert t.total >= 0
-        assert t.mean == pytest.approx(t.total / 2)
-
-    def test_stage_timer(self):
-        st = StageTimer()
-        with st.stage("train"):
-            pass
-        with st.stage("train"):
-            pass
-        with st.stage("eval"):
-            pass
-        summary = st.summary()
-        assert set(summary) == {"train", "eval"}
-        assert "train" in st.report()
-
-    def test_profiled_captures(self):
-        with profiled() as report:
-            sum(i * i for i in range(100))
-        assert "function calls" in report.getvalue()
 
 
 class TestSerialization:
