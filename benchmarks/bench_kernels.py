@@ -30,11 +30,7 @@ except ImportError:  # pragma: no cover - standalone mode
 from repro.cluster.distance import pairwise_euclidean
 from repro.cluster.hierarchy import linkage
 from repro.core.weights import packed_weight_matrix, weight_matrix
-from repro.fl.aggregation import (
-    packed_weighted_average,
-    weighted_average,
-    weighted_average_dict,
-)
+from repro.fl.aggregation import packed_weighted_average, weighted_average_dict
 from repro.nn.layers import Conv2d
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.models import lenet5
@@ -191,13 +187,11 @@ def run_packed_vs_dict(
 
     The state is a deep, narrow CIFAR-style ResNet's (~98k params spread
     over 100 parameter tensors, see :func:`_resnet_state`), so the dict
-    path pays its real per-key cost.  The packed path
-    times only the GEMV: with the flat parameter plane the cohort
-    *already lives* as one matrix (executors return flat updates), so no
-    per-call packing is charged to it.  Also records the compatibility
-    view both ways — reusing the round's packed matrix (GEMV + unpack,
-    the hot configuration) and repacking from dicts (the cold one) — and
-    verifies bit-identity.
+    path pays its real per-key cost.  The packed path times only the
+    GEMV: client updates already arrive as packed rows, so no per-call
+    packing is charged to it; ``pack_states_ms`` records what entering
+    the plane from dicts would cost.  Also checks the packed result
+    against the per-key reference loop.
     """
     rng = np.random.default_rng(0)
     template = _resnet_state(rng)
@@ -206,23 +200,10 @@ def run_packed_vs_dict(
 
     dict_ms = _time_ms(lambda: weighted_average_dict(states, weights), reps=7)
     packed_ms = _time_ms(lambda: packed_weighted_average(matrix, weights), reps=21)
-    # The compat view is timed as the round loop actually uses it: the
-    # cohort already lives packed (executors return flat updates), so the
-    # view reuses that matrix instead of repacking per call.
-    compat_ms = _time_ms(
-        lambda: weighted_average(states, weights, layout, matrix=matrix), reps=7
-    )
-    repack_compat_ms = _time_ms(
-        lambda: weighted_average(states, weights, layout), reps=7
-    )
     pack_ms = _time_ms(lambda: pack_states(states, layout), reps=5)
 
     packed_out = unpack_state(packed_weighted_average(matrix, weights), layout)
-    dict_api_out = weighted_average(states, weights, layout)
     legacy_out = weighted_average_dict(states, weights)
-    bit_identical = all(
-        np.array_equal(packed_out[k], dict_api_out[k]) for k in template
-    )
     legacy_max_abs_diff = max(
         float(
             np.max(
@@ -246,14 +227,9 @@ def run_packed_vs_dict(
         "n_tensors": len(layout.keys),
         "dict_ms": round(dict_ms, 3),
         "packed_ms": round(packed_ms, 3),
-        "compat_view_ms": round(compat_ms, 3),
-        "compat_view_repack_ms": round(repack_compat_ms, 3),
         "pack_states_ms": round(pack_ms, 3),
         "speedup": round(dict_ms / packed_ms, 2),
-        # packed output vs the dict API (a view over the packed kernel):
-        # exact by construction, asserted here anyway.
-        "bit_identical": bool(bit_identical),
-        # packed output vs the legacy per-key loop: also bitwise equal on
+        # packed output vs the legacy per-key loop: bitwise equal on
         # this cohort after the cast to parameter dtype; the float64
         # discrepancy before the cast is pure summation-order round-off.
         "legacy_loop_bit_identical": bool(legacy_bit_identical),

@@ -5,11 +5,7 @@ from repro.algorithms.base import (
     FLAlgorithm,
     GlobalModelRounds,
     RunResult,
-    evaluate_assignment,
-    fedavg_round,
     fedavg_round_flat,
-    run_clustered_training,
-    states_for_clients,
 )
 from repro.algorithms.cfl import CFL
 from repro.algorithms.fedavg import FedAvg
@@ -28,11 +24,7 @@ __all__ = [
     "FLAlgorithm",
     "GlobalModelRounds",
     "RunResult",
-    "evaluate_assignment",
-    "fedavg_round",
     "fedavg_round_flat",
-    "run_clustered_training",
-    "states_for_clients",
     "CFL",
     "FedAvg",
     "FedProx",

@@ -13,9 +13,11 @@ this module contributes the building blocks the algorithms plug into it:
 * :class:`ClusteredRounds` — per-cluster FedAvg over a packed
   ``(n_clusters, n_params)`` matrix, used by the one-shot methods
   (FedClust, PACFL) after clustering;
-* :func:`fedavg_round` / :func:`fedavg_round_flat` — the one-round
-  primitive, kept as the reference kernel for external callers, tests
-  and the engine-overhead benchmark.
+* :func:`fedavg_round_flat` — the one-round primitive, kept as the
+  reference kernel for tests and the engine-overhead benchmark.
+
+Client state crosses every hook as packed float64 rows: task payloads,
+``ClientUpdate.flat`` and the strategies' server rows.
 """
 
 from __future__ import annotations
@@ -39,22 +41,17 @@ from repro.fl.rounds import (
 )
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import tiered_weighted_average
-from repro.nn.state_flat import unpack_state
 
 __all__ = [
     "RunResult",
     "FLAlgorithm",
     "GlobalModelRounds",
     "ClusteredRounds",
-    "fedavg_round",
     "fedavg_round_flat",
     "cohort_matrix",
-    "states_for_clients",
     "survivor_mean_loss",
     "survivor_weighted_average",
     "tasks_for_groups",
-    "evaluate_assignment",
-    "run_clustered_training",
 ]
 
 
@@ -84,18 +81,13 @@ def tasks_for_groups(
 
 
 def cohort_matrix(env: FederatedEnv, updates: Sequence) -> np.ndarray:
-    """Stack a round's client updates into one ``(m, n_params)`` matrix.
+    """Stack a round's client updates' ``flat`` rows into one
+    ``(m, n_params)`` matrix.
 
-    Uses each update's ``flat`` vector (populated by every executor);
-    updates built by hand without one are packed here, so external
-    executors that only fill ``state`` still work.
+    ``env`` is unused; it stays so the benchmark tracer's row counter,
+    which reads the updates as the second argument, keeps its binding.
     """
-    return np.stack(
-        [
-            u.flat if u.flat is not None else env.layout.pack(u.state)
-            for u in updates
-        ]
-    )
+    return np.stack([u.flat for u in updates])
 
 
 def survivor_mean_loss(survivors: Sequence[ClientUpdate]) -> float:
@@ -401,7 +393,7 @@ def fedavg_round_flat(
     full model and uploads its full update.
     """
     if len(members) == 0:
-        raise ValueError("fedavg_round needs at least one member")
+        raise ValueError("fedavg_round_flat needs at least one member")
     vector = np.asarray(vector, dtype=np.float64)
     tasks = [
         UpdateTask(int(cid), flat=vector, prox_mu=prox_mu) for cid in members
@@ -416,99 +408,3 @@ def fedavg_round_flat(
     )
     mean_loss = float(np.mean([u.mean_loss for u in updates]))
     return env.layout.round_trip(new_vector), mean_loss, updates
-
-
-def fedavg_round(
-    env: FederatedEnv,
-    state: Mapping[str, np.ndarray],
-    members: Sequence[int],
-    round_index: int,
-    prox_mu: float = 0.0,
-    phase: str = "training",
-) -> tuple[dict[str, np.ndarray], float, list]:
-    """Dict-API view of :func:`fedavg_round_flat`.
-
-    Packs ``state`` once, runs the flat round, and unpacks the result —
-    numbers are identical to the historical dict implementation (packing
-    is exact and the flat round rounds its output through the parameter
-    dtypes).  Kept for external callers; the in-tree algorithms ride the
-    engine.
-    """
-    vector, mean_loss, updates = fedavg_round_flat(
-        env,
-        env.layout.pack(state),
-        members,
-        round_index,
-        prox_mu=prox_mu,
-        phase=phase,
-    )
-    return dict(unpack_state(vector, env.layout)), mean_loss, updates
-
-
-def states_for_clients(
-    cluster_states: Sequence[Mapping[str, np.ndarray]], labels: np.ndarray
-) -> list[Mapping[str, np.ndarray]]:
-    """Expand per-cluster states to a per-client list via ``labels``."""
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= len(cluster_states):
-        raise ValueError(
-            f"labels reference clusters outside [0, {len(cluster_states)})"
-        )
-    return [cluster_states[int(g)] for g in labels]
-
-
-def evaluate_assignment(
-    env: FederatedEnv,
-    cluster_states: Sequence[Mapping[str, np.ndarray]],
-    labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean local accuracy when each client is served its cluster model.
-
-    Grouped evaluation: each cluster model is loaded once and its
-    members' test splits share forward batches (no per-client state
-    list is ever expanded).
-    """
-    return env.evaluate_assignment(cluster_states, labels)
-
-
-def run_clustered_training(
-    env: FederatedEnv,
-    labels: np.ndarray,
-    cluster_states: list[dict[str, np.ndarray]],
-    history: RunHistory,
-    n_rounds: int,
-    first_round: int,
-    eval_every: int = 1,
-    client_fraction: float = 1.0,
-    scenario: ScenarioConfig | None = None,
-    engine: RoundEngine | None = None,
-) -> tuple[list[dict[str, np.ndarray]], float, np.ndarray]:
-    """Per-cluster FedAvg for rounds ``first_round .. first_round+n_rounds-1``.
-
-    Used by the one-shot methods after their clustering step; a thin
-    wrapper that runs :class:`ClusteredRounds` on the round engine.
-    Returns the final cluster states and the last evaluation (mean,
-    per-client vector).  The dict states in ``cluster_states`` are
-    packed once on entry and unpacked once on return — numbers match
-    the historical per-round dict cycle exactly.
-
-    ``client_fraction`` is legacy sugar for
-    ``ScenarioConfig(client_fraction=...)``; an explicit ``scenario``
-    (or a ready ``engine``) takes precedence.  Sampling is engine-level
-    — a fraction of all clients per round, not a fraction of each
-    cluster — so a small cluster can sit a round out entirely (it then
-    keeps its model).
-    """
-    if engine is None:
-        if scenario is None:
-            scenario = ScenarioConfig(client_fraction=client_fraction)
-        engine = RoundEngine(env, scenario)
-    matrix = np.stack([env.layout.pack(state) for state in cluster_states])
-    strategy = ClusteredRounds(matrix, np.asarray(labels))
-    mean_acc, per_client = engine.run(
-        strategy, n_rounds, history, first_round=first_round, eval_every=eval_every
-    )
-    final_states = [
-        dict(unpack_state(row, env.layout)) for row in strategy.matrix
-    ]
-    return final_states, mean_acc, per_client

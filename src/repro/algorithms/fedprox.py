@@ -6,12 +6,10 @@ round's global model and damping client drift under heterogeneity.  The
 proximal gradient term is implemented in
 :class:`repro.nn.optim.ProximalSGD`; everything else reuses FedAvg.
 
-On the flat transport the anchor ``w_global`` is the packed broadcast
-vector itself: executors hand it to
-:meth:`repro.nn.optim.ProximalSGD.set_anchor_flat` (via
-:func:`repro.fl.client.run_client_update_flat`), so no per-parameter
-anchor copies of the incoming dict are materialised.  The anchor values
-— and therefore the trajectory — are identical to the dict path.
+The anchor ``w_global`` is the packed broadcast row itself: executors
+hand it to :meth:`repro.nn.optim.ProximalSGD.set_anchor_flat` (via
+:func:`repro.fl.client.run_client_update_flat`), and the batched trainer
+anchors its lockstep cohort on the same row.
 """
 
 from __future__ import annotations
@@ -30,13 +28,10 @@ class FedProx(FedAvg):
     mu:
         Proximal coefficient (paper-standard grid is {0.001 .. 1}; 0.1 is
         a common default for severe heterogeneity).
-    client_fraction:
-        As in FedAvg.
     """
 
     name = "fedprox"
 
-    def __init__(self, mu: float = 0.1, client_fraction: float = 1.0) -> None:
-        super().__init__(client_fraction=client_fraction)
+    def __init__(self, mu: float = 0.1) -> None:
         check_non_negative("mu", mu)
         self.prox_mu = float(mu)

@@ -32,6 +32,7 @@ from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, RoundStrategy, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
+from repro.nn.state_flat import unpack_state
 
 __all__ = ["LocalOnly"]
 
@@ -64,25 +65,23 @@ class _LocalRounds(RoundStrategy):
     ) -> float:
         if not survivors:
             return float("nan")
-        layout = engine.env.layout
         for update in survivors:
-            row = (
-                update.flat
-                if update.flat is not None
-                else layout.pack(update.state)
-            )
-            self.store.set(update.client_id, row)
+            self.store.set(update.client_id, update.flat)
         return survivor_mean_loss(survivors)
 
     def evaluate(
         self, engine: RoundEngine, round_index: int
     ) -> tuple[float, np.ndarray]:
         # Worst case for grouped eval — every client has its own model,
-        # so identity-dedup finds m singleton groups and the compat view
+        # so identity-dedup finds m singleton groups and evaluation
         # degenerates to the per-client loop.  O(population): the
         # population-scale bench overrides this hook.
+        layout = engine.env.layout
         return engine.env.mean_local_accuracy(
-            [self.store.state_view(cid) for cid in range(self.store.n_clients)]
+            [
+                unpack_state(self.store.get(cid), layout)
+                for cid in range(self.store.n_clients)
+            ]
         )
 
     def current_n_clusters(self) -> int:

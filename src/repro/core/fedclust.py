@@ -249,21 +249,9 @@ class _FedClustRounds(ClusteredRounds):
         env = engine.env
         for cid in arrived:
             cid = int(cid)
-            env.tracker.record_download(env.n_params, phase="newcomer")
-            model = env.scratch_model
-            model.load_state_dict(self.fitted.init_state)
-            cfg = self.algo.config.warmup_train_cfg(env.train_cfg)
-            local_train(
-                model,
-                env.federation.clients[cid].train,
-                cfg,
-                rng_for(env.seed, _NEWCOMER_TAG, cid),
+            assignment = self.algo._match_newcomer(
+                env, self.fitted, env.federation.clients[cid].train, cid
             )
-            vector = flatten_state(
-                model.state_dict(copy=False), self.fitted.selection_keys
-            )
-            env.tracker.record_upload(vector.shape[0], phase="newcomer")
-            assignment = self.fitted.assign_newcomer_vector(vector)
             self.set_label(cid, assignment.cluster)
             self.onboarded[cid] = assignment
 
@@ -482,22 +470,33 @@ class FedClust(FLAlgorithm):
         weights, and is matched against the retained weight matrix.
         Returns the assignment plus the cluster model it should now use.
         """
-        env.tracker.record_download(env.n_params, phase="newcomer")
-        model = env.scratch_model
-        model.load_state_dict(fitted.init_state)
-        cfg = self.config.warmup_train_cfg(env.train_cfg)
-        local_train(
-            model,
-            train_dataset,
-            cfg,
-            rng_for(env.seed, _NEWCOMER_TAG, newcomer_id),
-        )
-        vector = flatten_state(model.state_dict(copy=False), fitted.selection_keys)
-        env.tracker.record_upload(vector.shape[0], phase="newcomer")
-        assignment = fitted.assign_newcomer_vector(vector)
+        assignment = self._match_newcomer(env, fitted, train_dataset, newcomer_id)
         if fitted.cluster_states:
             env.tracker.record_download(env.n_params, phase="newcomer")
             serving_state = fitted.cluster_states[assignment.cluster]
         else:
             serving_state = fitted.init_state
         return assignment, serving_state
+
+    def _match_newcomer(
+        self,
+        env: FederatedEnv,
+        fitted: FittedFedClust,
+        train_dataset: ArrayDataset,
+        newcomer_id: int,
+    ) -> NewcomerAssignment:
+        """Step ⑥ up to the match, shared by :meth:`incorporate_newcomer`
+        and mid-run arrivals: download the initial model, warm up as the
+        clustering round did, upload the selected weights, match them."""
+        env.tracker.record_download(env.n_params, phase="newcomer")
+        model = env.scratch_model
+        model.load_state_dict(fitted.init_state)
+        local_train(
+            model,
+            train_dataset,
+            self.config.warmup_train_cfg(env.train_cfg),
+            rng_for(env.seed, _NEWCOMER_TAG, newcomer_id),
+        )
+        vector = flatten_state(model.state_dict(copy=False), fitted.selection_keys)
+        env.tracker.record_upload(vector.shape[0], phase="newcomer")
+        return fitted.assign_newcomer_vector(vector)

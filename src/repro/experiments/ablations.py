@@ -176,7 +176,8 @@ def run_weight_ablation(
     from repro.core.fedclust import resolve_selection_keys
     from repro.fl.parallel import UpdateTask
 
-    init = env.init_state()
+    # One packed initial row shared by every task: one broadcast cohort.
+    init = env.layout.pack(env.init_state())
     warm_cfg = algo.config.warmup_train_cfg(env.train_cfg)
     original = env.train_cfg
     env.train_cfg = warm_cfg

@@ -109,7 +109,8 @@ def run_fig1(
             f"({n_layers} weighted layers)"
         )
 
-    init = env.init_state()
+    # One packed initial row shared by every task: one broadcast cohort.
+    init = env.layout.pack(env.init_state())
     updates = env.run_updates(
         [UpdateTask(cid, init) for cid in range(n_clients)], round_index=1
     )

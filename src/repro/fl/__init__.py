@@ -1,17 +1,7 @@
 """Federated-learning simulation substrate."""
 
-from repro.fl.aggregation import (
-    packed_weighted_average,
-    uniform_average,
-    weighted_average,
-    weighted_average_dict,
-)
-from repro.fl.client import (
-    ClientUpdate,
-    local_train,
-    run_client_update,
-    run_client_update_flat,
-)
+from repro.fl.aggregation import packed_weighted_average, weighted_average_dict
+from repro.fl.client import ClientUpdate, local_train, run_client_update_flat
 from repro.fl.communication import (
     BYTES_PER_PARAM,
     CommunicationTracker,
@@ -67,12 +57,9 @@ from repro.fl.train_flat import plan_cohort_schedule, supports_batched, train_co
 
 __all__ = [
     "packed_weighted_average",
-    "uniform_average",
-    "weighted_average",
     "weighted_average_dict",
     "ClientUpdate",
     "local_train",
-    "run_client_update",
     "run_client_update_flat",
     "BYTES_PER_PARAM",
     "CommunicationTracker",

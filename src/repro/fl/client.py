@@ -1,16 +1,15 @@
 """Client-side local training.
 
 The functions here implement one client's work during a round: load the
-received state into a scratch model, run ``local_epochs`` of (proximal)
-SGD over the local split, and return the updated state.  They are plain
-functions over explicit arguments — no hidden globals — so the parallel
-executors can ship them to worker processes unchanged.
+received packed row into a scratch model, run ``local_epochs`` of
+(proximal) SGD over the local split, and return the updated row.  They
+are plain functions over explicit arguments — no hidden globals — so
+the parallel executors can ship them to worker processes unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,17 +19,11 @@ from repro.fl.config import TrainConfig
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD, ProximalSGD
-from repro.nn.state_flat import (
-    LazyStateView,
-    StateLayout,
-    pack_state,
-    unpack_state,
-)
+from repro.nn.state_flat import StateLayout, pack_state, unpack_state
 
 __all__ = [
     "ClientUpdate",
     "local_train",
-    "run_client_update",
     "run_client_update_flat",
 ]
 
@@ -39,16 +32,10 @@ __all__ = [
 class ClientUpdate:
     """Result of one client's local round.
 
-    ``flat`` is the packed float64 view of ``state`` (same values, one
-    contiguous buffer) when the update travelled the flat transport;
-    aggregation consumes it directly so no per-key repacking happens on
-    the server.  Executors always populate it; it defaults to ``None``
-    only for hand-built updates in tests and external code.
-
-    On the hot path ``state`` is a :class:`repro.nn.state_flat.LazyStateView`
-    over ``flat`` — the dict never materialises unless a compatibility
-    consumer actually indexes it, so each in-flight update holds one
-    float64 row, not a row *plus* an eager per-key dict.
+    ``flat`` is the client's new state as one packed float64 row on the
+    environment's layout (see :mod:`repro.nn.state_flat`); admission,
+    aggregation, the client-state store and checkpoints all read it
+    directly.
 
     ``weight`` is the update's effective aggregation weight when
     scenario middleware overrides the historical sample-count weighting
@@ -60,11 +47,10 @@ class ClientUpdate:
     """
 
     client_id: int
-    state: Mapping[str, np.ndarray]
+    flat: np.ndarray
     n_samples: int
     mean_loss: float
     n_batches: int
-    flat: np.ndarray | None = None
     weight: float | None = None
 
 
@@ -80,12 +66,8 @@ def local_train(
     """Train ``model`` in place on ``dataset``; return (mean loss, batches).
 
     With ``prox_mu > 0`` the optimiser is :class:`ProximalSGD` anchored at
-    the model's state on entry — i.e. the global model the server just
-    broadcast — which is exactly FedProx's local objective.  When the
-    broadcast arrived as a packed vector, passing it as ``anchor_flat``
-    (with its ``layout``) anchors the proximal term on that buffer
-    directly instead of re-copying every parameter; the anchor values are
-    identical either way.
+    ``anchor_flat`` (on ``layout``) — the packed global model the server
+    just broadcast — which is exactly FedProx's local objective.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -99,10 +81,7 @@ def local_train(
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
         )
-        if anchor_flat is not None and layout is not None:
-            optimizer.set_anchor_flat(anchor_flat, layout)
-        else:
-            optimizer.set_anchor_from_params()
+        optimizer.set_anchor_flat(anchor_flat, layout)
     else:
         optimizer = SGD(
             model.parameters(),
@@ -135,27 +114,6 @@ def local_train(
     return (total_loss / n_batches if n_batches else 0.0), n_batches
 
 
-def run_client_update(
-    model: Module,
-    client_id: int,
-    dataset: ArrayDataset,
-    incoming_state: dict[str, np.ndarray],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    prox_mu: float = 0.0,
-) -> ClientUpdate:
-    """Full client round: load state → local train → snapshot new state."""
-    model.load_state_dict(incoming_state)
-    mean_loss, n_batches = local_train(model, dataset, cfg, rng, prox_mu=prox_mu)
-    return ClientUpdate(
-        client_id=client_id,
-        state=model.state_dict(copy=True),
-        n_samples=len(dataset),
-        mean_loss=mean_loss,
-        n_batches=n_batches,
-    )
-
-
 def run_client_update_flat(
     model: Module,
     client_id: int,
@@ -166,13 +124,11 @@ def run_client_update_flat(
     rng: np.random.Generator,
     prox_mu: float = 0.0,
 ) -> ClientUpdate:
-    """Flat-transport client round: one packed vector in, one out.
+    """Full client round: one packed vector in, one out.
 
-    Equivalent to :func:`run_client_update` on ``unpack(incoming_flat)``
-    — packing is exact (see :mod:`repro.nn.state_flat`), so results are
-    bit-identical to the dict path — but the payload each way is a single
-    contiguous buffer, which is what the parallel executors ship across
-    process boundaries.
+    Loads ``incoming_flat`` into ``model``, trains it locally and packs
+    the new state.  The payload each way is a single contiguous buffer,
+    which is what the parallel executors ship across process boundaries.
     """
     model.load_state_dict(unpack_state(incoming_flat, layout))
     mean_loss, n_batches = local_train(
@@ -184,12 +140,10 @@ def run_client_update_flat(
         anchor_flat=incoming_flat,
         layout=layout,
     )
-    flat = pack_state(model.state_dict(copy=False), layout)
     return ClientUpdate(
         client_id=client_id,
-        state=LazyStateView(flat, layout),
+        flat=pack_state(model.state_dict(copy=False), layout),
         n_samples=len(dataset),
         mean_loss=mean_loss,
         n_batches=n_batches,
-        flat=flat,
     )

@@ -43,18 +43,14 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
-from repro.nn.state_flat import LazyStateView
 from repro.utils.rng import rng_for
 from repro.utils.validation import check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.nn.state_flat import StateLayout
 
 __all__ = [
     "CORRUPTION_TAG",
@@ -74,7 +70,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "update_to_meta",
-    "update_row",
     "rebuild_update",
 ]
 
@@ -156,7 +151,6 @@ def maybe_corrupt(
     seed: int,
     round_index: int,
     config: CorruptionConfig,
-    layout: "StateLayout",
 ) -> ClientUpdate:
     """The update, corrupted iff this (round, client)'s event fires.
 
@@ -164,16 +158,15 @@ def maybe_corrupt(
     event, then — only when it fires — the kind and the kind's own
     randomness, all from the same derived generator.  Returns the input
     object untouched when the event does not fire (the common path
-    allocates nothing); a fired event returns a *copy* with both the
-    flat row and the state view replaced, so buffered pristine updates
-    elsewhere can never alias corrupted memory.
+    allocates nothing); a fired event returns a *copy* with the flat row
+    replaced, so buffered pristine updates elsewhere can never alias
+    corrupted memory.
     """
     rng = rng_for(seed, CORRUPTION_TAG, round_index, update.client_id)
     if rng.random() >= config.rate:
         return update
     kind = config.kinds[int(rng.integers(len(config.kinds)))]
-    flat = update.flat if update.flat is not None else layout.pack(update.state)
-    flat = np.array(flat, dtype=np.float64, copy=True)
+    flat = np.array(update.flat, dtype=np.float64, copy=True)
     n = flat.shape[0]
     if kind == "nan":
         flat[_poison_indices(rng, n)] = np.nan
@@ -184,7 +177,7 @@ def maybe_corrupt(
         np.negative(flat, out=flat)
     else:  # noise
         flat += config.scale * rng.standard_normal(n)
-    return replace(update, flat=flat, state=LazyStateView(flat, layout))
+    return replace(update, flat=flat)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +185,6 @@ def maybe_corrupt(
 # ----------------------------------------------------------------------
 def admit_updates(
     updates: Sequence[ClientUpdate],
-    layout: "StateLayout",
     norm_bound: float | None = None,
 ) -> tuple[list[ClientUpdate], list[tuple[int, str]]]:
     """Admission guards over one batch of survivor updates.
@@ -215,9 +207,7 @@ def admit_updates(
     """
     if not updates:
         return list(updates), []
-    rows = [
-        u.flat if u.flat is not None else layout.pack(u.state) for u in updates
-    ]
+    rows = [u.flat for u in updates]
     finite = np.array([bool(np.isfinite(row).all()) for row in rows])
     rejected = [
         (updates[i].client_id, QUARANTINE_NON_FINITE)
@@ -504,29 +494,13 @@ def update_to_meta(update: ClientUpdate) -> dict:
     }
 
 
-def update_row(update: ClientUpdate, layout: "StateLayout") -> np.ndarray:
-    """The update's packed float64 row (packing the state if needed).
-
-    Buffer rows are checkpointed at float64, not the wire dtype: a
-    noise-corrupted row awaiting admission holds float64 perturbations
-    that a float32 round-trip would alter, breaking resume bit-identity.
-    Server rows — always ``layout.round_trip`` results — are the ones
-    stored at wire dtype, by the strategy payload hooks.
-    """
-    if update.flat is not None:
-        return np.asarray(update.flat, dtype=np.float64)
-    return layout.pack(update.state)
-
-
-def rebuild_update(meta: Mapping, row: np.ndarray, layout: "StateLayout") -> ClientUpdate:
-    """Inverse of :func:`update_to_meta`/:func:`update_row`."""
-    flat = np.asarray(row, dtype=np.float64)
+def rebuild_update(meta: Mapping, row: np.ndarray) -> ClientUpdate:
+    """Inverse of :func:`update_to_meta` plus the update's checkpointed row."""
     return ClientUpdate(
         client_id=int(meta["client_id"]),
-        state=LazyStateView(flat, layout),
+        flat=np.asarray(row, dtype=np.float64),
         n_samples=int(meta["n_samples"]),
         mean_loss=float(meta["mean_loss"]),
         n_batches=int(meta["n_batches"]),
-        flat=flat,
         weight=None if meta["weight"] is None else float(meta["weight"]),
     )

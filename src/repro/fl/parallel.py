@@ -8,11 +8,10 @@ statelessly via :func:`repro.utils.rng.rng_for`, so execution order and
 worker count cannot change the outcome.
 
 All executors move model states as *packed vectors* (see
-:mod:`repro.nn.state_flat`): the broadcast state is packed once per
-round (not once per client — broadcast tasks share one state object),
-and every returned :class:`ClientUpdate` carries its ``flat`` vector so
-the server can aggregate with a single GEMV without repacking.  Packing
-is exact, so the flat transport changes no numbers.
+:mod:`repro.nn.state_flat`): a task's payload is a packed row (broadcast
+tasks share one row object, so it is converted and encoded once per
+round, not once per client), and every returned :class:`ClientUpdate`
+carries its ``flat`` row so the server can aggregate with a single GEMV.
 
 Three executors:
 
@@ -33,13 +32,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.fl.client import ClientUpdate, run_client_update_flat
 from repro.fl.communication import decode_flat_payload, encode_flat_payload
-from repro.nn.state_flat import LazyStateView
 from repro.utils.rng import rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,10 +57,10 @@ __all__ = [
 class UpdateTask:
     """One client's work order for a round.
 
-    ``state`` may be shared across tasks (the broadcast case); executors
-    pack each distinct state object once.  ``flat`` short-circuits that
-    packing when the caller already holds the packed vector — flat-plane
-    algorithms pass only ``flat`` and leave ``state`` as ``None``.
+    ``flat`` is the packed state the client starts from.  Broadcast
+    tasks share one row object; executors convert and encode each
+    distinct object once, and the batched executor trains the tasks that
+    share one as a lockstep cohort.
 
     ``max_steps`` caps this client's local SGD at that many total steps
     (``None`` = the training config's own schedule).  The round engine's
@@ -74,17 +72,11 @@ class UpdateTask:
     """
 
     client_id: int
-    state: Mapping[str, np.ndarray] | None = None
+    flat: np.ndarray
     prox_mu: float = 0.0
-    flat: np.ndarray | None = None
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.state is None and self.flat is None:
-            raise ValueError(
-                f"task for client {self.client_id} needs a state dict or a "
-                "packed flat vector"
-            )
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(
                 f"task for client {self.client_id}: max_steps must be >= 0, "
@@ -194,30 +186,19 @@ class InFlightBuffer:
         return len(self._pending)
 
 
-def _pack_tasks(
-    env: "FederatedEnv", tasks: Sequence[UpdateTask]
-) -> list[np.ndarray]:
-    """Packed incoming vector per task, packing shared states only once."""
+def _pack_tasks(tasks: Sequence[UpdateTask]) -> list[np.ndarray]:
+    """Float64 incoming vector per task, converting shared rows only once.
+
+    Memoised by payload object id: the batched executor's cohort
+    grouping relies on the conversion preserving object sharing.
+    """
     memo: dict[int, np.ndarray] = {}
     vectors = []
     for task in tasks:
-        # Memoised by payload object id either way: shared states pack
-        # once, and a shared non-float64 ``flat`` converts once — the
-        # batched executor's cohort grouping relies on the conversion
-        # preserving object sharing.
-        if task.flat is not None:
-            key = id(task.flat)
-            vec = memo.get(key)
-            if vec is None:
-                vec = np.asarray(task.flat, dtype=np.float64)
-                memo[key] = vec
-            vectors.append(vec)
-            continue
-        key = id(task.state)
-        vec = memo.get(key)
+        vec = memo.get(id(task.flat))
         if vec is None:
-            vec = env.layout.pack(task.state)
-            memo[key] = vec
+            vec = np.asarray(task.flat, dtype=np.float64)
+            memo[id(task.flat)] = vec
         vectors.append(vec)
     return vectors
 
@@ -250,14 +231,12 @@ def _zero_budget_update(
     rounded through the parameter dtypes (``layout.round_trip``), the
     loss is 0 over 0 batches.
     """
-    flat = env.layout.round_trip(vector)
     return ClientUpdate(
         client_id=task.client_id,
-        state=LazyStateView(flat, env.layout),
+        flat=env.layout.round_trip(vector),
         n_samples=len(env.federation.clients[task.client_id].train),
         mean_loss=0.0,
         n_batches=0,
-        flat=flat,
     )
 
 
@@ -288,7 +267,7 @@ class SerialClientExecutor:
     def run(
         self, env: "FederatedEnv", tasks: Sequence[UpdateTask], round_index: int
     ) -> list[ClientUpdate]:
-        vectors = _pack_tasks(env, tasks)
+        vectors = _pack_tasks(tasks)
         return [
             _run_flat(env, env.scratch_model, task, vec, round_index)
             for task, vec in zip(tasks, vectors)
@@ -392,7 +371,7 @@ class ProcessClientExecutor:
         self, env: "FederatedEnv", tasks: Sequence[UpdateTask], round_index: int
     ) -> list[ClientUpdate]:
         pool = self._ensure_pool(env)
-        vectors = _pack_tasks(env, tasks)
+        vectors = _pack_tasks(tasks)
         # Broadcast tasks share one packed vector; encode each distinct
         # vector once (mirrors _pack_tasks's memo).
         encoded: dict[int, bytes] = {}
@@ -416,15 +395,13 @@ class ProcessClientExecutor:
         for client_id, buf, n_samples, mean_loss, n_batches in pool.map(
             _process_worker_run, payload
         ):
-            flat = decode_flat_payload(buf, env.layout)
             updates.append(
                 ClientUpdate(
                     client_id=client_id,
-                    state=LazyStateView(flat, env.layout),
+                    flat=decode_flat_payload(buf, env.layout),
                     n_samples=n_samples,
                     mean_loss=mean_loss,
                     n_batches=n_batches,
-                    flat=flat,
                 )
             )
         return updates
@@ -438,7 +415,7 @@ class ProcessClientExecutor:
 class BatchedClientExecutor:
     """Train whole cohorts in lockstep on the flat plane.
 
-    Tasks are grouped by their broadcast state (the packed-vector object,
+    Tasks are grouped by their broadcast row (the packed-vector object,
     mirroring ``_pack_tasks``'s sharing memo) and proximal coefficient;
     each group is one cohort for
     :func:`repro.fl.train_flat.train_cohort_flat`, which runs the
@@ -469,7 +446,7 @@ class BatchedClientExecutor:
     ) -> list[ClientUpdate]:
         from repro.fl.train_flat import supports_batched, train_cohort_flat
 
-        vectors = _pack_tasks(env, tasks)
+        vectors = _pack_tasks(tasks)
         batchable = supports_batched(env.scratch_model)
         self.last_dispatch = {"batched": 0, "serial": 0}
         results: dict[int, ClientUpdate] = {}
@@ -481,7 +458,7 @@ class BatchedClientExecutor:
             ]
         # Cohorts: tasks sharing a broadcast vector and prox_mu train as
         # one lockstep group (a group of one is still batched — results
-        # must not depend on how callers happen to share state objects).
+        # must not depend on how callers happen to share row objects).
         groups: dict[tuple[int, float], list[int]] = {}
         for i, (task, vec) in enumerate(zip(tasks, vectors)):
             groups.setdefault((id(vec), task.prox_mu), []).append(i)

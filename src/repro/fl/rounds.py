@@ -143,7 +143,6 @@ from repro.fl.defense import (
     maybe_corrupt,
     rebuild_update,
     save_checkpoint,
-    update_row,
     update_to_meta,
 )
 from repro.fl.history import RoundRecord, RunHistory
@@ -1021,11 +1020,8 @@ class RoundEngine:
         corruption = self.scenario.corruption
         if corruption is None or corruption.rate <= 0.0 or not updates:
             return updates
-        env = self.env
-        return [
-            maybe_corrupt(u, env.seed, round_index, corruption, env.layout)
-            for u in updates
-        ]
+        seed = self.env.seed
+        return [maybe_corrupt(u, seed, round_index, corruption) for u in updates]
 
     def _admit(
         self, updates: list[ClientUpdate], round_index: int
@@ -1033,9 +1029,7 @@ class RoundEngine:
         """Admission middleware: quarantine rows the server won't fold."""
         if not self.admission_active:
             return updates, []
-        admitted, rejected = admit_updates(
-            updates, self.env.layout, self.scenario.norm_bound
-        )
+        admitted, rejected = admit_updates(updates, self.scenario.norm_bound)
         if rejected:
             self.quarantine_log.append((round_index, rejected))
             self._quarantined_this_round += len(rejected)
@@ -1401,7 +1395,6 @@ class RoundEngine:
                 )
             path = self.scenario.checkpoint.path
         env = self.env
-        layout = env.layout
         meta, strategy_arrays = strategy.checkpoint_payload(self)
         arrays: dict[str, np.ndarray] = {
             f"strategy/{name}": array for name, array in strategy_arrays.items()
@@ -1409,8 +1402,13 @@ class RoundEngine:
 
         def updates_meta(name: str, entries: list) -> list[dict]:
             # (extra metadata, update) pairs: the metadata goes in the
-            # header, the rows in one array blob.
-            rows = [update_row(update, layout) for _, update in entries]
+            # header, the rows in one array blob.  Rows stay float64, not
+            # the wire dtype: a noise-corrupted row awaiting admission
+            # holds float64 perturbations that a float32 round-trip would
+            # alter, breaking resume bit-identity.  Server rows (always
+            # ``round_trip`` results) are stored at wire dtype by the
+            # strategy payload hooks.
+            rows = [np.asarray(u.flat, dtype=np.float64) for _, u in entries]
             arrays[f"{name}_rows"] = (
                 np.stack(rows)
                 if rows
@@ -1555,7 +1553,6 @@ class RoundEngine:
         history.records[:] = [
             RoundRecord(**record) for record in header["history"]["records"]
         ]
-        layout = env.layout
         if "buffer" in header:
             buffered = list(zip(header["buffer"], arrays["buffer_rows"]))
         else:  # version 1; at most one of the two is non-empty
@@ -1566,7 +1563,7 @@ class RoundEngine:
             sent = entry.get("dispatch_round", entry.get("produced_round"))
             self._buffer[int(entry["client_id"])] = (
                 int(sent),
-                rebuild_update(entry, row, layout),
+                rebuild_update(entry, row),
             )
         self._in_flight.restore(
             [
@@ -1574,7 +1571,7 @@ class RoundEngine:
                     int(entry["done"]),
                     int(entry["seq"]),
                     int(entry["dispatch_round"]),
-                    rebuild_update(entry, row, layout),
+                    rebuild_update(entry, row),
                 )
                 for entry, row in zip(
                     header["in_flight"], arrays["in_flight_rows"]

@@ -20,8 +20,8 @@ parameter dtype, the round-tripped row embeds losslessly, so
 
     ``store.get(cid) == layout.round_trip(row)``  (bit for bit)
 
-for *any* float64 input row — exactly what the historical dict path
-(``dict(update.state)`` = ``unpack(flat)``) produced.  DenseStore and
+for *any* float64 input row — exactly what a model holds after loading
+that row (``unpack_state(row)`` repacked).  DenseStore and
 ShardedStore therefore agree bit-for-bit with each other and with every
 pre-store seed pin, including rows corrupted by float64 noise.
 
@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.fl.aggregation import _normalized_weights
-from repro.nn.state_flat import LazyStateView, StateLayout
+from repro.nn.state_flat import StateLayout
 
 __all__ = [
     "STORE_KINDS",
@@ -171,10 +171,6 @@ class ClientStateStore:
         for i, cid in enumerate(ids):
             out[i] = self._read_row(cid)
         return out
-
-    def state_view(self, client_id: int) -> LazyStateView:
-        """Mapping view of one client's state (for evaluation paths)."""
-        return LazyStateView(self.get(client_id), self.layout)
 
     # ------------------------------------------------------------------
     # Storage primitives (subclass responsibility)

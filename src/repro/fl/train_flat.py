@@ -29,9 +29,7 @@ Pipeline per cohort:
    or multiplied against the broadcast weight again.
 3. **Emit** — final per-client states are materialised straight into a
    ``(n_clients, n_params)`` float64 matrix; each
-   :class:`~repro.fl.client.ClientUpdate` carries its row as ``flat``
-   and a lazy mapping view as ``state`` — no dict is built unless a
-   consumer actually asks for one.
+   :class:`~repro.fl.client.ClientUpdate` carries its row as ``flat``.
 
 Parity contract: per-client updates match the serial trainer
 (:func:`repro.fl.client.run_client_update_flat`) to float summation
@@ -61,7 +59,7 @@ from repro.nn.batched import (
     flush_cohort,
     supports_batched,
 )
-from repro.nn.state_flat import LazyStateView, StateLayout
+from repro.nn.state_flat import StateLayout
 from repro.utils.rng import rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,7 +272,7 @@ def train_cohort_flat(
     ``env.train_cfg`` — the batched equivalent of calling
     :func:`repro.fl.client.run_client_update_flat` per client with the
     same ``rng_for`` streams.  Returns updates in ``client_ids`` order,
-    each carrying its packed row (``flat``) and a lazy ``state`` view.
+    each carrying its packed row (``flat``).
 
     ``max_steps`` is an optional per-client total-step cap (aligned
     with ``client_ids``; the scenario compute-budget path) — budgeted
@@ -388,15 +386,13 @@ def train_cohort_flat(
 
     updates = []
     for i, cid in enumerate(client_ids):
-        row = out[i]
         updates.append(
             ClientUpdate(
                 client_id=cid,
-                state=LazyStateView(row, layout),
+                flat=out[i],
                 n_samples=sizes[i],
                 mean_loss=float(total_loss[i] / n_batches[i]) if n_batches[i] else 0.0,
                 n_batches=int(n_batches[i]),
-                flat=row,
             )
         )
     return updates

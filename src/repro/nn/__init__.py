@@ -4,8 +4,8 @@ Implements what the FedClust reproduction needs from a deep-learning
 framework: a module tree with manual backpropagation, im2col
 convolutions, max pooling, ReLU, softmax cross-entropy, SGD (including
 the FedProx proximal variant), a model zoo (LeNet-5, MLP, VGG-style
-nets), state-dict arithmetic for federated aggregation, and the batched
-cohort mirror of the MLP path.
+nets), the packed parameter plane client states travel on, and the
+batched cohort mirror of the MLP path.
 """
 
 from repro.nn import batched, functional, init, state, state_flat
@@ -24,7 +24,6 @@ from repro.nn.models import (
 )
 from repro.nn.module import Module, Sequential
 from repro.nn.state_flat import (
-    LazyStateView,
     StateLayout,
     pack_state,
     pack_states,
@@ -41,7 +40,6 @@ __all__ = [
     "state",
     "state_flat",
     "StateLayout",
-    "LazyStateView",
     "pack_state",
     "pack_states",
     "unpack_keys",

@@ -18,10 +18,10 @@ __all__ = ["SGD", "ProximalSGD"]
 
 
 class SGD:
-    """Stochastic gradient descent with momentum, weight decay, Nesterov.
+    """Stochastic gradient descent with momentum and weight decay.
 
     Matches the reference semantics: weight decay is added to the gradient
-    before the momentum update; Nesterov applies the velocity look-ahead.
+    before the momentum update.
     """
 
     def __init__(
@@ -30,7 +30,6 @@ class SGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         params = list(params)
         if not params:
@@ -41,13 +40,10 @@ class SGD:
             raise ValueError(f"momentum must be >= 0, got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.params = params
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: list[np.ndarray] | None = (
             [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
         )
@@ -66,20 +62,7 @@ class SGD:
             g = self._effective_grad(p)
             v *= self.momentum
             v += g
-            if self.nesterov:
-                p.data -= self.lr * (g + self.momentum * v)
-            else:
-                p.data -= self.lr * v
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def reset_state(self) -> None:
-        """Zero the momentum buffers (e.g. when a client gets a new model)."""
-        if self._velocity is not None:
-            for v in self._velocity:
-                v[...] = 0
+            p.data -= self.lr * v
 
 
 class ProximalSGD(SGD):
@@ -104,34 +87,15 @@ class ProximalSGD(SGD):
         self.mu = mu
         self._anchor: list[np.ndarray] | None = None
 
-    def set_anchor(self, anchor: Sequence[np.ndarray]) -> None:
-        """Fix the proximal anchor (one array per parameter, shape-matched)."""
-        anchor = [np.asarray(a) for a in anchor]
-        if len(anchor) != len(self.params):
-            raise ValueError(
-                f"anchor has {len(anchor)} arrays for {len(self.params)} parameters"
-            )
-        for a, p in zip(anchor, self.params):
-            if a.shape != p.data.shape:
-                raise ValueError(
-                    f"anchor shape {a.shape} mismatches parameter {p.data.shape}"
-                )
-        self._anchor = [a.copy() for a in anchor]
-
-    def set_anchor_from_params(self) -> None:
-        """Anchor at the parameters' current values (round start)."""
-        self._anchor = [p.data.copy() for p in self.params]
-
     def set_anchor_flat(self, vector: np.ndarray, layout) -> None:
         """Anchor at a packed state vector (the broadcast buffer).
 
         ``layout`` is the :class:`repro.nn.state_flat.StateLayout` of the
         model whose parameters this optimiser holds; parameter order must
         match the layout's key order (both are registration order).  Each
-        anchor is the corresponding slice cast to the parameter dtype, so
-        the values are exactly those :meth:`set_anchor_from_params` would
-        capture after loading ``vector`` into the model — without another
-        pass over per-parameter copies of the incoming dict.
+        anchor is a copy of the corresponding slice cast to the parameter
+        dtype, so the values are exactly the parameters a model holds
+        after loading ``vector``.
         """
         vector = np.asarray(vector)
         if len(layout.keys) != len(self.params):
@@ -153,7 +117,7 @@ class ProximalSGD(SGD):
     def step(self) -> None:
         if self.mu and self._anchor is None:
             raise RuntimeError(
-                "ProximalSGD.step() before set_anchor(); call it at round start"
+                "ProximalSGD.step() before set_anchor_flat(); call it at round start"
             )
         if self._velocity is None:
             anchors = self._anchor or [None] * len(self.params)

@@ -1,13 +1,13 @@
-"""State-dict arithmetic.
-
-Federated learning is, mechanically, arithmetic on named parameter
-dictionaries: differences (client updates), weighted averages
-(aggregation), norms (CFL's split criterion), and flattened views
-(FedClust's proximity matrix).  This module provides those primitives
-once, so every algorithm shares the same well-tested implementations.
+"""State-dict helpers.
 
 A *state* is an ordered ``dict[str, np.ndarray]`` as produced by
-:meth:`repro.nn.module.Module.state_dict`.
+:meth:`repro.nn.module.Module.state_dict`.  Client state crosses the FL
+stack as packed rows (:mod:`repro.nn.state_flat`); these helpers serve
+the paths that still read dicts: FedClust flattens a newcomer's selected
+weights and the dict-form weight matrix with :func:`flatten_state`, and
+the per-key reference aggregation
+(:func:`repro.fl.aggregation.weighted_average_dict`) accumulates with
+:func:`state_axpy`.
 """
 
 from __future__ import annotations
@@ -17,20 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-StateDict = "OrderedDict[str, np.ndarray]"
-
 __all__ = [
-    "state_copy",
     "state_zeros_like",
-    "state_add",
-    "state_sub",
-    "state_scale",
     "state_axpy",
-    "state_norm",
-    "state_dot",
     "flatten_state",
-    "unflatten_state",
-    "state_allclose",
     "check_same_keys",
 ]
 
@@ -49,37 +39,9 @@ def check_same_keys(states: Sequence[Mapping[str, np.ndarray]]) -> list[str]:
     return keys
 
 
-def state_copy(state: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
-    """Deep copy of a state dict."""
-    return OrderedDict((k, v.copy()) for k, v in state.items())
-
-
 def state_zeros_like(state: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
     """Zero-filled state with the same keys/shapes/dtypes."""
     return OrderedDict((k, np.zeros_like(v)) for k, v in state.items())
-
-
-def state_add(
-    a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]
-) -> "OrderedDict[str, np.ndarray]":
-    """Elementwise ``a + b``."""
-    check_same_keys([a, b])
-    return OrderedDict((k, a[k] + b[k]) for k in a)
-
-
-def state_sub(
-    a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]
-) -> "OrderedDict[str, np.ndarray]":
-    """Elementwise ``a - b`` (e.g. client update = local − global)."""
-    check_same_keys([a, b])
-    return OrderedDict((k, a[k] - b[k]) for k in a)
-
-
-def state_scale(
-    state: Mapping[str, np.ndarray], factor: float
-) -> "OrderedDict[str, np.ndarray]":
-    """Elementwise ``factor * state``."""
-    return OrderedDict((k, v * factor) for k, v in state.items())
 
 
 def state_axpy(
@@ -90,31 +52,13 @@ def state_axpy(
         acc[k] += factor * v
 
 
-def state_norm(state: Mapping[str, np.ndarray]) -> float:
-    """Global L2 norm over all entries (CFL's split criterion)."""
-    total = 0.0
-    for v in state.values():
-        total += float(np.square(v, dtype=np.float64).sum())
-    return float(np.sqrt(total))
-
-
-def state_dot(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> float:
-    """Inner product over all entries (for cosine similarities)."""
-    check_same_keys([a, b])
-    total = 0.0
-    for k in a:
-        total += float(np.multiply(a[k], b[k], dtype=np.float64).sum())
-    return total
-
-
 def flatten_state(
     state: Mapping[str, np.ndarray], keys: Iterable[str] | None = None
 ) -> np.ndarray:
     """Concatenate (a subset of) the state into one float64 vector.
 
     ``keys`` selects and orders the entries; default is the state's own
-    order.  FedClust flattens the final-layer entries; CFL flattens the
-    whole update.
+    order.  FedClust flattens the final-layer entries.
     """
     names = list(keys) if keys is not None else list(state.keys())
     missing = [k for k in names if k not in state]
@@ -123,34 +67,3 @@ def flatten_state(
     if not names:
         raise ValueError("no keys selected to flatten")
     return np.concatenate([np.asarray(state[k], dtype=np.float64).ravel() for k in names])
-
-
-def unflatten_state(
-    vector: np.ndarray, template: Mapping[str, np.ndarray]
-) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of :func:`flatten_state` for a full-state vector."""
-    vector = np.asarray(vector)
-    total = sum(v.size for v in template.values())
-    if vector.shape != (total,):
-        raise ValueError(f"vector has shape {vector.shape}, expected ({total},)")
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    offset = 0
-    for k, v in template.items():
-        chunk = vector[offset : offset + v.size]
-        out[k] = chunk.reshape(v.shape).astype(v.dtype)
-        offset += v.size
-    return out
-
-
-def state_allclose(
-    a: Mapping[str, np.ndarray],
-    b: Mapping[str, np.ndarray],
-    rtol: float = 1e-5,
-    atol: float = 1e-7,
-) -> bool:
-    """True when two states match elementwise within tolerances."""
-    try:
-        check_same_keys([a, b])
-    except KeyError:
-        return False
-    return all(np.allclose(a[k], b[k], rtol=rtol, atol=atol) for k in a)

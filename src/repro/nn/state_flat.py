@@ -41,9 +41,12 @@ Layout invariants
    validates the key sequence and lets NumPy's shape rules reject the
    rest.  States from the same model always satisfy this.
 
-The dict API elsewhere in the library (``repro.nn.state``,
-``repro.fl.aggregation``) remains available as a thin compatibility
-view over these kernels.
+Client state crosses the FL stack (task payloads, client updates,
+aggregation, the client-state store, checkpoints) only in this packed
+form; state dicts appear where a model is loaded or saved, and in the
+per-key reference kernels (``repro.nn.state``,
+``repro.fl.aggregation.weighted_average_dict``) that tests and
+benchmarks compare the packed kernels against.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "StateLayout",
-    "LazyStateView",
     "pack_state",
     "pack_states",
     "unpack_state",
@@ -300,46 +302,6 @@ def unpack_state(
     ):
         out[key] = vector[lo:hi].reshape(shape).astype(dtype, copy=True)
     return out
-
-
-class LazyStateView(Mapping):
-    """A state-dict view over a packed row that unpacks on first access.
-
-    The flat plane's answer to the "last dict hop": executors and
-    trainers that hold a client's update as a packed float64 row can
-    expose the mapping API without paying :func:`unpack_state` — the
-    dict materialises only if a consumer actually iterates or indexes
-    it (compat paths, tests), and aggregation keeps reading ``flat``
-    rows directly.
-    """
-
-    __slots__ = ("_vector", "_layout", "_dict")
-
-    def __init__(self, vector: np.ndarray, layout: StateLayout) -> None:
-        self._vector = vector
-        self._layout = layout
-        self._dict: "OrderedDict[str, np.ndarray] | None" = None
-
-    def _materialize(self) -> "OrderedDict[str, np.ndarray]":
-        if self._dict is None:
-            self._dict = unpack_state(self._vector, self._layout)
-        return self._dict
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._layout.keys)
-
-    def __len__(self) -> int:
-        return len(self._layout.keys)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._layout._index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "materialized" if self._dict is not None else "lazy"
-        return f"LazyStateView({len(self)} keys, {status})"
 
 
 def unpack_keys(

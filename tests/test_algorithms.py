@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.base import fedavg_round, states_for_clients
+from repro.algorithms.base import fedavg_round_flat
 from repro.algorithms.cfl import CFL
 from repro.algorithms.fedavg import FedAvg
 from repro.algorithms.fedprox import FedProx
@@ -13,6 +13,7 @@ from repro.algorithms.ifca import IFCA
 from repro.algorithms.pacfl import PACFL
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.cluster.metrics import adjusted_rand_index
+from repro.fl.rounds import ScenarioConfig
 
 
 class TestRegistry:
@@ -42,37 +43,22 @@ class TestRegistry:
 
 class TestSharedHelpers:
     def test_fedavg_round_aggregates_and_accounts(self, small_env):
-        state = small_env.init_state()
+        vector = small_env.layout.pack(small_env.init_state())
         before_up = small_env.tracker.total_uploaded
-        new_state, loss, updates = fedavg_round(small_env, state, [0, 1, 2], 1)
-        assert set(new_state.keys()) == set(state.keys())
+        new_vector, loss, updates = fedavg_round_flat(small_env, vector, [0, 1, 2], 1)
+        assert new_vector.shape == vector.shape
         assert np.isfinite(loss)
         assert len(updates) == 3
         assert small_env.tracker.total_uploaded - before_up == 3 * small_env.n_params
 
     def test_fedavg_round_empty_members_raises(self, small_env):
         with pytest.raises(ValueError, match="at least one"):
-            fedavg_round(small_env, small_env.init_state(), [], 1)
-
-    def test_states_for_clients(self, rng):
-        states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]
-        labels = np.array([1, 0, 1])
-        expanded = states_for_clients(states, labels)
-        assert expanded[0] is states[1]
-        assert expanded[1] is states[0]
-
-    def test_states_for_clients_bad_labels(self):
-        with pytest.raises(ValueError, match="outside"):
-            states_for_clients([{"w": np.zeros(1)}], np.array([0, 1]))
+            fedavg_round_flat(
+                small_env, small_env.layout.pack(small_env.init_state()), [], 1
+            )
 
 
 class TestConstructionValidation:
-    def test_fedavg_fraction(self):
-        with pytest.raises(ValueError):
-            FedAvg(client_fraction=0.0)
-        with pytest.raises(ValueError):
-            FedAvg(client_fraction=1.5)
-
     def test_fedprox_mu(self):
         with pytest.raises(ValueError):
             FedProx(mu=-1.0)
@@ -151,7 +137,12 @@ class TestShortRuns:
         assert result.final_accuracy > 0.15
 
     def test_fedavg_client_fraction_runs(self, small_env):
-        result = FedAvg(client_fraction=0.5).run(small_env, n_rounds=2, eval_every=2)
+        result = FedAvg().run(
+            small_env,
+            n_rounds=2,
+            eval_every=2,
+            scenario=ScenarioConfig(client_fraction=0.5),
+        )
         assert result.history.records[0].n_participants == 4
 
     def test_ifca_download_is_k_times(self, small_env):

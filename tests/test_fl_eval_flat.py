@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.base import evaluate_assignment, fedavg_round
-from repro.fl.aggregation import weighted_average
+from repro.algorithms.base import fedavg_round_flat
 from repro.fl.eval_flat import (
     evaluate_grouped,
     evaluate_packed,
@@ -296,7 +295,7 @@ class TestEnvGroupedEval:
         m = small_env.federation.n_clients
         labels = np.arange(m, dtype=np.int64) % 2
         testsets = [c.test for c in small_env.federation.clients]
-        got_mean, got = evaluate_assignment(small_env, states, labels)
+        got_mean, got = small_env.evaluate_assignment(states, labels)
         ref_mean, ref = mean_local_accuracy(
             small_env.scratch_model,
             [states[g] for g in labels],
@@ -321,29 +320,6 @@ class TestEnvGroupedEval:
         with pytest.raises(ValueError, match="columns"):
             small_env.evaluate_packed(
                 np.zeros((2, 3)), np.zeros(m, dtype=np.int64)
-            )
-
-
-# ----------------------------------------------------------------------
-# weighted_average compat view: matrix reuse (the BENCH_kernels fix)
-# ----------------------------------------------------------------------
-class TestWeightedAverageMatrixReuse:
-    def test_matrix_reuse_bit_identical(self, model, rng):
-        states = _perturbed_states(model, rng, 5)
-        layout = StateLayout.from_model(model)
-        weights = rng.integers(1, 20, size=5).astype(np.float64)
-        matrix, _ = pack_states(states, layout)
-        packed_path = weighted_average(states, weights, layout, matrix=matrix)
-        repack_path = weighted_average(states, weights, layout)
-        for k in packed_path:
-            np.testing.assert_array_equal(packed_path[k], repack_path[k])
-
-    def test_matrix_shape_validated(self, model, rng):
-        states = _perturbed_states(model, rng, 3)
-        layout = StateLayout.from_model(model)
-        with pytest.raises(ValueError, match="matrix"):
-            weighted_average(
-                states, np.ones(3), layout, matrix=np.zeros((3, 5))
             )
 
 
@@ -402,16 +378,25 @@ class TestCFLFlatDeltas:
         config we ship — the bipartition and both split-criterion
         comparisons come out identical."""
         from repro.algorithms.cfl import CFL
-        from repro.nn.state import flatten_state, state_sub
+        from repro.nn.state import flatten_state
 
         env = small_env
         members = np.arange(env.federation.n_clients)
         incoming = env.init_state()
-        _, _, updates = fedavg_round(env, incoming, members, round_index=1)
+        vector = env.layout.pack(incoming)
+        _, _, updates = fedavg_round_flat(env, vector, members, round_index=1)
 
-        flat_deltas = np.stack([u.flat for u in updates]) - env.layout.pack(incoming)
+        flat_deltas = np.stack([u.flat for u in updates]) - vector
         dict_deltas = np.stack(
-            [flatten_state(state_sub(u.state, incoming)) for u in updates]
+            [
+                flatten_state(
+                    {
+                        k: v - incoming[k]
+                        for k, v in unpack_state(u.flat, env.layout).items()
+                    }
+                )
+                for u in updates
+            ]
         )
         np.testing.assert_allclose(flat_deltas, dict_deltas, rtol=1e-5, atol=1e-6)
 

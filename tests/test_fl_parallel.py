@@ -13,11 +13,10 @@ from repro.fl.parallel import (
     make_executor,
 )
 from repro.fl.simulation import FederatedEnv
-from repro.nn.state import state_allclose
 
 
 def _tasks(env):
-    init = env.init_state()
+    init = env.layout.pack(env.init_state())
     return [UpdateTask(cid, init) for cid in range(env.federation.n_clients)]
 
 
@@ -31,19 +30,19 @@ class TestExecutorEquivalence:
         finally:
             proc_exec.close()
         for s, p in zip(serial, processed):
-            assert state_allclose(s.state, p.state, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(s.flat, p.flat, rtol=1e-6, atol=1e-7)
 
     def test_serial_is_deterministic_across_calls(self, small_env):
         a = SerialClientExecutor().run(small_env, _tasks(small_env), 1)
         b = SerialClientExecutor().run(small_env, _tasks(small_env), 1)
         for ua, ub in zip(a, b):
-            assert state_allclose(ua.state, ub.state, rtol=0, atol=0)
+            np.testing.assert_allclose(ua.flat, ub.flat, rtol=0, atol=0)
 
     def test_round_index_changes_stream(self, small_env):
         a = SerialClientExecutor().run(small_env, _tasks(small_env), 1)
         b = SerialClientExecutor().run(small_env, _tasks(small_env), 2)
         # Different round → different shuffling → (almost surely) different state.
-        assert not state_allclose(a[0].state, b[0].state)
+        assert not np.allclose(a[0].flat, b[0].flat, rtol=1e-5, atol=1e-7)
 
 
 class TestFlatTransportParity:
@@ -51,8 +50,8 @@ class TestFlatTransportParity:
 
     Each executor ships packed vectors (the process pool additionally
     wire-encodes them), so the guarantee under test is strict: the
-    per-client flat updates, the unpacked state dicts AND the aggregated
-    round result must be *byte-identical* across executor kinds.
+    per-client flat updates AND the aggregated round result must be
+    *byte-identical* across executor kinds.
     """
 
     @staticmethod
@@ -70,8 +69,9 @@ class TestFlatTransportParity:
     def test_updates_carry_consistent_flat(self, small_env):
         updates, _ = self._round(small_env, SerialClientExecutor())
         for u in updates:
-            assert u.flat is not None and u.flat.dtype == np.float64
-            np.testing.assert_array_equal(u.flat, small_env.layout.pack(u.state))
+            assert u.flat.dtype == np.float64
+            # The row is a packed model state: exact at the parameter dtypes.
+            np.testing.assert_array_equal(u.flat, small_env.layout.round_trip(u.flat))
 
     @pytest.mark.slow
     def test_process_round_byte_identical(self, small_env):
@@ -83,7 +83,6 @@ class TestFlatTransportParity:
             assert s.client_id == p.client_id
             assert s.mean_loss == p.mean_loss
             np.testing.assert_array_equal(s.flat, p.flat)
-            assert state_allclose(s.state, p.state, rtol=0, atol=0)
         np.testing.assert_array_equal(serial_vec, process_vec)
 
     @pytest.mark.slow
@@ -120,7 +119,7 @@ class TestFlatTransportParity:
     @pytest.mark.slow
     def test_process_prox_round_byte_identical(self, small_env):
         """FedProx's flat anchor must not perturb process-pool results."""
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         tasks = [
             UpdateTask(cid, init, prox_mu=0.1)
             for cid in range(small_env.federation.n_clients)
@@ -137,14 +136,14 @@ class TestFlatTransportParity:
 
 class TestEnvDispatch:
     def test_run_updates_rejects_duplicates(self, small_env):
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         with pytest.raises(ValueError, match="duplicate"):
             small_env.run_updates(
                 [UpdateTask(0, init), UpdateTask(0, init)], 1
             )
 
     def test_run_updates_rejects_bad_ids(self, small_env):
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         with pytest.raises(ValueError, match="out of range"):
             small_env.run_updates([UpdateTask(99, init)], 1)
 

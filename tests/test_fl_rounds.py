@@ -148,20 +148,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="min_clients"):
             RoundEngine(env, ScenarioConfig(min_clients=9, client_fraction=0.5))
 
-    def test_fedavg_constructor_fraction_merges_with_scenario(self, env_factory):
-        """Adding failure injection must not silently revert a
-        configured client fraction to full participation."""
-        from repro.algorithms.fedavg import FedAvg
-
-        algo = FedAvg(client_fraction=0.5)
-        merged = algo._scenario(ScenarioConfig(failure_rate=0.2))
-        assert merged.client_fraction == 0.5
-        assert merged.failure_rate == 0.2
-        # Same fraction in both places is fine; different is a loud error.
-        assert algo._scenario(ScenarioConfig(client_fraction=0.5)).client_fraction == 0.5
-        with pytest.raises(ValueError, match="conflicting client fractions"):
-            algo._scenario(ScenarioConfig(client_fraction=0.25))
-
 
 # ----------------------------------------------------------------------
 # Middleware semantics (one dispatched round each)
@@ -442,7 +428,8 @@ class TestArrivals:
 
     def test_fedclust_onboards_arrival_as_newcomer(self, env_factory, federation):
         env = env_factory(local_epochs=1)
-        result = make_algorithm("fedclust", **_KWARGS["fedclust"]).run(
+        algo = make_algorithm("fedclust", **_KWARGS["fedclust"])
+        result = algo.run(
             env, n_rounds=3, scenario=ScenarioConfig(arrivals={7: 2})
         )
         fitted = result.extras["fitted"]
@@ -456,6 +443,13 @@ class TestArrivals:
         ]
         expected = int(np.bincount(result.cluster_labels[peers]).argmax())
         assert result.cluster_labels[7] == expected
+        # Mid-run arrivals and the serving API run one newcomer path.
+        served, _ = algo.incorporate_newcomer(
+            env, fitted, federation.clients[7].train, newcomer_id=7
+        )
+        onboarded = result.extras["onboarded"][7]
+        assert served.cluster == onboarded.cluster
+        np.testing.assert_array_equal(served.distances, onboarded.distances)
 
 
 # ----------------------------------------------------------------------

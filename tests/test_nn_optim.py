@@ -7,10 +7,16 @@ import pytest
 
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.parameter import Parameter
+from repro.nn.state_flat import StateLayout
 
 
 def _param(value) -> Parameter:
     return Parameter(np.array(value, dtype=np.float64))
+
+
+def _layout(*params: Parameter) -> StateLayout:
+    """The packed layout of ``params`` (one key each, in order)."""
+    return StateLayout.from_state({f"p{i}": p.data for i, p in enumerate(params)})
 
 
 class TestSGD:
@@ -37,29 +43,6 @@ class TestSGD:
         opt.step()  # v=1.5, p=-2.5
         np.testing.assert_allclose(p.data, [-2.5])
 
-    def test_nesterov_lookahead(self):
-        p = _param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.5, nesterov=True)
-        p.grad[:] = [1.0]
-        opt.step()  # v=1; p -= g + 0.5*v = 1.5
-        np.testing.assert_allclose(p.data, [-1.5])
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError, match="nesterov"):
-            SGD([_param([0.0])], lr=0.1, nesterov=True)
-
-    def test_reset_state(self):
-        p = _param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad[:] = [1.0]
-        opt.step()
-        opt.reset_state()
-        p.grad[:] = [1.0]
-        opt.step()
-        # After reset the second step must not compound the old velocity:
-        # p = -1 (first) - 1 (fresh v) = -2, not -2.9.
-        np.testing.assert_allclose(p.data, [-2.0])
-
     def test_in_place_update(self):
         p = _param([1.0])
         buffer = p.data
@@ -75,19 +58,12 @@ class TestSGD:
         with pytest.raises(ValueError, match="momentum"):
             SGD([_param([0.0])], lr=0.1, momentum=-1)
 
-    def test_zero_grad(self):
-        p = _param([0.0])
-        opt = SGD([p], lr=0.1)
-        p.grad[:] = [3.0]
-        opt.zero_grad()
-        assert not p.grad.any()
-
 
 class TestProximalSGD:
     def test_proximal_pull_toward_anchor(self):
         p = _param([2.0])
         opt = ProximalSGD([p], lr=0.1, mu=1.0)
-        opt.set_anchor([np.array([0.0])])
+        opt.set_anchor_flat(np.array([0.0]), _layout(p))
         p.grad[:] = [0.0]
         opt.step()
         # grad_eff = mu*(w - anchor) = 2 → step -0.2
@@ -96,7 +72,7 @@ class TestProximalSGD:
     def test_anchor_at_params(self):
         p = _param([3.0])
         opt = ProximalSGD([p], lr=0.1, mu=10.0)
-        opt.set_anchor_from_params()
+        opt.set_anchor_flat(p.data, _layout(p))
         p.grad[:] = [1.0]
         opt.step()
         # At the anchor the proximal term vanishes: pure gradient step.
@@ -119,17 +95,18 @@ class TestProximalSGD:
             opt.step()
 
     def test_anchor_validation(self):
-        opt = ProximalSGD([_param([0.0, 1.0])], lr=0.1, mu=0.5)
-        with pytest.raises(ValueError, match="anchor"):
-            opt.set_anchor([np.zeros(3)])
-        with pytest.raises(ValueError, match="anchor"):
-            opt.set_anchor([np.zeros(2), np.zeros(2)])
+        p = _param([0.0, 1.0])
+        opt = ProximalSGD([p], lr=0.1, mu=0.5)
+        with pytest.raises(ValueError, match="mismatches"):
+            opt.set_anchor_flat(np.zeros(3), _layout(_param([0.0, 1.0, 2.0])))
+        with pytest.raises(ValueError, match="entries"):
+            opt.set_anchor_flat(np.zeros(4), _layout(p, p))
 
     def test_anchor_is_copied(self):
         p = _param([1.0])
         anchor = np.array([0.5])
         opt = ProximalSGD([p], lr=0.1, mu=1.0)
-        opt.set_anchor([anchor])
+        opt.set_anchor_flat(anchor, _layout(p))
         anchor[:] = 100.0  # mutating the caller's array must not matter
         p.grad[:] = [0.0]
         opt.step()
@@ -138,7 +115,7 @@ class TestProximalSGD:
     def test_momentum_with_prox(self):
         p = _param([1.0])
         opt = ProximalSGD([p], lr=0.1, mu=1.0, momentum=0.5)
-        opt.set_anchor([np.array([0.0])])
+        opt.set_anchor_flat(np.array([0.0]), _layout(p))
         p.grad[:] = [0.0]
         opt.step()  # g_eff=1, v=1, p=0.9
         np.testing.assert_allclose(p.data, [0.9])

@@ -3,7 +3,7 @@
 The invariants under test are the ones the hot paths rely on (see the
 ``repro.nn.state_flat`` module docstring): packing is an exact bijection
 onto the float64 plane, key subsets are column runs, and the packed
-aggregation kernel is bit-identical to the dict API built over it.
+aggregation kernel matches the per-key reference loop.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import (
-    packed_weighted_average,
-    weighted_average,
-    weighted_average_dict,
-)
+from repro.fl.aggregation import packed_weighted_average, weighted_average_dict
 from repro.fl.communication import (
     decode_flat_payload,
     encode_flat_payload,
@@ -174,7 +170,7 @@ class TestPackUnpack:
         with pytest.raises(ValueError, match="shape"):
             pack_state(bad, layout)
         with pytest.raises(ValueError, match="shape"):
-            weighted_average([state, bad], [1, 1])
+            pack_states([state, bad])
 
     def test_pack_states_cohort(self, rng):
         template = _mixed_state(rng)
@@ -228,29 +224,14 @@ class TestPackUnpack:
 
 
 class TestPackedWeightedAverage:
-    def test_bit_identical_to_dict_api(self, rng):
-        """The dict API is a view over the packed kernel — exact equality."""
-        template = _mixed_state(rng)
-        for n in (1, 3, 16):
-            states = [_like(template, rng) for _ in range(n)]
-            weights = rng.integers(1, 50, size=n)
-            matrix, layout = pack_states(states)
-            packed = unpack_state(
-                packed_weighted_average(matrix, weights), layout
-            )
-            via_dict = weighted_average(states, weights)
-            assert list(packed) == list(via_dict)
-            for k in packed:
-                assert packed[k].dtype == via_dict[k].dtype
-                np.testing.assert_array_equal(packed[k], via_dict[k])
-
     def test_matches_legacy_loop(self, rng):
         """GEMV vs the per-key reference loop: equal to float64 round-off."""
         template = _mixed_state(rng)
         states = [_like(template, rng) for _ in range(8)]
         weights = rng.integers(1, 50, size=8)
         legacy = weighted_average_dict(states, weights)
-        packed = weighted_average(states, weights)
+        matrix, layout = pack_states(states)
+        packed = unpack_state(packed_weighted_average(matrix, weights), layout)
         for k in legacy:
             np.testing.assert_allclose(
                 packed[k].astype(np.float64),
@@ -261,11 +242,11 @@ class TestPackedWeightedAverage:
 
     def test_weight_normalisation_identical(self, rng):
         template = _mixed_state(rng)
-        states = [_like(template, rng) for _ in range(3)]
-        out = weighted_average(states, [2, 2, 2])
-        uniform = weighted_average(states, [1, 1, 1])
-        for k in out:
-            np.testing.assert_array_equal(out[k], uniform[k])
+        matrix, _ = pack_states([_like(template, rng) for _ in range(3)])
+        np.testing.assert_array_equal(
+            packed_weighted_average(matrix, [2, 2, 2]),
+            packed_weighted_average(matrix, [1, 1, 1]),
+        )
 
     def test_packed_validation(self, rng):
         X = rng.standard_normal((3, 10))
@@ -350,13 +331,12 @@ class TestFlatProxAnchor:
         layout = StateLayout.from_model(model)
         vec = pack_state(model.state_dict(), layout)
 
-        opt_a = ProximalSGD(model.parameters(), lr=0.1, mu=0.5)
-        opt_a.set_anchor_from_params()
+        loaded = [p.data.copy() for p in model.parameters()]
         opt_b = ProximalSGD(model.parameters(), lr=0.1, mu=0.5)
         opt_b.set_anchor_flat(vec, layout)
 
-        assert len(opt_a._anchor) == len(opt_b._anchor)
-        for a, b, p in zip(opt_a._anchor, opt_b._anchor, model.parameters()):
+        assert len(loaded) == len(opt_b._anchor)
+        for a, b, p in zip(loaded, opt_b._anchor, model.parameters()):
             assert b.dtype == p.data.dtype
             np.testing.assert_array_equal(a, b)
 

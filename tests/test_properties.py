@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +20,8 @@ from repro.cluster.metrics import (
     purity,
 )
 from repro.data.partition import check_partition, dirichlet_partition, iid_partition
-from repro.fl.aggregation import weighted_average
+from repro.fl.aggregation import packed_weighted_average
 from repro.nn.functional import one_hot, softmax
-from repro.nn.state import flatten_state, state_allclose, unflatten_state
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -153,17 +150,14 @@ class TestPartitionProperties:
 
 class TestAggregationProperties:
     @staticmethod
-    def _states(values):
-        return [
-            OrderedDict([("w", np.full(3, float(v)))]) for v in values
-        ]
+    def _rows(values):
+        return np.array([np.full(3, float(v)) for v in values])
 
     @given(values=st.lists(st.floats(-10, 10), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_average_within_convex_hull(self, values):
-        states = self._states(values)
-        out = weighted_average(states, np.ones(len(values)))
-        assert min(values) - 1e-9 <= float(out["w"][0]) <= max(values) + 1e-9
+        out = packed_weighted_average(self._rows(values), np.ones(len(values)))
+        assert min(values) - 1e-9 <= float(out[0]) <= max(values) + 1e-9
 
     @given(
         value=st.floats(-10, 10),
@@ -172,24 +166,8 @@ class TestAggregationProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_identical_states_are_fixed_point(self, value, n, weights):
-        states = self._states([value] * n)
-        out = weighted_average(states, weights[:n])
-        np.testing.assert_allclose(out["w"], value, rtol=1e-9, atol=1e-9)
-
-
-class TestStateProperties:
-    @given(
-        data=arrays(
-            np.float32,
-            (4, 3),
-            elements=st.floats(-100, 100, allow_nan=False, width=32),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_flatten_unflatten_roundtrip(self, data):
-        state = OrderedDict([("a", data), ("b", data[0])])
-        back = unflatten_state(flatten_state(state), state)
-        assert state_allclose(back, state, rtol=0, atol=1e-6)
+        out = packed_weighted_average(self._rows([value] * n), weights[:n])
+        np.testing.assert_allclose(out, value, rtol=1e-9, atol=1e-9)
 
 
 class TestFunctionalProperties:
