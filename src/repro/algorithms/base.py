@@ -81,13 +81,39 @@ def tasks_for_groups(
 
 
 def cohort_matrix(env: FederatedEnv, updates: Sequence) -> np.ndarray:
-    """Stack a round's client updates' ``flat`` rows into one
-    ``(m, n_params)`` matrix.
+    """A round's client updates' ``flat`` rows as one ``(m, n_params)``
+    matrix.
+
+    Consecutive full rows, in order, of one C-contiguous float64 plane
+    (a batched cohort's emit plane) come back as a read-only view of it;
+    any other list is stacked into a fresh matrix.  Callers only read
+    the result, and the flag makes a write into rows that other updates
+    share raise.
 
     ``env`` is unused; it stays so the benchmark tracer's row counter,
     which reads the updates as the second argument, keeps its binding.
     """
-    return np.stack([u.flat for u in updates])
+    rows = [u.flat for u in updates]
+    plane = rows[0].base if rows else None
+    if (
+        isinstance(plane, np.ndarray)
+        and plane.ndim == 2
+        and plane.dtype == np.float64
+        and plane.flags.c_contiguous
+    ):
+        step = plane.strides[0]
+        first, offset = divmod(rows[0].ctypes.data - plane.ctypes.data, step)
+        if not offset and all(
+            row.base is plane
+            and row.shape == plane.shape[1:]
+            and row.flags.c_contiguous
+            and row.ctypes.data == plane.ctypes.data + (first + k) * step
+            for k, row in enumerate(rows)
+        ):
+            view = plane[first : first + len(rows)]
+            view.flags.writeable = False
+            return view
+    return np.stack(rows)
 
 
 def survivor_mean_loss(survivors: Sequence[ClientUpdate]) -> float:
@@ -241,9 +267,10 @@ class GlobalModelRounds(RoundStrategy):
         if not survivors:
             return float("nan")
         env = engine.env
-        # One GEMV over the stacked survivor updates; weights
-        # renormalise over whoever made the deadline (plus any stale
-        # arrivals, at their discounted weight).
+        # One GEMV over the survivors' packed rows (read in place when
+        # they are one batched cohort's); weights renormalise over
+        # whoever made the deadline (plus any stale arrivals, at their
+        # discounted weight).
         new_vector = survivor_weighted_average(
             env, survivors, **engine.robust_kwargs
         )
@@ -401,8 +428,8 @@ def fedavg_round_flat(
     env.tracker.record_download(env.n_params * len(members), phase)
     updates = env.run_updates(tasks, round_index)
     env.tracker.record_upload(env.n_params * len(members), phase)
-    # Aggregate on the flat plane: one GEMV over the stacked updates
-    # instead of a per-key loop over state dicts.
+    # Aggregate on the flat plane: one GEMV over the updates' packed
+    # rows instead of a per-key loop over state dicts.
     new_vector = packed_weighted_average(
         cohort_matrix(env, updates), [u.n_samples for u in updates]
     )

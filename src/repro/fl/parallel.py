@@ -423,6 +423,10 @@ class BatchedClientExecutor:
     streams and minibatch composition as the serial path, updates equal
     to float summation order (the parity suite gates it).
 
+    A batched update's ``flat`` is a view into its cohort's emit plane,
+    which aggregation reads in place, so a row a caller retains keeps
+    the whole plane alive: copy a row you keep.
+
     Architectures without a batched mirror (convolutional models) fall
     back **per task** to the serial reference kernel transparently;
     :attr:`last_dispatch` records the split so benchmarks can report the

@@ -222,8 +222,8 @@ def discounted_update(
     The input object is never mutated: buffers that observe the same
     update twice (async re-buffering, trace replay, a strategy keeping
     a reference) must not compound the discount.  The copy is shallow —
-    the flat row and state mapping are shared, which is safe because
-    aggregation only reads them.
+    the flat row is shared, which is safe because aggregation only
+    reads it.
     """
     import dataclasses
 
@@ -1274,6 +1274,10 @@ class RoundEngine:
                 ),
             )
             self._maybe_checkpoint(round_index, last_round)
+            # Drop this round's rows so their plane is freed before the
+            # next round trains; banked updates stay in the buffer and
+            # ledger.
+            updates = due = received = folded = update = None
         return mean_acc, per_client
 
     def _retry_for_quorum(

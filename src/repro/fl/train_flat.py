@@ -28,8 +28,9 @@ Pipeline per cohort:
    batch — a sample revisited in later local epochs is never gathered
    or multiplied against the broadcast weight again.
 3. **Emit** — final per-client states are materialised straight into a
-   ``(n_clients, n_params)`` float64 matrix; each
-   :class:`~repro.fl.client.ClientUpdate` carries its row as ``flat``.
+   ``(n_clients, n_params)`` float64 plane; each
+   :class:`~repro.fl.client.ClientUpdate` carries a view of its row as
+   ``flat``, and aggregation reads a whole cohort's rows in place.
 
 Parity contract: per-client updates match the serial trainer
 (:func:`repro.fl.client.run_client_update_flat`) to float summation

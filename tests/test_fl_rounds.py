@@ -19,6 +19,8 @@ Three contracts:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -1005,3 +1007,69 @@ class TestStoreIntegration:
             flat.per_client_accuracy,
             atol=0.05,
         )
+
+
+class TestRowLifetime:
+    """A round lets go of its updates' rows, so the batched executor's
+    emit plane is freed before the next round trains; a row the engine
+    banks keeps its values until it folds."""
+
+    @staticmethod
+    def _spy(env, record):
+        run = env.executor.run
+
+        def spy(env_, tasks, round_index):
+            updates = run(env_, tasks, round_index)
+            record(round_index, updates)
+            return updates
+
+        env.executor.run = spy
+
+    def test_each_round_frees_its_plane_before_the_next_trains(
+        self, env_factory
+    ):
+        env = env_factory("batched", local_epochs=1)
+        planes = []  # weak references: they keep no plane alive
+        alive = []  # earlier planes alive as each round's updates come back
+
+        def record(round_index, updates):
+            alive.append(sum(plane() is not None for plane in planes))
+            planes.append(weakref.ref(updates[0].flat.base))
+
+        self._spy(env, record)
+        make_algorithm("fedavg").run(env, n_rounds=3)
+        assert alive == [0, 0, 0]
+
+    def test_banked_straggler_row_folds_unchanged(self, env_factory):
+        env = env_factory("batched", local_epochs=1)
+        emitted = {}  # (dispatch round, client) -> copy of the trained row
+
+        def record(round_index, updates):
+            for update in updates:
+                emitted[round_index, update.client_id] = update.flat.copy()
+
+        self._spy(env, record)
+        scenario = ScenarioConfig(
+            client_fraction=0.5, straggler_rate=0.5, staleness_decay=0.5
+        )
+        engine = RoundEngine(env, scenario)
+        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        folded = []
+
+        def check(eng, out):
+            for update in out.survivors:
+                if update.client_id in out.stale:
+                    # A banked row is the client's latest earlier dispatch.
+                    sent = max(
+                        r
+                        for r, cid in emitted
+                        if cid == update.client_id and r < out.round_index
+                    )
+                    np.testing.assert_array_equal(
+                        update.flat, emitted[sent, update.client_id]
+                    )
+                    folded.append(update.client_id)
+
+        strategy.on_round_end = check
+        engine.run(strategy, 4, RunHistory("test", "x", 0))
+        assert folded, "the seeded scenario should fold a banked row"

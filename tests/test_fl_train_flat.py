@@ -8,7 +8,8 @@ for both weight representations (dense plane views and shared-base
 factored), for FedProx's anchored objective, under ragged dataset sizes
 with zero-weight padding, and end-to-end on the Table-I metric.
 Architectures without a batched mirror must route to the serial kernel
-bit-identically.
+bit-identically.  A cohort's rows are views into one emit plane that
+aggregation reads in place.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.base import cohort_matrix
 from repro.data.dataloader import DataLoader
 from repro.data.federation import build_federation
+from repro.fl.aggregation import packed_weighted_average
 from repro.fl.config import TrainConfig
+from repro.fl.defense import CorruptionConfig, maybe_corrupt
 from repro.fl.parallel import (
     BatchedClientExecutor,
     SerialClientExecutor,
@@ -538,3 +542,74 @@ class TestBudgetAwareFactoredRouting:
         assert sample_counts is not None and max(sample_counts) <= 2 * 32
         # The budget really truncated the work, not just the estimate.
         assert all(u.n_batches <= 2 for u in updates)
+
+
+# ----------------------------------------------------------------------
+# Emit plane: read in place by aggregation
+# ----------------------------------------------------------------------
+class TestCohortMatrix:
+    """``cohort_matrix`` views one batched cohort's rows in place and
+    stacks every other list; the values are the stack's either way."""
+
+    @pytest.fixture(scope="class")
+    def cohorts(self, mlp_env_factory):
+        env = mlp_env_factory(TrainConfig(local_epochs=1, batch_size=32, lr=0.05))
+        state = env.init_state()
+        init = env.layout.pack(state)
+        other = env.layout.pack({k: v + np.float32(0.01) for k, v in state.items()})
+        # Even clients train as one cohort, odd clients as another;
+        # results come back in task order, interleaving the two planes.
+        tasks = [
+            UpdateTask(cid, init if cid % 2 == 0 else other)
+            for cid in range(env.federation.n_clients)
+        ]
+        batched = BatchedClientExecutor().run(env, tasks, round_index=1)
+        serial = SerialClientExecutor().run(env, tasks[:3], round_index=1)
+        return env, batched, serial
+
+    @pytest.mark.parametrize(
+        "case, viewed",
+        [
+            ("cohort", True),
+            ("cohort_tail", True),
+            ("one_row", True),
+            ("gap", False),
+            ("reordered", False),
+            ("two_cohorts", False),
+            ("serial", False),
+            ("corrupted", False),
+        ],
+    )
+    def test_view_or_stack(self, cohorts, case, viewed):
+        env, batched, serial = cohorts
+        evens = batched[0::2]
+        flipped = maybe_corrupt(
+            evens[1], env.seed, 1, CorruptionConfig(rate=1.0, kinds=("sign_flip",))
+        )
+        updates = {
+            "cohort": evens,
+            "cohort_tail": evens[1:],
+            "one_row": evens[2:],
+            "gap": [evens[0], evens[2]],
+            "reordered": evens[::-1],
+            "two_cohorts": batched,
+            "serial": serial,
+            "corrupted": [evens[0], flipped, evens[2]],
+        }[case]
+        rows = [u.flat for u in updates]
+        matrix = cohort_matrix(env, updates)
+        shared = [np.shares_memory(matrix, row) for row in rows]
+        if viewed:
+            assert all(shared)
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
+        else:
+            assert not any(shared)
+        stacked = np.stack(rows)
+        assert np.array_equal(matrix, stacked)
+        weights = [u.n_samples for u in updates]
+        assert (
+            packed_weighted_average(matrix, weights).tobytes()
+            == packed_weighted_average(stacked, weights).tobytes()
+        )
