@@ -208,8 +208,7 @@ def _middleware_run(env, n_rounds: int) -> tuple[np.ndarray, int]:
     strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
     engine = RoundEngine(env, _middleware_scenario(env.federation.n_clients))
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    n_stale = sum(len(ids) for _, ids in engine.stale_log)
-    return strategy.vector, n_stale
+    return strategy.vector, engine.run_record()["n_stale_folded"]
 
 
 def run_middleware_v2(

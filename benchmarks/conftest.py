@@ -1,7 +1,7 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one of the paper's artefacts (see DESIGN.md §4)
-at the scale selected by ``$REPRO_SCALE`` (quick / bench / paper; default
+Each benchmark regenerates one of the paper's artefacts (the experiment
+index is in :mod:`repro.experiments`) at the scale selected by ``$REPRO_SCALE`` (quick / bench / paper; default
 quick) and prints the regenerated table/figure so the run doubles as the
 reproduction record.  pytest-benchmark times the regeneration.
 

@@ -205,6 +205,35 @@ class RunResult:
             return 1
         return int(np.max(self.cluster_labels)) + 1
 
+    @classmethod
+    def from_engine(
+        cls,
+        engine: RoundEngine,
+        history: RunHistory,
+        accuracy: tuple[float, np.ndarray],
+        cluster_labels: np.ndarray | None,
+        **extras,
+    ) -> "RunResult":
+        """The result of a run that ``engine`` drove.
+
+        ``accuracy`` is the last evaluation ``(mean, per-client)``, as
+        :meth:`RoundEngine.run` returns it.  Traffic comes from the
+        environment's tracker (by phase, plus the total), and
+        ``extras`` gain the engine's ``engine_record`` and ``events``.
+        """
+        mean_acc, per_client = accuracy
+        tracker = engine.env.tracker
+        return cls(
+            history=history,
+            final_accuracy=mean_acc,
+            accuracy_std=float(np.std(per_client)),
+            per_client_accuracy=per_client,
+            cluster_labels=cluster_labels,
+            comm=tracker.by_phase() | {"total": tracker.snapshot()},
+            extras=extras
+            | {"engine_record": engine.run_record(), "events": engine.events},
+        )
+
 
 class FLAlgorithm(abc.ABC):
     """A federated training strategy."""

@@ -468,8 +468,6 @@ class CFL(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         strategy = _CFLRounds(
@@ -477,21 +475,13 @@ class CFL(FLAlgorithm):
             [_Cluster(state=env.layout.pack(env.init_state()), members=np.arange(m))],
         )
         engine = RoundEngine(env, self._scenario(scenario))
-        mean_acc, per_client = engine.run(
-            strategy, n_rounds, history, eval_every=eval_every
-        )
-        labels = strategy.labels(m)
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=labels,
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={
-                "split_rounds": sorted(
-                    {r for c in strategy.clusters for r in c.history_of_splits}
-                ),
-                "engine_record": engine.run_record(),
-            },
+        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
+        return RunResult.from_engine(
+            engine,
+            history,
+            accuracy,
+            strategy.labels(m),
+            split_rounds=sorted(
+                {r for c in strategy.clusters for r in c.history_of_splits}
+            ),
         )

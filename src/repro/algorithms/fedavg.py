@@ -39,8 +39,6 @@ class FedAvg(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         # The global model lives as one packed row for the whole run:
         # broadcast payload, aggregation result and evaluation input are
@@ -49,27 +47,14 @@ class FedAvg(FLAlgorithm):
             env.layout.pack(env.init_state()), prox_mu=self.prox_mu
         )
         engine = RoundEngine(env, self._scenario(scenario))
-        mean_acc, per_client = engine.run(
-            strategy, n_rounds, history, eval_every=eval_every
-        )
-        m = env.federation.n_clients
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=np.zeros(m, dtype=np.int64),
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={
-                "drop_log": engine.drop_log,
-                "straggler_log": engine.straggler_log,
-                "stale_log": engine.stale_log,
-                "departure_log": engine.departure_log,
-                "quarantine_log": engine.quarantine_log,
-                # The schedule that actually happened (dispatches minus
-                # seeded drops/deadline misses) — replayable through
-                # ``ScenarioConfig(trace=...)``.
-                "realized_trace": engine.realized_trace(),
-                "engine_record": engine.run_record(),
-            },
+        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
+        return RunResult.from_engine(
+            engine,
+            history,
+            accuracy,
+            np.zeros(env.federation.n_clients, dtype=np.int64),
+            # The schedule that actually happened (dispatches minus
+            # seeded drops/deadline misses) — replayable through
+            # ``ScenarioConfig(trace=...)``.
+            realized_trace=engine.realized_trace(),
         )

@@ -21,7 +21,6 @@ import numpy as np
 from repro.algorithms.base import (
     FLAlgorithm,
     RunResult,
-    survivor_mean_loss,
     survivor_weighted_average,
 )
 from repro.fl.client import ClientUpdate
@@ -195,23 +194,10 @@ class IFCA(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         strategy = _IFCARounds(self, env, self._initial_states(env))
         engine = RoundEngine(env, self._scenario(scenario))
-        mean_acc, per_client = engine.run(
-            strategy, n_rounds, history, eval_every=eval_every
-        )
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=strategy.labels,
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={
-                "k": self.n_clusters,
-                "engine_record": engine.run_record(),
-            },
+        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
+        return RunResult.from_engine(
+            engine, history, accuracy, strategy.labels, k=self.n_clusters
         )

@@ -114,21 +114,13 @@ class LocalOnly(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-        m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         strategy = _LocalRounds(env)
         engine = RoundEngine(env, self._scenario(scenario))
-        mean_acc, per_client = engine.run(
-            strategy, n_rounds, history, eval_every=eval_every
-        )
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=np.arange(m, dtype=np.int64),
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={"engine_record": engine.run_record()},
+        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
+        return RunResult.from_engine(
+            engine,
+            history,
+            accuracy,
+            np.arange(env.federation.n_clients, dtype=np.int64),
         )

@@ -126,19 +126,14 @@ class PACFL(FLAlgorithm):
             )
         )
 
-        mean_acc, per_client = engine.run(
+        accuracy = engine.run(
             strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
         )
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=labels,
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={
-                "proximity": proximity,
-                "n_clusters": n_clusters,
-                "engine_record": engine.run_record(),
-            },
+        return RunResult.from_engine(
+            engine,
+            history,
+            accuracy,
+            labels,
+            proximity=proximity,
+            n_clusters=n_clusters,
         )

@@ -1,6 +1,5 @@
 """Clustering substrate: distances, hierarchical clustering, metrics."""
 
-from repro.cluster.dendrogram import dendrogram_text, leaf_order
 from repro.cluster.distance import (
     condensed_from_square,
     pairwise_cosine_distance,
@@ -21,13 +20,10 @@ from repro.cluster.hierarchy import (
     linkage,
     merge_heights,
 )
-from repro.cluster.kmeans import KMeansResult, kmeans, kmeans_plus_plus_init
 from repro.cluster.metrics import (
     adjusted_rand_index,
     contingency_table,
     group_separability,
-    normalized_mutual_information,
-    purity,
     silhouette_score,
 )
 from repro.cluster.subspace import (
@@ -38,8 +34,6 @@ from repro.cluster.subspace import (
 )
 
 __all__ = [
-    "dendrogram_text",
-    "leaf_order",
     "condensed_from_square",
     "pairwise_cosine_distance",
     "pairwise_cosine_similarity",
@@ -56,14 +50,9 @@ __all__ = [
     "cut_by_k",
     "linkage",
     "merge_heights",
-    "KMeansResult",
-    "kmeans",
-    "kmeans_plus_plus_init",
     "adjusted_rand_index",
     "contingency_table",
     "group_separability",
-    "normalized_mutual_information",
-    "purity",
     "silhouette_score",
     "data_subspace",
     "pairwise_subspace_distances",

@@ -1,7 +1,7 @@
 """Cluster-quality metrics, from scratch.
 
 Used to score how well a CFL method's client grouping recovers planted
-ground truth (ARI/NMI/purity) and to characterise proximity matrices
+ground truth (ARI) and to characterise proximity matrices
 (silhouette, separability ratio — the quantity the paper's Fig. 1 shows
 qualitatively).
 """
@@ -15,8 +15,6 @@ from repro.cluster.distance import validate_distance_matrix
 __all__ = [
     "contingency_table",
     "adjusted_rand_index",
-    "normalized_mutual_information",
-    "purity",
     "silhouette_score",
     "group_separability",
 ]
@@ -63,40 +61,6 @@ def adjusted_rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> flo
     if denom == 0:  # both partitions trivial (all-one-cluster or all-singletons)
         return 1.0 if sum_comb == sum_a == sum_b else 0.0
     return float((sum_comb - expected) / denom)
-
-
-def normalized_mutual_information(
-    labels_true: np.ndarray, labels_pred: np.ndarray
-) -> float:
-    """NMI with arithmetic-mean normalisation, in [0, 1]."""
-    table = contingency_table(labels_true, labels_pred).astype(np.float64)
-    n = table.sum()
-    p_ij = table / n
-    p_i = p_ij.sum(axis=1, keepdims=True)
-    p_j = p_ij.sum(axis=0, keepdims=True)
-    nz = p_ij > 0
-    mi = float((p_ij[nz] * np.log(p_ij[nz] / (p_i @ p_j)[nz])).sum())
-
-    def entropy(p: np.ndarray) -> float:
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
-
-    h_true, h_pred = entropy(p_i.ravel()), entropy(p_j.ravel())
-    if h_true == 0.0 and h_pred == 0.0:
-        return 1.0
-    denom = 0.5 * (h_true + h_pred)
-    if denom == 0.0:
-        return 0.0
-    # mi and denom are the same sums accumulated in different orders, so
-    # identical labelings can land at mi/denom = 1 + O(eps); clamp to the
-    # documented range.
-    return float(min(max(mi, 0.0) / denom, 1.0))
-
-
-def purity(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
-    """Fraction of points in the majority true class of their cluster."""
-    table = contingency_table(labels_true, labels_pred)
-    return float(table.max(axis=0).sum() / table.sum())
 
 
 def silhouette_score(distance_matrix: np.ndarray, labels: np.ndarray) -> float:

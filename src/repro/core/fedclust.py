@@ -171,8 +171,8 @@ class FittedFedClust:
     """Server-side artefacts of the one-shot clustering round.
 
     Retained so newcomers can be assigned without re-clustering (step ⑥)
-    and so diagnostics (proximity heat maps, dendrograms) can be produced
-    after the run.
+    and so the proximity matrix (the Fig. 1 heat map) and the linkage
+    matrix (``clustering.linkage_matrix``) can be read after the run.
     """
 
     labels: np.ndarray
@@ -430,27 +430,22 @@ class FedClust(FLAlgorithm):
 
         matrix = np.stack([env.layout.pack(s) for s in fitted.cluster_states])
         strategy = _FedClustRounds(self, fitted, matrix)
-        mean_acc, per_client = engine.run(
+        accuracy = engine.run(
             strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
         )
         fitted.cluster_states = [
             dict(unpack_state(row, env.layout)) for row in strategy.matrix
         ]
         fitted.labels = strategy.labels.copy()
-        return RunResult(
-            history=history,
-            final_accuracy=mean_acc,
-            accuracy_std=float(np.std(per_client)),
-            per_client_accuracy=per_client,
-            cluster_labels=fitted.labels,
-            comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
-            extras={
-                "fitted": fitted,
-                "proximity": fitted.proximity.matrix,
-                "n_clusters": fitted.n_clusters,
-                "onboarded": strategy.onboarded,
-                "engine_record": engine.run_record(),
-            },
+        return RunResult.from_engine(
+            engine,
+            history,
+            accuracy,
+            fitted.labels,
+            fitted=fitted,
+            proximity=fitted.proximity.matrix,
+            n_clusters=fitted.n_clusters,
+            onboarded=strategy.onboarded,
         )
 
     # ------------------------------------------------------------------

@@ -141,7 +141,8 @@ def build_federation(
         Label groups for ``label_cluster`` (default: two halves of the
         label set, the paper's G1/G2).
     test_fraction:
-        Per-client local test split (local-accuracy protocol, DESIGN.md §5).
+        Per-client local test split (the local-accuracy protocol: each
+        client is scored on its own held-out data).
     dataset_overrides:
         Optional spec overrides forwarded to the generator.
     """

@@ -1,6 +1,6 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
-Experiment index (see DESIGN.md §4):
+Experiment index:
 
 * T1 — :func:`repro.experiments.table1.run_table1` (paper Table I);
 * F1 — :func:`repro.experiments.fig1.run_fig1` (paper Fig. 1);

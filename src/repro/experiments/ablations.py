@@ -1,7 +1,7 @@
 """Ablation experiments (A1–A3) and the communication-cost study (C1).
 
-These go beyond the extended abstract's artefacts to probe the design
-choices DESIGN.md calls out:
+These go beyond the extended abstract's artefacts to probe FedClust's
+design choices:
 
 * **A1 linkage** — does the HC linkage matter for cluster recovery?
 * **A2 weight selection** — final layer vs whole model vs first conv

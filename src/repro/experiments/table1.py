@@ -29,8 +29,8 @@ __all__ = [
 
 _LOG = get_logger("experiments.table1")
 
-#: The paper's reported numbers (accuracy %, mean ± std), for side-by-side
-#: display in EXPERIMENTS.md.  Keys: (method, dataset alias).
+#: The paper's reported numbers (accuracy %, mean ± std), shown beside
+#: ours by :func:`format_table1`.  Keys: (method, dataset alias).
 PAPER_TABLE1: dict[tuple[str, str], tuple[float, float]] = {
     ("fedavg", "cifar10"): (38.25, 2.98),
     ("fedavg", "fmnist"): (81.93, 0.64),

@@ -17,10 +17,10 @@ arrives on time but is **wrong**.  Four pieces, wired through
   async in-flight path are exercised identically.
 * **Update admission** (:func:`admit_updates`) — every survivor row
   passes a finiteness guard (always on) and an optional norm-bound
-  guard before aggregation; rejects carry a reason code and land in the
-  engine's ``quarantine_log``.  A quarantined client was already
-  charged its upload — the bytes crossed the network; the server just
-  refuses to fold them.
+  guard before aggregation; rejects carry a reason code and are logged
+  as ``quarantine`` events in the engine's event log.  A quarantined
+  client was already charged its upload — the bytes crossed the
+  network; the server just refuses to fold them.
 * **Robust aggregation** (:func:`robust_weighted_average`) — drop-in
   replacements for the plain weighted average at the shared choke point
   (:func:`repro.algorithms.base.survivor_weighted_average`):
@@ -319,11 +319,12 @@ def robust_weighted_average(
 #: File magic — rejects arbitrary files before any parsing happens.
 CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: Codec version word; bumped on any layout change.  Readers refuse
-#: other versions loudly instead of mis-parsing.  Version 2 holds the
-#: engine's one update buffer; version-1 files (separate ``stale`` and
-#: ``async`` buffers) still load, and the engine folds them on resume.
-CHECKPOINT_VERSION = 2
-_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
+#: other versions loudly instead of mis-parsing.  Version 3 holds the
+#: engine's one event log; version-2 files (one log per event kind) and
+#: version-1 files (also separate ``stale`` and ``async`` buffers) still
+#: load, and the engine converts them on resume.
+CHECKPOINT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"
@@ -442,7 +443,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(
             f"checkpoint version mismatch in {path}: file has version "
             f"{version}, this build reads version {CHECKPOINT_VERSION} "
-            "(and version 1)"
+            "(and versions 1 and 2)"
         )
     offset = prelude
     if len(data) < offset + header_len:

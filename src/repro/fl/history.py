@@ -34,12 +34,14 @@ class RoundRecord:
     carrying the previous evaluation forward.
 
     ``n_quarantined`` counts updates the admission pipeline rejected
-    this round (non-finite or norm-exploded rows; the reason codes live
-    in the engine's ``quarantine_log``).  ``quorum_failed`` marks a
-    synchronous round that stayed below the scenario's
-    ``min_survivors`` quorum after all retries: no aggregation event,
-    so the server kept its state instead of aggregating a cohort too
-    small to trust.
+    this round, quorum retries included (non-finite or norm-exploded
+    rows).  It, ``n_stale`` and ``n_departed`` count the round's
+    ``quarantine``, ``stale`` and ``depart`` events in the engine's
+    event log (``RoundEngine.events``), which also holds the client ids
+    and the reason codes.  ``quorum_failed`` marks a synchronous round
+    that stayed below the scenario's ``min_survivors`` quorum after all
+    retries: no aggregation event, so the server kept its state instead
+    of aggregating a cohort too small to trust.
     """
 
     round_index: int

@@ -83,8 +83,8 @@ the executor or the payload format:
   *returned* update row (NaN/Inf poisoning, sign flips, scaled noise)
   before it enters the in-flight ledger;
 * **admission + robust aggregation** — every received row passes a
-  finiteness guard and an optional norm-bound guard; rejects land in
-  ``engine.quarantine_log`` with reason codes, keep their upload charge
+  finiteness guard and an optional norm-bound guard; rejects are logged
+  as ``quarantine`` events with reason codes, keep their upload charge
   (the bytes crossed the network), and never reach the buffer.
   ``robust_agg`` swaps the plain weighted average at the shared choke
   point (:func:`repro.algorithms.base.survivor_weighted_average`) for
@@ -99,11 +99,23 @@ the executor or the payload format:
 * **checkpoint/resume** — with a
   :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
   writes a versioned single-file checkpoint on a round cadence (server
-  rows at wire dtype, round counter, ledger and buffer, logs, traffic,
-  history) and can resume from it; a resumed run reproduces the
+  rows at wire dtype, round counter, ledger and buffer, event log,
+  traffic, history) and can resume from it; a resumed run reproduces the
   uninterrupted one bit-identically because all middleware randomness is
   stateless in (seed, round, client) — the file only needs the round
   counter, never a generator state.
+
+**One event log.**  What happened to each client is recorded once, in
+:attr:`RoundEngine.events`: ``(round, kind, client id, reason)``
+records whose kinds are ``participate`` (dispatched by the round loop),
+``drop`` (failed before training), ``straggle`` (missed the deadline),
+``quarantine`` (rejected by admission; the reason is the admission
+code), ``stale`` (an earlier round's update folded) and ``depart``;
+the reason is ``None`` for every other kind.  Quorum retries log under
+their derived epoch ``round + 1_000_000 × attempt``.
+:meth:`RoundEngine.run_record`, :meth:`RoundEngine.realized_trace`, the
+``RoundRecord`` counters ``n_stale``/``n_departed``/``n_quarantined``
+and the checkpoint are folds over this list.
 
 At least one participant always survives a *dispatched* round (a round
 whose whole cohort fails or misses the deadline would deadlock
@@ -126,6 +138,8 @@ from __future__ import annotations
 
 import abc
 import time
+from collections import Counter
+from itertools import groupby
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -189,6 +203,15 @@ BUDGET_TAG = 19
 #: engine use their own stream, so async interleavings are a pure
 #: function of (seed, scenario) — deterministic and executor-invariant.
 DURATION_TAG = 23
+#: Version-1/2 checkpoint log names → event kinds.
+_LEGACY_LOGS = {
+    "participation": "participate",
+    "drop": "drop",
+    "straggler": "straggle",
+    "quarantine": "quarantine",
+    "stale": "stale",
+    "departure": "depart",
+}
 
 
 def aggregation_weights(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -229,6 +252,19 @@ def discounted_update(
 
     base = update.weight if update.weight is not None else float(update.n_samples)
     return dataclasses.replace(update, weight=base * decay**age)
+
+
+def _events_from_logs(logs: Mapping) -> list[tuple[int, str, int, str | None]]:
+    """A version-1/2 checkpoint's per-kind ``(round, client ids)`` logs
+    (``(client id, reason)`` pairs for quarantines) as events, kind by
+    kind: the order across kinds is lost."""
+    events = []
+    for name, kind in _LEGACY_LOGS.items():
+        for r, entries in logs[name]:
+            for entry in entries:
+                cid, reason = entry if kind == "quarantine" else (entry, None)
+                events.append((int(r), kind, int(cid), reason))
+    return events
 
 
 def _int_range(name: str, value, floor: int) -> tuple[int, int]:
@@ -529,43 +565,32 @@ class ScenarioConfig:
 
 @dataclass
 class DispatchOutcome:
-    """What came back from one dispatched task list.
+    """The updates that came back from one dispatched task list.
 
     ``late`` holds the straggler updates themselves — populated only
     when stale folding is on (the default path must not keep dead
-    updates alive across the next round's cohort allocation).
-    ``quarantined`` holds the admission rejects as ``(client id,
-    reason)`` pairs; the same pairs are appended to the engine's
-    ``quarantine_log``.
+    updates alive across the next round's cohort allocation).  Which
+    clients dropped, straggled or were quarantined is in the engine's
+    :attr:`RoundEngine.events`.
     """
 
     survivors: list[ClientUpdate]
-    failed: np.ndarray
-    stragglers: np.ndarray
     late: list[ClientUpdate] = field(default_factory=list)
-    quarantined: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass
 class RoundOutcome:
-    """Everything that happened in one engine round."""
+    """One engine round's cohort and results (client fates are in
+    :attr:`RoundEngine.events`)."""
 
     round_index: int
     participants: np.ndarray
     #: The updates this round's aggregation event folded (discounted
     #: copies for stale ones); empty when no event fired.
     survivors: list[ClientUpdate]
-    failed: np.ndarray
-    stragglers: np.ndarray
-    arrived: np.ndarray
     train_loss: float
     evaluated: bool
     mean_accuracy: float
-    #: Client ids whose stale (earlier-round) updates were folded into
-    #: this round's aggregation.
-    stale: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: Client ids that departed at the start of this round.
-    departed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 class RoundStrategy(abc.ABC):
@@ -671,8 +696,8 @@ class RoundEngine:
 
     One engine instance runs one (or several consecutive) training
     phases; it holds no model state — that lives in the strategy — only
-    the environment, the scenario policy, the middleware logs, the
-    in-flight ledger and the update buffer.
+    the environment, the scenario policy, the event log, the in-flight
+    ledger and the update buffer.
     """
 
     def __init__(
@@ -698,28 +723,10 @@ class RoundEngine:
                 "— the quorum could never be met"
             )
         self.scenario.validate_for(env.federation.n_clients)
-        #: (round, dropped client ids) — failure middleware log.
-        self.drop_log: list[tuple[int, list[int]]] = []
-        #: (round, straggler client ids) — straggler middleware log.
-        self.straggler_log: list[tuple[int, list[int]]] = []
-        #: (round, folded stale client ids) — stale-update middleware log.
-        self.stale_log: list[tuple[int, list[int]]] = []
-        #: (round, departed client ids) — departure middleware log.
-        self.departure_log: list[tuple[int, list[int]]] = []
-        #: (round, dispatched client ids) — every cohort the engine sent
-        #: work to, including clients that then failed or straggled.
-        #: Together with drop/straggler logs this is the realized
-        #: schedule (:meth:`realized_trace`).
-        self.participation_log: list[tuple[int, list[int]]] = []
-        #: (round, [(client id, reason), ...]) — admission rejects.
-        #: Reasons are the :mod:`repro.fl.defense` codes
-        #: (``"non_finite"``, ``"norm_bound"``).  Retry dispatches log
-        #: under their derived epoch (``round + 1_000_000 × attempt``),
-        #: like the drop log.
-        self.quarantine_log: list[tuple[int, list[tuple[int, str]]]] = []
-        #: Admission rejects observed in the round currently running
-        #: (feeds ``RoundRecord.n_quarantined``; reset per round).
-        self._quarantined_this_round = 0
+        #: Every client fate, in the order it happened: ``(round, kind,
+        #: client id, reason)`` records (see the module docstring for the
+        #: kinds).  Append-only.
+        self.events: list[tuple[int, str, int, str | None]] = []
         #: Sent-but-undelivered work, keyed by delivery round (sync
         #: rounds deliver in their dispatch round).
         self._in_flight = InFlightBuffer()
@@ -741,6 +748,23 @@ class RoundEngine:
             float("nan"),
             np.full(env.federation.n_clients, np.nan),
         )
+
+    def _log(
+        self, round_index: int, kind: str, client_ids: Sequence[int] | np.ndarray
+    ) -> None:
+        """Append one ``kind`` event per client id (no reason)."""
+        self.events.extend((round_index, kind, int(c), None) for c in client_ids)
+
+    @property
+    def participation_log(self) -> list[tuple[int, list[int]]]:
+        """``(round, dispatched client ids)`` per round that sent work,
+        read from the ``participate`` events (quorum retries and barrier
+        dispatches are not among them)."""
+        sent = [(r, cid) for r, kind, cid, _ in self.events if kind == "participate"]
+        return [
+            (r, [cid for _, cid in group])
+            for r, group in groupby(sent, key=lambda event: event[0])
+        ]
 
     @property
     def is_async(self) -> bool:
@@ -930,8 +954,8 @@ class RoundEngine:
         round_index: int,
         phase: str,
         charge_download: bool,
-    ) -> tuple[list[ClientUpdate], list[int]]:
-        """Launch a task list; returns (finished updates, failed ids).
+    ) -> list[ClientUpdate]:
+        """Launch a task list; returns the finished updates.
 
         Downloads are charged for **every** task — a client that fails
         mid-round already consumed the broadcast.  The clients that
@@ -944,8 +968,7 @@ class RoundEngine:
         if charge_download and tasks:
             env.tracker.record_download(env.n_params * len(tasks), phase)
         alive, failed_ids = self._apply_failures(tasks, round_index)
-        if failed_ids:
-            self.drop_log.append((round_index, failed_ids))
+        self._log(round_index, "drop", failed_ids)
         self._apply_budgets(alive, round_index)
         updates = env.run_updates(alive, round_index)
         updates = self._apply_corruption(updates, round_index)
@@ -955,12 +978,11 @@ class RoundEngine:
             # computed and a zero-step client counts for nothing.
             for update in updates:
                 update.weight = float(update.n_batches)
-        return updates, failed_ids
+        return updates
 
     def _receive(
         self,
         updates: list[ClientUpdate],
-        failed_ids: list[int],
         round_index: int,
         phase: str,
         charge_upload: bool,
@@ -976,20 +998,15 @@ class RoundEngine:
         env = self.env
         if charge_upload and updates:
             env.tracker.record_upload(env.n_params * len(updates), phase)
-        updates, quarantined = self._admit(updates, round_index)
+        updates = self._admit(updates, round_index)
         survivors, late = self._apply_stragglers(updates, round_index)
-        straggler_ids = sorted(u.client_id for u in late)
-        if straggler_ids:
-            self.straggler_log.append((round_index, straggler_ids))
+        self._log(round_index, "straggle", sorted(u.client_id for u in late))
         return DispatchOutcome(
             survivors=survivors,
-            failed=np.array(failed_ids, dtype=np.int64),
-            stragglers=np.array(straggler_ids, dtype=np.int64),
             # Keep the late updates alive only when stale folding banks
             # them — otherwise they must die here (buffer-lifetime
             # hygiene: dead cohort-sized buffers cost page faults).
             late=late if self.scenario.staleness_decay > 0.0 else [],
-            quarantined=quarantined,
         )
 
     def dispatch(
@@ -1010,8 +1027,8 @@ class RoundEngine:
         round) account the upload themselves.
         """
         phase = self.phase if phase is None else phase
-        updates, failed_ids = self._send(tasks, round_index, phase, charge_download)
-        return self._receive(updates, failed_ids, round_index, phase, charge_upload)
+        updates = self._send(tasks, round_index, phase, charge_download)
+        return self._receive(updates, round_index, phase, charge_upload)
 
     def _apply_corruption(
         self, updates: list[ClientUpdate], round_index: int
@@ -1025,15 +1042,15 @@ class RoundEngine:
 
     def _admit(
         self, updates: list[ClientUpdate], round_index: int
-    ) -> tuple[list[ClientUpdate], list[tuple[int, str]]]:
+    ) -> list[ClientUpdate]:
         """Admission middleware: quarantine rows the server won't fold."""
         if not self.admission_active:
-            return updates, []
+            return updates
         admitted, rejected = admit_updates(updates, self.scenario.norm_bound)
-        if rejected:
-            self.quarantine_log.append((round_index, rejected))
-            self._quarantined_this_round += len(rejected)
-        return admitted, rejected
+        self.events.extend(
+            (round_index, "quarantine", cid, reason) for cid, reason in rejected
+        )
+        return admitted
 
     def _delivery_rounds(
         self, updates: Sequence[ClientUpdate], round_index: int
@@ -1083,7 +1100,7 @@ class RoundEngine:
 
         Returns ``(collected, pending)``: one admitted update per
         responding client (first response wins) and the clients that
-        never responded within the attempt budget.  Drop/straggler/
+        never responded within the attempt budget.  Drop, straggle and
         quarantine events log under the derived epoch, exactly like a
         plain :meth:`dispatch`.
         """
@@ -1155,10 +1172,10 @@ class RoundEngine:
 
         for round_index in range(start_round, last_round + 1):
             t0 = time.perf_counter()
-            self._quarantined_this_round = 0
+            first_event = len(self.events)
             departed = self.departures_at(round_index)
             if departed.size:
-                self.departure_log.append((round_index, departed.tolist()))
+                self._log(round_index, "depart", departed)
                 strategy.on_departures(self, round_index, departed)
             arrived = self.arrivals_at(round_index)
             if arrived.size:
@@ -1169,13 +1186,10 @@ class RoundEngine:
             if cfg is not None and cfg.max_concurrency is not None:
                 slots = cfg.max_concurrency - len(self._in_flight)
                 participants = participants[: max(0, slots)]
-            if participants.size:
-                self.participation_log.append(
-                    (round_index, [int(c) for c in participants])
-                )
+            self._log(round_index, "participate", participants)
             tasks = strategy.broadcast_for(self, round_index, participants)
             charge = strategy.charges_communication
-            updates, failed_ids = self._send(tasks, round_index, self.phase, charge)
+            updates = self._send(tasks, round_index, self.phase, charge)
             self._in_flight.add(
                 updates, round_index, self._delivery_rounds(updates, round_index)
             )
@@ -1184,8 +1198,7 @@ class RoundEngine:
             # dispatch round unambiguously.
             sent_in = {update.client_id: sent for sent, update in due}
             received = self._receive(
-                [update for _, update in due], failed_ids, round_index,
-                self.phase, charge,
+                [update for _, update in due], round_index, self.phase, charge
             )
             quorum_failed = self._retry_for_quorum(
                 strategy, round_index, participants, received, charge
@@ -1222,9 +1235,7 @@ class RoundEngine:
                         update = discounted_update(update, discount, round_index - sent)
                     folded.append(update)
                 self._buffer.clear()
-                stale_ids.sort()
-                if stale_ids:
-                    self.stale_log.append((round_index, stale_ids))
+                self._log(round_index, "stale", sorted(stale_ids))
                 train_loss = strategy.aggregate(self, round_index, folded)
                 self.n_aggregation_events += 1
                 self.n_updates_absorbed += len(folded)
@@ -1238,6 +1249,7 @@ class RoundEngine:
                 mean_acc, per_client = strategy.evaluate(self, round_index)
             self._next_round = round_index + 1
             self._last_eval = (mean_acc, per_client)
+            fates = Counter(kind for _, kind, _, _ in self.events[first_event:])
             history.append(
                 RoundRecord(
                     round_index=round_index,
@@ -1248,10 +1260,10 @@ class RoundEngine:
                     uploaded_params=env.tracker.total_uploaded,
                     downloaded_params=env.tracker.total_downloaded,
                     wall_seconds=time.perf_counter() - t0,
-                    n_stale=len(stale_ids),
-                    n_departed=int(departed.size),
+                    n_stale=fates["stale"],
+                    n_departed=fates["depart"],
                     n_buffered=len(self._buffer),
-                    n_quarantined=self._quarantined_this_round,
+                    n_quarantined=fates["quarantine"],
                     aggregation_event=aggregation_event,
                     quorum_failed=quorum_failed,
                     evaluated=evaluated,
@@ -1263,14 +1275,9 @@ class RoundEngine:
                     round_index=round_index,
                     participants=participants,
                     survivors=folded,
-                    failed=received.failed,
-                    stragglers=received.stragglers,
-                    arrived=arrived,
                     train_loss=train_loss,
                     evaluated=evaluated,
                     mean_accuracy=mean_acc,
-                    stale=np.array(stale_ids, dtype=np.int64),
-                    departed=departed,
                 ),
             )
             self._maybe_checkpoint(round_index, last_round)
@@ -1295,11 +1302,11 @@ class RoundEngine:
         nothing yet — neither an admitted update nor a banked late
         one — on the fresh seeded epoch ``round + 1_000_000 × attempt``
         (attempt ≥ 1; the original dispatch was attempt 0).  Responses
-        merge into ``dispatched`` in place.  Retry dispatches do not
-        join the participation log: :meth:`realized_trace` captures the
-        primary schedule, not the recovery traffic (the drop/straggler/
-        quarantine logs hold the derived epochs).  Returns True when the
-        round is still below quorum.
+        merge into ``dispatched`` in place.  Retry dispatches log no
+        ``participate`` events: :meth:`realized_trace` captures the
+        primary schedule, not the recovery traffic (their drop, straggle
+        and quarantine events carry the derived epochs).  Returns True
+        when the round is still below quorum.
         """
         quorum = self.scenario.min_survivors
         if quorum == 0 or not participants.size:
@@ -1324,11 +1331,6 @@ class RoundEngine:
             )
             dispatched.survivors.extend(outcome.survivors)
             dispatched.late.extend(outcome.late)
-            dispatched.quarantined.extend(outcome.quarantined)
-            dispatched.failed = np.union1d(dispatched.failed, outcome.failed)
-            dispatched.stragglers = np.union1d(
-                dispatched.stragglers, outcome.stragglers
-            )
         return len(dispatched.survivors) < quorum
 
     # ------------------------------------------------------------------
@@ -1371,7 +1373,7 @@ class RoundEngine:
 
         Serialised: the strategy's server rows (at wire dtype, via its
         :meth:`RoundStrategy.checkpoint_payload` hook), the round
-        counter, every middleware log, the communication tracker's
+        counter, the event log, the communication tracker's
         per-phase counters, the history records, the last evaluation,
         the in-flight ledger and the update buffer — their update *rows*
         at float64, because a corrupted row awaiting admission need not
@@ -1445,15 +1447,8 @@ class RoundEngine:
             "next_round": int(self._next_round),
             "mean_accuracy": float(mean_acc),
             "strategy_meta": meta,
-            # JSON writes the (round, entries) tuples as lists.
-            "logs": {
-                "drop": self.drop_log,
-                "straggler": self.straggler_log,
-                "stale": self.stale_log,
-                "departure": self.departure_log,
-                "participation": self.participation_log,
-                "quarantine": self.quarantine_log,
-            },
+            # JSON writes the event tuples as lists.
+            "events": self.events,
             "counters": {
                 "n_dispatched": int(self.n_dispatched),
                 "n_aggregation_events": int(self.n_aggregation_events),
@@ -1488,15 +1483,18 @@ class RoundEngine:
         Validates that the file belongs to this run (seed, strategy
         name, federation size, parameter count — a mismatch raises
         :class:`repro.fl.defense.CheckpointError` quoting expected vs
-        found), then restores the strategy state, engine logs and
+        found), then restores the strategy state, event log and
         buffers, tracker counters and history records **in place** and
         returns ``(next round, last mean accuracy, last per-client
         accuracies)``.  ``history.records`` is replaced wholesale, so a
         caller that pre-seeded records (FedClust re-runs its round-1
         clustering deterministically before resuming) converges on the
-        checkpointed truth.  Version-1 files, which kept the synchronous
-        ``stale`` buffer and the async arrival buffer apart, resume with
-        both folded into the one buffer.
+        checkpointed truth.  Version-1 and version-2 files kept one log
+        per event kind; they resume with those logs converted to events,
+        kind by kind (their order across kinds is lost).  Version-1
+        files, which also kept the synchronous ``stale`` buffer and the
+        async arrival buffer apart, resume with both folded into the one
+        buffer.
         """
         header, arrays = load_checkpoint(path)
         env = self.env
@@ -1522,27 +1520,17 @@ class RoundEngine:
                 if name.startswith("strategy/")
             },
         )
-        logs = header["logs"]
-
-        def id_log(entries: list) -> list[tuple[int, list[int]]]:
-            return [(int(r), [int(c) for c in ids]) for r, ids in entries]
-
-        self.drop_log[:] = id_log(logs["drop"])
-        self.straggler_log[:] = id_log(logs["straggler"])
-        self.stale_log[:] = id_log(logs["stale"])
-        self.departure_log[:] = id_log(logs["departure"])
-        self.participation_log[:] = id_log(logs["participation"])
-        self.quarantine_log[:] = [
-            (int(r), [(int(cid), str(reason)) for cid, reason in entries])
-            for r, entries in logs["quarantine"]
-        ]
+        if "events" in header:
+            self.events[:] = [tuple(event) for event in header["events"]]
+        else:
+            self.events[:] = _events_from_logs(header["logs"])
         counters = header["counters"]
-        # Version-1 files did not count dispatches; the participation
-        # log is their best lower bound (it misses retries).
+        # Version-1 files did not count dispatches; the participate
+        # events are their best lower bound (they miss retries).
         self.n_dispatched = int(
             counters.get(
                 "n_dispatched",
-                sum(len(ids) for _, ids in self.participation_log),
+                sum(kind == "participate" for _, kind, _, _ in self.events),
             )
         )
         self.n_aggregation_events = int(counters["n_aggregation_events"])
@@ -1596,26 +1584,27 @@ class RoundEngine:
         """The schedule this engine actually executed, as a trace.
 
         Per client, the rounds in which it *delivered on time*:
-        dispatched (participation log) minus seeded failures and
-        deadline misses (drop/straggler logs).  Every client of the
-        federation is listed — including never-dispatched ones with an
-        empty round set — so replaying the trace through a fresh
-        ``ScenarioConfig(trace=..., client_fraction=1.0)`` reproduces
-        exactly the original survivor cohorts without re-rolling any
-        failure/straggler/sampling dice.  (Replay equivalence covers
+        dispatched (``participate`` events) minus seeded failures and
+        deadline misses (``drop`` and ``straggle`` events).  Every
+        client of the federation is listed — including never-dispatched
+        ones with an empty round set — so replaying the trace through a
+        fresh ``ScenarioConfig(trace=..., client_fraction=1.0)``
+        reproduces exactly the original survivor cohorts without
+        re-rolling any failure/straggler/sampling dice.  (Replay equivalence covers
         the aggregation stream; scenarios that *fold* straggler work
         late — ``staleness_decay > 0`` — deliver extra stale updates
         the trace deliberately does not re-create.)
         """
         m = self.env.federation.n_clients
         rounds: dict[int, set[int]] = {cid: set() for cid in range(m)}
-        for round_index, ids in self.participation_log:
-            for cid in ids:
+        missed = {
+            (round_index, cid)
+            for round_index, kind, cid, _ in self.events
+            if kind in ("drop", "straggle")
+        }
+        for round_index, kind, cid, _ in self.events:
+            if kind == "participate" and (round_index, cid) not in missed:
                 rounds[cid].add(round_index)
-        for log in (self.drop_log, self.straggler_log):
-            for round_index, ids in log:
-                for cid in ids:
-                    rounds.get(cid, set()).discard(round_index)
         return AvailabilityTrace(rounds)
 
     # ------------------------------------------------------------------
@@ -1625,8 +1614,8 @@ class RoundEngine:
         """Versioned JSON-ready summary of the engine's scenario counters.
 
         The export hook the ablation harness
-        (:mod:`repro.experiments.ablation`) records per run: total events
-        per middleware log (the logs themselves stay on the engine for
+        (:mod:`repro.experiments.ablation`) records per run: the count
+        of each event kind (the events themselves stay on the engine for
         callers that need the per-round detail), the quarantine reasons
         broken out by code, the dispatch and aggregation counters, and
         the traffic totals.  ``n_dispatched`` counts every task sent,
@@ -1636,21 +1625,20 @@ class RoundEngine:
         every run — regardless of strategy — reports the same counter
         schema.
         """
+        counts = Counter(kind for _, kind, _, _ in self.events)
         reasons: dict[str, int] = {}
-        for _, entries in self.quarantine_log:
-            for _, reason in entries:
+        for _, kind, _, reason in self.events:
+            if kind == "quarantine":
                 reasons[reason] = reasons.get(reason, 0) + 1
         return {
             "schema": 2,
             "async": self.is_async,
             "n_dispatched": int(self.n_dispatched),
-            "n_dropped": sum(len(ids) for _, ids in self.drop_log),
-            "n_stragglers": sum(len(ids) for _, ids in self.straggler_log),
-            "n_stale_folded": sum(len(ids) for _, ids in self.stale_log),
-            "n_departed": sum(len(ids) for _, ids in self.departure_log),
-            "n_quarantined": sum(
-                len(entries) for _, entries in self.quarantine_log
-            ),
+            "n_dropped": counts["drop"],
+            "n_stragglers": counts["straggle"],
+            "n_stale_folded": counts["stale"],
+            "n_departed": counts["depart"],
+            "n_quarantined": counts["quarantine"],
             "quarantine_reasons": reasons,
             "n_aggregation_events": int(self.n_aggregation_events),
             "n_updates_absorbed": int(self.n_updates_absorbed),

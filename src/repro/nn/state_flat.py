@@ -175,10 +175,6 @@ class StateLayout:
         """Alias for :func:`pack_state` with this layout."""
         return pack_state(state, self, out=out)
 
-    def unpack(self, vector: np.ndarray) -> "OrderedDict[str, np.ndarray]":
-        """Alias for :func:`unpack_state` with this layout."""
-        return unpack_state(vector, self)
-
     def load_into(self, model: "Module", vector: np.ndarray) -> None:
         """Load a packed vector into ``model`` without materialising a dict.
 

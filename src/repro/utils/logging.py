@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from typing import Callable
 
-__all__ = ["get_logger", "enable_console_logging", "RoundLogger"]
+__all__ = ["get_logger", "enable_console_logging"]
 
 _ROOT_NAME = "repro"
 
@@ -46,36 +44,3 @@ def enable_console_logging(level: int = logging.INFO) -> logging.Logger:
         handler._repro_console = True  # type: ignore[attr-defined]
         logger.addHandler(handler)
     return logger
-
-
-class RoundLogger:
-    """Throttled per-round progress reporter for long simulations.
-
-    Emits at most one log line every ``min_interval`` seconds (plus the
-    final round), so a 500-round simulation does not flood the console
-    while short runs still show every round.
-    """
-
-    def __init__(
-        self,
-        total_rounds: int,
-        min_interval: float = 2.0,
-        emit: Callable[[str], None] | None = None,
-    ) -> None:
-        self.total_rounds = total_rounds
-        self.min_interval = min_interval
-        self._emit = emit if emit is not None else get_logger("fl").info
-        # None until the first emit: the first call must always log.  (The
-        # old sentinel of 0.0 compared against time.monotonic(), whose
-        # origin is arbitrary, so whether round 1 appeared depended on
-        # system uptime.)
-        self._last_emit: float | None = None
-
-    def log(self, round_index: int, message: str) -> None:
-        """Log ``message`` for 1-based ``round_index`` if not throttled."""
-        now = time.monotonic()
-        is_last = round_index >= self.total_rounds
-        is_first = self._last_emit is None
-        if is_first or is_last or now - self._last_emit >= self.min_interval:
-            self._emit(f"round {round_index}/{self.total_rounds} {message}")
-            self._last_emit = now

@@ -17,20 +17,13 @@ arithmetic on seeds (a classic source of accidentally-correlated streams).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 import numpy as np
 
 __all__ = [
     "make_rng",
     "spawn_rngs",
-    "spawn_seeds",
-    "derive_rng",
     "rng_for",
 ]
-
-#: Upper bound (exclusive) for integer seeds drawn from a generator.
-_SEED_BOUND = 2**31 - 1
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -57,17 +50,6 @@ def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(n)]
 
 
-def spawn_seeds(seed: int | None, n: int) -> list[int]:
-    """Derive ``n`` independent integer seeds from ``seed``.
-
-    Useful when a seed (rather than a generator) must cross a process
-    boundary, e.g. for the parallel client executors in
-    :mod:`repro.fl.parallel`.
-    """
-    root = np.random.SeedSequence(seed)
-    return [int(s.generate_state(1)[0] % _SEED_BOUND) for s in root.spawn(n)]
-
-
 def rng_for(base_seed: int, *key: int) -> np.random.Generator:
     """Stateless derived generator for an integer key tuple.
 
@@ -78,45 +60,3 @@ def rng_for(base_seed: int, *key: int) -> np.random.Generator:
     """
     parts = (int(base_seed),) + tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(parts))
-
-
-def derive_rng(rng: np.random.Generator, *labels: int | str) -> np.random.Generator:
-    """Derive a child generator from ``rng`` tagged by ``labels``.
-
-    The labels are hashed into a seed drawn from ``rng``'s stream combined
-    with a stable hash of the labels, giving a reproducible child stream per
-    (parent, label) pair.  Used by components that need many lazily-created
-    sub-streams (e.g. one per client per round).
-    """
-    base = int(rng.integers(0, _SEED_BOUND))
-    mix = 0
-    for label in labels:
-        text = str(label).encode("utf-8")
-        h = 2166136261
-        for byte in text:  # FNV-1a, stable across processes unlike hash()
-            h = ((h ^ byte) * 16777619) & 0xFFFFFFFF
-        mix = (mix * 31 + h) & 0x7FFFFFFF
-    return np.random.default_rng(np.random.SeedSequence((base, mix)))
-
-
-def batched_permutation(
-    rng: np.random.Generator, n: int, batch_size: int
-) -> Iterator[np.ndarray]:
-    """Yield index batches of a fresh random permutation of ``range(n)``.
-
-    The final batch may be smaller than ``batch_size``.  This is the
-    canonical epoch-shuffling primitive used by the data loader.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
-def check_seed_list(seeds: Sequence[int]) -> list[int]:
-    """Validate a user-supplied list of experiment seeds."""
-    out = [int(s) for s in seeds]
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate seeds in {out}")
-    return out

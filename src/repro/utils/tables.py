@@ -57,7 +57,7 @@ class Table:
         return "\n".join(lines)
 
     def to_markdown(self) -> str:
-        """GitHub-flavoured markdown rendering (for EXPERIMENTS.md)."""
+        """GitHub-flavoured markdown rendering."""
         head = "| " + " | ".join(self.columns) + " |"
         sep = "|" + "|".join("---" for _ in self.columns) + "|"
         body = ["| " + " | ".join(row) + " |" for row in self.rows]

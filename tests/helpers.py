@@ -1,4 +1,5 @@
-"""Shared test utilities: numerical gradient checking and tiny fixtures.
+"""Shared test utilities: numerical gradient checking, tiny fixtures and
+a per-kind view of the round engine's event log.
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -104,3 +105,9 @@ def to_float64(module: Module) -> Module:
         param.data = param.data.astype(np.float64)
         param.grad = np.zeros_like(param.data)
     return module
+
+
+def fates(events, kind: str) -> list[tuple[int, int]]:
+    """``(round, client id)`` of every ``kind`` record in a
+    ``RoundEngine.events`` list, in log order."""
+    return [(r, cid) for r, k, cid, _ in events if k == kind]

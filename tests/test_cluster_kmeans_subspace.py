@@ -1,51 +1,16 @@
-"""k-means and subspace (PACFL substrate) utilities."""
+"""Subspace utilities (the PACFL substrate)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import kmeans, kmeans_plus_plus_init
-from repro.cluster.metrics import adjusted_rand_index
 from repro.cluster.subspace import (
     data_subspace,
     pairwise_subspace_distances,
     principal_angles,
     subspace_distance,
 )
-
-
-class TestKMeans:
-    def test_recovers_planted(self, rng):
-        centers = np.array([[0.0, 0.0], [15.0, 15.0], [30.0, 0.0]])
-        points = np.vstack([c + rng.standard_normal((10, 2)) for c in centers])
-        truth = np.repeat(np.arange(3), 10)
-        result = kmeans(points, 3, seed=0)
-        assert adjusted_rand_index(truth, result.labels) == pytest.approx(1.0)
-        assert result.converged
-
-    def test_deterministic(self, rng):
-        x = rng.standard_normal((30, 4))
-        a = kmeans(x, 3, seed=7)
-        b = kmeans(x, 3, seed=7)
-        np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_inertia_decreases_with_k(self, rng):
-        x = rng.standard_normal((40, 3))
-        inertias = [kmeans(x, k, seed=0).inertia for k in (1, 2, 4, 8)]
-        assert all(a >= b - 1e-9 for a, b in zip(inertias, inertias[1:]))
-
-    def test_k_exceeds_n_raises(self, rng):
-        with pytest.raises(ValueError, match="exceeds"):
-            kmeans(rng.standard_normal((3, 2)), 5, seed=0)
-
-    def test_plus_plus_init_spreads(self, rng):
-        # Duplicated point cloud: ++ must not pick two coincident centres
-        # when spread mass exists.
-        x = np.vstack([np.zeros((10, 2)), np.ones((10, 2)) * 10])
-        centers = kmeans_plus_plus_init(x, 2, rng)
-        d = np.linalg.norm(centers[0] - centers[1])
-        assert d > 5
 
 
 class TestSubspace:

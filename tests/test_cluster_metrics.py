@@ -10,8 +10,6 @@ from repro.cluster.metrics import (
     adjusted_rand_index,
     contingency_table,
     group_separability,
-    normalized_mutual_information,
-    purity,
     silhouette_score,
 )
 
@@ -50,41 +48,6 @@ class TestARI:
     def test_trivial_partitions(self):
         ones = np.zeros(5, dtype=int)
         assert adjusted_rand_index(ones, ones) == 1.0
-
-
-class TestNMI:
-    def test_identical(self):
-        labels = np.array([0, 1, 1, 2])
-        assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)
-
-    def test_bounds(self, rng):
-        for _ in range(5):
-            a = rng.integers(0, 4, size=50)
-            b = rng.integers(0, 3, size=50)
-            v = normalized_mutual_information(a, b)
-            assert 0.0 <= v <= 1.0
-
-    def test_permutation_invariance(self):
-        a = np.array([0, 0, 1, 1])
-        b = np.array([1, 1, 0, 0])
-        assert normalized_mutual_information(a, b) == pytest.approx(1.0)
-
-    def test_constant_vs_varied(self):
-        a = np.zeros(6, dtype=int)
-        b = np.array([0, 1, 0, 1, 0, 1])
-        assert normalized_mutual_information(a, b) == 0.0
-
-
-class TestPurity:
-    def test_perfect(self):
-        labels = np.array([0, 0, 1, 1])
-        assert purity(labels, labels) == 1.0
-
-    def test_known_value(self):
-        true = np.array([0, 0, 0, 1, 1, 1])
-        pred = np.array([0, 0, 1, 1, 1, 1])
-        # Cluster 0: majority 0 (2); cluster 1: majority 1 (3) → 5/6.
-        assert purity(true, pred) == pytest.approx(5 / 6)
 
 
 class TestSilhouette:

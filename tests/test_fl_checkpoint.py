@@ -10,7 +10,7 @@ partial reads, no version coercion.
 The engine contract: a run checkpointed at round ``t`` and resumed by a
 *fresh* engine (fresh env, fresh strategy seeded from scratch) reproduces
 the uninterrupted run bit-for-bit — server vector, accuracies, traffic
-counters, every log, every history field except wall-clock.
+counters, the event log, every history field except wall-clock.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import fates
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -34,6 +35,7 @@ from repro.fl.defense import (
     CHECKPOINT_VERSION,
     CheckpointConfig,
     CheckpointError,
+    CorruptionConfig,
     load_checkpoint,
     save_checkpoint,
 )
@@ -245,15 +247,43 @@ def _history_rows(history: RunHistory):
     return rows
 
 
-def _assert_engines_match(a: RoundEngine, b: RoundEngine):
-    assert a.drop_log == b.drop_log
-    assert a.straggler_log == b.straggler_log
-    assert a.stale_log == b.stale_log
-    assert a.departure_log == b.departure_log
-    assert a.quarantine_log == b.quarantine_log
-    assert a.participation_log == b.participation_log
+_KINDS = ("participate", "drop", "straggle", "quarantine", "stale", "depart")
+
+
+def _assert_engines_match(a: RoundEngine, b: RoundEngine, ordered: bool = True):
+    if ordered:
+        assert a.events == b.events
+    else:
+        # Files before version 3 kept one log per kind, so a resume from
+        # one keeps each kind's order but not the order across kinds.
+        for kind in _KINDS:
+            assert [e for e in a.events if e[1] == kind] == [
+                e for e in b.events if e[1] == kind
+            ]
     assert a.env.tracker.uploads == b.env.tracker.uploads
     assert a.env.tracker.downloads == b.env.tracker.downloads
+
+
+def _legacy_logs(events) -> dict:
+    """A version-1/2 header's ``logs``: one ``(round, client ids)`` entry
+    per round and kind, ``(client id, reason)`` pairs for quarantines."""
+    names = {
+        "participate": "participation",
+        "drop": "drop",
+        "straggle": "straggler",
+        "quarantine": "quarantine",
+        "stale": "stale",
+        "depart": "departure",
+    }
+    logs: dict[str, list] = {name: [] for name in names.values()}
+    for r, kind, cid, reason in events:
+        log = logs[names[kind]]
+        entry = [cid, reason] if kind == "quarantine" else cid
+        if log and log[-1][0] == r:
+            log[-1][1].append(entry)
+        else:
+            log.append([r, [entry]])
+    return logs
 
 
 class TestResumeBitIdentity:
@@ -270,14 +300,14 @@ class TestResumeBitIdentity:
         mean_acc, per_client = engine.run(strategy, n_rounds, history)
         return strategy, engine, history, mean_acc, per_client
 
-    def _compare(self, ref, resumed):
+    def _compare(self, ref, resumed, ordered=True):
         s1, e1, h1, acc1, pc1 = ref
         s2, e2, h2, acc2, pc2 = resumed
         np.testing.assert_array_equal(s2.vector, s1.vector)
         assert acc2 == acc1
         np.testing.assert_array_equal(pc2, pc1)
         assert _history_rows(h2) == _history_rows(h1)
-        _assert_engines_match(e2, e1)
+        _assert_engines_match(e2, e1, ordered)
 
     def test_fedavg_sync_resume(self, env_factory, tmp_path):
         def scenario(d, resume):
@@ -300,10 +330,20 @@ class TestResumeBitIdentity:
 
     #: (scenario knobs, cut round, total rounds).  Each cut round ends
     #: with updates in the buffer: banked stragglers, or async arrivals
-    #: short of ``buffer_size``.
+    #: short of ``buffer_size``.  The hardened cell also quarantines.
     _BUFFERED_CUTS = {
         "sync_stale": (
             dict(client_fraction=0.5, straggler_rate=0.4, staleness_decay=0.5),
+            3,
+            4,
+        ),
+        "sync_hardened": (
+            dict(
+                client_fraction=0.5,
+                straggler_rate=0.4,
+                staleness_decay=0.5,
+                corruption=CorruptionConfig(rate=0.3, kinds=("nan",)),
+            ),
             3,
             4,
         ),
@@ -350,7 +390,7 @@ class TestResumeBitIdentity:
         ref, resume = self._buffered_cut(env_factory, tmp_path, "sync_stale")
         self._compare(ref, resume())
         # The stragglers banked before the cut folded after it.
-        assert ref[1].stale_log[-1][0] == 4
+        assert fates(ref[1].events, "stale")[-1][0] == 4
 
     @pytest.mark.parametrize("case", sorted(_BUFFERED_CUTS))
     def test_version_1_buffers_still_resume(
@@ -362,9 +402,10 @@ class TestResumeBitIdentity:
         ref, resume = self._buffered_cut(env_factory, tmp_path, case)
         path = tmp_path / "checkpoint.bin"
         header, arrays = load_checkpoint(path)
+        header["logs"] = _legacy_logs(header.pop("events"))
         entries, rows = header.pop("buffer"), arrays.pop("buffer_rows")
         legacy, empty = ("async", "stale")
-        if case == "sync_stale":
+        if case.startswith("sync"):
             legacy, empty = empty, legacy
             for entry in entries:
                 entry["produced_round"] = entry.pop("dispatch_round")
@@ -378,7 +419,26 @@ class TestResumeBitIdentity:
         raw = path.read_bytes()
         assert struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC)) == (1,)
         resumed = resume()
-        self._compare(ref, resumed)
+        self._compare(ref, resumed, ordered=False)
+        assert resumed[1].run_record() == ref[1].run_record()
+
+    @pytest.mark.parametrize("case", sorted(_BUFFERED_CUTS))
+    def test_version_2_logs_still_resume(
+        self, env_factory, tmp_path, monkeypatch, case
+    ):
+        """Version-2 files kept one log per event kind; resume converts
+        them to events."""
+        ref, resume = self._buffered_cut(env_factory, tmp_path, case)
+        path = tmp_path / "checkpoint.bin"
+        header, arrays = load_checkpoint(path)
+        header["logs"] = _legacy_logs(header.pop("events"))
+        with monkeypatch.context() as patch:
+            patch.setattr(defense, "CHECKPOINT_VERSION", 2)
+            save_checkpoint(path, header, arrays)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC)) == (2,)
+        resumed = resume()
+        self._compare(ref, resumed, ordered=False)
         assert resumed[1].run_record() == ref[1].run_record()
 
     def test_resume_skips_completed_rounds(self, env_factory, tmp_path):
@@ -443,6 +503,7 @@ class TestResumeBitIdentity:
             resumed.cluster_labels, ref.cluster_labels
         )
         assert _history_rows(resumed.history) == _history_rows(ref.history)
+        assert resumed.extras["events"] == ref.extras["events"]
 
     def test_async_resume(self, env_factory, tmp_path):
         def scenario(d, resume):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import fates
 
 from repro.algorithms.base import GlobalModelRounds, survivor_mean_loss
 from repro.algorithms.registry import make_algorithm
@@ -210,11 +211,9 @@ class TestMaybeCorrupt:
             results["serial"].per_client_accuracy,
             results["batched"].per_client_accuracy,
         )
-        assert (
-            results["serial"].extras["quarantine_log"]
-            == results["batched"].extras["quarantine_log"]
-        )
-        assert results["serial"].extras["quarantine_log"]
+        events = results["serial"].extras["events"]
+        assert events == results["batched"].extras["events"]
+        assert fates(events, "quarantine")
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +285,12 @@ class TestAdmission:
         # Every client uploaded every round — the bytes crossed the
         # network before admission refused them.
         assert env.tracker.total_uploaded == 2 * m * env.n_params
-        assert all(
-            reason == QUARANTINE_NON_FINITE
-            for _, entries in result.extras["quarantine_log"]
-            for _, reason in entries
-        )
+        reasons = [
+            reason
+            for _, kind, _, reason in result.extras["events"]
+            if kind == "quarantine"
+        ]
+        assert reasons and all(reason == QUARANTINE_NON_FINITE for reason in reasons)
         assert [r.n_quarantined for r in result.history.records] == [m, m]
         assert result.history.to_dict()["n_quarantined_total"] == 2 * m
 
@@ -435,7 +435,7 @@ class TestSurvivorLossExclusion:
         tasks = strategy.broadcast_for(engine, 1, np.arange(8))
         outcome = engine.dispatch(tasks, 1)
         env.close()
-        rejected = {cid for cid, _ in outcome.quarantined}
+        rejected = {cid for _, cid in fates(engine.events, "quarantine")}
         assert 0 < len(rejected) < 8
         survivors = {u.client_id for u in outcome.survivors}
         assert survivors.isdisjoint(rejected)
@@ -472,8 +472,8 @@ class TestQuorum:
         assert not any(r.quorum_failed for r in result.history.records)
         assert all(np.isfinite(r.mean_train_loss) for r in result.history.records)
         # Retries logged their drops under derived epochs (> 1_000_000).
-        drop_log = result.extras["drop_log"]
-        assert any(r >= 1_000_000 for r, _ in drop_log)
+        drops = fates(result.extras["events"], "drop")
+        assert any(r >= 1_000_000 for r, _ in drops)
 
     def test_below_quorum_degrades_gracefully(self, env_factory):
         # Rate-1 NaN corruption defeats every retry: admission rejects
@@ -500,7 +500,7 @@ class TestQuorum:
         assert history.to_dict()["quorum_failed_rounds"] == [1, 2]
         # Retries rolled fresh corruption dice: quarantine entries exist
         # under the derived retry epochs too.
-        assert any(r >= 1_000_000 for r, _ in engine.quarantine_log)
+        assert any(r >= 1_000_000 for r, _ in fates(engine.events, "quarantine"))
 
     def test_quorum_failure_banks_late_work_for_the_future(self, env_factory):
         """A round below quorum keeps the older banked updates, banks its
@@ -530,7 +530,7 @@ class TestQuorum:
         failed = [r.round_index for r in history.records if r.quorum_failed]
         assert 4 in failed and 5 not in failed and buffers[2]
         before, after, out = buffers[2], buffers[3], outcomes[3]
-        late = set(out.stragglers.tolist())
+        late = {c for r, c in fates(engine.events, "straggle") if r == 4}
         on_time = set(out.participants.tolist()) - late
         assert not history.records[3].aggregation_event
         assert out.survivors == []
@@ -545,7 +545,7 @@ class TestQuorum:
         # The healthy round folds what survived in the buffer, each
         # update at decay ** age; some of it is two rounds old.
         folded = {u.client_id: u for u in outcomes[4].survivors}
-        stale = outcomes[4].stale.tolist()
+        stale = [c for r, c in fates(engine.events, "stale") if r == 5]
         assert stale and history.records[4].n_stale == len(stale)
         ages = []
         for cid in stale:
@@ -571,7 +571,7 @@ class TestQuorum:
         assert not pending
         assert sorted(collected) == list(range(8))
         # Attempt epochs: original at 3, retries at 3 + 1e6 * a.
-        rounds_seen = {r for r, _ in engine.drop_log}
+        rounds_seen = {r for r, _ in fates(engine.events, "drop")}
         assert all((r - 3) % 1_000_000 == 0 for r in rounds_seen)
 
 
@@ -634,10 +634,9 @@ class TestCorruptionAcceptance:
         env.close()
         assert np.isfinite(strategy.vector).all()
         assert np.isfinite(mean_acc)
-        assert engine.quarantine_log
-        assert sum(r.n_quarantined for r in history.records) == sum(
-            len(entries) for _, entries in engine.quarantine_log
-        )
+        quarantined = fates(engine.events, "quarantine")
+        assert quarantined
+        assert sum(r.n_quarantined for r in history.records) == len(quarantined)
 
 
 # ----------------------------------------------------------------------
@@ -682,8 +681,7 @@ class TestCorruptionQuorumResumeSmoke:
         assert acc2 == mean_acc
         np.testing.assert_array_equal(per2, per_client)
         np.testing.assert_array_equal(resumed.vector, strategy.vector)
-        assert engine2.quarantine_log == engine.quarantine_log
-        assert engine2.drop_log == engine.drop_log
+        assert engine2.events == engine.events
         assert [
             (r.round_index, r.mean_train_loss, r.n_quarantined, r.quorum_failed)
             for r in history2.records

@@ -20,16 +20,18 @@ Three contracts:
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from helpers import fates
 
 from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.config import TrainConfig
-from repro.fl.defense import CheckpointConfig
+from repro.fl.defense import CheckpointConfig, CorruptionConfig
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
 from repro.fl.simulation import FederatedEnv
@@ -167,32 +169,37 @@ class TestDispatchMiddleware:
         engine = RoundEngine(env, ScenarioConfig(failure_rate=0.5))
         out = engine.dispatch(self._tasks(env), 1)
         m = env.federation.n_clients
-        assert 0 < len(out.failed) < m
-        assert len(out.survivors) == m - len(out.failed)
+        failed = fates(engine.events, "drop")
+        assert 0 < len(failed) < m
+        assert len(out.survivors) == m - len(failed)
         # Failed clients consumed the broadcast but never uploaded.
         assert env.tracker.total_downloaded == m * env.n_params
         assert env.tracker.total_uploaded == len(out.survivors) * env.n_params
-        assert engine.drop_log == [(1, out.failed.tolist())]
+        survived = {u.client_id for u in out.survivors}
+        assert failed == [(1, c) for c in range(m) if c not in survived]
 
     def test_stragglers_charge_both_but_miss_aggregation(self, env_factory):
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(straggler_rate=0.5))
         out = engine.dispatch(self._tasks(env), 1)
         m = env.federation.n_clients
-        assert 0 < len(out.stragglers) < m
-        assert len(out.survivors) == m - len(out.stragglers)
+        late = fates(engine.events, "straggle")
+        assert 0 < len(late) < m
+        assert len(out.survivors) == m - len(late)
         # Stragglers trained and uploaded — they just missed the deadline.
         assert env.tracker.total_downloaded == m * env.n_params
         assert env.tracker.total_uploaded == m * env.n_params
-        assert engine.straggler_log == [(1, out.stragglers.tolist())]
+        survived = {u.client_id for u in out.survivors}
+        assert late == [(1, c) for c in range(m) if c not in survived]
 
     def test_same_round_same_drops(self, env_factory):
         env = env_factory(local_epochs=1)
         scenario = ScenarioConfig(failure_rate=0.5, straggler_rate=0.3)
-        first = RoundEngine(env, scenario).dispatch(self._tasks(env), 4)
-        second = RoundEngine(env, scenario).dispatch(self._tasks(env), 4)
-        np.testing.assert_array_equal(first.failed, second.failed)
-        np.testing.assert_array_equal(first.stragglers, second.stragglers)
+        engines = RoundEngine(env, scenario), RoundEngine(env, scenario)
+        first, second = (e.dispatch(self._tasks(env), 4) for e in engines)
+        assert engines[0].events == engines[1].events
+        assert fates(engines[0].events, "drop")
+        assert fates(engines[0].events, "straggle")
         assert [u.client_id for u in first.survivors] == [
             u.client_id for u in second.survivors
         ]
@@ -263,8 +270,8 @@ class TestRunRecord:
         ],
     )
     def test_n_dispatched_counts_every_task_sent(self, env_factory, name, scenario):
-        """Quorum retries and FedClust's clustering round send tasks the
-        participation log does not list; ``n_dispatched`` counts them
+        """Quorum retries and FedClust's clustering round send tasks that
+        log no ``participate`` events; ``n_dispatched`` counts them
         all, so it bounds every per-fate count."""
         env = env_factory(local_epochs=1)
         result = make_algorithm(name, **_KWARGS[name]).run(
@@ -274,8 +281,10 @@ class TestRunRecord:
         record = result.extras["engine_record"]
         # Every task sent is charged exactly one download, whatever its fate.
         assert record["n_dispatched"] == env.tracker.total_downloaded // env.n_params
-        fates = record["n_dropped"] + record["n_stragglers"] + record["n_quarantined"]
-        assert 0 < fates <= record["n_dispatched"]
+        n_fates = (
+            record["n_dropped"] + record["n_stragglers"] + record["n_quarantined"]
+        )
+        assert 0 < n_fates <= record["n_dispatched"]
 
     def test_sync_rounds_are_events_without_duration_draws(
         self, env_factory, monkeypatch
@@ -346,6 +355,17 @@ _SCENARIOS = {
         departures={5: 2},
     ),
 }
+#: The matrix plus a cell that quarantines, so every counter is exercised.
+_COUNTED = {
+    **_SCENARIOS,
+    "hardened+stale": ScenarioConfig(
+        client_fraction=0.75,
+        straggler_rate=0.3,
+        staleness_decay=0.5,
+        corruption=CorruptionConfig(rate=0.3, kinds=("nan",)),
+        departures={5: 2},
+    ),
+}
 
 
 class TestScenarioMatrix:
@@ -371,9 +391,24 @@ class TestScenarioMatrix:
             serial.per_client_accuracy, other.per_client_accuracy
         )
         assert serial.final_accuracy == other.final_accuracy
-        assert serial.extras["drop_log"] == other.extras["drop_log"]
-        assert serial.extras["straggler_log"] == other.extras["straggler_log"]
-        assert serial.extras["stale_log"] == other.extras["stale_log"]
+        assert serial.extras["events"] == other.extras["events"]
+
+    @pytest.mark.parametrize("scenario_name", sorted(_COUNTED))
+    def test_counters_are_folds_of_the_event_log(self, env_factory, scenario_name):
+        """Per-round counters summed over the run, ``run_record()`` and
+        the event kinds all count the same client fates."""
+        result = self._run(env_factory, "serial", _COUNTED[scenario_name])
+        record = result.extras["engine_record"]
+        kinds = Counter(kind for _, kind, _, _ in result.extras["events"])
+        for counter, key, kind in (
+            ("n_quarantined", "n_quarantined", "quarantine"),
+            ("n_stale", "n_stale_folded", "stale"),
+            ("n_departed", "n_departed", "depart"),
+        ):
+            total = sum(getattr(r, counter) for r in result.history.records)
+            assert total == record[key] == kinds[kind]
+        assert record["n_dropped"] == kinds["drop"]
+        assert record["n_stragglers"] == kinds["straggle"]
 
     @pytest.mark.parametrize(
         "algorithm", ["fedprox", "cfl", "ifca", "pacfl", "fedclust", "local_only"]
@@ -477,7 +512,7 @@ class TestDeparturesAndTraces:
         )
         assert [r.n_participants for r in result.history.records] == [8, 7, 6]
         assert [r.n_departed for r in result.history.records] == [0, 1, 1]
-        assert result.extras["departure_log"] == [(2, [0]), (3, [4])]
+        assert fates(result.extras["events"], "depart") == [(2, 0), (3, 4)]
         # Departed clients keep their Table-I evaluation entry.
         assert result.per_client_accuracy.shape == (8,)
         assert not np.isnan(result.per_client_accuracy).any()
@@ -568,18 +603,22 @@ class TestStaleUpdates:
         engine, strategy, outcomes = self._run_with_outcomes(
             env, scenario, n_rounds=4
         )
-        folded = [set(out.stale.tolist()) for out in outcomes]
+
+        def ids(kind, round_index):
+            return {c for r, c in fates(engine.events, kind) if r == round_index}
+
+        folded = [ids("stale", out.round_index) for out in outcomes]
         assert any(folded), "seeded scenario should fold at least one update"
-        for prev, out in zip(outcomes, outcomes[1:]):
+        for prev, out, stale in zip(outcomes, outcomes[1:], folded[1:]):
             fresh = {
                 u.client_id for u in out.survivors if u.weight is None
             }
             # Every fold is a previous-round straggler that did not
             # deliver fresh work this round.
-            assert set(out.stale.tolist()) <= set(prev.stragglers.tolist())
-            assert not set(out.stale.tolist()) & fresh
+            assert stale <= ids("straggle", prev.round_index)
+            assert not stale & fresh
             for update in out.survivors:
-                if update.client_id in set(out.stale.tolist()):
+                if update.client_id in stale:
                     assert update.weight == update.n_samples * decay
 
     def test_aggregation_renormalises_over_survivors_plus_stale(self, env_factory):
@@ -605,7 +644,7 @@ class TestStaleUpdates:
 
         strategy.aggregate = spy
         engine.run(strategy, 4, RunHistory("test", "x", 0))
-        stale_rounds = {r for r, _ in engine.stale_log}
+        stale_rounds = {r for r, _ in fates(engine.events, "stale")}
         assert stale_rounds, "seeded scenario should fold at least once"
         round_index = max(stale_rounds)
         survivors = next(s for r, s in captured if r == round_index)
@@ -630,7 +669,7 @@ class TestStaleUpdates:
         env = env_factory(local_epochs=1)
         scenario = ScenarioConfig(straggler_rate=0.4, staleness_decay=0.5)
         engine, _, outcomes = self._run_with_outcomes(env, scenario)
-        assert engine.stale_log == []
+        assert fates(engine.events, "stale") == []
         for out in outcomes:
             ids = [u.client_id for u in out.survivors]
             assert len(ids) == len(set(ids))
@@ -654,7 +693,8 @@ class TestStaleUpdates:
         np.testing.assert_array_equal(
             base.per_client_accuracy, same.per_client_accuracy
         )
-        assert base.extras["stale_log"] == same.extras["stale_log"] == []
+        assert fates(base.extras["events"], "stale") == []
+        assert base.extras["events"] == same.extras["events"]
 
 
 # ----------------------------------------------------------------------
@@ -1057,8 +1097,11 @@ class TestRowLifetime:
         folded = []
 
         def check(eng, out):
+            stale = {
+                c for r, c in fates(eng.events, "stale") if r == out.round_index
+            }
             for update in out.survivors:
-                if update.client_id in out.stale:
+                if update.client_id in stale:
                     # A banked row is the client's latest earlier dispatch.
                     sent = max(
                         r

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import fates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,9 +238,8 @@ class TestRealizedTrace:
         # so replay treats absence as "unavailable", not "unrestricted".
         assert trace.clients == frozenset(range(8))
         # Survivors = dispatched minus dropped, per round.
-        dropped = {
-            (r, cid) for r, ids in result.extras["drop_log"] for cid in ids
-        }
+        dropped = set(fates(result.extras["events"], "drop"))
+        assert dropped
         for cid in range(8):
             for r in trace.rounds_for(cid):
                 assert (r, cid) not in dropped
@@ -271,8 +271,8 @@ class TestRealizedTrace:
             original.per_client_accuracy, replayed.per_client_accuracy
         )
         # The replay rolled no dice at all.
-        assert replayed.extras["drop_log"] == []
-        assert replayed.extras["straggler_log"] == []
+        assert fates(replayed.extras["events"], "drop") == []
+        assert fates(replayed.extras["events"], "straggle") == []
         # Replay dispatches only the on-time cohort, so it never pays
         # for a dropped or late client's traffic.
         assert (
@@ -296,24 +296,23 @@ class TestRealizedTrace:
         self, trace_env_factory, participation, data
     ):
         """realized = participation minus drops minus deadline misses,
-        for arbitrary logs — and the capture survives a JSON round
+        for arbitrary event logs — and the capture survives a JSON round
         trip."""
         from repro.fl.rounds import RoundEngine, ScenarioConfig
 
         engine = RoundEngine(trace_env_factory(), ScenarioConfig())
-        engine.participation_log = [
-            (r, sorted(ids)) for r, ids in sorted(participation.items())
-        ]
+        engine.events.extend(
+            (r, "participate", cid, None)
+            for r, ids in sorted(participation.items())
+            for cid in sorted(ids)
+        )
         removed: dict[int, set[int]] = {}
-        for log_name in ("drop_log", "straggler_log"):
-            log = []
+        for kind in ("drop", "straggle"):
             for r, ids in participation.items():
                 gone = data.draw(st.sets(st.sampled_from(sorted(ids))))
-                if gone:
-                    log.append((r, sorted(gone)))
-                    for cid in gone:
-                        removed.setdefault(cid, set()).add(r)
-            setattr(engine, log_name, log)
+                engine.events.extend((r, kind, cid, None) for cid in sorted(gone))
+                for cid in gone:
+                    removed.setdefault(cid, set()).add(r)
         trace = engine.realized_trace()
         assert trace.clients == frozenset(range(8))
         for cid in range(8):

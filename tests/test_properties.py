@@ -14,11 +14,7 @@ from repro.cluster.distance import (
     validate_distance_matrix,
 )
 from repro.cluster.hierarchy import cut_by_k, linkage, merge_heights
-from repro.cluster.metrics import (
-    adjusted_rand_index,
-    normalized_mutual_information,
-    purity,
-)
+from repro.cluster.metrics import adjusted_rand_index
 from repro.data.partition import check_partition, dirichlet_partition, iid_partition
 from repro.fl.aggregation import packed_weighted_average
 from repro.nn.functional import one_hot, softmax
@@ -99,17 +95,14 @@ class TestHierarchyProperties:
 class TestMetricProperties:
     @given(labels=label_arrays)
     @settings(max_examples=40, deadline=None)
-    def test_ari_nmi_purity_perfect_on_self(self, labels):
+    def test_ari_perfect_on_self(self, labels):
         assert adjusted_rand_index(labels, labels) == pytest.approx(1.0)
-        assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)
-        assert purity(labels, labels) == 1.0
 
     @given(labels=label_arrays, offset=st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
     def test_relabelling_invariance(self, labels, offset):
         renamed = (labels + offset) % 11  # injective rename of label ids
         assert adjusted_rand_index(labels, renamed) == pytest.approx(1.0)
-        assert normalized_mutual_information(labels, renamed) == pytest.approx(1.0)
 
     @given(a=label_arrays, b=label_arrays)
     @settings(max_examples=40, deadline=None)
@@ -120,8 +113,6 @@ class TestMetricProperties:
         ari_ba = adjusted_rand_index(b, a)
         assert ari_ab == pytest.approx(ari_ba)
         assert -1.0 <= ari_ab <= 1.0
-        nmi = normalized_mutual_information(a, b)
-        assert 0.0 <= nmi <= 1.0
 
 
 class TestPartitionProperties:

@@ -7,15 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.utils.logging import RoundLogger, enable_console_logging, get_logger
-from repro.utils.rng import (
-    batched_permutation,
-    check_seed_list,
-    make_rng,
-    rng_for,
-    spawn_rngs,
-    spawn_seeds,
-)
+from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.rng import make_rng, rng_for, spawn_rngs
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -51,24 +44,9 @@ class TestRng:
         r1, r2 = spawn_rngs(0, 2)
         assert not np.array_equal(r1.standard_normal(8), r2.standard_normal(8))
 
-    def test_spawn_seeds_deterministic(self):
-        assert spawn_seeds(5, 3) == spawn_seeds(5, 3)
-        assert len(set(spawn_seeds(5, 10))) == 10
-
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_batched_permutation_covers(self):
-        rng = make_rng(0)
-        batches = list(batched_permutation(rng, 10, 3))
-        assert [len(b) for b in batches] == [3, 3, 3, 1]
-        np.testing.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(10))
-
-    def test_check_seed_list(self):
-        assert check_seed_list([1, 2, 3]) == [1, 2, 3]
-        with pytest.raises(ValueError, match="duplicate"):
-            check_seed_list([1, 1])
 
 
 class TestTables:
@@ -187,12 +165,3 @@ class TestLogging:
         n = len(logger.handlers)
         enable_console_logging()
         assert len(logger.handlers) == n
-
-    def test_round_logger_throttles(self):
-        lines = []
-        rl = RoundLogger(total_rounds=100, min_interval=3600, emit=lines.append)
-        for i in range(1, 100):
-            rl.log(i, "x")
-        assert len(lines) == 1  # first only; the rest throttled
-        rl.log(100, "final")
-        assert len(lines) == 2  # final round always emitted
