@@ -8,9 +8,9 @@ this benchmark times a full FedAvg training run two ways —
 * **baseline**: an inline replica of the pre-engine FedAvg loop over
   the surviving primitive (:func:`repro.algorithms.base.fedavg_round_flat`
   + ``evaluate_packed`` on the same cadence);
-* **engine**: :class:`repro.fl.rounds.RoundEngine` driving
-  :class:`repro.algorithms.base.GlobalModelRounds` under the default
-  scenario —
+* **engine**: :class:`repro.fl.rounds.RoundEngine` driving FedAvg's
+  one-row :class:`repro.algorithms.base.ClusteredRounds` under the
+  default scenario —
 
 and pins the overhead **< 2 %** (wall-clock on this box is noisy;
 medians over several full runs).  Both paths produce bit-identical
@@ -71,7 +71,7 @@ try:  # package import (pytest) vs script import (scripts/bench.sh)
 except ImportError:  # pragma: no cover - script entry point
     from bench_eval import _federation_env
 
-from repro.algorithms.base import GlobalModelRounds, fedavg_round_flat
+from repro.algorithms.base import ClusteredRounds, fedavg_round_flat
 from repro.fl.config import TrainConfig
 from repro.fl.history import RunHistory
 from repro.fl.rounds import AsyncConfig, RoundEngine, ScenarioConfig
@@ -111,6 +111,15 @@ def _make_env(n_clients: int, samples_per_client: int, local_epochs: int):
     return env
 
 
+def _global_rounds(env) -> ClusteredRounds:
+    """FedAvg's server state: the initial model as the one row, every
+    client labelled 0."""
+    return ClusteredRounds(
+        env.layout.pack(env.init_state())[None],
+        np.zeros(env.federation.n_clients, dtype=np.int64),
+    )
+
+
 def _baseline_run(env, n_rounds: int, fraction: float = 1.0) -> np.ndarray:
     """Inline replica of the pre-engine FedAvg loop (PR 3 shape)."""
     m = env.federation.n_clients
@@ -127,10 +136,10 @@ def _baseline_run(env, n_rounds: int, fraction: float = 1.0) -> np.ndarray:
 
 
 def _engine_run(env, n_rounds: int, fraction: float = 1.0) -> np.ndarray:
-    strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+    strategy = _global_rounds(env)
     engine = RoundEngine(env, ScenarioConfig(client_fraction=fraction))
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    return strategy.vector
+    return strategy.matrix[0]
 
 
 def run_engine_overhead(
@@ -205,10 +214,10 @@ def _middleware_scenario(n_clients: int) -> ScenarioConfig:
 
 
 def _middleware_run(env, n_rounds: int) -> tuple[np.ndarray, int]:
-    strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+    strategy = _global_rounds(env)
     engine = RoundEngine(env, _middleware_scenario(env.federation.n_clients))
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    return strategy.vector, engine.run_record()["n_stale_folded"]
+    return strategy.matrix[0], engine.run_record()["n_stale_folded"]
 
 
 def run_middleware_v2(
@@ -251,10 +260,10 @@ def _async_scenario(n_clients: int) -> ScenarioConfig:
 def _async_run(
     env, n_rounds: int, scenario: ScenarioConfig
 ) -> tuple[np.ndarray, RoundEngine]:
-    strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+    strategy = _global_rounds(env)
     engine = RoundEngine(env, scenario)
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    return strategy.vector, engine
+    return strategy.matrix[0], engine
 
 
 def run_async_throughput(
@@ -297,12 +306,12 @@ def run_async_throughput(
 
 
 def _robust_run(env, n_rounds: int, fraction: float, robust_agg: str) -> np.ndarray:
-    strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+    strategy = _global_rounds(env)
     engine = RoundEngine(
         env, ScenarioConfig(client_fraction=fraction, robust_agg=robust_agg)
     )
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    return strategy.vector
+    return strategy.matrix[0]
 
 
 def run_robust_aggregation(

@@ -3,7 +3,6 @@
 from repro.algorithms.base import (
     ClusteredRounds,
     FLAlgorithm,
-    GlobalModelRounds,
     RunResult,
     fedavg_round_flat,
 )
@@ -22,7 +21,6 @@ from repro.algorithms.registry import (
 __all__ = [
     "ClusteredRounds",
     "FLAlgorithm",
-    "GlobalModelRounds",
     "RunResult",
     "fedavg_round_flat",
     "CFL",

@@ -8,11 +8,12 @@ straggler injection, aggregation over survivors, evaluation cadence,
 history logging) lives once in :class:`repro.fl.rounds.RoundEngine`;
 this module contributes the building blocks the algorithms plug into it:
 
-* :class:`GlobalModelRounds` — the single-global-model strategy
-  (FedAvg/FedProx);
 * :class:`ClusteredRounds` — per-cluster FedAvg over a packed
-  ``(n_clusters, n_params)`` matrix, used by the one-shot methods
-  (FedClust, PACFL) after clustering;
+  ``(n_clusters, n_params)`` matrix plus one cluster label per client,
+  the server state of every algorithm whose clients share models:
+  FedAvg and FedProx are its one-row case, IFCA and CFL subclass it to
+  re-label or split clusters, and FedClust and PACFL use it after their
+  clustering round (``local_only`` keeps per-client rows in a store);
 * :func:`fedavg_round_flat` — the one-round primitive, kept as the
   reference kernel for tests and the engine-overhead benchmark.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
-from repro.fl.defense import robust_weighted_average
+from repro.fl.defense import CheckpointError, robust_weighted_average
 from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import (
@@ -45,39 +46,12 @@ from repro.fl.store import tiered_weighted_average
 __all__ = [
     "RunResult",
     "FLAlgorithm",
-    "GlobalModelRounds",
     "ClusteredRounds",
     "fedavg_round_flat",
     "cohort_matrix",
     "survivor_mean_loss",
     "survivor_weighted_average",
-    "tasks_for_groups",
 ]
-
-
-def tasks_for_groups(
-    n_clients: int,
-    participants: np.ndarray,
-    groups: Sequence[tuple[np.ndarray, Sequence[int]]],
-) -> list[UpdateTask]:
-    """Broadcast tasks for participating members of packed-row groups.
-
-    ``groups`` is ``(row, members)`` per server model.  Each group's
-    participants share the row *object* as their payload — the invariant
-    executors rely on to encode a broadcast once and the batched
-    executor relies on to form one lockstep cohort per group.  Task
-    order is group-major, members ascending: the order the historical
-    per-cluster dispatch produced, which keeps per-cluster aggregation
-    summation bit-identical.
-    """
-    present = np.zeros(n_clients, dtype=bool)
-    present[participants] = True
-    tasks: list[UpdateTask] = []
-    for row, members in groups:
-        tasks.extend(
-            UpdateTask(int(cid), flat=row) for cid in members if present[cid]
-        )
-    return tasks
 
 
 def cohort_matrix(env: FederatedEnv, updates: Sequence) -> np.ndarray:
@@ -267,95 +241,29 @@ class FLAlgorithm(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Shared strategies
+# The shared strategy
 # ----------------------------------------------------------------------
-class GlobalModelRounds(RoundStrategy):
-    """One global model as a packed row: FedAvg's (and FedProx's) round.
-
-    The broadcast payload, the aggregation result and the evaluation
-    input are all the same buffer — no state dict on the round loop.
-    """
-
-    name = "global"
-
-    def __init__(self, vector: np.ndarray, prox_mu: float = 0.0) -> None:
-        self.vector = np.asarray(vector, dtype=np.float64)
-        self.prox_mu = prox_mu
-
-    def broadcast_for(
-        self, engine: RoundEngine, round_index: int, participants: np.ndarray
-    ) -> list[UpdateTask]:
-        return [
-            UpdateTask(int(cid), flat=self.vector, prox_mu=self.prox_mu)
-            for cid in participants
-        ]
-
-    def aggregate(
-        self, engine: RoundEngine, round_index: int, survivors: list[ClientUpdate]
-    ) -> float:
-        if not survivors:
-            return float("nan")
-        env = engine.env
-        # One GEMV over the survivors' packed rows (read in place when
-        # they are one batched cohort's); weights renormalise over
-        # whoever made the deadline (plus any stale arrivals, at their
-        # discounted weight).
-        new_vector = survivor_weighted_average(
-            env, survivors, **engine.robust_kwargs
-        )
-        if new_vector is not None:
-            self.vector = env.layout.round_trip(new_vector)
-        return survivor_mean_loss(survivors)
-
-    def evaluate(
-        self, engine: RoundEngine, round_index: int
-    ) -> tuple[float, np.ndarray]:
-        env = engine.env
-        # Grouped eval: the one global model is loaded once and every
-        # client's test split shares the fused batches.
-        return env.evaluate_packed(
-            self.vector,
-            np.zeros(env.federation.n_clients, dtype=np.int64),
-        )
-
-    def checkpoint_payload(
-        self, engine: RoundEngine
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        # The vector is always a round_trip result (or the packed
-        # initial state), so the wire dtype stores it exactly.
-        wire = engine.env.layout.wire_dtype
-        return {"prox_mu": float(self.prox_mu)}, {
-            "vector": self.vector.astype(wire)
-        }
-
-    def restore_payload(
-        self, engine: RoundEngine, meta: Mapping, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        self.vector = arrays["vector"].astype(np.float64)
-        self.prox_mu = float(meta["prox_mu"])
-
-
 class ClusteredRounds(RoundStrategy):
     """Per-cluster FedAvg over one packed ``(n_clusters, n_params)`` matrix.
 
-    Broadcasts are row payloads (each cluster's participants share the
-    row object, so executors encode it once and the batched executor
-    trains the cluster as one lockstep cohort), aggregation writes rows
-    back, and evaluation consumes the matrix directly.  A cluster with
-    no surviving participants this round keeps its model.
+    ``matrix[labels[i]]`` is client ``i``'s server model.  Broadcasts are
+    row payloads in participant order (each cluster's participants share
+    one row object, so executors encode it once and the batched executor
+    trains the cluster as one lockstep cohort), aggregation folds each
+    cluster's survivors into a fresh row, and evaluation consumes the
+    matrix directly.  A cluster with no surviving participants this
+    round keeps its model.  FedAvg and FedProx are the one-row case;
+    ``prox_mu`` rides every task.
     """
 
     name = "clustered"
 
-    def __init__(self, matrix: np.ndarray, labels: np.ndarray) -> None:
+    def __init__(
+        self, matrix: np.ndarray, labels: np.ndarray, prox_mu: float = 0.0
+    ) -> None:
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self.labels = np.asarray(labels).copy()
-        self._rebuild_members()
-
-    def _rebuild_members(self) -> None:
-        self.members_of = [
-            np.flatnonzero(self.labels == g) for g in range(len(self.matrix))
-        ]
+        self.labels = np.array(labels, dtype=np.int64)
+        self.prox_mu = prox_mu
 
     def set_label(self, client_id: int, cluster: int) -> None:
         """Re-route one client (newcomer onboarding, straggler rescue)."""
@@ -364,46 +272,68 @@ class ClusteredRounds(RoundStrategy):
                 f"cluster {cluster} outside [0, {len(self.matrix)})"
             )
         self.labels[client_id] = cluster
-        self._rebuild_members()
+
+    def survivors_by_cluster(
+        self, survivors: Sequence[ClientUpdate]
+    ) -> list[tuple[int, list[ClientUpdate]]]:
+        """``(cluster, its survivors in the order given)`` per cluster
+        with survivors, clusters ascending."""
+        mine_of: dict[int, list[ClientUpdate]] = {}
+        for update in survivors:
+            mine_of.setdefault(int(self.labels[update.client_id]), []).append(update)
+        return sorted(mine_of.items())
 
     def broadcast_for(
         self, engine: RoundEngine, round_index: int, participants: np.ndarray
     ) -> list[UpdateTask]:
-        return tasks_for_groups(
-            engine.env.federation.n_clients,
-            participants,
-            [(self.matrix[g], members) for g, members in enumerate(self.members_of)],
-        )
+        rows = list(self.matrix)
+        return [
+            UpdateTask(int(cid), flat=rows[self.labels[cid]], prox_mu=self.prox_mu)
+            for cid in participants
+        ]
 
     def aggregate(
         self, engine: RoundEngine, round_index: int, survivors: list[ClientUpdate]
     ) -> float:
-        if not survivors:
-            return float("nan")
+        """Fold each cluster's survivors, in the order given, into its row.
+
+        ``matrix`` is rebound, never written in place, so an array passed
+        to the constructor or read before the fold keeps its values.
+        Returns the mean over clusters of each cluster's
+        :func:`survivor_mean_loss` (clusters where nobody trained do not
+        count); with one cluster that is the survivors' own mean.
+        """
         env = engine.env
+        rows = list(self.matrix)
         losses = []
-        for g in range(len(self.matrix)):
-            mine = [u for u in survivors if self.labels[u.client_id] == g]
-            if not mine:
-                continue  # cluster went dark this round: keep its model
-            new_vector = survivor_weighted_average(
-                env, mine, **engine.robust_kwargs
-            )
-            if new_vector is None:
-                continue  # only zero-weight work arrived: keep its model
-            self.matrix[g] = env.layout.round_trip(new_vector)
+        for g, mine in self.survivors_by_cluster(survivors):
+            # One GEMV over the cluster's packed rows (read in place when
+            # they are one batched cohort's); weights renormalise over
+            # whoever made the deadline, plus any stale arrivals at their
+            # discounted weight.  None: only zero-weight work arrived.
+            new_row = survivor_weighted_average(env, mine, **engine.robust_kwargs)
+            if new_row is not None:
+                rows[g] = env.layout.round_trip(new_row)
             cluster_loss = survivor_mean_loss(mine)
             if not np.isnan(cluster_loss):
                 losses.append(cluster_loss)
+        # Rebinding keeps the fold's fresh rows alive above the round's
+        # freed update rows, so the heap is not trimmed under them:
+        # writing into the old matrix instead tripled the minor page
+        # faults of bench_scenarios' serial engine runs.  One row needs
+        # no copy.
+        self.matrix = np.stack(rows) if len(rows) > 1 else rows[0][None]
         return float(np.mean(losses)) if losses else float("nan")
 
     def evaluate(
         self, engine: RoundEngine, round_index: int
     ) -> tuple[float, np.ndarray]:
+        # Grouped eval: each row is loaded once and its members' test
+        # splits share fused batches.
         return engine.env.evaluate_packed(self.matrix, self.labels)
 
     def current_n_clusters(self) -> int:
-        return len(self.matrix)
+        return len(np.unique(self.labels))
 
     def checkpoint_payload(
         self, engine: RoundEngine
@@ -411,17 +341,21 @@ class ClusteredRounds(RoundStrategy):
         # Every row is a round_trip result (or a packed initial state):
         # exact at the wire dtype.
         wire = engine.env.layout.wire_dtype
-        return {}, {
+        return {"prox_mu": float(self.prox_mu)}, {
             "matrix": self.matrix.astype(wire),
-            "labels": self.labels.astype(np.int64),
+            "labels": self.labels,
         }
 
     def restore_payload(
         self, engine: RoundEngine, meta: Mapping, arrays: Mapping[str, np.ndarray]
     ) -> None:
+        if meta["prox_mu"] != self.prox_mu:
+            raise CheckpointError(
+                "checkpoint prox_mu mismatch: this run expects "
+                f"{self.prox_mu!r}, the file holds {meta['prox_mu']!r}"
+            )
         self.matrix = np.ascontiguousarray(arrays["matrix"], dtype=np.float64)
         self.labels = arrays["labels"].astype(np.int64)
-        self._rebuild_members()
 
 
 # ----------------------------------------------------------------------

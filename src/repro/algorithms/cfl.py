@@ -35,6 +35,12 @@ Implementation notes
   can split clusters under partial participation, where a full-cohort
   round might never occur.  Cached deltas are taken against the cluster
   state of the round that produced them (the windowed approximation).
+* The server state is :class:`repro.algorithms.base.ClusteredRounds`'
+  matrix and label vector; CFL keeps only its split state.  A round
+  decides its splits against the incoming rows, folds every cluster
+  through the shared aggregation, then gives each split cluster's right
+  half a copy of the folded row as row ``g + 1``, moving every later
+  cluster up one.
 """
 
 from __future__ import annotations
@@ -44,24 +50,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import (
+    ClusteredRounds,
     FLAlgorithm,
     RunResult,
     cohort_matrix,
-    survivor_mean_loss,
-    survivor_weighted_average,
-    tasks_for_groups,
 )
 from repro.cluster.distance import pairwise_cosine_distance
 from repro.cluster.hierarchy import cut_by_k, linkage
 from repro.fl.client import ClientUpdate
 from repro.fl.history import RunHistory
-from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import (
-    RoundEngine,
-    RoundStrategy,
-    ScenarioConfig,
-    aggregation_weights,
-)
+from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
 from repro.fl.simulation import FederatedEnv
 from repro.utils.validation import check_in, check_positive
 
@@ -70,22 +68,19 @@ __all__ = ["CFL"]
 
 @dataclass
 class _Cluster:
-    """Server-side cluster bookkeeping.
+    """CFL's split state for one cluster, aligned with its server row.
 
-    ``state`` is the cluster model as a packed float64 row on the
-    environment's layout — CFL rides the flat plane end to end, so the
-    broadcast payload, the Δ baseline and the evaluation input are all
-    this one buffer.
-
-    ``delta_cache`` (windowed-split mode only, ``delta_window > 1``)
-    holds each member's most recent update delta as
-    ``client_id → (round, Δ row, sample count)``; entries age out of
+    The cluster's model and members are the strategy's ``matrix[g]``
+    and ``labels == g``; what CFL adds is ``scale0`` (the max update
+    norm at the cluster's first full coverage, the relative criterion's
+    baseline), the rounds at which it and its ancestors split, and the
+    ``delta_cache`` (windowed-split mode only, ``delta_window > 1``):
+    each member's most recent update delta as
+    ``client_id → (round, Δ row, sample count)``.  Entries age out of
     the window each round, and the split criterion runs on the union of
     cached deltas once every member is covered.
     """
 
-    state: np.ndarray
-    members: np.ndarray
     scale0: float | None = None  # first coverage's max update norm
     history_of_splits: list[int] = field(default_factory=list)
     delta_cache: dict[int, tuple[int, np.ndarray, float]] = field(
@@ -93,99 +88,89 @@ class _Cluster:
     )
 
 
-class _CFLRounds(RoundStrategy):
+class _CFLRounds(ClusteredRounds):
     """Per-cluster FedAvg plus the recursive bipartition test."""
 
     name = "cfl"
 
-    def __init__(self, algo: "CFL", clusters: list[_Cluster]) -> None:
-        self.algo = algo
-        self.clusters = clusters
-
-    def broadcast_for(
-        self, engine: RoundEngine, round_index: int, participants: np.ndarray
-    ) -> list[UpdateTask]:
-        return tasks_for_groups(
-            engine.env.federation.n_clients,
-            participants,
-            [(cluster.state, cluster.members) for cluster in self.clusters],
+    def __init__(self, algo: "CFL", env: FederatedEnv) -> None:
+        super().__init__(
+            env.layout.pack(env.init_state())[None],
+            np.zeros(env.federation.n_clients, dtype=np.int64),
         )
+        self.algo = algo
+        self.clusters = [_Cluster()]
 
     def aggregate(
         self, engine: RoundEngine, round_index: int, survivors: list[ClientUpdate]
     ) -> float:
-        if not survivors:
-            return float("nan")
-        env = engine.env
-        algo = self.algo
-        by_client = {u.client_id: u for u in survivors}
-        losses = []
-        next_clusters: list[_Cluster] = []
-        for cluster in self.clusters:
-            mine = [by_client[cid] for cid in cluster.members if cid in by_client]
-            if not mine:
-                next_clusters.append(cluster)  # dark cluster keeps its model
-                continue
-            incoming = cluster.state
-            cohort = cohort_matrix(env, mine)
-            averaged = survivor_weighted_average(env, mine, **engine.robust_kwargs)
-            new_state = (
-                incoming if averaged is None else env.layout.round_trip(averaged)
-            )
-            cluster_loss = survivor_mean_loss(mine)
-            if not np.isnan(cluster_loss):
-                losses.append(cluster_loss)
-            # Update vectors Δ_i = local − incoming on the flat plane:
-            # one row-broadcast subtraction over the round's packed
-            # cohort instead of a per-key dict loop.  The subtraction
-            # happens in float64 (pack embeds float32 exactly), where
-            # the dict path subtracted in float32 first — norms and
-            # split margins agree to float32 round-off; the parity test
-            # pins the split decisions.
-            deltas = cohort - incoming
-            if algo.delta_window > 1 or engine.is_async:
-                # The classic full-house gate assumes one dispatch per
-                # round; under async aggregation a buffer almost never
-                # holds a whole cluster at once, so the gate would
-                # silently disable splits forever.  Async engines route
-                # through the windowed criterion with a horizon wide
-                # enough to cover one dispatch-to-aggregation cycle.
-                split = self._windowed_split_sides(
-                    cluster, mine, deltas, round_index, engine
-                )
-            else:
-                split = self._full_house_split_sides(
-                    cluster, mine, deltas, round_index
-                )
-            if split is not None:
-                left, right = split
-                for side in (left, right):
-                    next_clusters.append(
-                        _Cluster(
-                            state=new_state.copy(),
-                            members=cluster.members[side],
-                            scale0=cluster.scale0,
-                            history_of_splits=cluster.history_of_splits
-                            + [round_index],
-                        )
-                    )
-                continue
-            cluster.state = new_state
-            next_clusters.append(cluster)
-        self.clusters = next_clusters
-        return float(np.mean(losses)) if losses else float("nan")
+        # Clusters fold their survivors in client-id order, which is
+        # their member order.  Splits are decided against the incoming
+        # rows, before the fold overwrites them.
+        survivors = sorted(survivors, key=lambda u: u.client_id)
+        movers: dict[int, np.ndarray] = {}
+        for g, mine in self.survivors_by_cluster(survivors):
+            right = self._split_off(engine, g, mine, round_index)
+            if right is not None:
+                movers[g] = right
+        loss = super().aggregate(engine, round_index, survivors)
+        # A split cluster's halves both start from its folded row: the
+        # right half becomes row g + 1 and every later cluster moves up
+        # one, so the halves sit where their parent sat.
+        for g in sorted(movers, reverse=True):
+            self.matrix = np.insert(self.matrix, g + 1, self.matrix[g], axis=0)
+            self.labels[self.labels > g] += 1
+            self.labels[movers[g]] = g + 1
+            parent = self.clusters[g]
+            self.clusters[g : g + 1] = [
+                _Cluster(parent.scale0, parent.history_of_splits + [round_index])
+                for _ in range(2)
+            ]
+        return loss
 
     # ------------------------------------------------------------------
     # Split candidates: one-round full cohort vs windowed delta cache
     # ------------------------------------------------------------------
+    def _split_off(
+        self,
+        engine: RoundEngine,
+        g: int,
+        mine: list[ClientUpdate],
+        round_index: int,
+    ) -> np.ndarray | None:
+        """The members cluster ``g`` splits off to a new row this round,
+        or ``None`` when it does not split."""
+        members = np.flatnonzero(self.labels == g)
+        cluster = self.clusters[g]
+        # Update vectors Δ_i = local − incoming: one row-broadcast
+        # subtraction over the round's packed cohort, in float64 (pack
+        # embeds float32 exactly).
+        deltas = cohort_matrix(engine.env, mine) - self.matrix[g]
+        if self.algo.delta_window > 1 or engine.is_async:
+            # The classic full-house gate assumes one dispatch per
+            # round; under async aggregation a buffer almost never
+            # holds a whole cluster at once, so the gate would
+            # silently disable splits forever.  Async engines route
+            # through the windowed criterion with a horizon wide
+            # enough to cover one dispatch-to-aggregation cycle.
+            sides = self._windowed_split_sides(
+                cluster, members, mine, deltas, round_index, engine
+            )
+        else:
+            sides = self._full_house_split_sides(
+                cluster, members, mine, deltas, round_index
+            )
+        return None if sides is None else members[sides[1]]
+
     def _full_house_split_sides(
         self,
         cluster: _Cluster,
+        members: np.ndarray,
         mine: list[ClientUpdate],
         deltas: np.ndarray,
         round_index: int,
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The PR-4 criterion: split only on full-cohort rounds.
+        """The classic criterion: split only on full-cohort rounds.
 
         Splits (and the scale₀ baseline the relative criterion compares
         against) need the full cohort: with absentees the max-norm is
@@ -199,11 +184,11 @@ class _CFLRounds(RoundStrategy):
         mean_norm = float(np.linalg.norm(weights @ deltas))
         norms = np.linalg.norm(deltas, axis=1)
         max_norm = float(norms.max())
-        full_house = len(mine) == len(cluster.members)
+        full_house = len(mine) == len(members)
         if cluster.scale0 is None and full_house:
             cluster.scale0 = max_norm
         if not full_house or not algo._should_split(
-            cluster, mean_norm, max_norm, round_index
+            cluster, len(members), mean_norm, max_norm, round_index
         ):
             return None
         return self._admissible(algo._bipartition(deltas))
@@ -227,6 +212,7 @@ class _CFLRounds(RoundStrategy):
     def _windowed_split_sides(
         self,
         cluster: _Cluster,
+        members: np.ndarray,
         mine: list[ClientUpdate],
         deltas: np.ndarray,
         round_index: int,
@@ -267,9 +253,9 @@ class _CFLRounds(RoundStrategy):
             for cid, entry in cluster.delta_cache.items()
             if entry[0] > horizon
         }
-        if any(cid not in cluster.delta_cache for cid in cluster.members):
+        if any(cid not in cluster.delta_cache for cid in members):
             return None  # window does not cover the cohort yet
-        cached = [cluster.delta_cache[int(cid)] for cid in cluster.members]
+        cached = [cluster.delta_cache[int(cid)] for cid in members]
         delta_mat = np.stack([entry[1] for entry in cached]).astype(np.float64)
         weights = np.array([entry[2] for entry in cached], dtype=np.float64)
         weights /= weights.sum()
@@ -277,7 +263,9 @@ class _CFLRounds(RoundStrategy):
         max_norm = float(np.linalg.norm(delta_mat, axis=1).max())
         if cluster.scale0 is None:
             cluster.scale0 = max_norm
-        if not algo._should_split(cluster, mean_norm, max_norm, round_index):
+        if not algo._should_split(
+            cluster, len(members), mean_norm, max_norm, round_index
+        ):
             return None
         return self._admissible(algo._bipartition(delta_mat))
 
@@ -293,32 +281,12 @@ class _CFLRounds(RoundStrategy):
             return left, right
         return None
 
-    def evaluate(
-        self, engine: RoundEngine, round_index: int
-    ) -> tuple[float, np.ndarray]:
-        env = engine.env
-        return env.evaluate_packed(
-            np.stack([c.state for c in self.clusters]),
-            self.labels(env.federation.n_clients),
-        )
-
-    def current_n_clusters(self) -> int:
-        return len(self.clusters)
-
-    def labels(self, m: int) -> np.ndarray:
-        labels = np.full(m, -1, dtype=np.int64)
-        for g, cluster in enumerate(self.clusters):
-            labels[cluster.members] = g
-        assert (labels >= 0).all(), "every client must belong to a cluster"
-        return labels
-
     def checkpoint_payload(
         self, engine: RoundEngine
     ) -> tuple[dict, dict[str, np.ndarray]]:
-        # Cluster states are round_trip results (or the packed initial
-        # state) — exact at the wire dtype; cached deltas already live
-        # at the wire dtype, so storing them there is lossless too.
-        wire = engine.env.layout.wire_dtype
+        # Cached deltas already live at the wire dtype, so storing them
+        # there is lossless.
+        meta, arrays = super().checkpoint_payload(engine)
         meta_clusters: list[dict] = []
         cache_rows: list[np.ndarray] = []
         for cluster in self.clusters:
@@ -332,56 +300,39 @@ class _CFLRounds(RoundStrategy):
                         "weight": float(weight),
                     }
                 )
-                cache_rows.append(np.asarray(row, dtype=wire))
+                cache_rows.append(row)
             meta_clusters.append(
                 {
-                    "members": [int(c) for c in cluster.members],
-                    "scale0": (
-                        None if cluster.scale0 is None else float(cluster.scale0)
-                    ),
-                    "splits": [int(r) for r in cluster.history_of_splits],
+                    "scale0": cluster.scale0,
+                    "splits": cluster.history_of_splits,
                     "cache": cache_meta,
                 }
             )
-        n_params = engine.env.n_params
-        arrays = {
-            "states": np.stack([c.state for c in self.clusters]).astype(wire),
-            "cache_rows": (
-                np.stack(cache_rows)
-                if cache_rows
-                else np.empty((0, n_params), dtype=wire)
-            ),
-        }
-        return {"clusters": meta_clusters}, arrays
+        arrays["cache_rows"] = (
+            np.stack(cache_rows)
+            if cache_rows
+            else np.empty((0, engine.env.n_params), engine.env.layout.wire_dtype)
+        )
+        return meta | {"clusters": meta_clusters}, arrays
 
-    def restore_payload(
-        self, engine: RoundEngine, meta, arrays
-    ) -> None:
-        states = arrays["states"].astype(np.float64)
-        cache_rows = arrays["cache_rows"]
-        clusters: list[_Cluster] = []
-        cursor = 0
-        for g, entry in enumerate(meta["clusters"]):
-            cache: dict[int, tuple[int, np.ndarray, float]] = {}
-            for item in entry["cache"]:
-                cache[int(item["client_id"])] = (
-                    int(item["round"]),
-                    cache_rows[cursor],
-                    float(item["weight"]),
-                )
-                cursor += 1
-            clusters.append(
-                _Cluster(
-                    state=states[g],
-                    members=np.array(entry["members"], dtype=np.int64),
-                    scale0=(
-                        None if entry["scale0"] is None else float(entry["scale0"])
-                    ),
-                    history_of_splits=[int(r) for r in entry["splits"]],
-                    delta_cache=cache,
-                )
+    def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
+        super().restore_payload(engine, meta, arrays)
+        rows = iter(arrays["cache_rows"])
+        self.clusters = [
+            _Cluster(
+                scale0=entry["scale0"],
+                history_of_splits=entry["splits"],
+                delta_cache={
+                    int(item["client_id"]): (
+                        int(item["round"]),
+                        next(rows),
+                        float(item["weight"]),
+                    )
+                    for item in entry["cache"]
+                },
             )
-        self.clusters = clusters
+            for entry in meta["clusters"]
+        ]
 
 
 class CFL(FLAlgorithm):
@@ -440,11 +391,16 @@ class CFL(FLAlgorithm):
 
     # ------------------------------------------------------------------
     def _should_split(
-        self, cluster: _Cluster, mean_norm: float, max_norm: float, round_index: int
+        self,
+        cluster: _Cluster,
+        n_members: int,
+        mean_norm: float,
+        max_norm: float,
+        round_index: int,
     ) -> bool:
         if round_index <= self.warmup_rounds:
             return False
-        if len(cluster.members) < 2 * self.min_cluster_size:
+        if n_members < 2 * self.min_cluster_size:
             return False
         if self.norm_mode == "absolute":
             return mean_norm < self.eps1 and max_norm > self.eps2
@@ -468,19 +424,15 @@ class CFL(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        strategy = _CFLRounds(
-            self,
-            [_Cluster(state=env.layout.pack(env.init_state()), members=np.arange(m))],
-        )
+        strategy = _CFLRounds(self, env)
         engine = RoundEngine(env, self._scenario(scenario))
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
         return RunResult.from_engine(
             engine,
             history,
             accuracy,
-            strategy.labels(m),
+            strategy.labels,
             split_rounds=sorted(
                 {r for c in strategy.clusters for r in c.history_of_splits}
             ),

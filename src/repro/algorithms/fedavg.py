@@ -7,7 +7,8 @@ no client's distribution well — the failure mode every clustered method
 in Table I is built to fix.
 
 The per-round lifecycle lives in :class:`repro.fl.rounds.RoundEngine`;
-FedAvg is the engine driving :class:`repro.algorithms.base.GlobalModelRounds`.
+FedAvg is the engine driving a one-row
+:class:`repro.algorithms.base.ClusteredRounds` (every client labelled 0).
 Partial participation (the fraction ``C``) is
 ``ScenarioConfig(client_fraction=...)``, as for every algorithm.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FLAlgorithm, GlobalModelRounds, RunResult
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
 from repro.fl.history import RunHistory
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
@@ -43,8 +44,10 @@ class FedAvg(FLAlgorithm):
         # The global model lives as one packed row for the whole run:
         # broadcast payload, aggregation result and evaluation input are
         # all the same buffer — no state dict on the round loop.
-        strategy = GlobalModelRounds(
-            env.layout.pack(env.init_state()), prox_mu=self.prox_mu
+        strategy = ClusteredRounds(
+            env.layout.pack(env.init_state())[None],
+            np.zeros(env.federation.n_clients, dtype=np.int64),
+            prox_mu=self.prox_mu,
         )
         engine = RoundEngine(env, self._scenario(scenario))
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
@@ -52,7 +55,7 @@ class FedAvg(FLAlgorithm):
             engine,
             history,
             accuracy,
-            np.zeros(env.federation.n_clients, dtype=np.int64),
+            strategy.labels,
             # The schedule that actually happened (dispatches minus
             # seeded drops/deadline misses) — replayable through
             # ``ScenarioConfig(trace=...)``.

@@ -12,22 +12,24 @@ Under partial participation only the round's participants re-probe
 their assignment; everyone else keeps the label from the last round
 they participated in (evaluation always serves each client its current
 label's model).
+
+The server state is :class:`repro.algorithms.base.ClusteredRounds`'
+``(k, n_params)`` matrix and label vector; IFCA adds only the
+re-labelling of each round's participants before the broadcast.
+Aggregation, evaluation, checkpoints and the round's train loss (the
+mean over clusters of each cluster's trained survivors' mean loss) are
+the shared ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    FLAlgorithm,
-    RunResult,
-    survivor_weighted_average,
-)
-from repro.fl.client import ClientUpdate
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
 from repro.fl.eval_flat import fused_evaluate
 from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, RoundStrategy, ScenarioConfig
+from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
 from repro.nn.models import build_model
 from repro.utils.rng import rng_for
@@ -38,82 +40,35 @@ __all__ = ["IFCA"]
 _IFCA_INIT_TAG = 7
 
 
-class _IFCARounds(RoundStrategy):
-    """k packed cluster rows + per-client loss-argmin assignment."""
+class _IFCARounds(ClusteredRounds):
+    """k cluster rows; participants re-label by loss argmin each round."""
 
     name = "ifca"
 
-    def __init__(self, algo: "IFCA", env: FederatedEnv, states: list[np.ndarray]) -> None:
+    def __init__(self, algo: "IFCA", env: FederatedEnv) -> None:
+        super().__init__(
+            algo._initial_matrix(env),
+            np.zeros(env.federation.n_clients, dtype=np.int64),
+        )
         self.algo = algo
-        self.states = states
-        self.labels = np.zeros(env.federation.n_clients, dtype=np.int64)
 
     def broadcast_for(
         self, engine: RoundEngine, round_index: int, participants: np.ndarray
     ) -> list[UpdateTask]:
-        env = engine.env
-        if participants.size == 0:
-            # A trace can schedule a fully-dark round: nothing to probe,
-            # nothing to broadcast, every label and model stays put.
-            return []
-        # Broadcast all k models to every participant (the k× download;
-        # the engine charges the 1× baseline in dispatch, the k−1 extra
-        # probe copies are recorded here).  Task payloads are the packed
-        # rows themselves — each cluster's row object is shared by its
-        # members, so executors encode it once at the layout's wire dtype.
-        extra = (self.algo.n_clusters - 1) * env.n_params * len(participants)
-        if extra:
-            env.tracker.record_download(extra, engine.phase)
-        self.labels[participants] = self.algo._assign(env, self.states, participants)
-        return [
-            UpdateTask(int(cid), flat=self.states[self.labels[cid]])
-            for cid in participants
-        ]
-
-    def aggregate(
-        self, engine: RoundEngine, round_index: int, survivors: list[ClientUpdate]
-    ) -> float:
-        if not survivors:
-            return float("nan")
-        env = engine.env
-        losses = []
-        for j in range(self.algo.n_clusters):
-            mine = [u for u in survivors if self.labels[u.client_id] == j]
-            if not mine:
-                continue  # empty cluster keeps its previous model
-            # Per-cluster FedAvg on the flat plane: row-gather + GEMV;
-            # weights are staleness/budget-aware (see
-            # survivor_weighted_average).
-            vector = survivor_weighted_average(env, mine, **engine.robust_kwargs)
-            if vector is not None:
-                self.states[j] = env.layout.round_trip(vector)
-            losses.extend(u.mean_loss for u in mine if u.n_batches > 0)
-        return float(np.mean(losses)) if losses else float("nan")
-
-    def evaluate(
-        self, engine: RoundEngine, round_index: int
-    ) -> tuple[float, np.ndarray]:
-        return engine.env.evaluate_packed(np.stack(self.states), self.labels)
-
-    def current_n_clusters(self) -> int:
-        return len(np.unique(self.labels))
-
-    def checkpoint_payload(
-        self, engine: RoundEngine
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        # Rows are round_trip results (or packed fresh initialisations):
-        # exact at the wire dtype.
-        wire = engine.env.layout.wire_dtype
-        return {}, {
-            "states": np.stack(self.states).astype(wire),
-            "labels": self.labels.astype(np.int64),
-        }
-
-    def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
-        self.states = [
-            row.astype(np.float64) for row in arrays["states"]
-        ]
-        self.labels = arrays["labels"].astype(np.int64)
+        # A trace can schedule a fully-dark round: nothing to probe,
+        # nothing to broadcast, every label and model stays put.
+        if participants.size:
+            # Broadcast all k models to every participant (the k×
+            # download; the engine charges the 1× baseline in dispatch,
+            # the k−1 extra probe copies are recorded here).
+            env = engine.env
+            extra = (len(self.matrix) - 1) * env.n_params * len(participants)
+            if extra:
+                env.tracker.record_download(extra, engine.phase)
+            self.labels[participants] = self.algo._assign(
+                env, self.matrix, participants
+            )
+        return super().broadcast_for(engine, round_index, participants)
 
 
 class IFCA(FLAlgorithm):
@@ -139,7 +94,7 @@ class IFCA(FLAlgorithm):
         self.assignment_batches = assignment_batches
 
     # ------------------------------------------------------------------
-    def _initial_states(self, env: FederatedEnv) -> list[np.ndarray]:
+    def _initial_matrix(self, env: FederatedEnv) -> np.ndarray:
         """k independently-initialised cluster models as packed rows.
 
         IFCA's cluster models live on the flat plane for the whole run:
@@ -147,7 +102,7 @@ class IFCA(FLAlgorithm):
         transport), assignment probing loads them via ``load_flat``, and
         aggregation writes rows back — the state-dict hop is gone.
         """
-        states = []
+        rows = []
         for j in range(self.n_clusters):
             model = build_model(
                 env.model_name,
@@ -156,13 +111,13 @@ class IFCA(FLAlgorithm):
                 rng_for(env.seed, _IFCA_INIT_TAG, j),
                 **env.model_kwargs,
             )
-            states.append(env.layout.pack(model.state_dict(copy=False)))
-        return states
+            rows.append(env.layout.pack(model.state_dict(copy=False)))
+        return np.stack(rows)
 
     def _assign(
         self,
         env: FederatedEnv,
-        states: list[np.ndarray],
+        matrix: np.ndarray,
         clients: np.ndarray,
     ) -> np.ndarray:
         """Each probed client picks the cluster model with lowest local loss.
@@ -179,7 +134,7 @@ class IFCA(FLAlgorithm):
         for cid in clients:
             train = env.federation.clients[int(cid)].train
             probes.append(train if len(train) <= cap else train.subset(np.arange(cap)))
-        for j, vector in enumerate(states):
+        for j, vector in enumerate(matrix):
             env.scratch_model.load_flat(vector, env.layout)
             losses[:, j] = fused_evaluate(
                 env.scratch_model, probes, batch_size=env.train_cfg.eval_batch_size
@@ -195,7 +150,7 @@ class IFCA(FLAlgorithm):
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        strategy = _IFCARounds(self, env, self._initial_states(env))
+        strategy = _IFCARounds(self, env)
         engine = RoundEngine(env, self._scenario(scenario))
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
         return RunResult.from_engine(

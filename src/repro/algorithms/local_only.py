@@ -97,9 +97,8 @@ class _LocalRounds(RoundStrategy):
         return {"store": meta}, arrays
 
     def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
-        # Cross-kind and legacy-compatible: checkpoints written before
-        # the store carried a bare dense matrix and no store meta.
-        self.store.restore_from(meta.get("store", {}), arrays)
+        # Cross-kind: a dense file restores into a sharded store and back.
+        self.store.restore_from(meta["store"], arrays)
 
 
 class LocalOnly(FLAlgorithm):

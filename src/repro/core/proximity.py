@@ -24,11 +24,6 @@ class ProximityResult:
     metric: str
     n_clients: int
 
-    def normalized(self) -> np.ndarray:
-        """Matrix scaled to [0, 1] by its max (for display/heat maps)."""
-        peak = float(self.matrix.max())
-        return self.matrix / peak if peak > 0 else self.matrix.copy()
-
 
 def proximity_matrix(
     weight_matrix: np.ndarray, metric: str = "euclidean"

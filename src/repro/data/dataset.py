@@ -89,9 +89,3 @@ class ArrayDataset:
     def class_counts(self) -> np.ndarray:
         """Histogram of labels, length ``n_classes``."""
         return np.bincount(self.labels, minlength=self.n_classes)
-
-    def label_distribution(self) -> np.ndarray:
-        """Normalised class histogram (sums to 1; zeros if empty)."""
-        counts = self.class_counts().astype(np.float64)
-        total = counts.sum()
-        return counts / total if total else counts

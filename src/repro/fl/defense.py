@@ -319,12 +319,12 @@ def robust_weighted_average(
 #: File magic — rejects arbitrary files before any parsing happens.
 CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: Codec version word; bumped on any layout change.  Readers refuse
-#: other versions loudly instead of mis-parsing.  Version 3 holds the
-#: engine's one event log; version-2 files (one log per event kind) and
-#: version-1 files (also separate ``stale`` and ``async`` buffers) still
-#: load, and the engine converts them on resume.
-CHECKPOINT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
+#: every other version loudly instead of mis-parsing: a resume promises
+#: a bit-for-bit continuation, which a file from a build with other
+#: numerics cannot keep.  Version 4 holds the engine's one event log and
+#: every shared-model strategy's ``matrix``/``labels``/``prox_mu``
+#: payload.
+CHECKPOINT_VERSION = 4
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"
@@ -439,11 +439,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             f"{data[: len(CHECKPOINT_MAGIC)]!r}, expected {CHECKPOINT_MAGIC!r})"
         )
     version, header_len = _HEAD.unpack_from(data, len(CHECKPOINT_MAGIC))
-    if version not in _READABLE_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version mismatch in {path}: file has version "
-            f"{version}, this build reads version {CHECKPOINT_VERSION} "
-            "(and versions 1 and 2)"
+            f"{version}, this build reads version {CHECKPOINT_VERSION}"
         )
     offset = prelude
     if len(data) < offset + header_len:

@@ -203,15 +203,6 @@ BUDGET_TAG = 19
 #: engine use their own stream, so async interleavings are a pure
 #: function of (seed, scenario) — deterministic and executor-invariant.
 DURATION_TAG = 23
-#: Version-1/2 checkpoint log names → event kinds.
-_LEGACY_LOGS = {
-    "participation": "participate",
-    "drop": "drop",
-    "straggler": "straggle",
-    "quarantine": "quarantine",
-    "stale": "stale",
-    "departure": "depart",
-}
 
 
 def aggregation_weights(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -252,19 +243,6 @@ def discounted_update(
 
     base = update.weight if update.weight is not None else float(update.n_samples)
     return dataclasses.replace(update, weight=base * decay**age)
-
-
-def _events_from_logs(logs: Mapping) -> list[tuple[int, str, int, str | None]]:
-    """A version-1/2 checkpoint's per-kind ``(round, client ids)`` logs
-    (``(client id, reason)`` pairs for quarantines) as events, kind by
-    kind: the order across kinds is lost."""
-    events = []
-    for name, kind in _LEGACY_LOGS.items():
-        for r, entries in logs[name]:
-            for entry in entries:
-                cid, reason = entry if kind == "quarantine" else (entry, None)
-                events.append((int(r), kind, int(cid), reason))
-    return events
 
 
 def _int_range(name: str, value, floor: int) -> tuple[int, int]:
@@ -1481,31 +1459,30 @@ class RoundEngine:
         """Restore a checkpoint written by :meth:`checkpoint`.
 
         Validates that the file belongs to this run (seed, strategy
-        name, federation size, parameter count — a mismatch raises
-        :class:`repro.fl.defense.CheckpointError` quoting expected vs
-        found), then restores the strategy state, event log and
-        buffers, tracker counters and history records **in place** and
-        returns ``(next round, last mean accuracy, last per-client
-        accuracies)``.  ``history.records`` is replaced wholesale, so a
-        caller that pre-seeded records (FedClust re-runs its round-1
-        clustering deterministically before resuming) converges on the
-        checkpointed truth.  Version-1 and version-2 files kept one log
-        per event kind; they resume with those logs converted to events,
-        kind by kind (their order across kinds is lost).  Version-1
-        files, which also kept the synchronous ``stale`` buffer and the
-        async arrival buffer apart, resume with both folded into the one
-        buffer.
+        name, algorithm, federation size, parameter count — a mismatch
+        raises :class:`repro.fl.defense.CheckpointError` quoting expected
+        vs found; FedAvg, FedProx and PACFL share one strategy, so the
+        history's algorithm name tells their files apart, and the
+        strategy refuses a file whose own settings, such as FedProx's
+        μ, differ from the run's), then restores the strategy state,
+        event log and buffers, tracker counters and history records
+        **in place** and returns ``(next round, last mean accuracy, last
+        per-client accuracies)``.  ``history.records`` is replaced
+        wholesale, so a caller that pre-seeded records (FedClust re-runs
+        its round-1 clustering deterministically before resuming)
+        converges on the checkpointed truth.  Only files of this build's
+        :data:`repro.fl.defense.CHECKPOINT_VERSION` load.
         """
         header, arrays = load_checkpoint(path)
         env = self.env
         expectations = (
-            ("seed", int(env.seed)),
-            ("strategy", strategy.name),
-            ("n_clients", int(env.federation.n_clients)),
-            ("n_params", int(env.n_params)),
+            ("seed", header.get("seed"), int(env.seed)),
+            ("strategy", header.get("strategy"), strategy.name),
+            ("algorithm", header["history"]["algorithm"], history.algorithm),
+            ("n_clients", header.get("n_clients"), int(env.federation.n_clients)),
+            ("n_params", header.get("n_params"), int(env.n_params)),
         )
-        for key, want in expectations:
-            found = header.get(key)
+        for key, found, want in expectations:
             if found != want:
                 raise CheckpointError(
                     f"checkpoint {key} mismatch in {path}: this run expects "
@@ -1520,19 +1497,9 @@ class RoundEngine:
                 if name.startswith("strategy/")
             },
         )
-        if "events" in header:
-            self.events[:] = [tuple(event) for event in header["events"]]
-        else:
-            self.events[:] = _events_from_logs(header["logs"])
+        self.events[:] = [tuple(event) for event in header["events"]]
         counters = header["counters"]
-        # Version-1 files did not count dispatches; the participate
-        # events are their best lower bound (they miss retries).
-        self.n_dispatched = int(
-            counters.get(
-                "n_dispatched",
-                sum(kind == "participate" for _, kind, _, _ in self.events),
-            )
-        )
+        self.n_dispatched = int(counters["n_dispatched"])
         self.n_aggregation_events = int(counters["n_aggregation_events"])
         self.n_updates_absorbed = int(counters["n_updates_absorbed"])
         tracker = env.tracker
@@ -1545,16 +1512,10 @@ class RoundEngine:
         history.records[:] = [
             RoundRecord(**record) for record in header["history"]["records"]
         ]
-        if "buffer" in header:
-            buffered = list(zip(header["buffer"], arrays["buffer_rows"]))
-        else:  # version 1; at most one of the two is non-empty
-            buffered = list(zip(header["stale"], arrays["stale_rows"]))
-            buffered += zip(header["async"], arrays["async_rows"])
         self._buffer.clear()
-        for entry, row in buffered:
-            sent = entry.get("dispatch_round", entry.get("produced_round"))
+        for entry, row in zip(header["buffer"], arrays["buffer_rows"]):
             self._buffer[int(entry["client_id"])] = (
-                int(sent),
+                int(entry["dispatch_round"]),
                 rebuild_update(entry, row),
             )
         self._in_flight.restore(

@@ -193,13 +193,8 @@ class ClientStateStore:
         raise NotImplementedError
 
     def restore_from(self, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
-        """Load a checkpoint payload written by *any* store kind.
-
-        Legacy checkpoints (written before the store existed) carry a
-        bare ``states`` matrix and no store meta; they restore like a
-        dense payload.
-        """
-        src_kind = meta.get("kind", "dense")
+        """Load a checkpoint payload written by *any* store kind."""
+        src_kind = meta["kind"]
         p = self.layout.n_params
         if src_kind == "dense":
             matrix = np.asarray(arrays["states"])

@@ -175,14 +175,6 @@ class StateLayout:
         """Alias for :func:`pack_state` with this layout."""
         return pack_state(state, self, out=out)
 
-    def load_into(self, model: "Module", vector: np.ndarray) -> None:
-        """Load a packed vector into ``model`` without materialising a dict.
-
-        Alias for :meth:`repro.nn.module.Module.load_flat`; bit-identical
-        to ``model.load_state_dict(unpack_state(vector, self))``.
-        """
-        model.load_flat(vector, self)
-
     def round_trip(self, vector: np.ndarray) -> np.ndarray:
         """Round a float64 vector through each key's parameter dtype.
 

@@ -56,13 +56,6 @@ class Table:
         lines.append(rule)
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """GitHub-flavoured markdown rendering."""
-        head = "| " + " | ".join(self.columns) + " |"
-        sep = "|" + "|".join("---" for _ in self.columns) + "|"
-        body = ["| " + " | ".join(row) + " |" for row in self.rows]
-        return "\n".join([head, sep, *body])
-
 
 def render_matrix(
     matrix, row_labels: Sequence[str] | None = None, digits: int = 2, shade: bool = False

@@ -1,5 +1,6 @@
-"""Shared test utilities: numerical gradient checking, tiny fixtures and
-a per-kind view of the round engine's event log.
+"""Shared test utilities: numerical gradient checking, tiny fixtures,
+FedAvg's one-row server state and a per-kind view of the round engine's
+event log.
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.base import ClusteredRounds
 from repro.nn.module import Module
 
 
@@ -111,3 +113,12 @@ def fates(events, kind: str) -> list[tuple[int, int]]:
     """``(round, client id)`` of every ``kind`` record in a
     ``RoundEngine.events`` list, in log order."""
     return [(r, cid) for r, k, cid, _ in events if k == kind]
+
+
+def global_rounds(env) -> ClusteredRounds:
+    """FedAvg's server state on ``env``: the initial model as the one row
+    of a :class:`ClusteredRounds`, every client labelled 0."""
+    return ClusteredRounds(
+        env.layout.pack(env.init_state())[None],
+        np.zeros(env.federation.n_clients, dtype=np.int64),
+    )

@@ -95,16 +95,15 @@ class TestCFLMechanics:
         algo = CFL(eps1=0.4, eps2=0.1, warmup_rounds=2, min_cluster_size=2)
         from repro.algorithms.cfl import _Cluster
 
-        cluster = _Cluster(state={}, members=np.arange(6), scale0=1.0)
+        cluster = _Cluster(scale0=1.0)
         # Before warm-up: never split.
-        assert not algo._should_split(cluster, 0.01, 1.0, round_index=1)
+        assert not algo._should_split(cluster, 6, 0.01, 1.0, round_index=1)
         # After warm-up with incongruent updates: split.
-        assert algo._should_split(cluster, 0.01, 1.0, round_index=3)
+        assert algo._should_split(cluster, 6, 0.01, 1.0, round_index=3)
         # Congruent updates (mean close to max): no split.
-        assert not algo._should_split(cluster, 0.9, 1.0, round_index=3)
+        assert not algo._should_split(cluster, 6, 0.9, 1.0, round_index=3)
         # Tiny cluster: no split.
-        cluster.members = np.arange(3)
-        assert not algo._should_split(cluster, 0.01, 1.0, round_index=3)
+        assert not algo._should_split(cluster, 3, 0.01, 1.0, round_index=3)
 
 
 @pytest.mark.slow

@@ -88,12 +88,6 @@ class TestProximity:
         for metric in ("euclidean", "sqeuclidean", "cosine"):
             assert proximity_matrix(w, metric).metric == metric
 
-    def test_normalized_range(self, rng):
-        result = proximity_matrix(rng.standard_normal((5, 4)))
-        norm = result.normalized()
-        assert norm.max() == pytest.approx(1.0)
-        assert norm.min() >= 0.0
-
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="at least 2"):
             proximity_matrix(rng.standard_normal((1, 4)))

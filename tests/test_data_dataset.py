@@ -86,7 +86,3 @@ class TestOperations:
     def test_class_counts(self):
         ds = ArrayDataset(np.zeros((4, 1, 1, 1)), np.array([0, 0, 2, 1]), 3)
         np.testing.assert_array_equal(ds.class_counts(), [2, 1, 1])
-
-    def test_label_distribution_sums_to_one(self):
-        ds = _dataset(30)
-        assert ds.label_distribution().sum() == pytest.approx(1.0)

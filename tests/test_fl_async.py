@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import global_rounds
 
-from repro.algorithms.base import GlobalModelRounds
+from repro.algorithms.base import ClusteredRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.client import ClientUpdate
@@ -274,13 +275,13 @@ class TestBufferSemantics:
         round old: each must fold at weight n_samples x decay^1, through
         a copy (the buffered original keeps weight None)."""
         captured = []
-        orig = GlobalModelRounds.aggregate
+        orig = ClusteredRounds.aggregate
 
         def spy(self, engine, round_index, updates):
             captured.append((round_index, list(updates)))
             return orig(self, engine, round_index, updates)
 
-        monkeypatch.setattr(GlobalModelRounds, "aggregate", spy)
+        monkeypatch.setattr(ClusteredRounds, "aggregate", spy)
         _async_run(
             env_factory(), buffer_size=8, duration_range=2, decay=0.9,
             n_rounds=2,
@@ -298,13 +299,13 @@ class TestBufferSemantics:
         has no discard — lateness is the normal case, so 0 means fold at
         full weight."""
         captured = []
-        orig = GlobalModelRounds.aggregate
+        orig = ClusteredRounds.aggregate
 
         def spy(self, engine, round_index, updates):
             captured.append(list(updates))
             return orig(self, engine, round_index, updates)
 
-        monkeypatch.setattr(GlobalModelRounds, "aggregate", spy)
+        monkeypatch.setattr(ClusteredRounds, "aggregate", spy)
         _async_run(
             env_factory(), buffer_size=8, duration_range=2, decay=0.0,
             n_rounds=2,
@@ -338,7 +339,7 @@ class TestBufferSemantics:
 
     def test_aggregation_counters_match_records(self, env_factory):
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -368,7 +369,7 @@ class TestConcurrencyCap:
                 )
             ),
         )
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine.run(strategy, 3, RunHistory("fedavg", "cifar10", env.seed))
         assert engine.participation_log == [
             (1, [0, 1, 2]),
@@ -388,7 +389,7 @@ class TestConcurrencyCap:
                 )
             ),
         )
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine.run(strategy, 4, RunHistory("fedavg", "cifar10", env.seed))
         by_round = dict(engine.participation_log)
         assert by_round[1] == [0, 1, 2, 3, 4]

@@ -20,12 +20,11 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import fates
+from helpers import fates, global_rounds
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl import defense
@@ -247,43 +246,10 @@ def _history_rows(history: RunHistory):
     return rows
 
 
-_KINDS = ("participate", "drop", "straggle", "quarantine", "stale", "depart")
-
-
-def _assert_engines_match(a: RoundEngine, b: RoundEngine, ordered: bool = True):
-    if ordered:
-        assert a.events == b.events
-    else:
-        # Files before version 3 kept one log per kind, so a resume from
-        # one keeps each kind's order but not the order across kinds.
-        for kind in _KINDS:
-            assert [e for e in a.events if e[1] == kind] == [
-                e for e in b.events if e[1] == kind
-            ]
+def _assert_engines_match(a: RoundEngine, b: RoundEngine):
+    assert a.events == b.events
     assert a.env.tracker.uploads == b.env.tracker.uploads
     assert a.env.tracker.downloads == b.env.tracker.downloads
-
-
-def _legacy_logs(events) -> dict:
-    """A version-1/2 header's ``logs``: one ``(round, client ids)`` entry
-    per round and kind, ``(client id, reason)`` pairs for quarantines."""
-    names = {
-        "participate": "participation",
-        "drop": "drop",
-        "straggle": "straggler",
-        "quarantine": "quarantine",
-        "stale": "stale",
-        "depart": "departure",
-    }
-    logs: dict[str, list] = {name: [] for name in names.values()}
-    for r, kind, cid, reason in events:
-        log = logs[names[kind]]
-        entry = [cid, reason] if kind == "quarantine" else cid
-        if log and log[-1][0] == r:
-            log[-1][1].append(entry)
-        else:
-            log.append([r, [entry]])
-    return logs
 
 
 class TestResumeBitIdentity:
@@ -294,20 +260,20 @@ class TestResumeBitIdentity:
         n_rounds,
         seed_history="fedavg",
     ):
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(env, scenario)
         history = RunHistory(seed_history, "synthetic", env.seed)
         mean_acc, per_client = engine.run(strategy, n_rounds, history)
         return strategy, engine, history, mean_acc, per_client
 
-    def _compare(self, ref, resumed, ordered=True):
+    def _compare(self, ref, resumed):
         s1, e1, h1, acc1, pc1 = ref
         s2, e2, h2, acc2, pc2 = resumed
-        np.testing.assert_array_equal(s2.vector, s1.vector)
+        np.testing.assert_array_equal(s2.matrix[0], s1.matrix[0])
         assert acc2 == acc1
         np.testing.assert_array_equal(pc2, pc1)
         assert _history_rows(h2) == _history_rows(h1)
-        _assert_engines_match(e2, e1, ordered)
+        _assert_engines_match(e2, e1)
 
     def test_fedavg_sync_resume(self, env_factory, tmp_path):
         def scenario(d, resume):
@@ -363,7 +329,7 @@ class TestResumeBitIdentity:
         round), and a function resuming a fresh run from that file."""
         knobs, cut, total = self._BUFFERED_CUTS[case]
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(env, ScenarioConfig(**knobs))
         history = RunHistory("fedavg", "synthetic", env.seed)
 
@@ -386,60 +352,26 @@ class TestResumeBitIdentity:
 
         return ref, resume
 
+    def _resume_at_cut(self, env_factory, tmp_path, case):
+        ref, resume = self._buffered_cut(env_factory, tmp_path, case)
+        resumed = resume()
+        self._compare(ref, resumed)
+        assert resumed[1].run_record() == ref[1].run_record()
+        return ref
+
     def test_sync_stale_resume(self, env_factory, tmp_path):
-        ref, resume = self._buffered_cut(env_factory, tmp_path, "sync_stale")
-        self._compare(ref, resume())
+        ref = self._resume_at_cut(env_factory, tmp_path, "sync_stale")
         # The stragglers banked before the cut folded after it.
         assert fates(ref[1].events, "stale")[-1][0] == 4
 
-    @pytest.mark.parametrize("case", sorted(_BUFFERED_CUTS))
-    def test_version_1_buffers_still_resume(
-        self, env_factory, tmp_path, monkeypatch, case
-    ):
-        """Version-1 files kept banked stragglers in a ``stale`` list and
-        async arrivals in an ``async`` list; resume folds them into the
-        one buffer."""
-        ref, resume = self._buffered_cut(env_factory, tmp_path, case)
-        path = tmp_path / "checkpoint.bin"
-        header, arrays = load_checkpoint(path)
-        header["logs"] = _legacy_logs(header.pop("events"))
-        entries, rows = header.pop("buffer"), arrays.pop("buffer_rows")
-        legacy, empty = ("async", "stale")
-        if case.startswith("sync"):
-            legacy, empty = empty, legacy
-            for entry in entries:
-                entry["produced_round"] = entry.pop("dispatch_round")
-        header.update({legacy: entries, empty: []})
-        arrays[f"{legacy}_rows"] = rows
-        arrays[f"{empty}_rows"] = np.empty((0, rows.shape[1]))
-        del header["counters"]["n_dispatched"]
-        with monkeypatch.context() as patch:
-            patch.setattr(defense, "CHECKPOINT_VERSION", 1)
-            save_checkpoint(path, header, arrays)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC)) == (1,)
-        resumed = resume()
-        self._compare(ref, resumed, ordered=False)
-        assert resumed[1].run_record() == ref[1].run_record()
-
-    @pytest.mark.parametrize("case", sorted(_BUFFERED_CUTS))
-    def test_version_2_logs_still_resume(
-        self, env_factory, tmp_path, monkeypatch, case
-    ):
-        """Version-2 files kept one log per event kind; resume converts
-        them to events."""
-        ref, resume = self._buffered_cut(env_factory, tmp_path, case)
-        path = tmp_path / "checkpoint.bin"
-        header, arrays = load_checkpoint(path)
-        header["logs"] = _legacy_logs(header.pop("events"))
-        with monkeypatch.context() as patch:
-            patch.setattr(defense, "CHECKPOINT_VERSION", 2)
-            save_checkpoint(path, header, arrays)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC)) == (2,)
-        resumed = resume()
-        self._compare(ref, resumed, ordered=False)
-        assert resumed[1].run_record() == ref[1].run_record()
+    @pytest.mark.parametrize("case", ["async", "sync_hardened"])
+    def test_buffered_cut_resume(self, env_factory, tmp_path, case):
+        """An async buffer at the cut, and quarantines before it, resume
+        bit-for-bit."""
+        ref = self._resume_at_cut(env_factory, tmp_path, case)
+        _, cut, _ = self._BUFFERED_CUTS[case]
+        if case == "sync_hardened":
+            assert any(r <= cut for r, _ in fates(ref[1].events, "quarantine"))
 
     def test_resume_skips_completed_rounds(self, env_factory, tmp_path):
         ckpt = CheckpointConfig(directory=tmp_path, resume=False)
@@ -449,7 +381,7 @@ class TestResumeBitIdentity:
         done_up = env.tracker.total_uploaded
         env.close()
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -533,7 +465,7 @@ class TestResumeBitIdentity:
 class TestResumeGuards:
     def _checkpointed(self, env_factory, tmp_path):
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -547,7 +479,7 @@ class TestResumeGuards:
     def test_seed_mismatch_names_both_values(self, env_factory, tmp_path):
         ckpt = self._checkpointed(env_factory, tmp_path)
         env = env_factory(seed=3)
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(env, ScenarioConfig(checkpoint=ckpt))
         with pytest.raises(
             CheckpointError, match=r"seed mismatch.*expects 3.*holds 2"
@@ -568,11 +500,77 @@ class TestResumeGuards:
         finally:
             env.close()
 
+    def test_version_3_file_is_refused(self, env_factory, tmp_path, monkeypatch):
+        # The previous build's files (a FedAvg ``vector`` payload) are
+        # refused, not converted.
+        ckpt = self._checkpointed(env_factory, tmp_path)
+        header, arrays = load_checkpoint(ckpt.path)
+        with monkeypatch.context() as patch:
+            patch.setattr(defense, "CHECKPOINT_VERSION", 3)
+            save_checkpoint(ckpt.path, header, arrays)
+        env = env_factory()
+        engine = RoundEngine(env, ScenarioConfig(checkpoint=ckpt))
+        with pytest.raises(
+            CheckpointError,
+            match=(
+                "file has version 3, this build reads version "
+                f"{CHECKPOINT_VERSION}"
+            ),
+        ):
+            engine.run(global_rounds(env), 2, RunHistory("fedavg", "synthetic", 2))
+        env.close()
+
+    @pytest.mark.parametrize(
+        "written, resuming, match",
+        [
+            (
+                ("fedprox", {"mu": 0.5}),
+                ("fedavg", {}),
+                r"algorithm mismatch.*expects 'fedavg'.*holds 'fedprox'",
+            ),
+            (
+                ("fedavg", {}),
+                ("pacfl", {}),
+                r"algorithm mismatch.*expects 'pacfl'.*holds 'fedavg'",
+            ),
+            (
+                ("fedprox", {"mu": 0.5}),
+                ("fedprox", {"mu": 0.1}),
+                r"prox_mu mismatch.*expects 0\.1.*holds 0\.5",
+            ),
+        ],
+        ids=["fedprox-to-fedavg", "fedavg-to-pacfl", "fedprox-mu"],
+    )
+    def test_another_algorithms_file_is_refused(
+        self, env_factory, tmp_path, written, resuming, match
+    ):
+        """FedAvg, FedProx and PACFL share one strategy name, so the
+        algorithm and FedProx's μ tell their files apart."""
+
+        def run(name, kwargs, resume):
+            env = env_factory()
+            try:
+                make_algorithm(name, **kwargs).run(
+                    env,
+                    n_rounds=2,
+                    scenario=ScenarioConfig(
+                        checkpoint=CheckpointConfig(
+                            directory=tmp_path, resume=resume
+                        )
+                    ),
+                )
+            finally:
+                env.close()
+
+        run(*written, resume=False)
+        with pytest.raises(CheckpointError, match=match):
+            run(*resuming, resume=True)
+
     def test_resume_without_file_starts_fresh(self, env_factory, tmp_path):
         # resume=True against an empty directory is a cold start, not an
         # error — the first checkpoint appears after round 1.
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         ckpt = CheckpointConfig(directory=tmp_path / "fresh", resume=True)
         engine = RoundEngine(env, ScenarioConfig(checkpoint=ckpt))
         history = RunHistory("fedavg", "synthetic", env.seed)

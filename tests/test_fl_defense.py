@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import fates
+from helpers import fates, global_rounds
 
-from repro.algorithms.base import GlobalModelRounds, survivor_mean_loss
+from repro.algorithms.base import survivor_mean_loss
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
@@ -296,8 +296,8 @@ class TestAdmission:
 
     def test_quarantined_rows_never_reach_the_server(self, env_factory):
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
-        before = strategy.vector.copy()
+        strategy = global_rounds(env)
+        before = strategy.matrix[0].copy()
         engine = RoundEngine(
             env,
             ScenarioConfig(corruption=CorruptionConfig(rate=1.0, kinds=("nan",))),
@@ -308,7 +308,7 @@ class TestAdmission:
             env.close()
         # All updates quarantined every round: the model never moved and
         # stayed finite.
-        np.testing.assert_array_equal(strategy.vector, before)
+        np.testing.assert_array_equal(strategy.matrix[0], before)
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +425,7 @@ class TestSurvivorLossExclusion:
         # happens after training, so admitted losses match the clean
         # run's losses for the same cohort).
         env = env_factory(executor)
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -479,8 +479,8 @@ class TestQuorum:
         # Rate-1 NaN corruption defeats every retry: admission rejects
         # the whole cohort each attempt, the round freezes.
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
-        before = strategy.vector.copy()
+        strategy = global_rounds(env)
+        before = strategy.matrix[0].copy()
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -494,7 +494,7 @@ class TestQuorum:
         env.close()
         assert all(r.quorum_failed for r in history.records)
         assert all(np.isnan(r.mean_train_loss) for r in history.records)
-        np.testing.assert_array_equal(strategy.vector, before)
+        np.testing.assert_array_equal(strategy.matrix[0], before)
         # Evaluation still ran against the frozen (finite) state.
         assert np.isfinite(mean_acc)
         assert history.to_dict()["quorum_failed_rounds"] == [1, 2]
@@ -508,7 +508,7 @@ class TestQuorum:
         round folds the banked work at ``decay ** age``."""
         decay = 0.5
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(
             env,
             ScenarioConfig(
@@ -556,13 +556,11 @@ class TestQuorum:
 
     def test_dispatch_with_retry_first_response_wins(self, env_factory):
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        row = global_rounds(env).matrix[0]
         engine = RoundEngine(env, ScenarioConfig(failure_rate=0.45))
 
         def make_tasks(pending):
-            return [
-                UpdateTask(cid, flat=strategy.vector) for cid in pending
-            ]
+            return [UpdateTask(cid, flat=row) for cid in pending]
 
         collected, pending = engine.dispatch_with_retry(
             make_tasks, list(range(8)), 3, max_attempts=5
@@ -627,12 +625,12 @@ class TestCorruptionAcceptance:
             corruption=CorruptionConfig(rate=0.2, kinds=("nan", "inf")),
             robust_agg="coordinate_median",
         )
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(env, scenario)
         history = RunHistory("fedavg", "synthetic", env.seed)
         mean_acc, _ = engine.run(strategy, 5, history)
         env.close()
-        assert np.isfinite(strategy.vector).all()
+        assert np.isfinite(strategy.matrix[0]).all()
         assert np.isfinite(mean_acc)
         quarantined = fates(engine.events, "quarantine")
         assert quarantined
@@ -658,7 +656,7 @@ class TestCorruptionQuorumResumeSmoke:
     ):
         # Uninterrupted reference: 4 rounds with all defenses on.
         env = env_factory()
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine = RoundEngine(env, self._scenario(tmp_path / "ref", False))
         history = RunHistory("fedavg", "synthetic", env.seed)
         mean_acc, per_client = engine.run(strategy, 4, history)
@@ -666,13 +664,13 @@ class TestCorruptionQuorumResumeSmoke:
 
         # Interrupted run: 2 rounds, then a fresh engine resumes to 4.
         env = env_factory()
-        part = GlobalModelRounds(env.layout.pack(env.init_state()))
+        part = global_rounds(env)
         RoundEngine(env, self._scenario(tmp_path / "cut", False)).run(
             part, 2, RunHistory("fedavg", "synthetic", env.seed)
         )
         env.close()
         env = env_factory()
-        resumed = GlobalModelRounds(env.layout.pack(env.init_state()))
+        resumed = global_rounds(env)
         engine2 = RoundEngine(env, self._scenario(tmp_path / "cut", True))
         history2 = RunHistory("fedavg", "synthetic", env.seed)
         acc2, per2 = engine2.run(resumed, 4, history2)
@@ -680,7 +678,7 @@ class TestCorruptionQuorumResumeSmoke:
 
         assert acc2 == mean_acc
         np.testing.assert_array_equal(per2, per_client)
-        np.testing.assert_array_equal(resumed.vector, strategy.vector)
+        np.testing.assert_array_equal(resumed.matrix[0], strategy.matrix[0])
         assert engine2.events == engine.events
         assert [
             (r.round_index, r.mean_train_loss, r.n_quarantined, r.quorum_failed)

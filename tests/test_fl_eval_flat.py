@@ -58,7 +58,7 @@ def _perturbed_states(model, rng, n):
 
 
 # ----------------------------------------------------------------------
-# Module.load_flat / StateLayout.load_into
+# Module.load_flat
 # ----------------------------------------------------------------------
 class TestLoadFlat:
     def test_bit_identical_to_dict_load(self, model, layout, rng):
@@ -87,14 +87,6 @@ class TestLoadFlat:
         foreign = StateLayout.from_model(other)
         with pytest.raises(KeyError, match="layout mismatch"):
             model.load_flat(np.zeros(foreign.n_params), foreign)
-
-    def test_layout_load_into_alias(self, model, layout, rng):
-        vector = rng.standard_normal(layout.n_params)
-        layout.load_into(model, vector)
-        np.testing.assert_array_equal(
-            pack_state(model.state_dict(copy=False), layout),
-            pack_state(unpack_state(vector, layout), layout),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +328,7 @@ class TestIFCAFusedAssign:
 
         env = small_env
         algo = IFCA(n_clusters=2)
-        states = algo._initial_states(env)  # packed rows (flat plane)
+        states = algo._initial_matrix(env)  # packed rows (flat plane)
         m = env.federation.n_clients
         fused_labels = algo._assign(env, states, np.arange(m))
         cap = algo.assignment_batches * env.train_cfg.batch_size

@@ -24,16 +24,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import fates
+from helpers import fates, global_rounds
 
-from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.config import TrainConfig
 from repro.fl.defense import CheckpointConfig, CorruptionConfig
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
+from repro.fl.rounds import (
+    AsyncConfig,
+    RoundEngine,
+    ScenarioConfig,
+    aggregation_weights,
+)
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
 from repro.fl.history import RoundRecord, RunHistory
@@ -243,7 +247,7 @@ class TestDispatchMiddleware:
 
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(straggler_rate=0.5))
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         history = RunHistory("test", "x", 0)
         outcomes = []
         strategy.on_round_end = lambda eng, out: outcomes.append(out)
@@ -255,7 +259,7 @@ class TestDispatchMiddleware:
                 cohort_matrix(env, survivors), [u.n_samples for u in survivors]
             )
         )
-        np.testing.assert_array_equal(strategy.vector, expected)
+        np.testing.assert_array_equal(strategy.matrix[0], expected)
 
 
 class TestRunRecord:
@@ -520,7 +524,7 @@ class TestDeparturesAndTraces:
     def test_on_departures_hook_fires(self, env_factory):
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(departures={3: 2}))
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         seen = []
         strategy.on_departures = (
             lambda eng, r, departed: seen.append((r, departed.tolist()))
@@ -544,7 +548,7 @@ class TestDeparturesAndTraces:
         client was never contacted."""
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(trace={7: []}))
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         engine.run(strategy, 1, RunHistory("test", "x", 0))
         assert env.tracker.total_downloaded == 7 * env.n_params
         assert env.tracker.total_uploaded == 7 * env.n_params
@@ -588,7 +592,7 @@ class TestDeparturesAndTraces:
 class TestStaleUpdates:
     def _run_with_outcomes(self, env, scenario, n_rounds=3):
         engine = RoundEngine(env, scenario)
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         outcomes = []
         strategy.on_round_end = lambda eng, out: outcomes.append(out)
         engine.run(strategy, n_rounds, RunHistory("test", "x", 0))
@@ -633,7 +637,7 @@ class TestStaleUpdates:
         )
 
         engine = RoundEngine(env, scenario)
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         captured = []
 
         original_aggregate = strategy.aggregate
@@ -654,10 +658,10 @@ class TestStaleUpdates:
         )
         # Re-run and compare the state right after the folded round.
         engine2 = RoundEngine(env, scenario)
-        strategy2 = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy2 = global_rounds(env)
         states = {}
         strategy2.on_round_end = lambda eng, out: states.__setitem__(
-            out.round_index, strategy2.vector.copy()
+            out.round_index, strategy2.matrix[0].copy()
         )
         engine2.run(strategy2, 4, RunHistory("test", "x", 0))
         np.testing.assert_array_equal(states[round_index], expected_last)
@@ -723,8 +727,8 @@ class TestComputeBudgets:
 
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(compute_budget=(0, 2)))
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
-        broadcast = strategy.vector.copy()
+        strategy = global_rounds(env)
+        broadcast = strategy.matrix[0].copy()
         outcomes = []
         strategy.on_round_end = lambda eng, out: outcomes.append(out)
         engine.run(strategy, 1, RunHistory("test", "x", 0))
@@ -743,7 +747,7 @@ class TestComputeBudgets:
         expected = env.layout.round_trip(
             packed_weighted_average(cohort_matrix(env, live), weights)
         )
-        np.testing.assert_array_equal(strategy.vector, expected)
+        np.testing.assert_array_equal(strategy.matrix[0], expected)
 
     def test_budget_draws_are_seeded_per_round_and_client(self, env_factory):
         env = env_factory(local_epochs=2)
@@ -757,11 +761,11 @@ class TestComputeBudgets:
     def test_all_zero_budgets_keep_the_server_state(self, env_factory):
         env = env_factory(local_epochs=1)
         engine = RoundEngine(env, ScenarioConfig(compute_budget=0))
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
-        before = strategy.vector.copy()
+        strategy = global_rounds(env)
+        before = strategy.matrix[0].copy()
         history = RunHistory("test", "x", 0)
         engine.run(strategy, 1, history)
-        np.testing.assert_array_equal(strategy.vector, before)
+        np.testing.assert_array_equal(strategy.matrix[0], before)
         # A frozen round must not report a fabricated 0.0 train loss —
         # zero-step updates are excluded from the round statistic.
         assert np.isnan(history.records[0].mean_train_loss)
@@ -838,15 +842,10 @@ class TestCFLWindowedSplits:
         """Cache entries must be copies, not views into the round's full
         (cohort × n_params) delta matrix — a view would pin the whole
         matrix alive until the entry ages out of the window."""
-        from repro.algorithms.cfl import CFL, _CFLRounds, _Cluster
+        from repro.algorithms.cfl import CFL, _CFLRounds
 
         env = env_factory(local_epochs=1)
-        algo = CFL(warmup_rounds=1, delta_window=3)
-        m = env.federation.n_clients
-        strategy = _CFLRounds(
-            algo,
-            [_Cluster(state=env.layout.pack(env.init_state()), members=np.arange(m))],
-        )
+        strategy = _CFLRounds(CFL(warmup_rounds=1, delta_window=3), env)
         engine = RoundEngine(env, ScenarioConfig(client_fraction=0.5))
         engine.run(strategy, 1, RunHistory("test", "x", 0))
         caches = [c.delta_cache for c in strategy.clusters]
@@ -875,6 +874,139 @@ class TestCFLWindowedSplits:
             base.per_client_accuracy, explicit.per_client_accuracy
         )
         assert base.extras["split_rounds"] == explicit.extras["split_rounds"]
+
+
+# ----------------------------------------------------------------------
+# CFL splits a cluster while other clusters exist
+# ----------------------------------------------------------------------
+class TestCFLMultiSplit:
+    """Four planted label groups: CFL first halves the federation, then
+    splits each half while the other one exists.  A split cluster's
+    right half becomes the row after it and later clusters move up one,
+    so the labels below pin the numbering as well as the partition."""
+
+    @pytest.fixture(scope="class")
+    def groups4(self):
+        return build_federation(
+            "fmnist", 16, 1600, 3, partition="label_cluster",
+            groups=[[0, 1], [2, 3], [4, 5], [6, 7]],
+        )
+
+    def _run(self, federation, n_rounds, scenario=None):
+        env = FederatedEnv(
+            federation,
+            model_name="mlp",
+            model_kwargs={"hidden": (96,)},
+            train_cfg=TrainConfig(
+                local_epochs=1, batch_size=32, lr=0.05, momentum=0.9
+            ),
+            seed=2,
+        )
+        try:
+            return make_algorithm(
+                "cfl", warmup_rounds=1, min_cluster_size=2, eps1=0.6
+            ).run(env, n_rounds, scenario=scenario)
+        finally:
+            env.close()
+
+    def test_sync_splits(self, groups4):
+        result = self._run(groups4, 4)
+        assert result.extras["split_rounds"] == [2, 3]
+        assert result.cluster_labels.tolist() == [0, 1, 2, 3] * 4
+        records = result.history.records
+        assert [r.n_clusters for r in records] == [1, 2, 4, 4]
+        assert [r.mean_train_loss for r in records] == [
+            1.4932898055873616,
+            0.38227572544807725,
+            0.3434708550242315,
+            0.017352074248871453,
+        ]
+        assert [r.mean_local_accuracy for r in records] == [
+            0.6693627450980393, 0.5989123774509805, 1.0, 1.0
+        ]
+
+    def test_async_splits(self, groups4):
+        scenario = ScenarioConfig(
+            async_config=AsyncConfig(buffer_size=6, duration_range=(1, 2)),
+            staleness_decay=0.9,
+        )
+        result = self._run(groups4, 7, scenario)
+        assert result.extras["split_rounds"] == [2, 4, 6]
+        assert result.cluster_labels.tolist() == [0, 2, 3, 4, 0, 2, 3, 4] + [
+            1, 2, 3, 4, 1, 2, 3, 4
+        ]
+        records = result.history.records
+        assert [r.n_clusters for r in records] == [1, 2, 2, 4, 4, 5, 5]
+        assert [r.mean_train_loss for r in records] == [
+            1.5908930063681812,
+            0.9004391320496021,
+            0.5231532623662487,
+            0.40354885254964756,
+            0.1545932396930434,
+            0.13098568672445066,
+            0.015474225195551602,
+        ]
+        assert [r.mean_local_accuracy for r in records] == [
+            0.6219669117647059,
+            0.6944852941176471,
+            0.8916666666666666,
+            0.8455882352941176,
+            1.0,
+            1.0,
+            1.0,
+        ]
+
+
+# ----------------------------------------------------------------------
+# One train-loss statistic for every clustered algorithm
+# ----------------------------------------------------------------------
+class TestTrainLossStatistic:
+    @pytest.mark.parametrize(
+        "name, kwargs, local_epochs",
+        [
+            ("ifca", {"n_clusters": 3}, 2),
+            ("pacfl", {}, 1),
+        ],
+    )
+    def test_mean_over_clusters_of_cluster_means(
+        self, env_factory, monkeypatch, name, kwargs, local_epochs
+    ):
+        """The round's train loss is the mean over clusters of each
+        cluster's mean loss over its trained survivors, so a large
+        cluster weighs as much as a small one (a pooled mean over all
+        survivors would not)."""
+        rounds = []
+        run = RoundEngine.run
+
+        def spying_run(engine, strategy, *args, **run_kwargs):
+            aggregate = strategy.aggregate
+
+            def spy(eng, round_index, survivors):
+                labels = strategy.labels.copy()
+                loss = aggregate(eng, round_index, survivors)
+                rounds.append((labels, list(survivors), loss))
+                return loss
+
+            strategy.aggregate = spy
+            return run(engine, strategy, *args, **run_kwargs)
+
+        monkeypatch.setattr(RoundEngine, "run", spying_run)
+        env = env_factory(local_epochs=local_epochs)
+        make_algorithm(name, **kwargs).run(env, n_rounds=3)
+        env.close()
+        unequal = 0
+        for labels, survivors, loss in rounds:
+            losses_of: dict[int, list[float]] = {}
+            for u in survivors:
+                if u.n_batches > 0:
+                    losses_of.setdefault(int(labels[u.client_id]), []).append(
+                        u.mean_loss
+                    )
+            sizes = {len(v) for v in losses_of.values()}
+            unequal += len(sizes) > 1
+            expected = np.mean([np.mean(losses_of[g]) for g in sorted(losses_of)])
+            assert loss == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert unequal, "some round must aggregate clusters of unequal size"
 
 
 # ----------------------------------------------------------------------
@@ -1093,7 +1225,7 @@ class TestRowLifetime:
             client_fraction=0.5, straggler_rate=0.5, staleness_decay=0.5
         )
         engine = RoundEngine(env, scenario)
-        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        strategy = global_rounds(env)
         folded = []
 
         def check(eng, out):

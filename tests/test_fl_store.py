@@ -257,17 +257,6 @@ class TestCheckpointRestore:
             dst.rows(np.arange(40)), src.rows(np.arange(40))
         )
 
-    def test_legacy_payload_restores_like_dense(self):
-        # checkpoints written before the store carried a bare matrix
-        layout = _f32_layout()
-        matrix = np.random.default_rng(3).standard_normal((6, 24))
-        wire = matrix.astype(np.float32)
-        store = ShardedStore(6, layout, np.zeros(24), shard_size=2)
-        store.restore_from({}, {"states": wire})
-        np.testing.assert_array_equal(
-            store.rows(np.arange(6)), wire.astype(np.float64)
-        )
-
     def test_restore_rejects_wrong_population(self):
         layout = _f32_layout()
         store = DenseStore(4, layout, np.zeros(24))

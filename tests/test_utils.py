@@ -64,13 +64,6 @@ class TestTables:
         with pytest.raises(ValueError, match="cells"):
             t.add_row(["only-one"])
 
-    def test_markdown(self):
-        t = Table(title="x", columns=["a", "b"])
-        t.add_row(["1", "2"])
-        md = t.to_markdown()
-        assert md.splitlines()[0] == "| a | b |"
-        assert "| 1 | 2 |" in md
-
     def test_format_mean_std(self):
         assert format_mean_std(60.254, 0.579) == "60.25 ± 0.58"
 
