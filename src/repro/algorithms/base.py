@@ -232,10 +232,6 @@ class FLAlgorithm(abc.ABC):
         every client, every round.
         """
 
-    def _scenario(self, scenario: ScenarioConfig | None) -> ScenarioConfig:
-        """Resolve the effective scenario (default: full participation)."""
-        return scenario if scenario is not None else ScenarioConfig()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 

@@ -426,7 +426,7 @@ class CFL(FLAlgorithm):
     ) -> RunResult:
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         strategy = _CFLRounds(self, env)
-        engine = RoundEngine(env, self._scenario(scenario))
+        engine = RoundEngine(env, scenario)
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
         return RunResult.from_engine(
             engine,

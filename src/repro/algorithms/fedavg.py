@@ -49,7 +49,7 @@ class FedAvg(FLAlgorithm):
             np.zeros(env.federation.n_clients, dtype=np.int64),
             prox_mu=self.prox_mu,
         )
-        engine = RoundEngine(env, self._scenario(scenario))
+        engine = RoundEngine(env, scenario)
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
         return RunResult.from_engine(
             engine,

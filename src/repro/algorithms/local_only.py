@@ -115,7 +115,7 @@ class LocalOnly(FLAlgorithm):
     ) -> RunResult:
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         strategy = _LocalRounds(env)
-        engine = RoundEngine(env, self._scenario(scenario))
+        engine = RoundEngine(env, scenario)
         accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
         return RunResult.from_engine(
             engine,

@@ -101,7 +101,7 @@ class PACFL(FLAlgorithm):
             raise ValueError("PACFL needs >= 2 rounds (1 clustering + training)")
         m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        engine = RoundEngine(env, self._scenario(scenario))
+        engine = RoundEngine(env, scenario)
 
         # Round 1: the one-shot clustering round (basis upload only).
         # PACFL's signatures are data subspaces the server computes from

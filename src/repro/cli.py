@@ -430,40 +430,10 @@ def _cmd_run(args: argparse.Namespace) -> dict:
             "n_clients": n_clients,
             "store": store_config.describe(),
         },
-        "scenario": {
-            "client_fraction": args.client_fraction,
-            "failure_rate": args.failure_rate,
-            "straggler_rate": args.straggler_rate,
-            "staleness_decay": args.staleness_decay,
-            "compute_budget": list(budget) if budget else None,
-            "trace": args.trace,
-            "async": (
-                {
-                    "buffer_size": async_config.buffer_size,
-                    "max_concurrency": async_config.max_concurrency,
-                    "duration_range": list(async_config.duration_range),
-                }
-                if async_config
-                else None
-            ),
-            "defense": {
-                "corruption": (
-                    {
-                        "rate": corruption.rate,
-                        "kinds": list(corruption.kinds),
-                        "scale": corruption.scale,
-                    }
-                    if corruption
-                    else None
-                ),
-                "robust_agg": args.robust_agg,
-                "norm_bound": args.norm_bound,
-                "min_survivors": args.min_survivors,
-                "max_retries": args.max_retries,
-                "checkpoint": args.checkpoint,
-                "resumed": bool(args.resume),
-            },
-        },
+        "scenario": scenario.to_dict(),
+        # How the run executed, not what it computed: outside the
+        # scenario's dict (save_json writes the config's fields).
+        "checkpoint": scenario.checkpoint,
         "history": result.history.to_dict(),
     }
 

@@ -401,16 +401,13 @@ class FedClust(FLAlgorithm):
             raise ValueError("FedClust needs >= 2 rounds (1 clustering + training)")
         m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        scenario = self._scenario(scenario)
         engine = RoundEngine(env, scenario)
 
         # Scenario arrivals after round 1 miss the one-shot clustering;
         # they are onboarded through the newcomer path (step ⑥) by the
         # training strategy at their arrival round.
         absent = [
-            cid
-            for cid, r in (scenario.arrivals or {}).items()
-            if int(r) > 1
+            cid for cid, r in (engine.scenario.arrivals or {}).items() if r > 1
         ]
         fitted = self.clustering_round(env, round_index=1, engine=engine, absent=absent)
         # Grouped Table-I eval: each cluster model is loaded once and its

@@ -12,8 +12,9 @@ Table I answers by sweeping one factor at a time:
   optional **pairwise** cells, over a list of algorithms × seeds;
 * :func:`generate_cells` expands the declaration into the run matrix,
   and every cell gets a **stable content-hashed run ID**
-  (:func:`cell_run_id`: seed + algorithm + canonical scenario dict +
-  preset → sha256 prefix), so the same experiment always lands in the
+  (:func:`cell_run_id`: seed + algorithm + scenario dict
+  (:meth:`~repro.fl.rounds.ScenarioConfig.to_dict`) + preset → sha256
+  prefix), so the same experiment always lands in the
   same record file regardless of process, ordering or machine;
 * :func:`run_matrix` executes the cells through the round engine,
   writes **one versioned JSON record per run ID** (Table-I accuracy,
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro.fl.rounds import AsyncConfig, ScenarioConfig
+from repro.fl.rounds import ScenarioConfig
 from repro.utils.serialization import load_json, save_json, to_jsonable
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "CellResult",
     "MatrixOutcome",
     "build_report",
-    "build_scenario",
     "canonical_scenario",
     "cell_run_id",
     "check_matrix",
@@ -70,7 +70,6 @@ __all__ = [
     "load_config",
     "named_matrix",
     "nightly_matrix",
-    "scenario_to_dict",
     "run_check",
     "run_matrix",
 ]
@@ -103,122 +102,17 @@ class AblationCheckError(RuntimeError):
 # ----------------------------------------------------------------------
 # Scenario canonicalisation
 # ----------------------------------------------------------------------
-def build_scenario(knobs: Mapping, checkpoint=None) -> ScenarioConfig:
-    """A :class:`ScenarioConfig` from a plain JSON-ready knob mapping.
-
-    The declarative inverse of :func:`canonical_scenario`: nested
-    structures arrive as the lists/dicts a JSON config file holds
-    (``compute_budget: [1, 3]``, ``async_config: {buffer_size: 4}``,
-    ``trace: {"0": [1, 2]}`` — string client ids included) and are
-    coerced to the config objects the engine wants.  ``checkpoint`` is
-    an *execution* detail, not an experiment knob: it is injected here
-    and deliberately never part of the declarative dict (or the run ID).
-    """
-    kwargs = dict(knobs)
-    for name in ("arrivals", "departures"):
-        if kwargs.get(name) is not None:
-            kwargs[name] = {
-                int(cid): int(r) for cid, r in kwargs[name].items()
-            }
-    if kwargs.get("trace") is not None:
-        kwargs["trace"] = {
-            int(cid): [int(r) for r in rounds]
-            for cid, rounds in kwargs["trace"].items()
-        }
-    if kwargs.get("compute_budget") is not None and not isinstance(
-        kwargs["compute_budget"], int
-    ):
-        kwargs["compute_budget"] = tuple(kwargs["compute_budget"])
-    async_config = kwargs.get("async_config")
-    if isinstance(async_config, Mapping):
-        async_kwargs = dict(async_config)
-        if isinstance(async_kwargs.get("duration_range"), (list, tuple)):
-            async_kwargs["duration_range"] = tuple(
-                async_kwargs["duration_range"]
-            )
-        kwargs["async_config"] = AsyncConfig(**async_kwargs)
-    corruption = kwargs.get("corruption")
-    if isinstance(corruption, Mapping):
-        from repro.fl.defense import CorruptionConfig
-
-        corruption_kwargs = dict(corruption)
-        if "kinds" in corruption_kwargs:
-            corruption_kwargs["kinds"] = tuple(corruption_kwargs["kinds"])
-        kwargs["corruption"] = CorruptionConfig(**corruption_kwargs)
-    if checkpoint is not None:
-        kwargs["checkpoint"] = checkpoint
-    return ScenarioConfig(**kwargs)
-
-
-def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    """The canonical JSON dict of a scenario: non-default knobs only.
-
-    Dropping default-valued fields makes the representation (and
-    therefore the run ID) independent of *how* the config was spelled —
-    ``{"failure_rate": 0.0}`` and ``{}`` are the same experiment.
-    """
-    out: dict = {}
-    if scenario.client_fraction < 1.0:
-        out["client_fraction"] = float(scenario.client_fraction)
-    if scenario.min_clients != 1:
-        out["min_clients"] = int(scenario.min_clients)
-    if scenario.failure_rate > 0.0:
-        out["failure_rate"] = float(scenario.failure_rate)
-    if scenario.straggler_rate > 0.0:
-        out["straggler_rate"] = float(scenario.straggler_rate)
-    if scenario.arrivals:
-        out["arrivals"] = {
-            str(int(cid)): int(r)
-            for cid, r in sorted(scenario.arrivals.items())
-        }
-    if scenario.staleness_decay > 0.0:
-        out["staleness_decay"] = float(scenario.staleness_decay)
-    if scenario.compute_budget is not None:
-        out["compute_budget"] = [int(b) for b in scenario.compute_budget]
-    if scenario.departures:
-        out["departures"] = {
-            str(int(cid)): int(r)
-            for cid, r in sorted(scenario.departures.items())
-        }
-    if scenario.trace is not None:
-        out["trace"] = scenario.trace.to_dict()["clients"]
-    if scenario.async_config is not None:
-        cfg = scenario.async_config
-        out["async_config"] = {
-            "buffer_size": int(cfg.buffer_size),
-            "max_concurrency": (
-                None
-                if cfg.max_concurrency is None
-                else int(cfg.max_concurrency)
-            ),
-            "duration_range": [int(d) for d in cfg.duration_range],
-        }
-    if scenario.corruption is not None and scenario.corruption.rate > 0.0:
-        out["corruption"] = {
-            "rate": float(scenario.corruption.rate),
-            "kinds": list(scenario.corruption.kinds),
-            "scale": float(scenario.corruption.scale),
-        }
-    if scenario.robust_agg != "none":
-        out["robust_agg"] = scenario.robust_agg
-        out["trim_fraction"] = float(scenario.trim_fraction)
-    if scenario.norm_bound is not None:
-        out["norm_bound"] = float(scenario.norm_bound)
-    if scenario.min_survivors > 0:
-        out["min_survivors"] = int(scenario.min_survivors)
-    if scenario.max_retries > 0:
-        out["max_retries"] = int(scenario.max_retries)
-    return out
-
-
 def canonical_scenario(knobs: Mapping) -> dict:
     """Validate a knob mapping and return its canonical dict.
 
-    Round-tripping through :class:`ScenarioConfig` both rejects invalid
-    compositions at matrix-definition time (e.g. async × stragglers)
-    and normalises spelling, so equal experiments hash equal.
+    The knobs are the JSON form :meth:`ScenarioConfig.to_dict` writes
+    (string client ids, nested configs as mappings, lists for pairs).
+    Round-tripping through :class:`ScenarioConfig` rejects invalid
+    compositions at matrix-definition time (e.g. async × stragglers),
+    and its codec writes only non-default fields, so equal experiments
+    hash equal: ``{"failure_rate": 0.0}`` and ``{}`` are one cell.
     """
-    return scenario_to_dict(build_scenario(knobs))
+    return ScenarioConfig(**knobs).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +394,7 @@ def _execute_cell(
             every=config.checkpoint_every,
             resume=True,
         )
-    scenario = build_scenario(cell.scenario, checkpoint=checkpoint)
+    scenario = ScenarioConfig(**cell.scenario, checkpoint=checkpoint)
     t0 = time.perf_counter()
     with FederatedEnv(
         federation,

@@ -321,10 +321,10 @@ CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: Codec version word; bumped on any layout change.  Readers refuse
 #: every other version loudly instead of mis-parsing: a resume promises
 #: a bit-for-bit continuation, which a file from a build with other
-#: numerics cannot keep.  Version 4 holds the engine's one event log and
+#: numerics cannot keep.  Version 5 holds the engine's one event log,
 #: every shared-model strategy's ``matrix``/``labels``/``prox_mu``
-#: payload.
-CHECKPOINT_VERSION = 4
+#: payload and the run's ``ScenarioConfig.to_dict()``.
+CHECKPOINT_VERSION = 5
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"

@@ -242,20 +242,22 @@ def _zero_budget_update(
 
 def _run_flat(
     env: "FederatedEnv",
-    model,
     task: UpdateTask,
     vector: np.ndarray,
     round_index: int,
+    train_cfg,
 ) -> ClientUpdate:
+    """One task on the serial kernel under ``train_cfg``, capped at the
+    task's step budget."""
     if task.max_steps == 0:
         return _zero_budget_update(env, task, vector)
     return run_client_update_flat(
-        model,
+        env.scratch_model,
         task.client_id,
         env.federation.clients[task.client_id].train,
         vector,
         env.layout,
-        _budgeted_cfg(env.train_cfg, task.max_steps),
+        _budgeted_cfg(train_cfg, task.max_steps),
         rng_for(env.seed, 1, round_index, task.client_id),
         prox_mu=task.prox_mu,
     )
@@ -269,7 +271,7 @@ class SerialClientExecutor:
     ) -> list[ClientUpdate]:
         vectors = _pack_tasks(tasks)
         return [
-            _run_flat(env, env.scratch_model, task, vec, round_index)
+            _run_flat(env, task, vec, round_index, env.train_cfg)
             for task, vec in zip(tasks, vectors)
         ]
 
@@ -306,25 +308,8 @@ def _process_worker_run(
     env = _WORKER_ENV
     assert env is not None, "worker initializer did not run"
     vector = decode_flat_payload(payload, env.layout)
-    if max_steps == 0:
-        flat = env.layout.round_trip(vector)
-        return (
-            client_id,
-            encode_flat_payload(flat, env.layout),
-            len(env.federation.clients[client_id].train),
-            0.0,
-            0,
-        )
-    update = run_client_update_flat(
-        env.scratch_model,
-        client_id,
-        env.federation.clients[client_id].train,
-        vector,
-        env.layout,
-        _budgeted_cfg(train_cfg, max_steps),
-        rng_for(env.seed, 1, round_index, client_id),
-        prox_mu=prox_mu,
-    )
+    task = UpdateTask(client_id, vector, prox_mu=prox_mu, max_steps=max_steps)
+    update = _run_flat(env, task, vector, round_index, train_cfg)
     return (
         update.client_id,
         encode_flat_payload(update.flat, env.layout),
@@ -457,7 +442,7 @@ class BatchedClientExecutor:
         if not batchable:
             self.last_dispatch["serial"] = len(tasks)
             return [
-                _run_flat(env, env.scratch_model, task, vec, round_index)
+                _run_flat(env, task, vec, round_index, env.train_cfg)
                 for task, vec in zip(tasks, vectors)
             ]
         # Cohorts: tasks sharing a broadcast vector and prox_mu train as

@@ -100,10 +100,11 @@ the executor or the payload format:
   :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
   writes a versioned single-file checkpoint on a round cadence (server
   rows at wire dtype, round counter, ledger and buffer, event log,
-  traffic, history) and can resume from it; a resumed run reproduces the
-  uninterrupted one bit-identically because all middleware randomness is
-  stateless in (seed, round, client) — the file only needs the round
-  counter, never a generator state.
+  traffic, history, and the scenario's ``to_dict()``) and can resume
+  from it; a resume under another scenario is refused.  A resumed run
+  reproduces the uninterrupted one bit-identically because all
+  middleware randomness is stateless in (seed, round, client) — the
+  file only needs the round counter, never a generator state.
 
 **One event log.**  What happened to each client is recorded once, in
 :attr:`RoundEngine.events`: ``(round, kind, client id, reason)``
@@ -140,7 +141,7 @@ import abc
 import time
 from collections import Counter
 from itertools import groupby
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -164,6 +165,7 @@ from repro.fl.parallel import InFlightBuffer, UpdateTask
 from repro.fl.sampling import sample_from, uniform_sample
 from repro.fl.trace import AvailabilityTrace
 from repro.utils.rng import rng_for
+from repro.utils.serialization import to_jsonable
 from repro.utils.validation import check_fraction, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -311,6 +313,13 @@ class AsyncConfig:
 class ScenarioConfig:
     """System-heterogeneity policy for a run; composes with any strategy.
 
+    The scenario is its own JSON codec: :meth:`to_dict` writes every
+    field that differs from its default, and ``ScenarioConfig(**d)``
+    reads that dict back (string client ids, nested mappings and lists
+    are coerced).  The run JSON, the ablation harness's run IDs and the
+    checkpoint header all use it.  An empty schedule or trace and a
+    zero-rate corruption are stored as ``None``.
+
     Attributes
     ----------
     client_fraction:
@@ -405,7 +414,9 @@ class ScenarioConfig:
         directory, coerced) makes the engine write a resumable
         checkpoint file every ``every`` rounds; with ``resume=True``
         :meth:`RoundEngine.run` restores from an existing file before
-        its first round.
+        its first round.  An execution detail: :meth:`to_dict` leaves
+        it out, so it changes neither a run ID nor what a resume
+        accepts.
     """
 
     client_fraction: float = 1.0
@@ -427,6 +438,29 @@ class ScenarioConfig:
     checkpoint: CheckpointConfig | None = None
 
     def __post_init__(self) -> None:
+        # Read back what to_dict() writes: JSON keys are strings, nested
+        # configs arrive as mappings, and an empty schedule or a
+        # zero-rate corruption means the same as none at all.
+        for name in ("arrivals", "departures"):
+            schedule = getattr(self, name) or {}
+            rounds = dict(sorted((int(c), int(r)) for c, r in schedule.items()))
+            object.__setattr__(self, name, rounds or None)
+        trace = self.trace
+        if trace is not None and not isinstance(trace, AvailabilityTrace):
+            trace = AvailabilityTrace(trace)
+        object.__setattr__(
+            self, "trace", trace if trace is not None and trace.clients else None
+        )
+        if isinstance(self.async_config, Mapping):
+            object.__setattr__(self, "async_config", AsyncConfig(**self.async_config))
+        corruption = self.corruption
+        if isinstance(corruption, Mapping):
+            corruption = CorruptionConfig(**corruption)
+        object.__setattr__(
+            self,
+            "corruption",
+            corruption if corruption is not None and corruption.rate > 0.0 else None,
+        )
         check_fraction("client_fraction", self.client_fraction)
         check_positive("min_clients", self.min_clients)
         for name in ("failure_rate", "straggler_rate"):
@@ -435,7 +469,7 @@ class ScenarioConfig:
             if rate >= 1.0:
                 raise ValueError(f"{name} must be < 1 (someone must survive)")
         if self.arrivals:
-            bad = {c: r for c, r in self.arrivals.items() if int(r) < 1}
+            bad = {c: r for c, r in self.arrivals.items() if r < 1}
             if bad:
                 raise ValueError(f"arrival rounds must be >= 1, got {bad}")
         if not 0.0 <= self.staleness_decay <= 1.0:
@@ -448,15 +482,13 @@ class ScenarioConfig:
         if self.departures:
             arrivals = self.arrivals or {}
             for cid, dep in self.departures.items():
-                arrival = int(arrivals.get(cid, 1))
-                if int(dep) <= arrival:
+                arrival = arrivals.get(cid, 1)
+                if dep <= arrival:
                     raise ValueError(
                         f"client {cid} departs in round {dep} but only arrives "
                         f"in round {arrival} — departures must come strictly "
                         "after arrival"
                     )
-        if self.trace is not None and not isinstance(self.trace, AvailabilityTrace):
-            object.__setattr__(self, "trace", AvailabilityTrace(self.trace))
         if self.async_config is not None and self.straggler_rate > 0.0:
             raise ValueError(
                 "straggler_rate composes only with the synchronous engine "
@@ -500,25 +532,24 @@ class ScenarioConfig:
                 self, "checkpoint", CheckpointConfig(directory=self.checkpoint)
             )
 
-    @property
-    def is_default(self) -> bool:
-        """True for the paper-scale scenario: everyone, every round."""
-        return (
-            self.client_fraction >= 1.0
-            and self.failure_rate == 0.0
-            and self.straggler_rate == 0.0
-            and not self.arrivals
-            and self.staleness_decay == 0.0
-            and self.compute_budget is None
-            and not self.departures
-            and self.trace is None
-            and self.async_config is None
-            and (self.corruption is None or self.corruption.rate == 0.0)
-            and self.robust_agg == "none"
-            and self.norm_bound is None
-            and self.min_survivors == 0
-            and self.checkpoint is None
-        )
+    def to_dict(self) -> dict:
+        """The scenario as JSON: every field whose value is not its default.
+
+        Derived from the dataclass fields, so a field added later is
+        written too.  Nested configs are written whole, the trace as its
+        ``clients`` mapping.  ``checkpoint`` is left out: it decides how
+        a run executes, not what it computes.  ``ScenarioConfig(**d)``
+        reads the dict back.
+        """
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "checkpoint" or value == f.default:
+                continue
+            if isinstance(value, AvailabilityTrace):
+                value = value.to_dict()["clients"]
+            out[f.name] = to_jsonable(value)
+        return out
 
     def validate_for(self, n_clients: int) -> None:
         """Reject client ids outside ``[0, n_clients)`` in any schedule.
@@ -533,7 +564,7 @@ class ScenarioConfig:
             ("departures", self.departures or {}),
             ("trace", self.trace.clients if self.trace is not None else ()),
         ):
-            bad = sorted(int(c) for c in ids if not 0 <= int(c) < n_clients)
+            bad = sorted(c for c in ids if not 0 <= c < n_clients)
             if bad:
                 raise ValueError(
                     f"{name} references unknown client ids {bad} — this "
@@ -763,7 +794,7 @@ class RoundEngine:
         """
         s = self.scenario
         return (
-            (s.corruption is not None and s.corruption.rate > 0.0)
+            s.corruption is not None
             or s.norm_bound is not None
             or s.robust_agg != "none"
             or s.min_survivors > 0
@@ -802,9 +833,9 @@ class RoundEngine:
             return np.arange(m)
         eligible = []
         for cid in range(m):
-            if arrivals and int(arrivals.get(cid, 1)) > round_index:
+            if arrivals and arrivals.get(cid, 1) > round_index:
                 continue
-            if departures and cid in departures and int(departures[cid]) <= round_index:
+            if departures and cid in departures and departures[cid] <= round_index:
                 continue
             if trace is not None and not trace.available(cid, round_index):
                 continue
@@ -817,7 +848,7 @@ class RoundEngine:
         if not arrivals:
             return np.empty(0, dtype=np.int64)
         return np.array(
-            sorted(cid for cid, r in arrivals.items() if int(r) == round_index),
+            sorted(cid for cid, r in arrivals.items() if r == round_index),
             dtype=np.int64,
         )
 
@@ -827,7 +858,7 @@ class RoundEngine:
         if not departures:
             return np.empty(0, dtype=np.int64)
         return np.array(
-            sorted(cid for cid, r in departures.items() if int(r) == round_index),
+            sorted(cid for cid, r in departures.items() if r == round_index),
             dtype=np.int64,
         )
 
@@ -1013,7 +1044,7 @@ class RoundEngine:
     ) -> list[ClientUpdate]:
         """Corruption middleware: seeded per-(round, client) mangling."""
         corruption = self.scenario.corruption
-        if corruption is None or corruption.rate <= 0.0 or not updates:
+        if corruption is None or not updates:
             return updates
         seed = self.env.seed
         return [maybe_corrupt(u, seed, round_index, corruption) for u in updates]
@@ -1350,8 +1381,9 @@ class RoundEngine:
         """Write a resumable checkpoint of the whole run state.
 
         Serialised: the strategy's server rows (at wire dtype, via its
-        :meth:`RoundStrategy.checkpoint_payload` hook), the round
-        counter, the event log, the communication tracker's
+        :meth:`RoundStrategy.checkpoint_payload` hook), the scenario's
+        :meth:`ScenarioConfig.to_dict`, the round counter, the event
+        log, the communication tracker's
         per-phase counters, the history records, the last evaluation,
         the in-flight ledger and the update buffer — their update *rows*
         at float64, because a corrupted row awaiting admission need not
@@ -1422,6 +1454,7 @@ class RoundEngine:
             "strategy": strategy.name,
             "n_clients": int(env.federation.n_clients),
             "n_params": int(env.n_params),
+            "scenario": self.scenario.to_dict(),
             "next_round": int(self._next_round),
             "mean_accuracy": float(mean_acc),
             "strategy_meta": meta,
@@ -1459,9 +1492,10 @@ class RoundEngine:
         """Restore a checkpoint written by :meth:`checkpoint`.
 
         Validates that the file belongs to this run (seed, strategy
-        name, algorithm, federation size, parameter count — a mismatch
-        raises :class:`repro.fl.defense.CheckpointError` quoting expected
-        vs found; FedAvg, FedProx and PACFL share one strategy, so the
+        name, algorithm, federation size, parameter count and the
+        scenario's :meth:`ScenarioConfig.to_dict` — a mismatch raises
+        :class:`repro.fl.defense.CheckpointError` quoting expected vs
+        found; FedAvg, FedProx and PACFL share one strategy, so the
         history's algorithm name tells their files apart, and the
         strategy refuses a file whose own settings, such as FedProx's
         μ, differ from the run's), then restores the strategy state,
@@ -1481,6 +1515,7 @@ class RoundEngine:
             ("algorithm", header["history"]["algorithm"], history.algorithm),
             ("n_clients", header.get("n_clients"), int(env.federation.n_clients)),
             ("n_params", header.get("n_params"), int(env.n_params)),
+            ("scenario", header["scenario"], self.scenario.to_dict()),
         )
         for key, found, want in expectations:
             if found != want:

@@ -99,11 +99,6 @@ class StoreConfig:
         if self.path is not None and self.kind != "sharded":
             raise ValueError("path is only meaningful for the sharded store")
 
-    @property
-    def is_default(self) -> bool:
-        """True when the config leaves every pinned code path untouched."""
-        return self == StoreConfig()
-
     def describe(self) -> dict:
         """JSON-safe summary for run output and checkpoints."""
         return asdict(self)

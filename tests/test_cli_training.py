@@ -114,20 +114,8 @@ class TestCliExecution:
             "client_fraction": 0.67,
             "failure_rate": 0.25,
             "straggler_rate": 0.25,
-            "staleness_decay": 0.0,
-            "compute_budget": None,
-            "trace": None,
-            "async": None,
-            "defense": {
-                "corruption": None,
-                "robust_agg": "none",
-                "norm_bound": None,
-                "min_survivors": 0,
-                "max_retries": 0,
-                "checkpoint": None,
-                "resumed": False,
-            },
         }
+        assert payload["checkpoint"] is None
         assert 0.0 <= payload["final_accuracy"] <= 1.0
         # IFCA has no constructor fraction — participation must have
         # come through the engine scenario (4 of 6 clients per round).
@@ -160,8 +148,11 @@ class TestCliExecution:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["scenario"]["trace"] == str(trace_path)
-        assert payload["scenario"]["compute_budget"] == [3, 3]
+        assert payload["scenario"] == {
+            "staleness_decay": 0.5,
+            "compute_budget": [3, 3],
+            "trace": {"3": [2]},
+        }
         # Round 1 misses client 3, round 2 has everyone.
         curve = payload["history"]
         assert curve["n_rounds"] == 2

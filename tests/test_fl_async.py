@@ -113,7 +113,13 @@ class TestAsyncConfig:
             AsyncConfig(**kwargs)
 
     def test_async_scenario_leaves_default(self):
-        assert not ScenarioConfig(async_config=AsyncConfig()).is_default
+        assert ScenarioConfig(async_config=AsyncConfig()).to_dict() == {
+            "async_config": {
+                "buffer_size": 1,
+                "max_concurrency": None,
+                "duration_range": [1, 3],
+            }
+        }
 
     def test_async_rejects_stragglers(self):
         """Stragglers model a missed synchronous deadline; async has no

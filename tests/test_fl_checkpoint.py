@@ -500,9 +500,28 @@ class TestResumeGuards:
         finally:
             env.close()
 
+    def test_another_scenario_is_refused(self, env_factory, tmp_path):
+        # Checkpoint settings are outside the scenario's dict; every
+        # other knob must match the file's.
+        ckpt = self._checkpointed(env_factory, tmp_path)
+        env = env_factory()
+        engine = RoundEngine(
+            env,
+            ScenarioConfig(failure_rate=0.5, client_fraction=0.5, checkpoint=ckpt),
+        )
+        with pytest.raises(
+            CheckpointError,
+            match=(
+                r"scenario mismatch.*expects \{'client_fraction': 0\.5, "
+                r"'failure_rate': 0\.5\}.*holds \{\}"
+            ),
+        ):
+            engine.run(global_rounds(env), 2, RunHistory("fedavg", "synthetic", 2))
+        env.close()
+
     def test_version_3_file_is_refused(self, env_factory, tmp_path, monkeypatch):
-        # The previous build's files (a FedAvg ``vector`` payload) are
-        # refused, not converted.
+        # An earlier build's files (version 3 held a FedAvg ``vector``
+        # payload) are refused, not converted.
         ckpt = self._checkpointed(env_factory, tmp_path)
         header, arrays = load_checkpoint(ckpt.path)
         with monkeypatch.context() as patch:

@@ -133,15 +133,19 @@ class TestCorruptionConfig:
             )
 
     def test_defense_knobs_leave_default(self):
-        assert ScenarioConfig(corruption=CorruptionConfig(rate=0.0)).is_default
-        assert not ScenarioConfig(corruption=CorruptionConfig(rate=0.1)).is_default
-        assert not ScenarioConfig(robust_agg="clip").is_default
-        assert not ScenarioConfig(norm_bound=3.0).is_default
-        assert not ScenarioConfig(min_survivors=1).is_default
-        assert not ScenarioConfig(checkpoint="somewhere").is_default
-        # trim_fraction and max_retries are inert without their partners.
-        assert ScenarioConfig(trim_fraction=0.2).is_default
-        assert ScenarioConfig(max_retries=3).is_default
+        assert ScenarioConfig(corruption=CorruptionConfig(rate=0.0)).to_dict() == {}
+        assert ScenarioConfig(corruption=CorruptionConfig(rate=0.1)).to_dict() == {
+            "corruption": {
+                "rate": 0.1,
+                "kinds": list(CORRUPTION_KINDS),
+                "scale": 10.0,
+            }
+        }
+        assert ScenarioConfig(robust_agg="clip").to_dict() == {"robust_agg": "clip"}
+        assert ScenarioConfig(norm_bound=3.0).to_dict() == {"norm_bound": 3.0}
+        assert ScenarioConfig(min_survivors=1).to_dict() == {"min_survivors": 1}
+        # The checkpoint is an execution detail, never part of the dict.
+        assert ScenarioConfig(checkpoint="somewhere").to_dict() == {}
 
     def test_bare_directory_coerces_to_checkpoint_config(self, tmp_path):
         scenario = ScenarioConfig(checkpoint=str(tmp_path))

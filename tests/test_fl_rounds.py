@@ -19,18 +19,27 @@ Three contracts:
 
 from __future__ import annotations
 
+import json
 import weakref
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from helpers import fates, global_rounds
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.config import TrainConfig
-from repro.fl.defense import CheckpointConfig, CorruptionConfig
+from repro.fl.defense import (
+    CORRUPTION_KINDS,
+    ROBUST_AGG_MODES,
+    CheckpointConfig,
+    CorruptionConfig,
+)
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import (
     AsyncConfig,
@@ -94,16 +103,139 @@ def env_factory(federation):
 # ----------------------------------------------------------------------
 # ScenarioConfig validation
 # ----------------------------------------------------------------------
+#: One legal non-default value per ``ScenarioConfig`` field and the JSON
+#: form ``to_dict()`` writes for it (``None``: the field is not written).
+#: A field added without a row here fails
+#: ``test_field_table_covers_every_field``.
+_FIELD_FORMS = {
+    "client_fraction": (0.5, 0.5),
+    "min_clients": (2, 2),
+    "failure_rate": (0.2, 0.2),
+    "straggler_rate": (0.2, 0.2),
+    "arrivals": ({3: 2}, {"3": 2}),
+    "staleness_decay": (0.5, 0.5),
+    "compute_budget": (2, [2, 2]),
+    "departures": ({2: 3}, {"2": 3}),
+    "trace": (AvailabilityTrace({0: [2, 1]}), {"0": [1, 2]}),
+    "async_config": (
+        AsyncConfig(buffer_size=2),
+        {"buffer_size": 2, "max_concurrency": None, "duration_range": [1, 3]},
+    ),
+    "corruption": (
+        CorruptionConfig(rate=0.1, kinds=("nan",)),
+        {"rate": 0.1, "kinds": ["nan"], "scale": 10.0},
+    ),
+    "robust_agg": ("clip", "clip"),
+    "trim_fraction": (0.2, 0.2),
+    "norm_bound": (3.0, 3.0),
+    "min_survivors": (1, 1),
+    "max_retries": (3, 3),
+    # How a run executes, not what it computes: never written.
+    "checkpoint": (CheckpointConfig(directory="somewhere"), None),
+}
+
+
+@st.composite
+def legal_scenarios(draw):
+    """A legal composition of every ``ScenarioConfig`` field except
+    ``checkpoint``."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    ids = st.integers(0, 9)
+    arrivals = draw(st.dictionaries(ids, st.integers(1, 5), max_size=4))
+    departures = {
+        cid: arrivals.get(cid, 1) + gap
+        for cid, gap in draw(
+            st.dictionaries(ids, st.integers(1, 4), max_size=4)
+        ).items()
+    }
+    use_async = draw(st.booleans())
+    async_config = None
+    if use_async:
+        lo = draw(st.integers(1, 3))
+        async_config = AsyncConfig(
+            buffer_size=draw(st.integers(1, 8)),
+            max_concurrency=draw(st.none() | st.integers(1, 8)),
+            duration_range=(lo, lo + draw(st.integers(0, 3))),
+        )
+    corruption = draw(
+        st.none()
+        | st.builds(
+            CorruptionConfig,
+            rate=st.floats(0.0, 1.0),
+            kinds=st.lists(
+                st.sampled_from(CORRUPTION_KINDS), min_size=1, unique=True
+            ).map(tuple),
+            scale=st.floats(0.1, 100.0),
+        )
+    )
+    budget = draw(
+        st.none()
+        | st.integers(0, 5)
+        | st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted).map(tuple)
+    )
+    return ScenarioConfig(
+        client_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_clients=draw(st.integers(1, 4)),
+        failure_rate=draw(unit),
+        straggler_rate=0.0 if use_async else draw(unit),
+        arrivals=arrivals,
+        staleness_decay=draw(st.floats(0.0, 1.0)),
+        compute_budget=budget,
+        departures=departures,
+        trace=draw(
+            st.none()
+            | st.dictionaries(ids, st.sets(st.integers(1, 6)), max_size=3)
+        ),
+        async_config=async_config,
+        corruption=corruption,
+        robust_agg=draw(st.sampled_from(ROBUST_AGG_MODES)),
+        trim_fraction=draw(
+            st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+        ),
+        norm_bound=draw(st.none() | st.floats(0.1, 10.0)),
+        min_survivors=0 if use_async else draw(st.integers(0, 4)),
+        max_retries=0 if use_async else draw(st.integers(0, 3)),
+    )
+
+
 class TestScenarioConfig:
     def test_defaults_are_paper_scale(self):
-        scenario = ScenarioConfig()
-        assert scenario.is_default
+        assert ScenarioConfig().to_dict() == {}
+        # Empty schedules and a zero-rate corruption are no knob at all.
+        assert ScenarioConfig(
+            arrivals={},
+            departures={},
+            trace={},
+            corruption=CorruptionConfig(rate=0.0),
+        ).to_dict() == {}
+        assert ScenarioConfig(corruption=CorruptionConfig(rate=0.0)).corruption is None
 
     def test_any_knob_leaves_default(self):
-        assert not ScenarioConfig(client_fraction=0.5).is_default
-        assert not ScenarioConfig(failure_rate=0.1).is_default
-        assert not ScenarioConfig(straggler_rate=0.1).is_default
-        assert not ScenarioConfig(arrivals={3: 2}).is_default
+        assert ScenarioConfig(client_fraction=0.5).to_dict() == {
+            "client_fraction": 0.5
+        }
+        assert ScenarioConfig(failure_rate=0.1).to_dict() == {"failure_rate": 0.1}
+        assert ScenarioConfig(straggler_rate=0.1).to_dict() == {
+            "straggler_rate": 0.1
+        }
+        assert ScenarioConfig(arrivals={3: 2}).to_dict() == {"arrivals": {"3": 2}}
+
+    @pytest.mark.parametrize("name", sorted(_FIELD_FORMS))
+    def test_each_field_writes_its_json_form(self, name):
+        value, form = _FIELD_FORMS[name]
+        expected = {} if form is None else {name: form}
+        assert ScenarioConfig(**{name: value}).to_dict() == expected
+
+    def test_field_table_covers_every_field(self):
+        assert set(_FIELD_FORMS) == {f.name for f in fields(ScenarioConfig)}
+
+    @given(scenario=legal_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_to_dict_round_trips(self, scenario):
+        d = scenario.to_dict()
+        assert ScenarioConfig(**d) == scenario
+        assert ScenarioConfig(**d).to_dict() == d
+        assert json.loads(json.dumps(d)) == d
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -130,10 +262,16 @@ class TestScenarioConfig:
             ScenarioConfig(**kwargs)
 
     def test_v2_knobs_leave_default(self):
-        assert not ScenarioConfig(staleness_decay=0.5).is_default
-        assert not ScenarioConfig(compute_budget=(1, 4)).is_default
-        assert not ScenarioConfig(departures={2: 3}).is_default
-        assert not ScenarioConfig(trace={0: [1]}).is_default
+        assert ScenarioConfig(staleness_decay=0.5).to_dict() == {
+            "staleness_decay": 0.5
+        }
+        assert ScenarioConfig(compute_budget=(1, 4)).to_dict() == {
+            "compute_budget": [1, 4]
+        }
+        assert ScenarioConfig(departures={2: 3}).to_dict() == {
+            "departures": {"2": 3}
+        }
+        assert ScenarioConfig(trace={0: [1]}).to_dict() == {"trace": {"0": [1]}}
 
     def test_compute_budget_normalises_to_pair(self):
         assert ScenarioConfig(compute_budget=5).compute_budget == (5, 5)
@@ -459,6 +597,35 @@ class TestArrivals:
         np.testing.assert_array_equal(engine.arrivals_at(2), [6])
         np.testing.assert_array_equal(engine.arrivals_at(3), [7])
         assert engine.arrivals_at(1).size == 0
+
+    def test_json_schedules_gate_like_int_keyed_ones(self, env_factory):
+        """A schedule in its JSON form (string client ids) gates
+        eligibility exactly like the int-keyed one."""
+        env = env_factory(local_epochs=1)
+        as_json = RoundEngine(
+            env, ScenarioConfig(arrivals={"3": 3}, departures={"4": 2})
+        )
+        as_ints = RoundEngine(env, ScenarioConfig(arrivals={3: 3}, departures={4: 2}))
+        for round_index, expected in (
+            (1, [0, 1, 2, 4, 5, 6, 7]),
+            (2, [0, 1, 2, 5, 6, 7]),
+            (3, [0, 1, 2, 3, 5, 6, 7]),
+        ):
+            for engine in (as_json, as_ints):
+                np.testing.assert_array_equal(
+                    engine.eligible_clients(round_index), expected
+                )
+        np.testing.assert_array_equal(as_json.arrivals_at(3), [3])
+        np.testing.assert_array_equal(as_json.departures_at(2), [4])
+
+    def test_fedclust_never_dispatches_a_newcomer_early(self, env_factory):
+        env = env_factory(local_epochs=1)
+        result = make_algorithm("fedclust", **_KWARGS["fedclust"]).run(
+            env, n_rounds=4, scenario=ScenarioConfig(arrivals={"7": 3})
+        )
+        assert result.extras["fitted"].absent == [7]
+        participations = fates(result.extras["events"], "participate")
+        assert [r for r, cid in participations if cid == 7] == [3, 4]
 
     def test_fedavg_late_arrival_joins_mid_run(self, env_factory):
         env = env_factory(local_epochs=1)

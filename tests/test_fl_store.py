@@ -87,11 +87,6 @@ class TestStoreConfig:
         with pytest.raises(ValueError, match="sharded"):
             StoreConfig(kind="dense", path="/tmp/x")
 
-    def test_default_flag(self):
-        assert StoreConfig().is_default
-        assert not StoreConfig(kind="sharded").is_default
-        assert not StoreConfig(edge_size=8).is_default
-
     def test_describe_round_trips(self):
         cfg = StoreConfig(kind="sharded", shard_size=17, edge_size=4)
         assert StoreConfig(**cfg.describe()) == cfg
