@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import run_alpha_sweep
+from repro.experiments.table1 import run_alpha_sweep
 
 EXPERIMENT_ID = "A3"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import run_communication_study
+from repro.experiments.table1 import run_communication_study
 
 EXPERIMENT_ID = "C1"
 

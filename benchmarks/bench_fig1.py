@@ -31,7 +31,10 @@ def test_bench_fig1(benchmark, experiment_cache, scale, capsys):
         print()
         print(format_fig1(result))
 
-    sep = result.separability
+    sep = {
+        int(spec.split(":")[1]): probe.separability
+        for spec, probe in result.probes.items()
+    }
     # The classifier (Layer 16) exposes the group structure...
     assert sep[16] > 1.5, f"final layer separability too low: {sep[16]:.2f}"
     # ...far more clearly than the first convolution (Layer 1)...

@@ -9,10 +9,13 @@ Two sweeps over the same question from two directions:
   severe skew that shrinks toward zero as data becomes IID — clustered
   FL is a heterogeneity tool, not a universal win.
 * **system** heterogeneity — participation fraction C and seeded client
-  failures, routed through the round engine's ``ScenarioConfig`` (the
-  same policy object every algorithm accepts).  This shows how the
-  Table-I ordering degrades when clients sit out rounds or go dark
-  mid-round.
+  failures, as scenario knobs on one ablation-harness matrix (the
+  reliable full-participation baseline plus one patch per row).  This
+  shows how the Table-I ordering degrades when clients sit out rounds
+  or go dark mid-round.
+
+Both sweeps run Table I's preset as harness cells
+(:func:`repro.experiments.table1.table1_matrix`).
 
 Run:
     python examples/heterogeneity_sweep.py
@@ -23,92 +26,71 @@ Run:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
-from repro.data.federation import build_federation
-from repro.experiments.ablations import run_alpha_sweep
-from repro.experiments.presets import algorithm_kwargs, get_scale
-from repro.fl.rounds import ScenarioConfig
-from repro.fl.simulation import FederatedEnv
+from repro.experiments.ablation import BASELINE, run_cells
+from repro.experiments.presets import get_scale
+from repro.experiments.table1 import run_alpha_sweep, table1_matrix
 from repro.utils.logging import enable_console_logging
 
-#: (label, ScenarioConfig) cells for the system-heterogeneity sweep.
-#: The v2 middleware rows: stale folding turns the "late" row's wasted
-#: work into discounted contributions, compute budgets model device
-#: speed spread (FedNova-style steps-taken weighting), and departures
-#: drain the federation mid-run.
-SCENARIOS = [
-    ("C=1.0, reliable", ScenarioConfig()),
-    ("C=0.5, reliable", ScenarioConfig(client_fraction=0.5)),
-    ("C=1.0, 20% fail", ScenarioConfig(failure_rate=0.2)),
-    ("C=0.5, 20% fail", ScenarioConfig(client_fraction=0.5, failure_rate=0.2)),
-    (
-        "C=0.5, 20% fail, 20% late",
-        ScenarioConfig(client_fraction=0.5, failure_rate=0.2, straggler_rate=0.2),
-    ),
-    (
-        "C=0.5, 20% late, stale folded",
-        ScenarioConfig(
-            client_fraction=0.5, straggler_rate=0.2, staleness_decay=0.5
-        ),
-    ),
-    (
-        "C=1.0, budgets 2..8 steps",
-        ScenarioConfig(compute_budget=(2, 8)),
-    ),
-    (
-        "C=0.5, budgets + stale",
-        ScenarioConfig(
-            client_fraction=0.5,
-            straggler_rate=0.2,
-            staleness_decay=0.5,
-            compute_budget=(2, 8),
-        ),
-    ),
-]
+#: Row label of the matrix's baseline: the default scenario.
+BASELINE_LABEL = "C=1.0, reliable"
+
+#: Row label → scenario patch on the baseline for the system-
+#: heterogeneity sweep.  The v2 middleware rows: stale folding turns the
+#: "late" row's wasted work into discounted contributions, compute
+#: budgets model device speed spread (FedNova-style steps-taken
+#: weighting), and departures drain the federation mid-run.
+SCENARIOS = {
+    "C=0.5, reliable": {"client_fraction": 0.5},
+    "C=1.0, 20% fail": {"failure_rate": 0.2},
+    "C=0.5, 20% fail": {"client_fraction": 0.5, "failure_rate": 0.2},
+    "C=0.5, 20% fail, 20% late": {
+        "client_fraction": 0.5,
+        "failure_rate": 0.2,
+        "straggler_rate": 0.2,
+    },
+    "C=0.5, 20% late, stale folded": {
+        "client_fraction": 0.5,
+        "straggler_rate": 0.2,
+        "staleness_decay": 0.5,
+    },
+    "C=1.0, budgets 2..8 steps": {"compute_budget": [2, 8]},
+    "C=0.5, budgets and stale": {
+        "client_fraction": 0.5,
+        "straggler_rate": 0.2,
+        "staleness_decay": 0.5,
+        "compute_budget": [2, 8],
+    },
+}
 
 
-def departure_scenario(n_clients: int, n_rounds: int) -> ScenarioConfig:
+def departure_scenario(n_clients: int, n_rounds: int) -> dict:
     """A quarter of the federation departs at the midpoint."""
-    leavers = range(0, n_clients, 4)
     mid = max(2, n_rounds // 2)
-    return ScenarioConfig(departures={cid: mid for cid in leavers})
+    return {"departures": {cid: mid for cid in range(0, n_clients, 4)}}
 
 
 def run_scenario_sweep(dataset: str, alpha: float, seed: int, scale) -> list[tuple]:
     """FedAvg vs FedClust across participation/failure scenarios."""
-    from repro.algorithms.registry import make_algorithm
-
-    federation = build_federation(
-        dataset,
-        n_clients=scale.n_clients,
-        n_samples=scale.n_samples,
-        seed=seed,
-        partition="dirichlet",
-        alpha=alpha,
+    knobs = SCENARIOS | {
+        "25% depart mid-run": departure_scenario(scale.n_clients, scale.n_rounds),
+    }
+    config = dataclasses.replace(
+        table1_matrix(dataset, seed, scale, ("fedavg", "fedclust"), alpha=alpha),
+        knobs=knobs,
     )
-    cells = SCENARIOS + [
-        ("25% depart mid-run", departure_scenario(scale.n_clients, scale.n_rounds)),
+    outcome = run_cells(config)
+    return [
+        (
+            BASELINE_LABEL if knob == BASELINE else knob,
+            *(
+                outcome.record_for(method, knob)["metrics"]["final_accuracy"]
+                for method in ("fedavg", "fedclust")
+            ),
+        )
+        for knob in (BASELINE, *knobs)
     ]
-    rows = []
-    for label, scenario in cells:
-        cell = {}
-        for method in ("fedavg", "fedclust"):
-            env = FederatedEnv(
-                federation,
-                model_name="lenet5",
-                train_cfg=scale.train,
-                seed=seed,
-            )
-            algo = make_algorithm(method, **algorithm_kwargs(method, scale))
-            result = algo.run(
-                env,
-                n_rounds=scale.n_rounds,
-                eval_every=scale.eval_every,
-                scenario=scenario,
-            )
-            cell[method] = result.final_accuracy
-        rows.append((label, cell["fedavg"], cell["fedclust"]))
-    return rows
 
 
 def bar(value: float, width: int = 40) -> str:

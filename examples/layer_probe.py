@@ -37,7 +37,7 @@ def main() -> None:
     result = run_fig1(
         dataset=args.dataset,
         n_clients=args.clients,
-        layer_indices=tuple(args.layers),
+        selections=tuple(f"index:{i}" for i in args.layers),
         scale=get_scale("quick"),
         seed=args.seed,
         local_steps=args.steps,
@@ -46,9 +46,9 @@ def main() -> None:
     print(f"clients 0..{args.clients - 1}; even ids hold classes 0-4, "
           "odd ids hold classes 5-9")
     print(format_fig1(result))
-    best = result.best_layer()
+    best = result.best_selection()
     print(f"\nmost distribution-revealing layer: {best} "
-          f"({result.layer_names[best]}) — FedClust uploads exactly this "
+          f"({result.probes[best].name}) — FedClust uploads exactly this "
           "(the final layer) for clustering.")
 
 

@@ -32,12 +32,12 @@ from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
 from repro.nn.models import build_model
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 from repro.utils.validation import check_positive
 
 __all__ = ["IFCA"]
 
-_IFCA_INIT_TAG = 7
+_IFCA_INIT_TAG = STREAM_TAGS["ifca_init"]
 
 
 class _IFCARounds(ClusteredRounds):

@@ -3,16 +3,20 @@
 Exposes the experiment drivers without writing any Python:
 
 * ``table1`` — regenerate the paper's Table I;
-* ``fig1``   — the layer-wise distance probe (Fig. 1);
+* ``fig1``   — the layer-wise distance probe (Fig. 1), with the linkage
+  (A1) and weight-selection (A2) ablations from the same warm-up;
 * ``fig2``   — the workflow trace incl. newcomer (Fig. 2);
-* ``sweep``  — the Dirichlet-α heterogeneity sweep (A3);
-* ``comm``   — the communication-cost study (C1);
+* ``sweep``  — the Dirichlet-α heterogeneity sweep (A3) and
+* ``comm``   — the communication-cost study (C1), both on Table I's
+  preset (:mod:`repro.experiments.table1`);
 * ``run``    — one algorithm on one federation, fully parameterised;
 * ``ablate`` — the scenario × algorithm ablation matrix (resumable,
   content-addressed run records + knob-importance report).
 
 All commands accept ``--scale quick|bench|paper`` (or the ``REPRO_SCALE``
 environment variable) and ``--out results.json`` to persist metrics.
+``table1``, ``sweep``, ``comm`` and ``ablate`` train through the
+ablation harness's cells (:mod:`repro.experiments.ablation`).
 """
 
 from __future__ import annotations
@@ -246,15 +250,22 @@ def _cmd_fig1(args: argparse.Namespace) -> dict:
     result = run_fig1(
         dataset=args.dataset,
         n_clients=args.clients,
-        layer_indices=tuple(args.layers),
+        selections=tuple(f"index:{i}" for i in args.layers),
         scale=args.scale,
         seed=args.seed,
     )
     print(format_fig1(result))
     return {
         "experiment": "fig1",
-        "separability": {str(k): v for k, v in result.separability.items()},
-        "layer_names": {str(k): v for k, v in result.layer_names.items()},
+        "probes": {
+            spec: {
+                "name": probe.name,
+                "upload": probe.upload,
+                "separability": probe.separability,
+                "cuts": {method: cut._asdict() for method, cut in probe.cuts.items()},
+            }
+            for spec, probe in result.probes.items()
+        },
     }
 
 
@@ -273,7 +284,7 @@ def _cmd_fig2(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
-    from repro.experiments.ablations import run_alpha_sweep
+    from repro.experiments.table1 import run_alpha_sweep
 
     result = run_alpha_sweep(
         alphas=tuple(args.alphas),
@@ -292,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def _cmd_comm(args: argparse.Namespace) -> dict:
-    from repro.experiments.ablations import run_communication_study
+    from repro.experiments.table1 import run_communication_study
 
     result = run_communication_study(
         dataset=args.dataset,

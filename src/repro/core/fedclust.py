@@ -51,12 +51,12 @@ from repro.fl.simulation import FederatedEnv
 from repro.nn.module import Module
 from repro.nn.state import flatten_state
 from repro.nn.state_flat import unpack_keys, unpack_state
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 from repro.utils.validation import check_in, check_positive
 
 __all__ = ["FedClustConfig", "FedClust", "FittedFedClust", "resolve_selection_keys"]
 
-_NEWCOMER_TAG = 9
+_NEWCOMER_TAG = STREAM_TAGS["newcomer"]
 
 
 def resolve_selection_keys(model: Module, selection: str) -> list[str]:
@@ -138,6 +138,9 @@ class FedClustConfig:
     max_clustering_attempts: int = 3
 
     def __post_init__(self) -> None:
+        if isinstance(self.clustering, Mapping):
+            # The JSON form a harness matrix writes for this kwarg.
+            object.__setattr__(self, "clustering", ClusteringConfig(**self.clustering))
         check_in("metric", self.metric, ("euclidean", "sqeuclidean", "cosine"))
         if self.warmup_epochs is not None:
             check_positive("warmup_epochs", self.warmup_epochs)

@@ -63,7 +63,7 @@ def layer_index_keys(model: Module, layer_index: int) -> tuple[str, list[str]]:
     layers = parameterized_layers(model)
     if not 1 <= layer_index <= len(layers):
         raise ValueError(
-            f"layer_index must be in [1, {len(layers)}], got {layer_index}"
+            f"layer_index {layer_index} out of range [1, {len(layers)}]"
         )
     name, _ = layers[layer_index - 1]
     return name, layer_keys(model, name)

@@ -27,7 +27,10 @@ Table I answers by sweeping one factor at a time:
   scenario with ``resume=True``);
 * :func:`build_report` ranks each knob's effect on accuracy /
   wall-clock / traffic per algorithm (the importance report, emitted as
-  ``ABLATION.json`` + ``ABLATION.md``).
+  ``ABLATION.json`` + ``ABLATION.md``);
+* :func:`run_cells` runs a matrix afresh and keeps nothing on disk —
+  how the paper's studies that train end to end (Table I, A3, C1 in
+  :mod:`repro.experiments.table1`) run and record.
 
 Because the engine is deterministic and every middleware stream is
 stateless in (seed, round, client), the matrix is exactly reproducible
@@ -70,6 +73,7 @@ __all__ = [
     "load_config",
     "named_matrix",
     "nightly_matrix",
+    "run_cells",
     "run_check",
     "run_matrix",
 ]
@@ -77,8 +81,9 @@ __all__ = [
 #: Version stamp on every run record and report.  Bump whenever the
 #: record layout (or anything feeding :func:`cell_run_id`) changes —
 #: stale-schema records are re-executed, never silently reused.  Version
-#: 2: the embedded engine record counts every dispatched task.
-SCHEMA_VERSION = 2
+#: 2: the embedded engine record counts every dispatched task.  Version
+#: 3: the record carries the tracker's traffic by phase.
+SCHEMA_VERSION = 3
 
 #: The knob name reserved for the unmodified baseline cell.
 BASELINE = "baseline"
@@ -413,8 +418,8 @@ def _execute_cell(
             eval_every=config.eval_every,
             scenario=scenario,
         )
-        traffic = env.tracker.snapshot()
     wall_seconds = time.perf_counter() - t0
+    traffic = result.comm["total"]
     history = result.history
     round_wall = float(sum(r.wall_seconds for r in history.records))
     summary = history.to_dict()
@@ -451,6 +456,8 @@ def _execute_cell(
                 "eval_every": config.eval_every,
             },
             "metrics": metrics,
+            # Per phase ("clustering", "training") plus the "total".
+            "traffic": result.comm,
             "engine": result.extras.get("engine_record"),
             "history": summary,
         }
@@ -508,6 +515,19 @@ def run_matrix(
     save_json(out / "ABLATION.json", report)
     (out / "ABLATION.md").write_text(format_report(report))
     return MatrixOutcome(config=config, out_dir=out, results=results, report=report)
+
+
+def run_cells(
+    config: AblationConfig, echo: Callable[[str], None] | None = None
+) -> MatrixOutcome:
+    """Execute every cell of ``config`` afresh, keeping nothing on disk.
+
+    :func:`run_matrix` in a temporary directory (removed on return, so
+    the outcome's ``out_dir`` no longer exists): its records and report
+    are the result.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-cells-") as tmp:
+        return run_matrix(config, tmp, echo=echo)
 
 
 # ----------------------------------------------------------------------

@@ -1,39 +1,54 @@
-"""Experiment F1 — the paper's Fig. 1 (motivation).
+"""Experiment F1 — the paper's Fig. 1 (motivation), with A1 and A2.
 
 Ten clients in two planted label groups (G1 = {0..4}, G2 = {5..9}) train
 a VGG-16-layout model locally from a common initialisation; for a set of
-weighted-layer indices the server computes the pairwise Euclidean
-distance matrix between the clients' weights at that layer.
+weight selections the server computes the pairwise Euclidean distance
+matrix between the clients' uploaded weights.
 
 The paper's observation, which this experiment quantifies with the
 :func:`repro.cluster.metrics.group_separability` ratio, is that early
 convolutional layers show no group structure while the final
 fully-connected (classifier) layer shows it sharply — the insight
-FedClust's partial-weight upload is built on.  Layer indices follow the
-paper: 1 and 7 are convolutions, 14 and 16 are FC layers (16 = the
-classifier) in the 16-weighted-layer VGG layout.
+FedClust's partial-weight upload is built on.  Selections are
+:func:`repro.core.fedclust.resolve_selection_keys` specs.  The paper's
+layers are ``index:<i>``: 1 and 7 are convolutions, 14 and 16 are FC
+layers (16 = the classifier) in the 16-weighted-layer VGG layout;
+``final_layer`` is what FedClust uploads and ``all`` what CFL-style
+methods transfer.
+
+From the same warm-up the probe measures FedClust's two clustering
+choices:
+
+* **A2 weight selection** — each selection's upload width beside its
+  separability;
+* **A1 linkage** — for each linkage in
+  :data:`repro.cluster.hierarchy.LINKAGE_METHODS`, the auto cut's
+  cluster count and its adjusted Rand index against the planted groups.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.cluster.metrics import group_separability
-from repro.core.proximity import proximity_matrix
 from repro.algorithms.base import cohort_matrix
-from repro.core.weights import layer_index_keys, packed_weight_matrix
+from repro.cluster.hierarchy import LINKAGE_METHODS
+from repro.cluster.metrics import adjusted_rand_index, group_separability
+from repro.core.clustering import ClusteringConfig, cluster_clients
+from repro.core.fedclust import resolve_selection_keys
+from repro.core.proximity import proximity_matrix
+from repro.core.weights import packed_weight_matrix
 from repro.data.federation import build_federation
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.fl.parallel import UpdateTask
 from repro.fl.simulation import FederatedEnv
-from repro.nn.models import parameterized_layers
 from repro.utils.logging import get_logger
 from repro.utils.tables import Table, render_matrix
 
-__all__ = ["Fig1Result", "run_fig1", "format_fig1"]
+__all__ = ["Cut", "Fig1Result", "Probe", "run_fig1", "format_fig1"]
 
 _LOG = get_logger("experiments.fig1")
 
@@ -46,27 +61,47 @@ PAPER_LAYERS: tuple[tuple[int, str], ...] = (
 )
 
 
+class Cut(NamedTuple):
+    """One linkage's auto cut of a selection's distances."""
+
+    k: int
+    ari: float
+
+
+@dataclass
+class Probe:
+    """What one weight selection uploads, and what its distances show.
+
+    ``name`` is the selected layer's name, or ``"<n> layers"`` when the
+    selection spans several; ``upload`` is the parameters each client
+    uploads; ``cuts`` maps each linkage method to its auto cut.
+    """
+
+    name: str
+    upload: int
+    distances: np.ndarray
+    separability: float
+    cuts: dict[str, Cut]
+
+
 @dataclass
 class Fig1Result:
-    """Distance matrices and separability per probed layer."""
+    """One :class:`Probe` per weight selection, in probe order."""
 
-    layer_indices: list[int]
-    layer_names: dict[int, str]
-    distance_matrices: dict[int, np.ndarray]
-    separability: dict[int, float]
+    probes: dict[str, Probe]
     true_groups: np.ndarray
     model_name: str
 
-    def best_layer(self) -> int:
-        """Layer index with the highest group separability."""
-        return max(self.separability, key=lambda i: self.separability[i])
+    def best_selection(self) -> str:
+        """The selection with the highest group separability."""
+        return max(self.probes, key=lambda spec: self.probes[spec].separability)
 
 
 def run_fig1(
     dataset: str = "cifar10",
     n_clients: int = 10,
     model_name: str = "vgg16_style",
-    layer_indices: tuple[int, ...] = tuple(i for i, _ in PAPER_LAYERS),
+    selections: tuple[str, ...] = tuple(f"index:{i}" for i, _ in PAPER_LAYERS),
     scale: ExperimentScale | str | None = None,
     seed: int = 0,
     local_steps: int | None = None,
@@ -76,9 +111,10 @@ def run_fig1(
 
     Clients are split into two label groups (paper's G1/G2 by default),
     each trains the model locally from the shared init for a fixed number
-    of SGD steps, and per-layer distance matrices are computed.
+    of momentum-free SGD steps at lr 0.01 (FedClust's warm-up), and each
+    selection's distance matrix is computed and cut.
     """
-    scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
+    scale = get_scale(scale)
     steps = local_steps if local_steps is not None else scale.fig1_local_steps
     federation = build_federation(
         dataset,
@@ -101,13 +137,8 @@ def run_fig1(
         ),
         seed=seed,
     )
-    n_layers = len(parameterized_layers(env.scratch_model))
-    bad = [i for i in layer_indices if not 1 <= i <= n_layers]
-    if bad:
-        raise ValueError(
-            f"layer indices {bad} out of range for {model_name} "
-            f"({n_layers} weighted layers)"
-        )
+    # Resolved before training, so a bad spec fails fast.
+    keys = {spec: resolve_selection_keys(env.scratch_model, spec) for spec in selections}
 
     # One packed initial row shared by every task: one broadcast cohort.
     init = env.layout.pack(env.init_state())
@@ -115,58 +146,61 @@ def run_fig1(
         [UpdateTask(cid, init) for cid in range(n_clients)], round_index=1
     )
     updates.sort(key=lambda u: u.client_id)
-    # One packed cohort; each probed layer is a column slice of it.
+    # One packed cohort; each selection is a column slice of it.
     cohort = cohort_matrix(env, updates)
 
-    matrices: dict[int, np.ndarray] = {}
-    separability: dict[int, float] = {}
-    names: dict[int, str] = {}
-    for index in layer_indices:
-        name, keys = layer_index_keys(env.scratch_model, index)
-        w = packed_weight_matrix(cohort, env.layout, keys)
-        matrices[index] = proximity_matrix(w).matrix
-        separability[index] = group_separability(
-            matrices[index], federation.true_groups
+    probes: dict[str, Probe] = {}
+    for spec, spec_keys in keys.items():
+        w = packed_weight_matrix(cohort, env.layout, spec_keys)
+        distances = proximity_matrix(w).matrix
+        cuts = {}
+        for method in LINKAGE_METHODS:
+            cut = cluster_clients(distances, ClusteringConfig(linkage_method=method))
+            cuts[method] = Cut(
+                cut.n_clusters, adjusted_rand_index(federation.true_groups, cut.labels)
+            )
+        layers = sorted({key.rsplit(".", 1)[0] for key in spec_keys})
+        probes[spec] = Probe(
+            name=layers[0] if len(layers) == 1 else f"{len(layers)} layers",
+            upload=int(w.shape[1]),
+            distances=distances,
+            separability=group_separability(distances, federation.true_groups),
+            cuts=cuts,
         )
-        names[index] = name
         _LOG.info(
-            "fig1 layer %d (%s): separability %.3f", index, name, separability[index]
+            "fig1 %s (%s): upload %d, separability %.3f",
+            spec,
+            probes[spec].name,
+            probes[spec].upload,
+            probes[spec].separability,
         )
 
     return Fig1Result(
-        layer_indices=list(layer_indices),
-        layer_names=names,
-        distance_matrices=matrices,
-        separability=separability,
-        true_groups=federation.true_groups,
-        model_name=model_name,
+        probes=probes, true_groups=federation.true_groups, model_name=model_name
     )
 
 
 def format_fig1(result: Fig1Result, shade: bool = True) -> str:
-    """Terminal rendering of the four panels + separability summary."""
+    """Terminal rendering: one distance panel per selection, then the
+    A1/A2 summary."""
+    kind = {f"index:{i}": label for i, label in PAPER_LAYERS}
+    labels = [f"c{i}" for i in range(len(result.true_groups))]
     blocks = []
-    kind = dict(PAPER_LAYERS)
-    for index in result.layer_indices:
-        label = kind.get(index, "?")
-        blocks.append(
-            f"-- Layer {index} ({label}; {result.layer_names[index]}) "
-            f"separability={result.separability[index]:.2f} --"
-        )
-        blocks.append(
-            render_matrix(
-                result.distance_matrices[index],
-                row_labels=[f"c{i}" for i in range(len(result.true_groups))],
-                shade=shade,
-            )
-        )
+    for spec, probe in result.probes.items():
+        name = f"{kind[spec]}; {probe.name}" if spec in kind else probe.name
+        blocks.append(f"-- {spec} ({name}) separability={probe.separability:.2f} --")
+        blocks.append(render_matrix(probe.distances, row_labels=labels, shade=shade))
     summary = Table(
-        title="Group separability by layer (higher = structure more visible)",
-        columns=["Layer", "Name", "Separability"],
+        title=(
+            "Group separability by weight selection (higher = structure more "
+            "visible); A2 upload cost, A1 auto cut per linkage (k / ARI)"
+        ),
+        columns=["Selection", "Name", "Upload (params)", "Separability", *LINKAGE_METHODS],
     )
-    for index in result.layer_indices:
+    for spec, probe in result.probes.items():
         summary.add_row(
-            [str(index), result.layer_names[index], f"{result.separability[index]:.3f}"]
+            [spec, probe.name, str(probe.upload), f"{probe.separability:.3f}"]
+            + [f"{cut.k} / {cut.ari:.2f}" for cut in probe.cuts.values()]
         )
     blocks.append(summary.render())
     return "\n".join(blocks)

@@ -78,7 +78,7 @@ def run_fig2(
     model_name: str = "lenet5",
 ) -> Fig2Result:
     """Run the full workflow with one held-out newcomer."""
-    scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
+    scale = get_scale(scale)
     total_clients = scale.n_clients + 1
     full_federation = build_federation(
         dataset,

@@ -80,8 +80,11 @@ SCALES: dict[str, ExperimentScale] = {
 }
 
 
-def get_scale(name: str | None = None) -> ExperimentScale:
-    """Resolve a scale by name, falling back to ``$REPRO_SCALE`` then quick."""
+def get_scale(name: ExperimentScale | str | None = None) -> ExperimentScale:
+    """Resolve a scale: a preset passes through, a name is looked up, and
+    ``None`` falls back to ``$REPRO_SCALE`` then quick."""
+    if isinstance(name, ExperimentScale):
+        return name
     key = name or os.environ.get("REPRO_SCALE", "quick")
     if key not in SCALES:
         raise ValueError(f"unknown scale {key!r}; options: {sorted(SCALES)}")
@@ -91,8 +94,8 @@ def get_scale(name: str | None = None) -> ExperimentScale:
 def algorithm_kwargs(method: str, scale: ExperimentScale) -> dict:
     """Per-method hyper-parameters used by the experiment harness.
 
-    Centralised so Table I, the ablations and the examples all run each
-    baseline with the same settings.
+    Centralised so Table I, its A3 and C1 studies and the examples all
+    run each baseline with the same settings.
     """
     max_k = max(2, scale.n_clients // 2)
     if method == "fedclust":

@@ -1,30 +1,48 @@
-"""Experiment T1 — the paper's Table I.
+"""Experiment T1 — the paper's Table I — and the two studies on its preset.
 
 Test-accuracy comparison of six methods over three datasets under
 Non-IID Dir(0.1): mean ± std of final mean-local-test accuracy across
-seeds.  The harness reuses one federation per (dataset, seed) so every
-method sees identical data, exactly as in the paper.
+seeds.  Each (dataset, seed) is one ablation-harness matrix
+(:func:`table1_matrix`): one federation, and every method on it from
+the same model init, exactly as in the paper, run by
+:func:`repro.experiments.ablation.run_cells`.  Two studies rerun that
+preset as harness matrices:
+
+* **A3 heterogeneity sweep** (:func:`run_alpha_sweep`) — FedClust vs
+  FedAvg across Dirichlet α, the paper's future-work axis; one matrix
+  per α;
+* **C1 communication** (:func:`run_communication_study`) — total and
+  clustering-phase traffic per method on a planted federation, plus the
+  traffic needed to first reach a target accuracy; one matrix,
+  evaluated every round, read from the records' traffic and curves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.registry import available_algorithms, make_algorithm
-from repro.data.federation import build_federation
+from repro.algorithms.registry import available_algorithms
+from repro.experiments.ablation import BASELINE, AblationConfig, run_cells
 from repro.experiments.presets import ExperimentScale, algorithm_kwargs, get_scale
-from repro.fl.simulation import FederatedEnv
+from repro.fl.communication import BYTES_PER_PARAM
 from repro.utils.logging import get_logger
 from repro.utils.tables import Table, format_mean_std
 
 __all__ = [
     "PAPER_TABLE1",
+    "AlphaSweepResult",
+    "CommunicationResult",
     "Table1Cell",
     "Table1Result",
-    "run_table1",
     "format_table1",
+    "run_alpha_sweep",
+    "run_communication_study",
+    "run_table1",
+    "table1_matrix",
 ]
 
 _LOG = get_logger("experiments.table1")
@@ -96,6 +114,43 @@ class Table1Result:
         return max(self.methods, key=lambda m: self.cells[(m, dataset)].mean)
 
 
+def table1_matrix(
+    dataset: str,
+    seed: int,
+    scale: ExperimentScale,
+    methods: Sequence[str],
+    alpha: float = 0.1,
+    partition: str = "dirichlet",
+    eval_every: int | None = None,
+    model_name: str = "lenet5",
+) -> AblationConfig:
+    """Table I's preset on one federation, as a harness matrix.
+
+    Every method in ``methods`` runs with its :func:`algorithm_kwargs` on
+    the federation of ``dataset`` at ``seed`` (``alpha`` is read by the
+    Dirichlet partition only), in a fresh environment with the same
+    model init, under the default scenario.
+    """
+    return AblationConfig(
+        name=f"table1-{dataset}-seed{seed}",
+        federation=dict(
+            dataset_name=dataset,
+            n_clients=scale.n_clients,
+            n_samples=scale.n_samples,
+            seed=seed,
+            partition=partition,
+            alpha=alpha,
+        ),
+        model_name=model_name,
+        train=dataclasses.asdict(scale.train),
+        n_rounds=scale.n_rounds,
+        eval_every=eval_every or scale.eval_every,
+        algorithms=tuple(methods),
+        algorithm_kwargs={method: algorithm_kwargs(method, scale) for method in methods},
+        seeds=(seed,),
+    )
+
+
 def run_table1(
     datasets: tuple[str, ...] = ("cifar10", "fmnist", "svhn"),
     methods: tuple[str, ...] | None = None,
@@ -103,48 +158,22 @@ def run_table1(
     alpha: float = 0.1,
     model_name: str = "lenet5",
 ) -> Table1Result:
-    """Regenerate Table I at the requested scale.
-
-    One federation is built per (dataset, seed); all methods run on it
-    with a fresh environment (fresh tracker, same model init).
-    """
-    scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
+    """Regenerate Table I at the requested scale, one matrix per
+    (dataset, seed)."""
+    scale = get_scale(scale)
     methods = tuple(methods) if methods else tuple(available_algorithms())
     cells = {
         (method, ds): Table1Cell(method, ds) for method in methods for ds in datasets
     }
-
     for dataset in datasets:
         for seed in scale.seeds:
-            federation = build_federation(
-                dataset,
-                n_clients=scale.n_clients,
-                n_samples=scale.n_samples,
-                seed=seed,
-                partition="dirichlet",
-                alpha=alpha,
+            config = table1_matrix(
+                dataset, seed, scale, methods, alpha=alpha, model_name=model_name
             )
-            for method in methods:
-                env = FederatedEnv(
-                    federation,
-                    model_name=model_name,
-                    train_cfg=scale.train,
-                    seed=seed,
+            for run in run_cells(config, echo=_LOG.info).results:
+                cells[(run.cell.algorithm, dataset)].accuracies.append(
+                    run.record["metrics"]["final_accuracy"]
                 )
-                algorithm = make_algorithm(method, **algorithm_kwargs(method, scale))
-                result = algorithm.run(
-                    env, n_rounds=scale.n_rounds, eval_every=scale.eval_every
-                )
-                cells[(method, dataset)].accuracies.append(result.final_accuracy)
-                _LOG.info(
-                    "table1 %s/%s seed=%d acc=%.4f k=%d",
-                    method,
-                    dataset,
-                    seed,
-                    result.final_accuracy,
-                    result.n_clusters,
-                )
-
     return Table1Result(
         cells=cells,
         datasets=list(datasets),
@@ -178,3 +207,129 @@ def format_table1(result: Table1Result, with_paper: bool = True) -> str:
                 row.append(format_mean_std(*paper) if paper else "—")
         table.add_row(row)
     return table.render()
+
+
+@dataclass
+class AlphaSweepResult:
+    """A3: FedClust vs FedAvg accuracy across Dirichlet α."""
+
+    alphas: list[float]
+    fedavg: list[float] = field(default_factory=list)
+    fedclust: list[float] = field(default_factory=list)
+    fedclust_k: list[int] = field(default_factory=list)
+
+    def format(self) -> str:
+        table = Table(
+            title="A3 — heterogeneity sweep (Dirichlet α; higher α → closer to IID)",
+            columns=["alpha", "FedAvg acc", "FedClust acc", "FedClust k"],
+        )
+        for i, alpha in enumerate(self.alphas):
+            table.add_row(
+                [
+                    f"{alpha:g}",
+                    f"{100 * self.fedavg[i]:.1f}",
+                    f"{100 * self.fedclust[i]:.1f}",
+                    str(self.fedclust_k[i]),
+                ]
+            )
+        return table.render()
+
+
+def run_alpha_sweep(
+    alphas: tuple[float, ...] = (0.05, 0.1, 0.5, 1.0, 100.0),
+    dataset: str = "cifar10",
+    scale: ExperimentScale | str | None = None,
+    seed: int = 0,
+) -> AlphaSweepResult:
+    """A3: Table I's FedAvg and FedClust at each Dirichlet α."""
+    scale = get_scale(scale)
+    result = AlphaSweepResult(list(alphas))
+    for alpha in alphas:
+        config = table1_matrix(dataset, seed, scale, ("fedavg", "fedclust"), alpha=alpha)
+        outcome = run_cells(config, echo=_LOG.info)
+        fedavg = outcome.record_for("fedavg", BASELINE)["metrics"]
+        fedclust = outcome.record_for("fedclust", BASELINE)["metrics"]
+        result.fedavg.append(fedavg["final_accuracy"])
+        result.fedclust.append(fedclust["final_accuracy"])
+        result.fedclust_k.append(fedclust["n_clusters"])
+    return result
+
+
+@dataclass
+class CommunicationResult:
+    """C1: traffic accounting per method."""
+
+    rows: list[dict]
+    target_accuracy: float
+
+    def format(self) -> str:
+        target = f"{100 * self.target_accuracy:.0f}%"
+        table = Table(
+            title=f"C1 — communication cost (params transferred; target accuracy {target})",
+            columns=[
+                "Method",
+                "Clustering up",
+                "Total up",
+                "Total down",
+                "MB total",
+                f"MB to {target}",
+                "Final acc",
+            ],
+        )
+        for row in self.rows:
+            table.add_row(
+                [
+                    row["method"],
+                    str(row["clustering_upload"]),
+                    str(row["total_upload"]),
+                    str(row["total_download"]),
+                    f"{row['total_mb']:.1f}",
+                    "—" if row["mb_to_target"] is None else f"{row['mb_to_target']:.1f}",
+                    f"{100 * row['final_accuracy']:.1f}",
+                ]
+            )
+        return table.render()
+
+    def row_of(self, method: str) -> dict:
+        for row in self.rows:
+            if row["method"] == method:
+                return row
+        raise KeyError(method)
+
+
+def run_communication_study(
+    methods: tuple[str, ...] = ("fedavg", "cfl", "ifca", "pacfl", "fedclust"),
+    dataset: str = "fmnist",
+    scale: ExperimentScale | str | None = None,
+    seed: int = 0,
+    target_accuracy: float = 0.8,
+) -> CommunicationResult:
+    """C1: each method on a planted federation, evaluated every round.
+
+    The traffic to ``target_accuracy`` is the cumulative traffic of the
+    first round whose accuracy reaches it (``None`` if none does).
+    """
+    config = table1_matrix(
+        dataset, seed, get_scale(scale), methods, partition="label_cluster", eval_every=1
+    )
+    result = CommunicationResult([], target_accuracy)
+    for run in run_cells(config, echo=_LOG.info).results:
+        metrics, traffic, history = (
+            run.record[key] for key in ("metrics", "traffic", "history")
+        )
+        curves = zip(history["accuracy_curve"], history["comm_curve"])
+        reached = next((comm for acc, comm in curves if acc >= target_accuracy), None)
+        result.rows.append(
+            {
+                "method": run.cell.algorithm,
+                "clustering_upload": traffic.get("clustering", {}).get("uploaded", 0),
+                "total_upload": metrics["uploaded_params"],
+                "total_download": metrics["downloaded_params"],
+                "total_mb": traffic["total"]["bytes"] / 1e6,
+                "mb_to_target": (
+                    None if reached is None else reached * BYTES_PER_PARAM / 1e6
+                ),
+                "final_accuracy": metrics["final_accuracy"],
+            }
+        )
+    return result

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -73,11 +73,10 @@ __all__ = [
     "rebuild_update",
 ]
 
-#: rng_for namespace tag of the corruption stream — independent of the
-#: failure (13), straggler (17), budget (19) and duration (23) streams,
-#: so corruption composes with every other middleware without
-#: perturbing their draws.
-CORRUPTION_TAG = 29
+#: The corruption stream — independent of the failure, straggler,
+#: budget and duration streams, so corruption composes with every other
+#: middleware without perturbing their draws.
+CORRUPTION_TAG = STREAM_TAGS["corruption"]
 
 #: Supported corruption kinds, in draw order (the per-event kind is
 #: drawn uniformly over the *configured* subset).

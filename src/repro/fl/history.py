@@ -140,14 +140,6 @@ class RunHistory:
                 return record.round_index
         return None
 
-    def comm_to_accuracy(self, target: float) -> int | None:
-        """Transferred params (up+down) when ``target`` was first reached."""
-        round_index = self.rounds_to_accuracy(target)
-        if round_index is None:
-            return None
-        reached = next(r for r in self.records if r.round_index == round_index)
-        return reached.uploaded_params + reached.downloaded_params
-
     def to_dict(self) -> dict:
         """JSON-ready summary (used by the experiment drivers)."""
         return {

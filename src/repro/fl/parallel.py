@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.fl.client import ClientUpdate, run_client_update_flat
 from repro.fl.communication import decode_flat_payload, encode_flat_payload
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.simulation import FederatedEnv
@@ -258,7 +258,9 @@ def _run_flat(
         vector,
         env.layout,
         _budgeted_cfg(train_cfg, task.max_steps),
-        rng_for(env.seed, 1, round_index, task.client_id),
+        rng_for(
+            env.seed, STREAM_TAGS["client_update"], round_index, task.client_id
+        ),
         prox_mu=task.prox_mu,
     )
 

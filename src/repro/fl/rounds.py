@@ -164,7 +164,7 @@ from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import InFlightBuffer, UpdateTask
 from repro.fl.sampling import sample_from, uniform_sample
 from repro.fl.trace import AvailabilityTrace
-from repro.utils.rng import rng_for
+from repro.utils.rng import RETRY_EPOCH_STRIDE, STREAM_TAGS, rng_for
 from repro.utils.serialization import to_jsonable
 from repro.utils.validation import check_fraction, check_positive
 
@@ -193,18 +193,18 @@ __all__ = [
     "discounted_update",
 ]
 
-#: rng_for namespace tag of the failure stream.  Value 13 is load-bearing:
-#: historical faulty runs drew their drop sets from it, and those drop
-#: sets are pinned in ``tests/test_failures_and_stragglers.py``.
-FAILURE_TAG = 13
+#: The failure stream.  Historical faulty runs drew their drop sets from
+#: it, and those drop sets are pinned in
+#: ``tests/test_failures_and_stragglers.py``.
+FAILURE_TAG = STREAM_TAGS["failure"]
 #: Straggler draws use an independent stream.
-STRAGGLER_TAG = 17
+STRAGGLER_TAG = STREAM_TAGS["straggler"]
 #: Per-(round, client) compute-budget draws use their own stream.
-BUDGET_TAG = 19
+BUDGET_TAG = STREAM_TAGS["budget"]
 #: Per-(dispatch round, client) training-duration draws for the async
 #: engine use their own stream, so async interleavings are a pure
 #: function of (seed, scenario) — deterministic and executor-invariant.
-DURATION_TAG = 23
+DURATION_TAG = STREAM_TAGS["duration"]
 
 
 def aggregation_weights(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -309,6 +309,17 @@ class AsyncConfig:
         object.__setattr__(self, "duration_range", duration)
 
 
+#: The :class:`ScenarioConfig` fields that hold a float (or ``None``).
+_FLOAT_KNOBS = (
+    "client_fraction",
+    "failure_rate",
+    "straggler_rate",
+    "staleness_decay",
+    "trim_fraction",
+    "norm_bound",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """System-heterogeneity policy for a run; composes with any strategy.
@@ -389,8 +400,9 @@ class ScenarioConfig:
         ``"none"`` (default) is byte-for-byte the historical weighted
         average; see :func:`repro.fl.defense.robust_weighted_average`.
     trim_fraction:
-        Per-side trim for ``robust_agg="trimmed_mean"`` (inert under
-        any other mode).
+        Per-side trim for ``robust_agg="trimmed_mean"``.  Inert under
+        any other mode, where it is validated and then reset to its
+        default.
     norm_bound:
         ``None`` (default) admits any finite update.  A positive factor
         quarantines rows whose L2 norm exceeds ``norm_bound ×`` the
@@ -440,7 +452,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # Read back what to_dict() writes: JSON keys are strings, nested
         # configs arrive as mappings, and an empty schedule or a
-        # zero-rate corruption means the same as none at all.
+        # zero-rate corruption means the same as none at all.  A float
+        # knob spelt as an int (1 for 1.0) is stored, written and hashed
+        # as the float.
+        for name in _FLOAT_KNOBS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         for name in ("arrivals", "departures"):
             schedule = getattr(self, name) or {}
             rounds = dict(sorted((int(c), int(r)) for c, r in schedule.items()))
@@ -505,6 +523,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"trim_fraction must be in (0, 0.5), got {self.trim_fraction!r}"
             )
+        if self.robust_agg != "trimmed_mean":
+            # Inert under every other rule: back to the default, so it
+            # changes neither a run ID nor what a resume accepts.
+            object.__setattr__(self, "trim_fraction", type(self).trim_fraction)
         if self.norm_bound is not None:
             check_positive("norm_bound", self.norm_bound)
         if self.min_survivors < 0:
@@ -1101,7 +1123,7 @@ class RoundEngine:
 
         The retry derivation FedClust's clustering round pioneered, as
         an engine primitive: attempt ``a`` dispatches the still-pending
-        clients at epoch ``round_index + 1_000_000 × a``, so every
+        clients at epoch ``round_index + RETRY_EPOCH_STRIDE × a``, so every
         attempt rolls fresh failure/straggler/budget/corruption dice on
         the stateless streams without colliding with any real round.
         ``make_tasks`` receives the pending client ids (in their
@@ -1118,7 +1140,7 @@ class RoundEngine:
         for attempt in range(max_attempts):
             if not pending:
                 break
-            attempt_round = round_index + 1_000_000 * attempt
+            attempt_round = round_index + RETRY_EPOCH_STRIDE * attempt
             outcome = self.dispatch(
                 make_tasks(pending),
                 attempt_round,
@@ -1168,11 +1190,17 @@ class RoundEngine:
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+        last_round = first_round + n_rounds - 1
+        if last_round >= RETRY_EPOCH_STRIDE:
+            raise ValueError(
+                f"round {last_round} reaches the retry-epoch stride "
+                f"{RETRY_EPOCH_STRIDE:,}: its retries would reuse real rounds' "
+                "seeded streams"
+            )
         env = self.env
         cfg = self.scenario.async_config
         decay = self.scenario.staleness_decay
         mean_acc, per_client = float("nan"), np.full(env.federation.n_clients, np.nan)
-        last_round = first_round + n_rounds - 1
         start_round, restored = self._maybe_resume(strategy, history, first_round)
         if restored is not None:
             mean_acc, per_client = restored
@@ -1309,7 +1337,7 @@ class RoundEngine:
         Each attempt re-broadcasts (download re-charged — a retry is a
         real network event) to the participants that have delivered
         nothing yet — neither an admitted update nor a banked late
-        one — on the fresh seeded epoch ``round + 1_000_000 × attempt``
+        one — on the fresh seeded epoch ``round + RETRY_EPOCH_STRIDE × attempt``
         (attempt ≥ 1; the original dispatch was attempt 0).  Responses
         merge into ``dispatched`` in place.  Retry dispatches log no
         ``participate`` events: :meth:`realized_trace` captures the
@@ -1330,7 +1358,7 @@ class RoundEngine:
             )
             if not remainder.size:
                 break
-            retry_round = round_index + 1_000_000 * attempt
+            retry_round = round_index + RETRY_EPOCH_STRIDE * attempt
             tasks = strategy.broadcast_for(self, retry_round, remainder)
             outcome = self.dispatch(
                 tasks,

@@ -46,12 +46,12 @@ from repro.fl.store import ClientStateStore, StoreConfig, make_store
 from repro.nn.models import build_model, final_linear_name
 from repro.nn.module import Sequential
 from repro.nn.state_flat import StateLayout
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 
 __all__ = ["FederatedEnv"]
 
-_MODEL_INIT_TAG = 0  # rng_for namespace tags; 1 = client updates (parallel.py)
-_SERVER_TAG = 2
+_MODEL_INIT_TAG = STREAM_TAGS["model_init"]
+_SERVER_TAG = STREAM_TAGS["server"]
 
 
 class FederatedEnv:

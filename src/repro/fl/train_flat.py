@@ -61,7 +61,7 @@ from repro.nn.batched import (
     supports_batched,
 )
 from repro.nn.state_flat import StateLayout
-from repro.utils.rng import rng_for
+from repro.utils.rng import STREAM_TAGS, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.simulation import FederatedEnv
@@ -74,9 +74,9 @@ __all__ = [
     "supports_batched",
 ]
 
-#: rng_for namespace tag shared with the serial executors — the batched
-#: trainer must consume the *same* per-(round, client) streams.
-_CLIENT_UPDATE_TAG = 1
+#: The stream the serial executors train on — the batched trainer must
+#: consume the *same* per-(round, client) streams.
+_CLIENT_UPDATE_TAG = STREAM_TAGS["client_update"]
 
 #: Upper bound on a factored layer's per-cohort storage before it is
 #: kept dense instead (bytes).  It holds every client's distinct

@@ -20,10 +20,34 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "RETRY_EPOCH_STRIDE",
+    "STREAM_TAGS",
     "make_rng",
     "spawn_rngs",
     "rng_for",
 ]
+
+#: The first key of every :func:`rng_for` stream derived from a run's
+#: seed, in one table: two streams that shared a tag would be silently
+#: correlated.  The values are load-bearing (seeded pins were drawn from
+#: them), so a new stream takes an unused value and none is renumbered.
+STREAM_TAGS: dict[str, int] = {
+    "model_init": 0,  # FederatedEnv's initial model
+    "client_update": 1,  # local training, every executor
+    "server": 2,  # per-round participant sampling
+    "ifca_init": 7,  # IFCA's k initial models
+    "newcomer": 9,  # FedClust's newcomer warm-up
+    "failure": 13,
+    "straggler": 17,
+    "budget": 19,
+    "duration": 23,  # async training durations
+    "corruption": 29,
+}
+
+#: Retry attempt ``a`` of round ``r`` draws on the epoch
+#: ``r + RETRY_EPOCH_STRIDE * a``; a run's rounds stay below the stride
+#: so that no retry epoch is also a real round.
+RETRY_EPOCH_STRIDE = 1_000_000
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:

@@ -6,13 +6,17 @@ suite stays fast while still executing every driver end to end.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.experiments.ablations import (
-    run_communication_study,
-    run_linkage_ablation,
-    run_weight_ablation,
+from repro.cluster.hierarchy import LINKAGE_METHODS
+from repro.experiments.ablation import (
+    AblationConfig,
+    cell_run_id,
+    generate_cells,
+    run_cells,
 )
 from repro.experiments.fig1 import PAPER_LAYERS, format_fig1, run_fig1
 from repro.experiments.fig2 import format_fig2, run_fig2
@@ -22,7 +26,14 @@ from repro.experiments.presets import (
     algorithm_kwargs,
     get_scale,
 )
-from repro.experiments.table1 import PAPER_TABLE1, format_table1, run_table1
+from repro.experiments.table1 import (
+    PAPER_TABLE1,
+    format_table1,
+    run_alpha_sweep,
+    run_communication_study,
+    run_table1,
+    table1_matrix,
+)
 from repro.fl.config import TrainConfig
 
 #: Micro scale used only by this test module.
@@ -87,15 +98,15 @@ class TestFig1Driver:
             dataset="fmnist",
             n_clients=6,
             model_name="cnn_small",
-            layer_indices=(1, 4),
+            selections=("index:1", "index:4"),
             scale=MICRO,
         )
-        assert set(result.distance_matrices) == {1, 4}
-        for matrix in result.distance_matrices.values():
-            assert matrix.shape == (6, 6)
+        assert set(result.probes) == {"index:1", "index:4"}
+        for probe in result.probes.values():
+            assert probe.distances.shape == (6, 6)
         # Classifier layer (index 4 of cnn_small) beats the first conv.
-        assert result.separability[4] > result.separability[1]
-        assert result.best_layer() == 4
+        assert result.probes["index:4"].separability > result.probes["index:1"].separability
+        assert result.best_selection() == "index:4"
         text = format_fig1(result)
         assert "separability" in text.lower()
 
@@ -108,7 +119,7 @@ class TestFig1Driver:
                 dataset="fmnist",
                 n_clients=4,
                 model_name="cnn_small",
-                layer_indices=(99,),
+                selections=("index:99",),
                 scale=MICRO,
             )
 
@@ -125,34 +136,135 @@ class TestFig2Driver:
         assert "①" in text and "⑥" in text
 
 
+@pytest.fixture(scope="module")
+def micro_probe():
+    """The Fig. 1 probe as the A1/A2 studies run it: LeNet-5 on a planted
+    fmnist federation after FedClust's 20-step warm-up."""
+    return run_fig1(
+        dataset="fmnist",
+        n_clients=MICRO.n_clients,
+        model_name="lenet5",
+        selections=("final_layer", "all", "index:1"),
+        scale=MICRO,
+        local_steps=20,
+    )
+
+
+@pytest.fixture(scope="module")
+def micro_comm():
+    """The C1 study for FedAvg and FedClust at target accuracy 0.2."""
+    return run_communication_study(
+        methods=("fedavg", "fedclust"), scale=MICRO, target_accuracy=0.2
+    )
+
+
 @pytest.mark.slow
 class TestAblationDrivers:
-    def test_linkage_ablation(self):
-        result = run_linkage_ablation(scale=MICRO)
-        assert {row["linkage"] for row in result.rows} == {
+    def test_linkage_ablation(self, micro_probe):
+        cuts = micro_probe.probes["final_layer"].cuts
+        assert set(cuts) == {
             "single",
             "complete",
             "average",
             "ward",
         }
-        assert "A1" in result.format()
+        assert "A1" in format_fig1(micro_probe)
 
-    def test_weight_ablation(self):
-        result = run_weight_ablation(
-            scale=MICRO, selections=("final_layer", "index:1")
-        )
-        final = result.row_of("final_layer")
-        conv = result.row_of("index:1")
-        assert final["upload"] > 0 and conv["upload"] > 0
+    def test_weight_ablation(self, micro_probe):
+        final = micro_probe.probes["final_layer"]
+        conv = micro_probe.probes["index:1"]
+        assert final.upload > 0 and conv.upload > 0
         with pytest.raises(KeyError):
-            result.row_of("nope")
+            micro_probe.probes["nope"]
 
-    def test_communication_study(self):
-        result = run_communication_study(
-            methods=("fedavg", "fedclust"), scale=MICRO, target_accuracy=0.2
-        )
-        fedavg = result.row_of("fedavg")
-        fedclust = result.row_of("fedclust")
+    def test_communication_study(self, micro_comm):
+        fedavg = micro_comm.row_of("fedavg")
+        fedclust = micro_comm.row_of("fedclust")
         assert fedavg["clustering_upload"] == 0
         assert fedclust["clustering_upload"] > 0
-        assert "C1" in result.format()
+        assert "C1" in micro_comm.format()
+
+
+@pytest.mark.slow
+class TestStudyPins:
+    """A1–A3, C1 and Table I at MICRO scale, seed 0, pinned to the bit.
+
+    The values are those of the drivers these studies ran on before they
+    became Fig. 1 outputs and harness cells.  The conv path's GEMMs are
+    large enough for OpenBLAS to split them across threads, and the
+    values here are those of a 2-CPU host at the default thread count
+    (one BLAS thread moves A1/A2 by ~1e-8 and A3's α = 100 FedClust
+    cell by 3 points).
+    """
+
+    def test_a1_linkage(self, micro_probe):
+        final = micro_probe.probes["final_layer"]
+        assert final.separability == 5.219812018068794
+        assert final.cuts == {method: (2, 1.0) for method in LINKAGE_METHODS}
+
+    def test_a2_weight_selection(self, micro_probe):
+        found = {
+            spec: (probe.upload, probe.separability, probe.cuts["average"])
+            for spec, probe in micro_probe.probes.items()
+        }
+        assert found == {
+            "final_layer": (850, 5.219812018068794, (2, 1.0)),
+            "all": (61706, 3.80863824839344, (2, 1.0)),
+            "index:1": (156, 2.171871679597927, (2, 1.0)),
+        }
+
+    def test_a3_alpha_sweep(self):
+        result = run_alpha_sweep(alphas=(0.1, 100.0), dataset="cifar10", scale=MICRO)
+        assert result.fedavg == [0.4158159254267744, 0.5440860215053763]
+        assert result.fedclust == [0.5374129604672058, 0.4137992831541218]
+        assert result.fedclust_k == [3, 3]
+
+    def test_c1_communication(self, micro_comm):
+        assert micro_comm.rows == [
+            {
+                "method": "fedavg",
+                "clustering_upload": 0,
+                "total_upload": 1110708,
+                "total_download": 1110708,
+                "total_mb": 8.885664,
+                "mb_to_target": 2.961888,
+                "final_accuracy": 0.5688172043010753,
+            },
+            {
+                "method": "fedclust",
+                "clustering_upload": 5100,
+                "total_upload": 745572,
+                "total_download": 1110708,
+                "total_mb": 7.42512,
+                "mb_to_target": 4.463232,
+                "final_accuracy": 0.7722222222222221,
+            },
+        ]
+
+    def test_table1(self):
+        result = run_table1(
+            datasets=("fmnist",), methods=("fedavg", "fedclust"), scale=MICRO
+        )
+        assert result.cell("fedavg", "fmnist").accuracies == [0.1414420485175202]
+        assert result.cell("fedclust", "fmnist").accuracies == [0.6973354672057503]
+
+
+@pytest.mark.slow
+def test_fedclust_matrix_survives_its_json():
+    """A FedClust matrix's JSON (its ``clustering`` kwarg a mapping) reads
+    back under the same run ID and runs to the same metrics."""
+    config = table1_matrix("fmnist", 0, MICRO, ("fedclust",))
+    again = AblationConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert cell_run_id(again, generate_cells(again)[0]) == cell_run_id(
+        config, generate_cells(config)[0]
+    )
+    timing = ("wall_seconds", "round_wall_seconds")
+    metrics = [
+        {
+            key: value
+            for key, value in run_cells(matrix).results[0].record["metrics"].items()
+            if key not in timing
+        }
+        for matrix in (config, again)
+    ]
+    assert metrics[0] == metrics[1]

@@ -50,13 +50,6 @@ class TestRunHistory:
         assert history.rounds_to_accuracy(0.5) == 2
         assert history.rounds_to_accuracy(0.95) is None
 
-    def test_comm_to_accuracy(self):
-        history = RunHistory("x", "y", 0)
-        for i, acc in enumerate([0.3, 0.9], start=1):
-            history.append(_record(i, acc=acc))
-        assert history.comm_to_accuracy(0.9) == 200 + 200
-        assert history.comm_to_accuracy(0.99) is None
-
     def test_to_dict_jsonable(self):
         from repro.utils.serialization import to_jsonable
 

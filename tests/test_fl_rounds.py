@@ -51,6 +51,7 @@ from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.trace import AvailabilityTrace
+from repro.utils.rng import RETRY_EPOCH_STRIDE
 
 #: (final accuracy, last-round mean train loss, uploaded, downloaded)
 #: captured from the pre-engine loops on the seeded config below.
@@ -133,6 +134,10 @@ _FIELD_FORMS = {
     # How a run executes, not what it computes: never written.
     "checkpoint": (CheckpointConfig(directory="somewhere"), None),
 }
+
+#: Fields read only under another knob's value, and that value: set
+#: beside the field's row in ``test_each_field_writes_its_json_form``.
+_FIELD_CONTEXT = {"trim_fraction": {"robust_agg": "trimmed_mean"}}
 
 
 @st.composite
@@ -223,8 +228,29 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("name", sorted(_FIELD_FORMS))
     def test_each_field_writes_its_json_form(self, name):
         value, form = _FIELD_FORMS[name]
-        expected = {} if form is None else {name: form}
-        assert ScenarioConfig(**{name: value}).to_dict() == expected
+        context = _FIELD_CONTEXT.get(name, {})
+        expected = ScenarioConfig(**context).to_dict()
+        if form is not None:
+            expected[name] = form
+        assert ScenarioConfig(**context, **{name: value}).to_dict() == expected
+
+    def test_one_spelling_per_value(self):
+        # A float knob spelt as an int is stored, written and hashed as
+        # the float.
+        assert json.dumps(ScenarioConfig(staleness_decay=1).to_dict()) == json.dumps(
+            ScenarioConfig(staleness_decay=1.0).to_dict()
+        )
+        assert ScenarioConfig(norm_bound=3).norm_bound == 3.0
+        assert isinstance(ScenarioConfig(norm_bound=3).norm_bound, float)
+        # trim_fraction is read by the trimmed mean only; under any other
+        # rule it is validated, then reset, so it is no knob at all.
+        assert ScenarioConfig(trim_fraction=0.2) == ScenarioConfig()
+        assert ScenarioConfig(trim_fraction=0.2).to_dict() == {}
+        with pytest.raises(ValueError, match="trim_fraction"):
+            ScenarioConfig(trim_fraction=0.7)
+        assert ScenarioConfig(
+            robust_agg="trimmed_mean", trim_fraction=0.2
+        ).to_dict() == {"robust_agg": "trimmed_mean", "trim_fraction": 0.2}
 
     def test_field_table_covers_every_field(self):
         assert set(_FIELD_FORMS) == {f.name for f in fields(ScenarioConfig)}
@@ -293,6 +319,20 @@ class TestScenarioConfig:
         env = env_factory(local_epochs=1)
         with pytest.raises(ValueError, match="min_clients"):
             RoundEngine(env, ScenarioConfig(min_clients=9, client_fraction=0.5))
+
+
+def test_run_rejects_a_horizon_reaching_the_retry_stride(env_factory):
+    # Retry attempt a of round r draws on epoch r + stride × a, so a
+    # round at or past the stride would share a retry's seeded streams.
+    env = env_factory(local_epochs=1)
+    engine = RoundEngine(env)
+    history = RunHistory("fedavg", "cifar10", env.seed)
+    with pytest.raises(ValueError, match="retry-epoch stride"):
+        engine.run(global_rounds(env), 2, history, first_round=RETRY_EPOCH_STRIDE - 1)
+    assert not history.records and not engine.events
+    # The last round below the stride is a legal horizon.
+    engine.run(global_rounds(env), 1, history, first_round=RETRY_EPOCH_STRIDE - 1)
+    assert [r.round_index for r in history.records] == [RETRY_EPOCH_STRIDE - 1]
 
 
 # ----------------------------------------------------------------------

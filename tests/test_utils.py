@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.rng import make_rng, rng_for, spawn_rngs
+from repro.utils.rng import (
+    RETRY_EPOCH_STRIDE,
+    STREAM_TAGS,
+    make_rng,
+    rng_for,
+    spawn_rngs,
+)
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -47,6 +53,33 @@ class TestRng:
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+    def test_stream_tags_are_distinct(self):
+        tags = list(STREAM_TAGS.values())
+        assert len(set(tags)) == len(tags)
+        # No tag reaches the retry stride (epochs are keys, not tags, but
+        # the table stays small integers).
+        assert max(tags) < RETRY_EPOCH_STRIDE
+
+    def test_public_tag_names_read_the_table(self):
+        from repro.fl.defense import CORRUPTION_TAG
+        from repro.fl.rounds import (
+            BUDGET_TAG,
+            DURATION_TAG,
+            FAILURE_TAG,
+            STRAGGLER_TAG,
+        )
+
+        # The values seeded pins were drawn from.
+        assert (
+            FAILURE_TAG,
+            STRAGGLER_TAG,
+            BUDGET_TAG,
+            DURATION_TAG,
+            CORRUPTION_TAG,
+        ) == (13, 17, 19, 23, 29)
+        assert STREAM_TAGS["failure"] == FAILURE_TAG
+        assert STREAM_TAGS["corruption"] == CORRUPTION_TAG
 
 
 class TestTables:
