@@ -41,7 +41,6 @@ from repro.fl.rounds import (
     aggregation_weights,
 )
 from repro.fl.simulation import FederatedEnv
-from repro.fl.store import tiered_weighted_average
 
 __all__ = [
     "RunResult",
@@ -127,13 +126,6 @@ def survivor_weighted_average(
     scenario — every weight is the sample count, so the result is
     bit-identical to the historical
     ``packed_weighted_average(cohort, [u.n_samples ...])`` call.
-
-    When the environment's store config enables tiered aggregation
-    (``edge_size > 0``) and the rule is the plain weighted average, the
-    GEMV is split across edge aggregators
-    (:func:`repro.fl.store.tiered_weighted_average`); a single edge —
-    and the default ``edge_size = 0`` — is bit-identical to the flat
-    kernel, so every seeded pin runs unchanged.
     """
     if not updates:
         return None
@@ -146,11 +138,6 @@ def survivor_weighted_average(
     else:
         live = [u for u, k in zip(updates, keep) if k]
         live_weights = weights[keep]
-    store_config = getattr(env, "store_config", None)
-    if robust_agg == "none" and store_config is not None and store_config.edge_size > 0:
-        return tiered_weighted_average(
-            cohort_matrix(env, live), live_weights, store_config.edge_size
-        )
     return robust_weighted_average(
         cohort_matrix(env, live), live_weights, robust_agg, trim_fraction
     )

@@ -17,7 +17,6 @@ Implementation notes
   (``mean_rel = ||Σ wᵢΔᵢ|| / maxᵢ||Δᵢ|| < eps1`` signals incongruence),
   and ``maxᵢ||Δᵢ|| > eps2 × scale₀`` (with ``scale₀`` the cluster's
   first-round max norm) checks that clients are still actually moving.
-  Absolute thresholds can be supplied instead (``norm_mode="absolute"``).
 * The bipartition is computed with complete-linkage hierarchical
   clustering (k = 2) on cosine *distance* of updates — the same optimal
   max-cross-similarity split Sattler's reference implementation performs.
@@ -61,7 +60,7 @@ from repro.fl.client import ClientUpdate
 from repro.fl.history import RunHistory
 from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
 from repro.fl.simulation import FederatedEnv
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["CFL"]
 
@@ -341,18 +340,16 @@ class CFL(FLAlgorithm):
     Parameters
     ----------
     eps1:
-        Incongruence threshold.  Relative mode: split candidates need
+        Incongruence threshold: split candidates need
         ``||avg update|| / max ||update|| < eps1``.
     eps2:
-        Progress threshold.  Relative mode: ``max ||update||`` must exceed
+        Progress threshold: ``max ||update||`` must exceed
         ``eps2 × scale₀``.
     warmup_rounds:
         No splits before this round (clusters must first approach their
         joint stationary point).
     min_cluster_size:
         Never create a cluster smaller than this.
-    norm_mode:
-        ``"relative"`` (default, scale-free) or ``"absolute"``.
     delta_window:
         ``1`` (default) reproduces the classic criterion: a cluster only
         considers splitting in rounds where every member's update made
@@ -373,20 +370,17 @@ class CFL(FLAlgorithm):
         eps2: float = 0.08,
         warmup_rounds: int = 3,
         min_cluster_size: int = 2,
-        norm_mode: str = "relative",
         delta_window: int = 1,
     ) -> None:
         check_positive("eps1", eps1)
         check_positive("eps2", eps2)
         check_positive("warmup_rounds", warmup_rounds)
         check_positive("min_cluster_size", min_cluster_size)
-        check_in("norm_mode", norm_mode, ("relative", "absolute"))
         check_positive("delta_window", delta_window)
         self.eps1 = eps1
         self.eps2 = eps2
         self.warmup_rounds = warmup_rounds
         self.min_cluster_size = min_cluster_size
-        self.norm_mode = norm_mode
         self.delta_window = int(delta_window)
 
     # ------------------------------------------------------------------
@@ -402,8 +396,6 @@ class CFL(FLAlgorithm):
             return False
         if n_members < 2 * self.min_cluster_size:
             return False
-        if self.norm_mode == "absolute":
-            return mean_norm < self.eps1 and max_norm > self.eps2
         if max_norm <= 0:
             return False
         scale0 = cluster.scale0 if cluster.scale0 else max_norm

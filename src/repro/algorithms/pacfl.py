@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
-from repro.cluster.hierarchy import auto_cut_gap, cut_by_distance, cut_by_k, linkage
+from repro.cluster.hierarchy import auto_cut_gap, linkage
 from repro.cluster.subspace import data_subspace, pairwise_subspace_distances
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["PACFL"]
 
@@ -38,12 +38,9 @@ class PACFL(FLAlgorithm):
     ----------
     n_components:
         ``p``, the per-client subspace rank (paper uses 3–5).
-    linkage_method:
-        HC linkage over the principal-angle proximity matrix.
-    cut:
-        ``"auto"`` (largest dendrogram gap), ``"k"`` (fixed count via
-        ``n_clusters``) or ``"distance"`` (threshold in summed radians
-        via ``cut_threshold``).
+    max_clusters:
+        Optional ceiling on the cluster count of the largest-gap cut of
+        the average-linkage dendrogram over principal angles.
     """
 
     name = "pacfl"
@@ -51,23 +48,10 @@ class PACFL(FLAlgorithm):
     def __init__(
         self,
         n_components: int = 3,
-        linkage_method: str = "average",
-        cut: str = "auto",
-        n_clusters: int | None = None,
-        cut_threshold: float | None = None,
         max_clusters: int | None = None,
     ) -> None:
         check_positive("n_components", n_components)
-        check_in("cut", cut, ("auto", "k", "distance"))
-        if cut == "k" and n_clusters is None:
-            raise ValueError("cut='k' requires n_clusters")
-        if cut == "distance" and cut_threshold is None:
-            raise ValueError("cut='distance' requires cut_threshold")
         self.n_components = n_components
-        self.linkage_method = linkage_method
-        self.cut = cut
-        self.n_clusters = n_clusters
-        self.cut_threshold = cut_threshold
         self.max_clusters = max_clusters
 
     # ------------------------------------------------------------------
@@ -80,14 +64,8 @@ class PACFL(FLAlgorithm):
             bases.append(data_subspace(flat, self.n_components))
             env.tracker.record_upload(bases[-1].size, phase="clustering")
         proximity = pairwise_subspace_distances(bases)
-        z = linkage(proximity, self.linkage_method)
-        if self.cut == "k":
-            labels = cut_by_k(z, int(self.n_clusters))  # type: ignore[arg-type]
-        elif self.cut == "distance":
-            labels = cut_by_distance(z, float(self.cut_threshold))  # type: ignore[arg-type]
-        else:
-            labels = auto_cut_gap(z, max_clusters=self.max_clusters)
-        return labels, proximity
+        z = linkage(proximity, "average")
+        return auto_cut_gap(z, max_clusters=self.max_clusters), proximity
 
     # ------------------------------------------------------------------
     def run(
@@ -99,6 +77,9 @@ class PACFL(FLAlgorithm):
     ) -> RunResult:
         if n_rounds < 2:
             raise ValueError("PACFL needs >= 2 rounds (1 clustering + training)")
+        if eval_every < 1:
+            # The clustering round uploads before the engine checks this.
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         engine = RoundEngine(env, scenario)

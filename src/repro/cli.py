@@ -101,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-path", default=None, metavar="DIR",
                    help="back sharded-store shards with memory-mapped "
                         ".npy files under DIR instead of anonymous memory")
-    p.add_argument("--edge-size", type=int, default=0, metavar="E",
-                   help="tiered aggregation: reduce survivors in edge "
-                        "groups of E rows and fold the partial sums at "
-                        "the root (0 = single flat GEMV, the bit-identity "
-                        "default; only applies to the plain weighted "
-                        "average, robust rules are unaffected)")
     p.add_argument("--client-fraction", type=float, default=1.0,
                    help="participation fraction C per round (any algorithm)")
     p.add_argument("--failure-rate", type=float, default=0.0,
@@ -394,7 +388,6 @@ def _cmd_run(args: argparse.Namespace) -> dict:
     store_config = StoreConfig(
         kind=args.store,
         shard_size=args.shard_size,
-        edge_size=args.edge_size,
         path=args.store_path,
     )
     n_clients = args.clients or scale.n_clients

@@ -4,7 +4,6 @@ from repro.cluster.distance import (
     condensed_from_square,
     pairwise_cosine_distance,
     pairwise_cosine_similarity,
-    pairwise_distances,
     pairwise_euclidean,
     pairwise_sqeuclidean,
     square_from_condensed,
@@ -15,7 +14,6 @@ from repro.cluster.hierarchy import (
     auto_cut_gap,
     canonical_labels,
     cophenetic_matrix,
-    cut_by_distance,
     cut_by_k,
     linkage,
     merge_heights,
@@ -37,7 +35,6 @@ __all__ = [
     "condensed_from_square",
     "pairwise_cosine_distance",
     "pairwise_cosine_similarity",
-    "pairwise_distances",
     "pairwise_euclidean",
     "pairwise_sqeuclidean",
     "square_from_condensed",
@@ -46,7 +43,6 @@ __all__ = [
     "auto_cut_gap",
     "canonical_labels",
     "cophenetic_matrix",
-    "cut_by_distance",
     "cut_by_k",
     "linkage",
     "merge_heights",

@@ -17,7 +17,6 @@ __all__ = [
     "pairwise_euclidean",
     "pairwise_cosine_similarity",
     "pairwise_cosine_distance",
-    "pairwise_distances",
     "condensed_from_square",
     "square_from_condensed",
     "validate_distance_matrix",
@@ -84,20 +83,6 @@ def pairwise_cosine_distance(x: np.ndarray) -> np.ndarray:
     np.fill_diagonal(d, 0.0)
     np.maximum(d, 0.0, out=d)
     return d
-
-
-_METRICS = {
-    "euclidean": pairwise_euclidean,
-    "sqeuclidean": pairwise_sqeuclidean,
-    "cosine": pairwise_cosine_distance,
-}
-
-
-def pairwise_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Dispatch on ``metric`` ∈ {euclidean, sqeuclidean, cosine}."""
-    if metric not in _METRICS:
-        raise ValueError(f"unknown metric {metric!r}; options: {sorted(_METRICS)}")
-    return _METRICS[metric](x)
 
 
 def condensed_from_square(d: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ suite can cross-validate every linkage method against
 ``scipy.cluster.hierarchy.linkage``.
 
 Supported linkages (Lance–Williams updates): ``single``, ``complete``,
-``average``, ``ward``.  Cut strategies: fixed cluster count, distance
-threshold, and the **largest-gap heuristic** — the piece that lets
-FedClust avoid a predefined number of clusters.
+``average``, ``ward``.  Cuts: a fixed cluster count (the silhouette
+cut's candidates and CFL's bipartition) and the **largest-gap
+heuristic** — the piece that lets FedClust avoid a predefined number of
+clusters.
 
 Complexity is the textbook O(n³)/O(n²) masked-argmin formulation; the
 "n" here is *clients*, which in FL experiments is tens to a few
@@ -27,7 +28,6 @@ __all__ = [
     "LINKAGE_METHODS",
     "linkage",
     "cut_by_k",
-    "cut_by_distance",
     "auto_cut_gap",
     "merge_heights",
     "cophenetic_matrix",
@@ -177,13 +177,6 @@ def cut_by_k(linkage_matrix: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     return _labels_from_merge_prefix(z, n - k)
-
-
-def cut_by_distance(linkage_matrix: np.ndarray, threshold: float) -> np.ndarray:
-    """Labels after applying every merge with distance ≤ ``threshold``."""
-    z = np.asarray(linkage_matrix)
-    n_merges = int(np.searchsorted(z[:, 2], threshold, side="right"))
-    return _labels_from_merge_prefix(z, n_merges)
 
 
 def auto_cut_gap(

@@ -16,7 +16,6 @@ from repro.core.newcomer import NewcomerAssignment, assign_newcomer
 from repro.core.proximity import ProximityResult, proximity_matrix
 from repro.core.weights import (
     final_layer_keys,
-    final_layer_matrix,
     layer_index_keys,
     layer_keys,
     packed_weight_matrix,
@@ -36,7 +35,6 @@ __all__ = [
     "ProximityResult",
     "proximity_matrix",
     "final_layer_keys",
-    "final_layer_matrix",
     "layer_index_keys",
     "layer_keys",
     "packed_weight_matrix",

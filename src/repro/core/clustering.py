@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.hierarchy import (
-    LINKAGE_METHODS,
-    auto_cut_gap,
-    cut_by_distance,
-    cut_by_k,
-    linkage,
-)
+from repro.cluster.hierarchy import LINKAGE_METHODS, auto_cut_gap, cut_by_k, linkage
 from repro.cluster.metrics import silhouette_score
 from repro.utils.validation import check_in
 
@@ -85,14 +79,11 @@ class ClusteringConfig:
     cut:
         ``"auto"`` — largest-gap heuristic (default; no predefined k);
         ``"silhouette"`` — adaptive silhouette-optimal k (no predefined
-        k; preferred on soft, Dirichlet-style structure);
-        ``"k"`` — fixed count (``n_clusters``);
-        ``"distance"`` — threshold on merge height (``threshold``).
-    n_clusters, threshold:
-        Parameters for the respective cut modes.
+        k; preferred on soft, Dirichlet-style structure).
     max_clusters:
-        Optional ceiling for the auto cut (guards against degenerate
-        all-singleton cuts on noisy proximity matrices).
+        Optional ceiling (>= 1) on the cut's cluster count (guards
+        against degenerate all-singleton cuts on noisy proximity
+        matrices).
     min_gap_ratio:
         Auto-cut guard: if the largest gap is below this fraction of the
         dendrogram height, the federation is declared homogeneous and a
@@ -101,18 +92,14 @@ class ClusteringConfig:
 
     linkage_method: str = "average"
     cut: str = "auto"
-    n_clusters: int | None = None
-    threshold: float | None = None
     max_clusters: int | None = None
     min_gap_ratio: float = 0.0
 
     def __post_init__(self) -> None:
         check_in("linkage_method", self.linkage_method, LINKAGE_METHODS)
-        check_in("cut", self.cut, ("auto", "silhouette", "k", "distance"))
-        if self.cut == "k" and (self.n_clusters is None or self.n_clusters < 1):
-            raise ValueError("cut='k' requires n_clusters >= 1")
-        if self.cut == "distance" and self.threshold is None:
-            raise ValueError("cut='distance' requires threshold")
+        check_in("cut", self.cut, ("auto", "silhouette"))
+        if self.max_clusters is not None and self.max_clusters < 1:
+            raise ValueError(f"max_clusters must be >= 1, got {self.max_clusters}")
         if self.min_gap_ratio < 0:
             raise ValueError("min_gap_ratio must be >= 0")
 
@@ -146,11 +133,7 @@ def cluster_clients(
     """Run HC on a proximity matrix and cut per ``config``."""
     config = config or ClusteringConfig()
     z = linkage(proximity, config.linkage_method)
-    if config.cut == "k":
-        labels = cut_by_k(z, int(config.n_clusters))  # type: ignore[arg-type]
-    elif config.cut == "distance":
-        labels = cut_by_distance(z, float(config.threshold))  # type: ignore[arg-type]
-    elif config.cut == "silhouette":
+    if config.cut == "silhouette":
         labels = silhouette_cut(proximity, z, max_clusters=config.max_clusters)
     else:
         labels = auto_cut_gap(

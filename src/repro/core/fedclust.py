@@ -52,7 +52,7 @@ from repro.nn.module import Module
 from repro.nn.state import flatten_state
 from repro.nn.state_flat import unpack_keys, unpack_state
 from repro.utils.rng import STREAM_TAGS, rng_for
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["FedClustConfig", "FedClust", "FittedFedClust", "resolve_selection_keys"]
 
@@ -90,13 +90,6 @@ class FedClustConfig:
     ----------
     clustering:
         Dendrogram construction/cut settings (step ⑤).
-    metric:
-        Proximity metric over uploaded weights (paper: Euclidean).
-    weight_selection:
-        What clients upload in the clustering round (paper: final layer).
-    warmup_epochs:
-        Local epochs in the clustering round; ``None`` reuses the
-        environment's ``local_epochs``.
     warmup_lr, warmup_momentum:
         Optimiser overrides for the clustering round only.  The paper does
         not specify the warm-up optimiser; empirically the weight
@@ -111,7 +104,8 @@ class FedClustConfig:
         budget).  Equalising steps removes the dataset-size confound on
         Dirichlet splits: without it, clients with tiny shards barely
         move from the initial weights and cluster by update *magnitude*
-        instead of data distribution.
+        instead of data distribution.  ``None`` keeps the environment's
+        ``local_epochs``.
     warm_start_final_layer:
         If True, each cluster's initial model replaces its classifier
         with the within-cluster average of the uploaded final layers.
@@ -128,9 +122,6 @@ class FedClustConfig:
     """
 
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-    metric: str = "euclidean"
-    weight_selection: str = "final_layer"
-    warmup_epochs: int | None = None
     warmup_lr: float | None = None
     warmup_momentum: float | None = 0.0
     warmup_steps: int | None = None
@@ -141,9 +132,6 @@ class FedClustConfig:
         if isinstance(self.clustering, Mapping):
             # The JSON form a harness matrix writes for this kwarg.
             object.__setattr__(self, "clustering", ClusteringConfig(**self.clustering))
-        check_in("metric", self.metric, ("euclidean", "sqeuclidean", "cosine"))
-        if self.warmup_epochs is not None:
-            check_positive("warmup_epochs", self.warmup_epochs)
         if self.warmup_lr is not None:
             check_positive("warmup_lr", self.warmup_lr)
         if self.warmup_momentum is not None and self.warmup_momentum < 0:
@@ -155,8 +143,6 @@ class FedClustConfig:
     def warmup_train_cfg(self, base: "TrainConfig") -> "TrainConfig":  # noqa: F821
         """The clustering-round training config derived from ``base``."""
         overrides: dict[str, object] = {}
-        if self.warmup_epochs is not None:
-            overrides["local_epochs"] = self.warmup_epochs
         if self.warmup_lr is not None:
             overrides["lr"] = self.warmup_lr
         if self.warmup_momentum is not None:
@@ -297,7 +283,7 @@ class FedClust(FLAlgorithm):
         m = env.federation.n_clients
         engine = engine or RoundEngine(env)
         init = env.init_state()
-        selection = resolve_selection_keys(env.scratch_model, self.config.weight_selection)
+        selection = final_layer_keys(env.scratch_model)
 
         # ①–② broadcast + local warm-up, with straggler retries through the
         # engine's shared retry primitive (the seeded-epoch derivation this
@@ -350,7 +336,7 @@ class FedClust(FLAlgorithm):
         env.tracker.record_upload(int(w.shape[1]) * len(responders), phase="clustering")
 
         # ④ proximity matrix; ⑤ hierarchical clustering + adaptive cut.
-        prox = proximity_matrix(w, metric=self.config.metric)
+        prox = proximity_matrix(w)
         clustering = cluster_clients(prox.matrix, self.config.clustering)
 
         # Expand responder labels to all clients; stragglers (and clients
@@ -402,6 +388,9 @@ class FedClust(FLAlgorithm):
     ) -> RunResult:
         if n_rounds < 2:
             raise ValueError("FedClust needs >= 2 rounds (1 clustering + training)")
+        if eval_every < 1:
+            # The clustering round trains before the engine checks this.
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         m = env.federation.n_clients
         history = RunHistory(self.name, env.federation.dataset_name, env.seed)
         engine = RoundEngine(env, scenario)

@@ -25,7 +25,6 @@ __all__ = [
     "layer_keys",
     "weight_matrix",
     "packed_weight_matrix",
-    "final_layer_matrix",
     "layer_index_keys",
 ]
 
@@ -107,10 +106,3 @@ def packed_weight_matrix(
             f"packed cohort must be (m, {layout.n_params}), got {matrix.shape}"
         )
     return matrix[:, layout.columns(keys)]
-
-
-def final_layer_matrix(
-    model: Module, states: Sequence[Mapping[str, np.ndarray]]
-) -> np.ndarray:
-    """Convenience: :func:`weight_matrix` over the classifier keys."""
-    return weight_matrix(states, final_layer_keys(model))

@@ -85,7 +85,3 @@ class ArrayDataset:
         n_test = min(max(n_test, 1), n - 1)
         order = rng.permutation(n)
         return self.subset(order[n_test:]), self.subset(order[:n_test])
-
-    def class_counts(self) -> np.ndarray:
-        """Histogram of labels, length ``n_classes``."""
-        return np.bincount(self.labels, minlength=self.n_classes)

@@ -7,10 +7,6 @@ from repro.fl.communication import (
     CommunicationTracker,
     decode_flat_payload,
     encode_flat_payload,
-    flat_payload_nbytes,
-    params_in_keys,
-    params_in_layout,
-    params_in_state,
 )
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
@@ -50,7 +46,7 @@ from repro.fl.rounds import (
     ScenarioConfig,
     aggregation_weights,
 )
-from repro.fl.sampling import full_participation, sample_from, uniform_sample
+from repro.fl.sampling import sample_from, uniform_sample
 from repro.fl.trace import AvailabilityTrace
 from repro.fl.simulation import FederatedEnv
 from repro.fl.train_flat import plan_cohort_schedule, supports_batched, train_cohort_flat
@@ -65,10 +61,6 @@ __all__ = [
     "CommunicationTracker",
     "decode_flat_payload",
     "encode_flat_payload",
-    "flat_payload_nbytes",
-    "params_in_keys",
-    "params_in_layout",
-    "params_in_state",
     "TrainConfig",
     "CORRUPTION_KINDS",
     "ROBUST_AGG_MODES",
@@ -103,7 +95,6 @@ __all__ = [
     "AsyncConfig",
     "aggregation_weights",
     "AvailabilityTrace",
-    "full_participation",
     "sample_from",
     "uniform_sample",
     "FederatedEnv",

@@ -79,16 +79,10 @@ def local_train(
             lr=cfg.lr,
             mu=prox_mu,
             momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
         )
         optimizer.set_anchor_flat(anchor_flat, layout)
     else:
-        optimizer = SGD(
-            model.parameters(),
-            lr=cfg.lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-        )
+        optimizer = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
 
     batch_size = min(cfg.batch_size, len(dataset))
     loader = DataLoader(dataset, batch_size, rng=rng, shuffle=True)
@@ -96,9 +90,7 @@ def local_train(
     n_batches = 0
     done = False
     for _ in range(cfg.local_epochs):
-        for batch_index, (images, labels) in enumerate(loader):
-            if cfg.max_batches is not None and batch_index >= cfg.max_batches:
-                break
+        for images, labels in loader:
             if cfg.max_steps is not None and n_batches >= cfg.max_steps:
                 done = True
                 break

@@ -10,16 +10,14 @@ communication-cost claim.
 With the flat parameter plane (:mod:`repro.nn.state_flat`) the payload
 that actually moves is one contiguous buffer, so serialization is a
 single ``tobytes``/``frombuffer`` pair at the layout's wire dtype —
-:func:`encode_flat_payload`/:func:`decode_flat_payload` below.  The
-counting helpers gain a layout-based variant so accounting no longer
-needs a materialised state dict.
+:func:`encode_flat_payload`/:func:`decode_flat_payload` below.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,43 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CommunicationTracker",
-    "params_in_state",
-    "params_in_keys",
-    "params_in_layout",
-    "flat_payload_nbytes",
     "encode_flat_payload",
     "decode_flat_payload",
 ]
 
 BYTES_PER_PARAM = 4  # float32 over the wire
-
-
-def params_in_state(state: Mapping[str, np.ndarray]) -> int:
-    """Total scalar count of a state dict."""
-    return int(sum(v.size for v in state.values()))
-
-
-def params_in_keys(state: Mapping[str, np.ndarray], keys: Iterable[str]) -> int:
-    """Scalar count of a key subset (e.g. the final layer)."""
-    return int(sum(state[k].size for k in keys))
-
-
-def params_in_layout(
-    layout: "StateLayout", keys: Iterable[str] | None = None
-) -> int:
-    """Scalar count of a layout (or a key subset of it).
-
-    The layout-based twin of :func:`params_in_state`/:func:`params_in_keys`
-    — no state dict needed, the layout already knows every size.
-    """
-    if keys is None:
-        return int(layout.n_params)
-    return int(sum(layout.size_of(k) for k in keys))
-
-
-def flat_payload_nbytes(layout: "StateLayout") -> int:
-    """Bytes on the wire for one full-state flat payload."""
-    return int(layout.n_params) * layout.wire_dtype.itemsize
 
 
 def encode_flat_payload(vector: np.ndarray, layout: "StateLayout") -> bytes:

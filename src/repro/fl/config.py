@@ -20,13 +20,10 @@ class TrainConfig:
         paper's "few local iterations").
     batch_size:
         Minibatch size; clients with fewer samples use one batch.
-    lr, momentum, weight_decay:
+    lr, momentum:
         Local SGD hyper-parameters.  Momentum buffers are reset every
         round (standard in FedAvg-style simulation: momentum is local
         state that does not survive aggregation).
-    max_batches:
-        Optional per-epoch batch cap, used by quick-scale benches to
-        bound round time on very unbalanced Dirichlet splits.
     max_steps:
         Optional cap on the *total* optimisation steps across all local
         epochs.  FedClust's clustering round uses this to give every
@@ -41,8 +38,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.05
     momentum: float = 0.9
-    weight_decay: float = 0.0
-    max_batches: int | None = None
     max_steps: int | None = None
     eval_batch_size: int = 512
 
@@ -51,9 +46,6 @@ class TrainConfig:
         check_positive("batch_size", self.batch_size)
         check_positive("lr", self.lr)
         check_non_negative("momentum", self.momentum)
-        check_non_negative("weight_decay", self.weight_decay)
         check_positive("eval_batch_size", self.eval_batch_size)
-        if self.max_batches is not None:
-            check_positive("max_batches", self.max_batches)
         if self.max_steps is not None:
             check_positive("max_steps", self.max_steps)

@@ -133,13 +133,6 @@ class RunHistory:
         rejects)."""
         return np.array([r.n_quarantined for r in self.records], dtype=np.int64)
 
-    def rounds_to_accuracy(self, target: float) -> int | None:
-        """First 1-based round reaching ``target`` accuracy, or ``None``."""
-        for record in self.records:
-            if record.mean_local_accuracy >= target:
-                return record.round_index
-        return None
-
     def to_dict(self) -> dict:
         """JSON-ready summary (used by the experiment drivers)."""
         return {

@@ -420,10 +420,7 @@ class BatchedClientExecutor:
     fallback honestly.
     """
 
-    def __init__(self, n_workers: int | None = None) -> None:
-        # n_workers accepted for factory symmetry; lockstep batching is
-        # single-process by construction.
-        self.n_workers = n_workers
+    def __init__(self) -> None:
         #: ("batched", n_tasks) / ("serial", n_tasks) counts of the most
         #: recent run — the conv-fallback visibility hook.
         self.last_dispatch: dict[str, int] = {}
@@ -481,9 +478,12 @@ _EXECUTORS = {
 
 
 def make_executor(kind: str, n_workers: int | None = None):
-    """Factory: ``"serial"``, ``"process"`` or ``"batched"``."""
+    """Factory: ``"serial"``, ``"process"`` or ``"batched"``.
+
+    ``n_workers`` sizes the process pool; the other kinds take none.
+    """
     if kind not in _EXECUTORS:
         raise ValueError(f"unknown executor {kind!r}; options: {sorted(_EXECUTORS)}")
-    if kind == "serial":
-        return SerialClientExecutor()
-    return _EXECUTORS[kind](n_workers)
+    if kind == "process":
+        return ProcessClientExecutor(n_workers)
+    return _EXECUTORS[kind]()

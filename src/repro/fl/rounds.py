@@ -1190,6 +1190,8 @@ class RoundEngine:
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+        if eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         last_round = first_round + n_rounds - 1
         if last_round >= RETRY_EPOCH_STRIDE:
             raise ValueError(

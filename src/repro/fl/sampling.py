@@ -6,13 +6,7 @@ import numpy as np
 
 from repro.utils.validation import check_fraction, check_positive
 
-__all__ = ["full_participation", "uniform_sample", "sample_from"]
-
-
-def full_participation(n_clients: int) -> np.ndarray:
-    """Every client participates (the default at paper scale)."""
-    check_positive("n_clients", n_clients)
-    return np.arange(n_clients)
+__all__ = ["uniform_sample", "sample_from"]
 
 
 def uniform_sample(

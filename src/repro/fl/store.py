@@ -1,4 +1,4 @@
-"""Population-scale client state: wire-dtype stores + tiered aggregation.
+"""Population-scale client state: wire-dtype stores.
 
 Every per-client-state subsystem before this module materialised the
 full ``(n_clients, n_params)`` float64 plane, which caps the
@@ -24,15 +24,6 @@ for *any* float64 input row — exactly what a model holds after loading
 that row (``unpack_state(row)`` repacked).  DenseStore and
 ShardedStore therefore agree bit-for-bit with each other and with every
 pre-store seed pin, including rows corrupted by float64 noise.
-
-On top of the store sits **tiered (hierarchical) aggregation**
-(:func:`tiered_weighted_average`): edge aggregators reduce contiguous
-survivor slices with the same single-GEMV kernel as
-:func:`repro.fl.aggregation.packed_weighted_average`, and the root
-folds the partial sums in ascending edge order — controlled
-associativity, so a single edge (``edge_size`` >= cohort, or the
-default ``edge_size=0``) is *bit-identical* to the flat GEMV and the
-seeded pin suite is untouched in the default configuration.
 """
 
 from __future__ import annotations
@@ -43,7 +34,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import _normalized_weights
 from repro.nn.state_flat import StateLayout
 
 __all__ = [
@@ -53,7 +43,6 @@ __all__ = [
     "DenseStore",
     "ShardedStore",
     "make_store",
-    "tiered_weighted_average",
 ]
 
 #: Store kinds accepted by :class:`StoreConfig` and the CLI ``--store``.
@@ -73,10 +62,6 @@ class StoreConfig:
         ``shard_size`` clients each, so memory is O(touched clients).
     shard_size:
         Clients per shard (sharded kind only).
-    edge_size:
-        Survivors per edge aggregator in tiered aggregation; ``0``
-        (default) disables tiering and keeps the single-GEMV flat path,
-        which the seeded bit-identity pins run on.
     path:
         Optional directory for memory-mapped shards (sharded kind
         only); ``None`` keeps shards in anonymous memory.
@@ -84,7 +69,6 @@ class StoreConfig:
 
     kind: str = "dense"
     shard_size: int = 256
-    edge_size: int = 0
     path: str | None = None
 
     def __post_init__(self) -> None:
@@ -94,8 +78,6 @@ class StoreConfig:
             )
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
-        if self.edge_size < 0:
-            raise ValueError(f"edge_size must be >= 0, got {self.edge_size}")
         if self.path is not None and self.kind != "sharded":
             raise ValueError("path is only meaningful for the sharded store")
 
@@ -405,34 +387,3 @@ def make_store(
         shard_size=config.shard_size,
         path=config.path,
     )
-
-
-def tiered_weighted_average(
-    matrix: np.ndarray,
-    weights: Sequence[float],
-    edge_size: int,
-) -> np.ndarray:
-    """Hierarchical FedAvg: edge GEMVs + a root fold, controlled order.
-
-    Survivors are split into contiguous edges of ``edge_size`` rows;
-    each edge reduces its slice with the same GEMV kernel as
-    :func:`repro.fl.aggregation.packed_weighted_average` (weights
-    normalised *globally*, so the partials are already scaled), and the
-    root folds the partial sums in ascending edge order.  With a single
-    edge (``edge_size <= 0`` or ``edge_size >= n``) the result is
-    bit-identical to ``packed_weighted_average(matrix, weights)``:
-    one GEMV over the whole cohort, no fold.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"packed cohort must be (n, p), got {matrix.shape}")
-    n = matrix.shape[0]
-    w = _normalized_weights(weights, n)
-    if edge_size <= 0 or n <= edge_size:
-        return w @ matrix
-    total = None
-    for lo in range(0, n, edge_size):
-        hi = min(lo + edge_size, n)
-        partial = w[lo:hi] @ matrix[lo:hi]
-        total = partial if total is None else total + partial
-    return total

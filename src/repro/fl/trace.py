@@ -80,11 +80,6 @@ class AvailabilityTrace:
         """Client ids the trace constrains (unlisted ids are always on)."""
         return frozenset(self._rounds)
 
-    @property
-    def max_round(self) -> int:
-        """Largest round mentioned anywhere in the trace (0 if none)."""
-        return max((max(s) for s in self._rounds.values() if s), default=0)
-
     def rounds_for(self, client_id: int) -> frozenset[int] | None:
         """The client's available-round set, or ``None`` if unlisted."""
         return self._rounds.get(int(client_id))
@@ -181,7 +176,4 @@ class AvailabilityTrace:
         return hash(frozenset(self._rounds.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AvailabilityTrace({len(self._rounds)} listed clients, "
-            f"max_round={self.max_round})"
-        )
+        return f"AvailabilityTrace({len(self._rounds)} listed clients)"

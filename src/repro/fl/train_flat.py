@@ -112,9 +112,8 @@ def plan_cohort_schedule(
     per-client batch in the cohort (``min(cfg.batch_size, n_c)`` per
     client, exactly the serial trainer's effective batch size).  Epoch
     permutations are drawn per client from ``rngs`` in the same order
-    the serial path draws them, and ``max_batches``/``max_steps`` caps
-    are applied per client with serial semantics (per-epoch cap; total
-    cap checked before each step).
+    the serial path draws them, and the ``max_steps`` cap is applied per
+    client with serial semantics (checked before each step).
 
     ``max_steps`` optionally tightens the total-step cap **per client**
     (``None`` entries fall back to ``cfg.max_steps``) — the scenario
@@ -148,9 +147,7 @@ def plan_cohort_schedule(
         done = False
         for _ in range(cfg.local_epochs):
             order = rng.permutation(int(n))
-            for batch_index, start in enumerate(range(0, int(n), b)):
-                if cfg.max_batches is not None and batch_index >= cfg.max_batches:
-                    break
+            for start in range(0, int(n), b):
                 if cap is not None and taken >= cap:
                     done = True
                     break
@@ -341,15 +338,9 @@ def train_cohort_flat(
             lr=cfg.lr,
             mu=prox_mu,
             momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
         )
     else:
-        optimizer = BatchedSGD(
-            params,
-            lr=cfg.lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-        )
+        optimizer = BatchedSGD(params, lr=cfg.lr, momentum=cfg.momentum)
     loss_fn = BatchedCrossEntropyLoss()
 
     labels = np.zeros((n_clients, batch_width), dtype=np.int64)

@@ -20,16 +20,16 @@ Two weight representations coexist behind one interface:
 * **Factored** (:class:`FactoredParam`) — for the first parameterised
   layer only, whose input is the raw sample.  Every SGD update it gets
   lies in the span of the samples its client visits this round, so
-  each client's weight is ``a·W0 + Gᵀ X``: the shared broadcast base
+  each client's weight is ``W0 + Gᵀ X``: the shared broadcast base
   plus one coefficient row per distinct scheduled sample.  ``X W0ᵀ``
   and the Gram matrix ``X Xᵀ`` are computed once per round, a step's
-  forward gathers their rows, SGD/momentum/weight-decay/proximal
-  become recurrences on ``G`` and the scalar ``a``, and the dense
-  per-client weights are materialised **once** at round end.  A sample
-  seen in several local epochs costs one row, not one per visit, so the
-  representation pays while the mean number of distinct samples per
-  client stays below the layer's smallest dimension — exactly the
-  few-samples-many-epochs regime of federated simulation.
+  forward gathers their rows, SGD/momentum/proximal become
+  recurrences on ``G``, and the dense per-client weights are
+  materialised **once** at round end.  A sample seen in several local
+  epochs costs one row, not one per visit, so the representation pays
+  while the mean number of distinct samples per client stays below the
+  layer's smallest dimension — exactly the few-samples-many-epochs
+  regime of federated simulation.
 
 Both representations produce the same numbers as the serial trainer up
 to float summation order (gated by the parity suite in
@@ -105,7 +105,7 @@ class CohortParam:
 
 
 class FactoredParam:
-    """Sample-keyed first-layer weight: ``W[c] = a[c]·W0 + G[c]ᵀ X[c]``.
+    """Sample-keyed first-layer weight: ``W[c] = W0 + G[c]ᵀ X[c]``.
 
     ``base`` ``W0`` is the shared broadcast weight ``(out, in)``.
     ``samples`` ``X`` is ``(C, N, in)``: client ``c``'s distinct scheduled
@@ -113,15 +113,13 @@ class FactoredParam:
     the last row is zero for every client — a step's padding slots
     (``-1``) point at it.  ``coef`` ``G`` ``(C, N, out)`` holds one
     coefficient row per sample, which the optimiser steps in place of
-    any dense weight; ``base_coef`` ``a`` starts at 1 and moves only
-    under weight decay or the proximal pull.  ``Z0 = X W0ᵀ`` and the
-    Gram matrix ``K = X Xᵀ`` are computed on the round's first forward.
+    any dense weight.  ``Z0 = X W0ᵀ`` and the Gram matrix ``K = X Xᵀ``
+    are computed on the round's first forward.
     """
 
     __slots__ = (
         "key",
         "base",
-        "base_coef",
         "samples",
         "counts",
         "coef",
@@ -141,7 +139,6 @@ class FactoredParam:
         self.samples = np.zeros((len(samples), rows, in_f), dtype=self.base.dtype)
         for x, s in zip(self.samples, samples):
             x[: len(s)] = s
-        self.base_coef = np.ones(len(samples), dtype=np.float64)
         self.coef = np.zeros((len(samples), rows, out_f), dtype=self.base.dtype)
         self.z0: np.ndarray | None = None
         self.gram: np.ndarray | None = None
@@ -151,7 +148,7 @@ class FactoredParam:
     def forward(self, slots: np.ndarray) -> np.ndarray:
         """``x @ W[c].T`` for the step whose inputs are ``X[c][slots[c]]``.
 
-        ``a·Z0[slots] + K[slots] @ G``: no sample gather and no GEMM
+        ``Z0[slots] + K[slots] @ G``: no sample gather and no GEMM
         against ``W0`` after the first call.
         """
         if self.z0 is None:
@@ -164,8 +161,6 @@ class FactoredParam:
                 k[:n, :n] = np.dot(x[:n], x[:n].T)
         ci = np.arange(slots.shape[0])[:, None]
         out = self.z0[ci, slots]
-        if not np.all(self.base_coef == 1.0):
-            out *= self.base_coef[:, None, None].astype(out.dtype)
         out += np.matmul(self.gram[ci, slots], self.coef)
         return out
 
@@ -180,19 +175,12 @@ class FactoredParam:
         """
         base_flat = self.base.reshape(-1)
         scratch = np.empty(self.base.shape, dtype=self.base.dtype)
-        base_scaled = np.empty_like(base_flat)
         for i, n in enumerate(self.counts):
-            base_i = base_flat
-            if self.base_coef[i] != 1.0:
-                base_i = np.multiply(
-                    base_flat, self.base.dtype.type(self.base_coef[i]),
-                    out=base_scaled,
-                )
             if n == 0:
-                out[i] = base_i
+                out[i] = base_flat
                 continue
             np.matmul(self.coef[i, :n].T, self.samples[i, :n], out=scratch)
-            np.add(scratch.reshape(-1), base_i, out=out[i])
+            np.add(scratch.reshape(-1), base_flat, out=out[i])
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +372,7 @@ class BatchedSequential:
 class BatchedSGD:
     """Cohort SGD stepping on dense planes and factored coefficients.
 
-    Matches :class:`repro.nn.optim.SGD` semantics per client (weight
-    decay folded into the gradient before the momentum update), with a
+    Matches :class:`repro.nn.optim.SGD` semantics per client, with a
     per-step ``active`` mask so clients whose local schedule has no
     batch at this lockstep position are untouched — their velocity does
     not decay and their weights do not move, exactly as if the step
@@ -400,21 +387,17 @@ class BatchedSGD:
         params: Sequence,
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if momentum < 0 or weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be >= 0")
+        if momentum < 0:
+            raise ValueError(f"momentum must be >= 0, got {momentum}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         # Velocity per param: dense planes, and a factored weight's
         # sample coefficients (``H``, shaped like ``G``).
         self._velocity: dict[int, np.ndarray] = {}
-        # Factored velocity of the base coefficient ``a``.
-        self._f_base: dict[int, np.ndarray] = {}
 
     # -- dense -----------------------------------------------------------
     def _step_dense(self, p: CohortParam, rows) -> None:
@@ -426,12 +409,10 @@ class BatchedSGD:
             # Step-budget / ragged-tail masks: restrict every term to the
             # active rows up front.  Under per-client compute budgets most
             # of a cohort can be frozen for most of the schedule, and the
-            # full-plane weight-decay/proximal arithmetic would dominate
-            # the step; the selected-row ops are elementwise-identical.
+            # full-plane proximal arithmetic would dominate the step; the
+            # selected-row ops are elementwise-identical.
             g = g[rows]
             sel = data[rows]
-            if self.weight_decay:
-                g = g + self.weight_decay * sel
             if self.mu and p.anchor is not None:
                 g = g + self.mu * (sel - p.anchor)
             if self.momentum > 0:
@@ -444,8 +425,6 @@ class BatchedSGD:
             else:
                 data[rows] = sel - self.lr * g
             return
-        if self.weight_decay:
-            g = g + self.weight_decay * data
         if self.mu and p.anchor is not None:
             g = g + self.mu * (data - p.anchor)
         if self.momentum > 0:
@@ -465,31 +444,24 @@ class BatchedSGD:
             raise RuntimeError(f"no pending gradient for {p.key!r}")
         slots, go = p.pending
         p.pending = None
-        m, wd, mu, lr = self.momentum, self.weight_decay, self.mu, self.lr
-        vb = self._f_base.get(id(p))
-        if vb is None:
-            vb = np.zeros_like(p.base_coef)
-            self._f_base[id(p)] = vb
         h = self._velocity.get(id(p))
         if h is None:
             h = np.zeros_like(p.coef)
             self._velocity[id(p)] = h
-        a, g = p.base_coef, p.coef
+        g = p.coef
         if rows is None:
-            sel, ci = slice(None), np.arange(a.shape[0])[:, None]
+            sel, ci = slice(None), np.arange(g.shape[0])[:, None]
         else:
             sel, ci, slots, go = rows, rows[:, None], slots[rows], go[rows]
-        # v = m·v + g_eff with g_eff = (go-scatter)ᵀX + wd·W + mu·(W − W0)
-        # and W = a·W0 + GᵀX, split into its W0 and sample components.
-        vb[sel] = m * vb[sel] + wd * a[sel] + mu * (a[sel] - 1.0)
-        a[sel] -= lr * vb[sel]
-        h[sel] *= m
-        if wd + mu:
-            h[sel] += (wd + mu) * g[sel]
+        # v = m·v + g_eff with g_eff = (go-scatter)ᵀX + mu·(W − W0) and
+        # W − W0 = GᵀX: the whole recurrence lives on the coefficients.
+        h[sel] *= self.momentum
+        if self.mu:
+            h[sel] += self.mu * g[sel]
         # A client's real slots are distinct within a batch; its padding
         # slots all name the zero row and carry zero gradient rows.
         h[ci, slots] += go
-        g[sel] -= lr * h[sel]
+        g[sel] -= self.lr * h[sel]
 
     def step(self, active: np.ndarray | None = None) -> None:
         """Apply one lockstep SGD step to the clients in ``active``."""
@@ -509,8 +481,8 @@ class BatchedProximalSGD(BatchedSGD):
     """Cohort FedProx step: adds ``mu·(w − w_broadcast)`` per client.
 
     The anchor is the shared broadcast state the cohort started from —
-    for factored weights that is the base itself (the ``mu·(a−1)`` term
-    of the coefficient recurrence), for dense params the initial value
+    for factored weights that is the base itself (so the pull acts on
+    the coefficients alone), for dense params the initial value
     recorded at build time.  Values match
     :meth:`repro.nn.optim.ProximalSGD.set_anchor_flat` exactly.
     """
@@ -521,9 +493,8 @@ class BatchedProximalSGD(BatchedSGD):
         lr: float,
         mu: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
+        super().__init__(params, lr, momentum=momentum)
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         self.mu = mu
@@ -689,7 +660,7 @@ def flush_cohort(
     """Write every client's final state into ``out`` ``(C, n_params)`` float64.
 
     Dense params copy their plane views (one cast); a factored weight
-    materialises ``a·W0 + Gᵀ X`` directly into its column slice — the
+    materialises ``W0 + Gᵀ X`` directly into its column slice — the
     deferred equivalent of every per-step weight update the serial
     trainer applied, and the only time the cohort's dense per-client
     weights exist at all.

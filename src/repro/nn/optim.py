@@ -18,18 +18,13 @@ __all__ = ["SGD", "ProximalSGD"]
 
 
 class SGD:
-    """Stochastic gradient descent with momentum and weight decay.
-
-    Matches the reference semantics: weight decay is added to the gradient
-    before the momentum update.
-    """
+    """Stochastic gradient descent with momentum."""
 
     def __init__(
         self,
         params: Sequence[Parameter],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
         params = list(params)
         if not params:
@@ -38,30 +33,21 @@ class SGD:
             raise ValueError(f"lr must be positive, got {lr}")
         if momentum < 0:
             raise ValueError(f"momentum must be >= 0, got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: list[np.ndarray] | None = (
             [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
         )
 
-    def _effective_grad(self, p: Parameter) -> np.ndarray:
-        if self.weight_decay:
-            return p.grad + self.weight_decay * p.data
-        return p.grad
-
     def step(self) -> None:
         if self._velocity is None:
             for p in self.params:
-                p.data -= self.lr * self._effective_grad(p)
+                p.data -= self.lr * p.grad
             return
         for p, v in zip(self.params, self._velocity):
-            g = self._effective_grad(p)
             v *= self.momentum
-            v += g
+            v += p.grad
             p.data -= self.lr * v
 
 
@@ -79,9 +65,8 @@ class ProximalSGD(SGD):
         lr: float,
         mu: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
+        super().__init__(params, lr, momentum=momentum)
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         self.mu = mu
@@ -123,8 +108,6 @@ class ProximalSGD(SGD):
             anchors = self._anchor or [None] * len(self.params)
             for p, a in zip(self.params, anchors):
                 g = p.grad
-                if self.weight_decay:
-                    g = g + self.weight_decay * p.data
                 if self.mu and a is not None:
                     g = g + self.mu * (p.data - a)
                 p.data -= self.lr * g
@@ -132,8 +115,6 @@ class ProximalSGD(SGD):
         anchors = self._anchor or [None] * len(self.params)
         for p, v, a in zip(self.params, self._velocity, anchors):
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             if self.mu and a is not None:
                 g = g + self.mu * (p.data - a)
             v *= self.momentum

@@ -2,13 +2,7 @@
 
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.serialization import (
-    load_arrays,
-    load_json,
-    save_arrays,
-    save_json,
-    to_jsonable,
-)
+from repro.utils.serialization import load_json, save_json, to_jsonable
 from repro.utils.tables import Table, format_mean_std, render_matrix
 
 __all__ = [
@@ -16,9 +10,7 @@ __all__ = [
     "get_logger",
     "make_rng",
     "spawn_rngs",
-    "load_arrays",
     "load_json",
-    "save_arrays",
     "save_json",
     "to_jsonable",
     "Table",

@@ -1,9 +1,8 @@
 """Result persistence.
 
-Experiments persist their outputs as a JSON document (configuration +
-scalar metrics) next to an optional ``.npz`` holding arrays (learning
-curves, distance matrices).  Keeping the two formats separate makes the
-JSON diff-able and the arrays loss-less.
+Experiments persist their outputs as a diff-able JSON document
+(configuration + metrics); :func:`to_jsonable` turns numpy values and
+dataclasses into JSON types on the way.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["to_jsonable", "save_json", "load_json", "save_arrays", "load_arrays"]
+__all__ = ["to_jsonable", "save_json", "load_json"]
 
 
 def to_jsonable(value: Any) -> Any:
@@ -53,17 +52,3 @@ def save_json(path: str | os.PathLike[str], payload: Any, indent: int = 2) -> Pa
 def load_json(path: str | os.PathLike[str]) -> Any:
     """Load a JSON document saved by :func:`save_json`."""
     return json.loads(Path(path).read_text())
-
-
-def save_arrays(path: str | os.PathLike[str], **arrays: np.ndarray) -> Path:
-    """Save named arrays to a compressed ``.npz`` at ``path``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(target, **arrays)
-    return target
-
-
-def load_arrays(path: str | os.PathLike[str]) -> dict[str, np.ndarray]:
-    """Load the arrays saved by :func:`save_arrays` as a plain dict."""
-    with np.load(Path(path)) as data:
-        return {name: data[name] for name in data.files}

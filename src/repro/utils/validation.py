@@ -18,7 +18,6 @@ __all__ = [
     "check_in",
     "check_array",
     "check_square_matrix",
-    "check_probability_vector",
 ]
 
 
@@ -78,15 +77,4 @@ def check_square_matrix(name: str, value: np.ndarray) -> np.ndarray:
     arr = check_array(name, value, ndim=2)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
-def check_probability_vector(name: str, value: np.ndarray, atol: float = 1e-8) -> np.ndarray:
-    """Require a non-negative vector summing to 1 (within ``atol``)."""
-    arr = check_array(name, value, ndim=1)
-    if np.any(arr < -atol):
-        raise ValueError(f"{name} must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"{name} must sum to 1, sums to {total}")
     return arr

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.data.federation import Federation, build_federation
-from repro.fl.config import TrainConfig
-from repro.fl.simulation import FederatedEnv
+# One BLAS thread, set before NumPy loads (as ``benchmarks/suite/run.py``
+# does): OpenBLAS splits large GEMMs across its threads, which reorders
+# their float sums, so the seeded pins hold only at a fixed thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.data.federation import Federation, build_federation  # noqa: E402
+from repro.fl.config import TrainConfig  # noqa: E402
+from repro.fl.simulation import FederatedEnv  # noqa: E402
 
 
 @pytest.fixture

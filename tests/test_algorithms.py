@@ -67,8 +67,6 @@ class TestConstructionValidation:
     def test_cfl_params(self):
         with pytest.raises(ValueError):
             CFL(eps1=0.0)
-        with pytest.raises(ValueError):
-            CFL(norm_mode="weird")
 
     def test_ifca_params(self):
         with pytest.raises(ValueError):
@@ -76,9 +74,7 @@ class TestConstructionValidation:
 
     def test_pacfl_params(self):
         with pytest.raises(ValueError):
-            PACFL(cut="k")  # needs n_clusters
-        with pytest.raises(ValueError):
-            PACFL(cut="distance")  # needs threshold
+            PACFL(n_components=0)
 
 
 class TestCFLMechanics:

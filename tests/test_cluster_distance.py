@@ -10,7 +10,6 @@ from repro.cluster.distance import (
     condensed_from_square,
     pairwise_cosine_distance,
     pairwise_cosine_similarity,
-    pairwise_distances,
     pairwise_euclidean,
     pairwise_sqeuclidean,
     square_from_condensed,
@@ -59,14 +58,6 @@ class TestInvariants:
     def test_cosine_bounded(self, rng):
         sim = pairwise_cosine_similarity(rng.standard_normal((10, 3)))
         assert (sim <= 1.0).all() and (sim >= -1.0).all()
-
-    def test_dispatch(self, rng):
-        x = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(
-            pairwise_distances(x, "euclidean"), pairwise_euclidean(x)
-        )
-        with pytest.raises(ValueError, match="unknown metric"):
-            pairwise_distances(x, "manhattan")
 
 
 class TestCondensed:

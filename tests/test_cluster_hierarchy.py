@@ -14,7 +14,6 @@ from repro.cluster.hierarchy import (
     auto_cut_gap,
     canonical_labels,
     cophenetic_matrix,
-    cut_by_distance,
     cut_by_k,
     linkage,
     merge_heights,
@@ -74,18 +73,6 @@ class TestCuts:
             cut_by_k(z, 0)
         with pytest.raises(ValueError, match="k must be"):
             cut_by_k(z, 5)
-
-    def test_cut_by_distance(self, rng):
-        points, truth = _planted(rng, [(0, 0), (10, 10)])
-        d = pairwise_euclidean(points)
-        z = linkage(d, "average")
-        labels = cut_by_distance(z, 5.0)
-        assert adjusted_rand_index(truth, labels) == pytest.approx(1.0)
-
-    def test_cut_by_distance_zero_gives_singletons(self, rng):
-        d = pairwise_euclidean(rng.standard_normal((5, 2)))
-        labels = cut_by_distance(linkage(d, "single"), -1.0)
-        assert len(np.unique(labels)) == 5
 
 
 class TestAutoGap:

@@ -29,21 +29,23 @@ class TestConfig:
         assert cfg.linkage_method == "average"
         assert cfg.cut == "auto"
 
-    def test_k_requires_n_clusters(self):
-        with pytest.raises(ValueError, match="n_clusters"):
-            ClusteringConfig(cut="k")
-
-    def test_distance_requires_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            ClusteringConfig(cut="distance")
-
     def test_bad_linkage(self):
         with pytest.raises(ValueError, match="linkage"):
             ClusteringConfig(linkage_method="centroid")
 
     def test_bad_cut(self):
-        with pytest.raises(ValueError, match="cut"):
-            ClusteringConfig(cut="elbow")
+        for cut in ("elbow", "k", "distance"):
+            with pytest.raises(ValueError, match="cut"):
+                ClusteringConfig(cut=cut)
+
+    @pytest.mark.parametrize("cut", ["auto", "silhouette"])
+    @pytest.mark.parametrize("max_clusters", [0, -2])
+    def test_max_clusters_below_one_is_rejected_when_built(self, cut, max_clusters):
+        """Unchecked, the silhouette cut read 0 as "no cap" and -2 as one
+        cluster, and the auto cut raised only once a cut ran (for
+        FedClust, after every client's warm-up)."""
+        with pytest.raises(ValueError, match="max_clusters must be >= 1"):
+            ClusteringConfig(cut=cut, max_clusters=max_clusters)
 
 
 class TestCuts:
@@ -56,16 +58,6 @@ class TestCuts:
     def test_silhouette_recovers_planted(self, rng):
         d, truth = _blocks(rng, [6, 4, 5])
         result = cluster_clients(d, ClusteringConfig(cut="silhouette"))
-        assert adjusted_rand_index(truth, result.labels) == 1.0
-
-    def test_fixed_k(self, rng):
-        d, _ = _blocks(rng, [5, 5])
-        result = cluster_clients(d, ClusteringConfig(cut="k", n_clusters=4))
-        assert result.n_clusters == 4
-
-    def test_distance_threshold(self, rng):
-        d, truth = _blocks(rng, [5, 5], gap=50.0)
-        result = cluster_clients(d, ClusteringConfig(cut="distance", threshold=10.0))
         assert adjusted_rand_index(truth, result.labels) == 1.0
 
     def test_max_clusters_bound(self, rng):

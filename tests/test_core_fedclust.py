@@ -54,9 +54,9 @@ class TestSelection:
 class TestConfig:
     def test_warmup_cfg_overrides(self):
         base = TrainConfig(local_epochs=3, lr=0.1, momentum=0.9)
-        cfg = FedClustConfig(warmup_epochs=2, warmup_lr=0.01, warmup_momentum=0.0)
+        cfg = FedClustConfig(warmup_lr=0.01, warmup_momentum=0.0)
         warm = cfg.warmup_train_cfg(base)
-        assert warm.local_epochs == 2
+        assert warm.local_epochs == 3
         assert warm.lr == 0.01
         assert warm.momentum == 0.0
 
@@ -73,9 +73,9 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FedClustConfig(metric="manhattan")
+            FedClustConfig(warmup_lr=0.0)
         with pytest.raises(ValueError):
-            FedClustConfig(warmup_epochs=0)
+            FedClustConfig(warmup_steps=0)
         with pytest.raises(ValueError):
             FedClustConfig(warmup_momentum=-0.1)
 

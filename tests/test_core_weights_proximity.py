@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from repro.core.proximity import proximity_matrix
 from repro.core.weights import (
     final_layer_keys,
-    final_layer_matrix,
     layer_index_keys,
     layer_keys,
     weight_matrix,
@@ -55,11 +55,6 @@ class TestWeightMatrix:
         # Row 1 differs from row 0 by exactly the bias bump.
         assert np.abs(w[1] - w[0]).sum() == pytest.approx(10.0, rel=1e-5)
 
-    def test_final_layer_matrix_helper(self, model):
-        states = [model.state_dict()] * 2
-        w = final_layer_matrix(model, states)
-        assert w.shape == (2, 850)
-
     def test_empty_states_raise(self, model):
         with pytest.raises(ValueError, match="at least one"):
             weight_matrix([], final_layer_keys(model))
@@ -83,10 +78,12 @@ class TestProximity:
         between = result.matrix[:3, 3:]
         assert between.min() > within.max()
 
-    def test_metric_dispatch(self, rng):
-        w = rng.standard_normal((4, 5))
-        for metric in ("euclidean", "sqeuclidean", "cosine"):
-            assert proximity_matrix(w, metric).metric == metric
+    def test_is_euclidean(self, rng):
+        """The paper's proximity: Euclidean distance between uploads."""
+        w = rng.standard_normal((5, 7))
+        np.testing.assert_allclose(
+            proximity_matrix(w).matrix, cdist(w, w), rtol=1e-8, atol=1e-10
+        )
 
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="at least 2"):

@@ -82,7 +82,3 @@ class TestOperations:
     def test_split_fraction_validation(self, rng):
         with pytest.raises(ValueError, match="test_fraction"):
             _dataset().split(0.0, rng)
-
-    def test_class_counts(self):
-        ds = ArrayDataset(np.zeros((4, 1, 1, 1)), np.array([0, 0, 2, 1]), 3)
-        np.testing.assert_array_equal(ds.class_counts(), [2, 1, 1])

@@ -56,7 +56,7 @@ def tiny_config(**overrides) -> AblationConfig:
         ),
         model_name="mlp",
         model_kwargs={"hidden": [16]},
-        train=dict(local_epochs=1, batch_size=32, lr=0.05, max_batches=2),
+        train=dict(local_epochs=1, batch_size=32, lr=0.05, max_steps=2),
         n_rounds=1,
         algorithms=("fedavg",),
         seeds=(0,),

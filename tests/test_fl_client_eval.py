@@ -56,11 +56,6 @@ class TestLocalTrain:
         _, n = local_train(model, tiny_dataset, cfg, np.random.default_rng(0))
         assert n == 5
 
-    def test_max_batches_cap(self, model, tiny_dataset):
-        cfg = TrainConfig(local_epochs=2, batch_size=10, max_batches=3)
-        _, n = local_train(model, tiny_dataset, cfg, np.random.default_rng(0))
-        assert n == 6  # 3 per epoch × 2
-
     def test_batch_size_shrinks_to_dataset(self, model, tiny_dataset):
         small = tiny_dataset.subset(np.arange(5))
         cfg = TrainConfig(local_epochs=1, batch_size=512)

@@ -2,25 +2,15 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import numpy as np
 import pytest
 
 from repro.fl.communication import (
     BYTES_PER_PARAM,
     CommunicationTracker,
-    params_in_keys,
-    params_in_state,
 )
 
 
 class TestCounting:
-    def test_params_in_state(self):
-        state = OrderedDict([("a", np.zeros((2, 3))), ("b", np.zeros(5))])
-        assert params_in_state(state) == 11
-        assert params_in_keys(state, ["b"]) == 5
-
     def test_totals(self):
         tracker = CommunicationTracker()
         tracker.record_download(100)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.history import RoundRecord, RunHistory
-from repro.fl.sampling import full_participation, sample_from, uniform_sample
+from repro.fl.sampling import sample_from, uniform_sample
 
 
 def _record(i, acc=0.5, up=100, down=100):
@@ -43,13 +43,6 @@ class TestRunHistory:
         history = RunHistory("fedavg", "fmnist_like", 0)
         assert np.isnan(history.final_accuracy)
 
-    def test_rounds_to_accuracy(self):
-        history = RunHistory("x", "y", 0)
-        for i, acc in enumerate([0.3, 0.5, 0.9], start=1):
-            history.append(_record(i, acc=acc))
-        assert history.rounds_to_accuracy(0.5) == 2
-        assert history.rounds_to_accuracy(0.95) is None
-
     def test_to_dict_jsonable(self):
         from repro.utils.serialization import to_jsonable
 
@@ -60,9 +53,6 @@ class TestRunHistory:
 
 
 class TestSampling:
-    def test_full_participation(self):
-        np.testing.assert_array_equal(full_participation(5), np.arange(5))
-
     def test_uniform_sample_size(self, rng):
         picked = uniform_sample(10, 0.3, rng)
         assert len(picked) == 3

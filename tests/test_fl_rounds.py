@@ -49,7 +49,7 @@ from repro.fl.rounds import (
 )
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
-from repro.fl.history import RoundRecord, RunHistory
+from repro.fl.history import RunHistory
 from repro.fl.trace import AvailabilityTrace
 from repro.utils.rng import RETRY_EPOCH_STRIDE
 
@@ -1123,10 +1123,10 @@ class TestCFLMultiSplit:
         records = result.history.records
         assert [r.n_clusters for r in records] == [1, 2, 4, 4]
         assert [r.mean_train_loss for r in records] == [
-            1.4932898055873616,
-            0.38227572544807725,
-            0.3434708550242315,
-            0.017352074248871453,
+            1.493289789754878,
+            0.3822757340967655,
+            0.3434708377365562,
+            0.017352073676496126,
         ]
         assert [r.mean_local_accuracy for r in records] == [
             0.6693627450980393, 0.5989123774509805, 1.0, 1.0
@@ -1145,13 +1145,13 @@ class TestCFLMultiSplit:
         records = result.history.records
         assert [r.n_clusters for r in records] == [1, 2, 2, 4, 4, 5, 5]
         assert [r.mean_train_loss for r in records] == [
-            1.5908930063681812,
-            0.9004391320496021,
-            0.5231532623662487,
-            0.40354885254964756,
-            0.1545932396930434,
-            0.13098568672445066,
-            0.015474225195551602,
+            1.5908929909237486,
+            0.9004391304767019,
+            0.5231532788842893,
+            0.40354888325224847,
+            0.15459324145220826,
+            0.13098567363973806,
+            0.015474225030629896,
         ]
         assert [r.mean_local_accuracy for r in records] == [
             0.6219669117647059,
@@ -1248,26 +1248,20 @@ class TestEvalCadence:
         assert payload["evaluated_rounds"] == [3, 4]
         assert np.isfinite(payload["best_accuracy"])
 
-    def test_rounds_to_accuracy_is_nan_safe(self):
-        """NaN >= target is False, so unevaluated rounds can never be
-        reported as the round a target was reached."""
-        history = RunHistory("fedavg", "x", 0)
-        for i, (acc, evaluated) in enumerate(
-            [(float("nan"), False), (0.9, True)], start=1
-        ):
-            history.append(
-                RoundRecord(
-                    round_index=i,
-                    mean_train_loss=0.0,
-                    mean_local_accuracy=acc,
-                    n_participants=1,
-                    n_clusters=1,
-                    uploaded_params=0,
-                    downloaded_params=0,
-                    evaluated=evaluated,
-                )
-            )
-        assert history.rounds_to_accuracy(0.5) == 2
+    @pytest.mark.parametrize("eval_every", [0, -1])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedclust", "pacfl"])
+    def test_eval_every_below_one_fails_before_any_work(
+        self, env_factory, algorithm, eval_every
+    ):
+        """One case per entry point: ``RoundEngine.run`` (FedAvg) and the
+        clustering rounds FedClust and PACFL run before the engine.
+        Unchecked, 0 raised ZeroDivisionError after round 1 had trained
+        and uploaded, and -1 silently evaluated every round."""
+        env = env_factory(local_epochs=1)
+        with pytest.raises(ValueError, match="eval_every must be >= 1"):
+            make_algorithm(algorithm).run(env, n_rounds=3, eval_every=eval_every)
+        assert env.tracker.total_uploaded == 0
+        assert env.tracker.total_downloaded == 0
 
 
 # ----------------------------------------------------------------------
@@ -1277,9 +1271,7 @@ class TestStoreIntegration:
     """The store swap is a memory policy, never a numerics change.
 
     ``local_only`` is the only algorithm with O(population) state, so it
-    is where the sharded store must prove bit-identity; fedavg with a
-    single-edge tier pins the ``edge_size >= cohort`` fold to the flat
-    GEMV the Table-I numbers run on.
+    is where the sharded store must prove bit-identity.
     """
 
     _SHARDED = StoreConfig(kind="sharded", shard_size=3)
@@ -1355,37 +1347,6 @@ class TestStoreIntegration:
         assert [
             (r.round_index, r.mean_train_loss) for r in resumed.history.records
         ] == [(r.round_index, r.mean_train_loss) for r in ref.history.records]
-
-    def test_single_edge_tier_keeps_fedavg_pin(self, env_factory):
-        # edge_size >= cohort: one edge, one GEMV — bit-identical to the
-        # flat path, so the seeded pin must hold verbatim.
-        env = env_factory("serial", store=StoreConfig(edge_size=64))
-        result = make_algorithm("fedavg").run(env, n_rounds=3)
-        acc, loss, uploaded, downloaded = _PINS["fedavg"]
-        assert result.final_accuracy == acc
-        assert result.history.records[-1].mean_train_loss == loss
-        assert env.tracker.total_uploaded == uploaded
-        assert env.tracker.total_downloaded == downloaded
-
-    def test_multi_edge_tier_is_deterministic_and_close(self, env_factory):
-        def run(edge_size):
-            env = env_factory("serial", local_epochs=1, store=StoreConfig(
-                edge_size=edge_size))
-            return make_algorithm("fedavg").run(env, n_rounds=2)
-
-        flat = run(0)
-        tiered_a = run(3)
-        tiered_b = run(3)
-        # controlled associativity: same fold order, same bits
-        np.testing.assert_array_equal(
-            tiered_a.per_client_accuracy, tiered_b.per_client_accuracy
-        )
-        # vs the flat GEMV only the summation tree differs
-        np.testing.assert_allclose(
-            tiered_a.per_client_accuracy,
-            flat.per_client_accuracy,
-            atol=0.05,
-        )
 
 
 class TestRowLifetime:

@@ -113,8 +113,6 @@ def _natural_steps(n: int, cfg: TrainConfig) -> int:
     """Steps the serial trainer takes for a size-``n`` dataset."""
     b = min(cfg.batch_size, n)
     per_epoch = -(-n // b)  # ceil
-    if cfg.max_batches is not None:
-        per_epoch = min(per_epoch, cfg.max_batches)
     total = per_epoch * cfg.local_epochs
     if cfg.max_steps is not None:
         total = min(total, cfg.max_steps)

@@ -1,11 +1,10 @@
-"""Client-state stores: quantisation contract, sharding, tiered folds.
+"""Client-state stores: quantisation contract, sharding, checkpoints.
 
 The invariants under test are the ones the population-scale path rests
 on (see the ``repro.fl.store`` module docstring): a stored row reads
 back as exactly ``layout.round_trip(row)`` for any float64 input, dense
-and sharded stores are bit-interchangeable, checkpoints restore across
-kinds, and tiered aggregation with a single edge is bit-identical to
-the flat GEMV the seed pins run on.
+and sharded stores are bit-interchangeable, and checkpoints restore
+across kinds.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import packed_weighted_average
 from repro.fl.store import (
     DenseStore,
     ShardedStore,
     StoreConfig,
     make_store,
-    tiered_weighted_average,
 )
 from repro.nn.state_flat import StateLayout
 
@@ -79,16 +76,12 @@ class TestStoreConfig:
         with pytest.raises(ValueError, match="shard_size"):
             StoreConfig(kind="sharded", shard_size=0)
 
-    def test_rejects_negative_edge_size(self):
-        with pytest.raises(ValueError, match="edge_size"):
-            StoreConfig(edge_size=-1)
-
     def test_rejects_path_on_dense(self):
         with pytest.raises(ValueError, match="sharded"):
             StoreConfig(kind="dense", path="/tmp/x")
 
     def test_describe_round_trips(self):
-        cfg = StoreConfig(kind="sharded", shard_size=17, edge_size=4)
+        cfg = StoreConfig(kind="sharded", shard_size=17)
         assert StoreConfig(**cfg.describe()) == cfg
 
 
@@ -173,43 +166,6 @@ class TestDenseShardedEquivalence:
         store.set(17, np.ones(layout.n_params))
         assert store.n_resident_shards == 1
         assert store.resident_bytes() > base_only
-
-
-class TestTieredAggregation:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 9),
-        seed=st.integers(0, 2**31 - 1),
-        edge_size=st.integers(0, 12),
-    )
-    def test_single_edge_is_bit_identical_to_flat(self, n, seed, edge_size):
-        rng = np.random.default_rng(seed)
-        matrix = rng.standard_normal((n, 7))
-        weights = rng.uniform(0.5, 4.0, n)
-        flat = packed_weighted_average(matrix, weights)
-        if edge_size <= 0 or edge_size >= n:
-            np.testing.assert_array_equal(
-                tiered_weighted_average(matrix, weights, edge_size), flat
-            )
-        else:
-            np.testing.assert_allclose(
-                tiered_weighted_average(matrix, weights, edge_size),
-                flat,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-
-    def test_multi_edge_fold_order_is_deterministic(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.standard_normal((10, 6))
-        weights = rng.uniform(0.1, 2.0, 10)
-        a = tiered_weighted_average(matrix, weights, 3)
-        b = tiered_weighted_average(matrix, weights, 3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError, match="packed cohort"):
-            tiered_weighted_average(np.zeros(4), [1.0], 0)
 
 
 class TestCheckpointRestore:

@@ -26,13 +26,6 @@ class TestSGD:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [0.95, 2.05])
 
-    def test_weight_decay(self):
-        p = _param([2.0])
-        p.grad[:] = [0.0]
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        # grad_eff = 0 + 0.5*2 = 1; step = -0.1
-        np.testing.assert_allclose(p.data, [1.9])
-
     def test_momentum_accumulates(self):
         p = _param([0.0])
         opt = SGD([p], lr=1.0, momentum=0.5)

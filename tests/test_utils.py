@@ -15,13 +15,7 @@ from repro.utils.rng import (
     rng_for,
     spawn_rngs,
 )
-from repro.utils.serialization import (
-    load_arrays,
-    load_json,
-    save_arrays,
-    save_json,
-    to_jsonable,
-)
+from repro.utils.serialization import load_json, save_json, to_jsonable
 from repro.utils.tables import Table, format_mean_std, render_matrix
 from repro.utils.validation import (
     check_array,
@@ -29,7 +23,6 @@ from repro.utils.validation import (
     check_in,
     check_non_negative,
     check_positive,
-    check_probability_vector,
     check_square_matrix,
 )
 
@@ -132,12 +125,6 @@ class TestSerialization:
         path = save_json(tmp_path / "out" / "r.json", {"x": np.float64(2.5)})
         assert load_json(path) == {"x": 2.5}
 
-    def test_arrays_roundtrip(self, tmp_path):
-        a = np.arange(6).reshape(2, 3)
-        path = save_arrays(tmp_path / "arrays.npz", curve=a)
-        out = load_arrays(path)
-        np.testing.assert_array_equal(out["curve"], a)
-
 
 class TestValidation:
     def test_positive(self):
@@ -172,13 +159,6 @@ class TestValidation:
     def test_square_matrix(self):
         with pytest.raises(ValueError, match="square"):
             check_square_matrix("m", np.zeros((2, 3)))
-
-    def test_probability_vector(self):
-        check_probability_vector("p", np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="sum"):
-            check_probability_vector("p", np.array([0.5, 0.6]))
-        with pytest.raises(ValueError, match="non-negative"):
-            check_probability_vector("p", np.array([-0.5, 1.5]))
 
 
 class TestLogging:
