@@ -3,8 +3,8 @@
 Demonstrates the O(cohort) round contract of the sharded client-state
 store (:mod:`repro.fl.store`): ``local_only`` — the one algorithm whose
 state is O(population) — over 100k+ clients at FedAvg fraction
-``C = 0.001``, where only the ~100-client cohort is ever widened to
-float64 and only the shards those clients touch are resident.
+``C = 0.001``, where only the ~100-client cohort's rows are copied out
+of the store and only the shards those clients touch are resident.
 
 Two populations are timed at a **fixed cohort size** (100k @ C=0.001 vs
 200k @ C=0.0005, both a 100-client cohort): if rounds are O(cohort),
@@ -166,7 +166,7 @@ def _population_record(
     # buffers, BLAS thread pools) that is not a population cost.
     steady = walls[1:] if len(walls) > 1 else walls
     p = env.layout.n_params
-    wire_itemsize = np.dtype(env.layout.wire_dtype).itemsize
+    row_itemsize = env.layout.dtype.itemsize
     record = {
         "n_clients": n_clients,
         "client_fraction": client_fraction,
@@ -180,7 +180,7 @@ def _population_record(
         "store_resident_bytes": int(strategy.store.resident_bytes()),
         "n_resident_shards": int(strategy.store.n_resident_shards),
         "n_total_shards": -(-n_clients // _SHARD_SIZE),
-        "dense_equivalent_bytes": int(n_clients * p * wire_itemsize),
+        "dense_equivalent_bytes": int(n_clients * p * row_itemsize),
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
         ),

@@ -55,12 +55,15 @@ pins the improvement against regressions back to the strided path.
 Run via ``python benchmarks/bench_scenarios.py`` or ``scripts/bench.sh``.
 ``--check`` is the CI mode: the bit-identity gates plus the overhead
 gate from single best-of-N timings — no medians, no JSON written, exit
-status is the verdict.
+status is the verdict.  Beside the overhead it prints each timed loop's
+minor page faults per run (``getrusage`` ``ru_minflt``): the overhead
+reading moves with heap layout, which the fault counts show.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -393,12 +396,21 @@ def run_check(n_reps: int = 3) -> int:
         failures.append(
             "robust_agg='none' diverged from the inline sampled loop"
         )
-    baseline_ms = best_ms(lambda: _baseline_run(env, 3))
-    engine_ms = best_ms(lambda: _engine_run(env, 3))
+    def faults_per_run(fn) -> tuple[float, int]:
+        """``best_ms(fn)`` and the minor page faults per run it took."""
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ms = best_ms(fn)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return ms, (after - before) // (n_reps + 1)
+
+    baseline_ms, baseline_faults = faults_per_run(lambda: _baseline_run(env, 3))
+    engine_ms, engine_faults = faults_per_run(lambda: _engine_run(env, 3))
     overhead_pct = 100.0 * (engine_ms - baseline_ms) / baseline_ms
     print(
-        f"check: baseline {baseline_ms:.1f} ms, engine {engine_ms:.1f} ms, "
-        f"overhead {overhead_pct:+.2f}% (gate < {OVERHEAD_GATE_PCT}%)"
+        f"check: baseline {baseline_ms:.1f} ms ({baseline_faults} minor "
+        f"faults/run), engine {engine_ms:.1f} ms ({engine_faults} minor "
+        f"faults/run), overhead {overhead_pct:+.2f}% "
+        f"(gate < {OVERHEAD_GATE_PCT}%)"
     )
     if overhead_pct >= OVERHEAD_GATE_PCT:
         failures.append(

@@ -74,8 +74,11 @@ def _peak_mb(fn) -> float:
 
 
 def _max_abs_diff(reference, updates) -> float:
+    """Worst entry-wise gap between two executors' rows, in float64 (a
+    float32 subtraction would round it)."""
     return max(
-        float(np.abs(r.flat - u.flat).max()) for r, u in zip(reference, updates)
+        float(np.abs(np.subtract(r.flat, u.flat, dtype=np.float64)).max())
+        for r, u in zip(reference, updates)
     )
 
 

@@ -17,8 +17,11 @@ this module contributes the building blocks the algorithms plug into it:
 * :func:`fedavg_round_flat` — the one-round primitive, kept as the
   reference kernel for tests and the engine-overhead benchmark.
 
-Client state crosses every hook as packed float64 rows: task payloads,
-``ClientUpdate.flat`` and the strategies' server rows.
+Client state crosses every hook as packed rows at the layout dtype:
+task payloads, ``ClientUpdate.flat`` and the strategies' server rows.
+Aggregation accumulates in float64 and
+:meth:`repro.nn.state_flat.StateLayout.round_trip` rounds each fold
+back to a row.
 """
 
 from __future__ import annotations
@@ -57,23 +60,19 @@ def cohort_matrix(env: FederatedEnv, updates: Sequence) -> np.ndarray:
     """A round's client updates' ``flat`` rows as one ``(m, n_params)``
     matrix.
 
-    Consecutive full rows, in order, of one C-contiguous float64 plane
-    (a batched cohort's emit plane) come back as a read-only view of it;
-    any other list is stacked into a fresh matrix.  Callers only read
-    the result, and the flag makes a write into rows that other updates
-    share raise.
+    Consecutive full rows, in order, of one C-contiguous plane (a
+    batched cohort's working plane) come back as a read-only view of it;
+    any other list is stacked into a fresh matrix, float64 when a
+    corrupted copy is among the rows.  Callers only read the result,
+    and the flag makes a write into rows that other updates share
+    raise.
 
     ``env`` is unused; it stays so the benchmark tracer's row counter,
     which reads the updates as the second argument, keeps its binding.
     """
     rows = [u.flat for u in updates]
     plane = rows[0].base if rows else None
-    if (
-        isinstance(plane, np.ndarray)
-        and plane.ndim == 2
-        and plane.dtype == np.float64
-        and plane.flags.c_contiguous
-    ):
+    if isinstance(plane, np.ndarray) and plane.ndim == 2 and plane.flags.c_contiguous:
         step = plane.strides[0]
         first, offset = divmod(rows[0].ctypes.data - plane.ctypes.data, step)
         if not offset and all(
@@ -229,7 +228,8 @@ class FLAlgorithm(abc.ABC):
 class ClusteredRounds(RoundStrategy):
     """Per-cluster FedAvg over one packed ``(n_clusters, n_params)`` matrix.
 
-    ``matrix[labels[i]]`` is client ``i``'s server model.  Broadcasts are
+    ``matrix[labels[i]]`` is client ``i``'s server model, a row at the
+    layout dtype (the constructor takes packed rows).  Broadcasts are
     row payloads in participant order (each cluster's participants share
     one row object, so executors encode it once and the batched executor
     trains the cluster as one lockstep cohort), aggregation folds each
@@ -244,7 +244,7 @@ class ClusteredRounds(RoundStrategy):
     def __init__(
         self, matrix: np.ndarray, labels: np.ndarray, prox_mu: float = 0.0
     ) -> None:
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        self.matrix = np.ascontiguousarray(matrix)
         self.labels = np.array(labels, dtype=np.int64)
         self.prox_mu = prox_mu
 
@@ -321,11 +321,8 @@ class ClusteredRounds(RoundStrategy):
     def checkpoint_payload(
         self, engine: RoundEngine
     ) -> tuple[dict, dict[str, np.ndarray]]:
-        # Every row is a round_trip result (or a packed initial state):
-        # exact at the wire dtype.
-        wire = engine.env.layout.wire_dtype
         return {"prox_mu": float(self.prox_mu)}, {
-            "matrix": self.matrix.astype(wire),
+            "matrix": self.matrix,
             "labels": self.labels,
         }
 
@@ -337,7 +334,7 @@ class ClusteredRounds(RoundStrategy):
                 "checkpoint prox_mu mismatch: this run expects "
                 f"{self.prox_mu!r}, the file holds {meta['prox_mu']!r}"
             )
-        self.matrix = np.ascontiguousarray(arrays["matrix"], dtype=np.float64)
+        self.matrix = arrays["matrix"]
         self.labels = arrays["labels"].astype(np.int64)
 
 
@@ -355,11 +352,11 @@ def fedavg_round_flat(
 ) -> tuple[np.ndarray, float, list]:
     """One FedAvg round entirely on the flat plane.
 
-    ``vector`` is the packed broadcast state (one float64 row on the
+    ``vector`` is the packed broadcast state (one row on the
     environment's layout); every member receives it as its task payload
     — no state dict exists at any point of the round.  Returns
     ``(aggregated_vector, mean_train_loss, updates)`` where the
-    aggregated vector is rounded through the parameter dtypes
+    aggregated vector is the float64 average rounded to a row
     (:meth:`repro.nn.state_flat.StateLayout.round_trip`), so carrying it
     into the next round is bit-identical to the dict path's
     unpack → load → repack cycle.  Traffic: every member downloads the
@@ -367,7 +364,6 @@ def fedavg_round_flat(
     """
     if len(members) == 0:
         raise ValueError("fedavg_round_flat needs at least one member")
-    vector = np.asarray(vector, dtype=np.float64)
     tasks = [
         UpdateTask(int(cid), flat=vector, prox_mu=prox_mu) for cid in members
     ]

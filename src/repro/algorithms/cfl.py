@@ -142,9 +142,11 @@ class _CFLRounds(ClusteredRounds):
         members = np.flatnonzero(self.labels == g)
         cluster = self.clusters[g]
         # Update vectors Δ_i = local − incoming: one row-broadcast
-        # subtraction over the round's packed cohort, in float64 (pack
-        # embeds float32 exactly).
-        deltas = cohort_matrix(engine.env, mine) - self.matrix[g]
+        # subtraction over the round's packed cohort, in float64 (the
+        # rows widen exactly; a float32 difference would round).
+        deltas = np.subtract(
+            cohort_matrix(engine.env, mine), self.matrix[g], dtype=np.float64
+        )
         if self.algo.delta_window > 1 or engine.is_async:
             # The classic full-house gate assumes one dispatch per
             # round; under async aggregation a buffer almost never
@@ -229,7 +231,7 @@ class _CFLRounds(ClusteredRounds):
         zero steps, zero delta) contribute no signal and are not cached.
         """
         algo = self.algo
-        wire_dtype = engine.env.layout.wire_dtype
+        dtype = engine.env.layout.dtype
         update_weights = aggregation_weights(mine)
         for update, row, weight in zip(mine, deltas, update_weights):
             if weight > 0.0:
@@ -237,13 +239,13 @@ class _CFLRounds(ClusteredRounds):
                 # delta matrix: caching the view would pin the whole
                 # matrix alive until the entry ages out — W full cohort
                 # matrices per cluster instead of one vector per member.
-                # Stored at the wire dtype: a Δ already crossed the
+                # Stored at the layout dtype: a Δ already crossed the
                 # network at that precision, and float64 rows cost 2×
                 # the memory (~800 MB worst case at 64 × 1.6M × W=8)
                 # for split margins the parity test pins either way.
                 cluster.delta_cache[update.client_id] = (
                     round_index,
-                    row.astype(wire_dtype),
+                    row.astype(dtype),
                     float(update.n_samples),
                 )
         horizon = round_index - self._effective_window(engine)
@@ -255,7 +257,7 @@ class _CFLRounds(ClusteredRounds):
         if any(cid not in cluster.delta_cache for cid in members):
             return None  # window does not cover the cohort yet
         cached = [cluster.delta_cache[int(cid)] for cid in members]
-        delta_mat = np.stack([entry[1] for entry in cached]).astype(np.float64)
+        delta_mat = np.stack([entry[1] for entry in cached], dtype=np.float64)
         weights = np.array([entry[2] for entry in cached], dtype=np.float64)
         weights /= weights.sum()
         mean_norm = float(np.linalg.norm(weights @ delta_mat))
@@ -283,8 +285,7 @@ class _CFLRounds(ClusteredRounds):
     def checkpoint_payload(
         self, engine: RoundEngine
     ) -> tuple[dict, dict[str, np.ndarray]]:
-        # Cached deltas already live at the wire dtype, so storing them
-        # there is lossless.
+        # Cached deltas already live at the layout dtype.
         meta, arrays = super().checkpoint_payload(engine)
         meta_clusters: list[dict] = []
         cache_rows: list[np.ndarray] = []
@@ -310,7 +311,7 @@ class _CFLRounds(ClusteredRounds):
         arrays["cache_rows"] = (
             np.stack(cache_rows)
             if cache_rows
-            else np.empty((0, engine.env.n_params), engine.env.layout.wire_dtype)
+            else np.empty((0, engine.env.n_params), engine.env.layout.dtype)
         )
         return meta | {"clusters": meta_clusters}, arrays
 
@@ -358,8 +359,8 @@ class CFL(FLAlgorithm):
         update delta for up to ``W`` rounds and splits on the union of
         the cached deltas once every member is covered, restoring splits
         at low client fractions.  Each cached row costs one ``n_params``
-        vector at the layout's wire dtype (float32 for float32 models)
-        until it ages out.
+        vector at the layout dtype (float32 for float32 models) until it
+        ages out.
     """
 
     name = "cfl"

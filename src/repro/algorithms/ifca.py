@@ -98,8 +98,7 @@ class IFCA(FLAlgorithm):
         """k independently-initialised cluster models as packed rows.
 
         IFCA's cluster models live on the flat plane for the whole run:
-        the k× broadcast ships the rows (the layout's wire encoding over
-        transport), assignment probing loads them via ``load_flat``, and
+        the k× broadcast ships the rows, assignment probing loads them via ``load_flat``, and
         aggregation writes rows back — the state-dict hop is gone.
         """
         rows = []

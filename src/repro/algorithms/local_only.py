@@ -46,15 +46,15 @@ class _LocalRounds(RoundStrategy):
     def __init__(self, env: FederatedEnv) -> None:
         # Every client starts from the shared init (fair comparison) and
         # keeps its own weights forever after, in the environment's
-        # client-state store — rows rest at the wire dtype, exactly what
-        # the historical per-client dict list held after an unpack.
+        # client-state store — rows rest at the layout dtype, exactly
+        # what the historical per-client dict list held after an unpack.
         self.store = env.make_store()
 
     def broadcast_for(
         self, engine: RoundEngine, round_index: int, participants: np.ndarray
     ) -> list[UpdateTask]:
-        # Only the cohort's rows are ever widened to float64: the long
-        # tail of unsampled clients stays at rest in the store.
+        # Only the cohort's rows are copied out: the long tail of
+        # unsampled clients stays at rest in the store.
         return [
             UpdateTask(int(cid), flat=self.store.get(int(cid)))
             for cid in participants
@@ -90,9 +90,8 @@ class _LocalRounds(RoundStrategy):
     def checkpoint_payload(
         self, engine: RoundEngine
     ) -> tuple[dict, dict[str, np.ndarray]]:
-        # The store already rests at the wire dtype; the dense kind's
-        # array is byte-identical to the pre-store payload
-        # (stack of packed rows, cast to wire).
+        # The dense kind's array is byte-identical to the pre-store
+        # payload (the stack of packed rows).
         meta, arrays = self.store.checkpoint_payload()
         return {"store": meta}, arrays
 

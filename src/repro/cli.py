@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--min-survivors quorum")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="write a resumable server checkpoint to DIR after "
-                        "each round (server rows at wire dtype, rng "
+                        "each round (server rows at the model dtype, rng "
                         "derivation state, stale/in-flight buffers, "
                         "history, traffic counters)")
     p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",

@@ -97,8 +97,9 @@ def packed_weight_matrix(
     zero-copy view when ``keys`` occupy one contiguous run (true for the
     paper's final-layer selection, registered last in the model).
 
-    Bit-identical to ``weight_matrix([unpack(row) for row in matrix], keys)``:
-    packing stores the same float64 values flattening would produce.
+    Equal to ``weight_matrix([unpack(row) for row in matrix], keys)``
+    value for value: packing stores the parameter values flattening
+    widens to float64.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != layout.n_params:

@@ -32,10 +32,11 @@ __all__ = [
 class ClientUpdate:
     """Result of one client's local round.
 
-    ``flat`` is the client's new state as one packed float64 row on the
-    environment's layout (see :mod:`repro.nn.state_flat`); admission,
-    aggregation, the client-state store and checkpoints all read it
-    directly.
+    ``flat`` is the client's new state as one packed row on the
+    environment's layout, at its dtype (see :mod:`repro.nn.state_flat`);
+    admission, aggregation, the client-state store and checkpoints all
+    read it directly.  Only a corrupted copy
+    (:func:`repro.fl.defense.maybe_corrupt`) holds a float64 row.
 
     ``weight`` is the update's effective aggregation weight when
     scenario middleware overrides the historical sample-count weighting
@@ -116,11 +117,12 @@ def run_client_update_flat(
     rng: np.random.Generator,
     prox_mu: float = 0.0,
 ) -> ClientUpdate:
-    """Full client round: one packed vector in, one out.
+    """Full client round: one packed row in, one out.
 
     Loads ``incoming_flat`` into ``model``, trains it locally and packs
-    the new state.  The payload each way is a single contiguous buffer,
-    which is what the parallel executors ship across process boundaries.
+    the new state at the layout dtype.  The payload each way is a single
+    contiguous row, which is what the parallel executors ship across
+    process boundaries.
     """
     model.load_state_dict(unpack_state(incoming_flat, layout))
     mean_loss, n_batches = local_train(

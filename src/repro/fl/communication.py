@@ -8,8 +8,9 @@ steady-state training traffic — the comparison behind the paper's
 communication-cost claim.
 
 With the flat parameter plane (:mod:`repro.nn.state_flat`) the payload
-that actually moves is one contiguous buffer, so serialization is a
-single ``tobytes``/``frombuffer`` pair at the layout's wire dtype —
+that actually moves is one contiguous row at the layout's dtype (the
+model's parameter dtype, float32 for every model here), so
+serialization is a single ``tobytes``/``frombuffer`` pair —
 :func:`encode_flat_payload`/:func:`decode_flat_payload` below.
 """
 
@@ -34,29 +35,24 @@ BYTES_PER_PARAM = 4  # float32 over the wire
 
 
 def encode_flat_payload(vector: np.ndarray, layout: "StateLayout") -> bytes:
-    """Serialise a packed state vector to wire bytes.
-
-    The vector is stored at ``layout.wire_dtype`` — the narrowest dtype
-    that round-trips every parameter (float32 for float32 models, half
-    the bytes of the float64 working buffer).  Vectors whose values came
-    from the model's parameters round-trip exactly.
-    """
+    """Serialise a packed row to wire bytes at ``layout.dtype``, which
+    :func:`decode_flat_payload` reads back exactly."""
     vector = np.asarray(vector)
     if vector.shape != (layout.n_params,):
         raise ValueError(
             f"vector has shape {vector.shape}, expected ({layout.n_params},)"
         )
-    return np.ascontiguousarray(vector, dtype=layout.wire_dtype).tobytes()
+    return np.ascontiguousarray(vector, dtype=layout.dtype).tobytes()
 
 
 def decode_flat_payload(payload: bytes, layout: "StateLayout") -> np.ndarray:
-    """Inverse of :func:`encode_flat_payload`; returns a float64 vector."""
-    vector = np.frombuffer(payload, dtype=layout.wire_dtype)
+    """Inverse of :func:`encode_flat_payload`: a fresh row at ``layout.dtype``."""
+    vector = np.frombuffer(payload, dtype=layout.dtype)
     if vector.shape != (layout.n_params,):
         raise ValueError(
             f"payload holds {vector.size} params, expected {layout.n_params}"
         )
-    return vector.astype(np.float64)
+    return vector.copy()
 
 
 @dataclass

@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import packed_weighted_average
+from repro.fl.aggregation import float64_column_blocks, packed_weighted_average
 from repro.fl.client import ClientUpdate
 from repro.utils.rng import STREAM_TAGS, rng_for
 from repro.utils.validation import check_positive
@@ -159,7 +159,9 @@ def maybe_corrupt(
     object untouched when the event does not fire (the common path
     allocates nothing); a fired event returns a *copy* with the flat row
     replaced, so buffered pristine updates elsewhere can never alias
-    corrupted memory.
+    corrupted memory.  The copy is float64, the one row not at the
+    layout dtype: the noise draws are float64, and a cohort that holds
+    such a row stacks to float64.
     """
     rng = rng_for(seed, CORRUPTION_TAG, round_index, update.client_id)
     if rng.random() >= config.rate:
@@ -214,8 +216,12 @@ def admit_updates(
     ]
     keep = finite.copy()
     if norm_bound is not None and finite.any():
+        # Norms accumulate in float64, one widened row at a time.
         norms = np.array(
-            [np.linalg.norm(row) if ok else np.inf for row, ok in zip(rows, finite)]
+            [
+                np.linalg.norm(np.asarray(row, dtype=np.float64)) if ok else np.inf
+                for row, ok in zip(rows, finite)
+            ]
         )
         median = float(np.median(norms[finite]))
         if median > 0.0:
@@ -235,7 +241,7 @@ def admit_updates(
 # Robust aggregation kernels
 # ----------------------------------------------------------------------
 #: Columns per block of the trimmed-mean kernel; a block's transposed
-#: lane buffer (block × n_clients float64) stays cache-resident.
+#: lane buffer (block × n_clients) stays cache-resident.
 _TRIM_BLOCK = 8192
 
 
@@ -251,17 +257,19 @@ def _trimmed_middle_mean(matrix: np.ndarray, k: int) -> np.ndarray:
     ``np.partition`` (single- and multi-kth) was benchmarked too and
     loses at these lane lengths, because introselect has no vectorised
     path.  Same surviving multiset per column as the sorted reference,
-    so results agree to summation order.
+    so results agree to summation order.  Lanes sort at the cohort's
+    own dtype (widening is monotone) and the mean accumulates in
+    float64, bit-identical to sorting float64 lanes.
     """
     n, p = matrix.shape
     out = np.empty(p, dtype=np.float64)
-    buf = np.empty((min(_TRIM_BLOCK, p), n), dtype=np.float64)
+    buf = np.empty((min(_TRIM_BLOCK, p), n), dtype=matrix.dtype)
     for lo in range(0, p, _TRIM_BLOCK):
         hi = min(lo + _TRIM_BLOCK, p)
         lanes = buf[: hi - lo]
         np.copyto(lanes, matrix[:, lo:hi].T)
         lanes.sort(axis=1)
-        out[lo:hi] = lanes[:, k : n - k].mean(axis=1)
+        out[lo:hi] = lanes[:, k : n - k].mean(axis=1, dtype=np.float64)
     return out
 
 
@@ -286,15 +294,19 @@ def robust_weighted_average(
       poisoned client buy its way past the trim);
     * ``"coordinate_median"`` — coordinate-wise median, unweighted.
 
-    All modes return a float64 vector for the caller to round through
-    the parameter dtypes, exactly like the plain rule.
+    Every mode accumulates in float64, into which the rows widen
+    exactly, and returns a float64 vector for the caller to round to a
+    row (``layout.round_trip``), exactly like the plain rule.  Only
+    ``"clip"`` widens the whole cohort at once, because it rescales its
+    rows; the others widen a block of columns at a time.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"packed cohort must be (n, p), got {matrix.shape}")
     if mode == "none":
         return packed_weighted_average(matrix, weights)
     if mode == "clip":
+        matrix = np.asarray(matrix, dtype=np.float64)
         norms = np.linalg.norm(matrix, axis=1)
         median = float(np.median(norms))
         scale = np.where(norms > median, median / np.maximum(norms, 1e-300), 1.0)
@@ -305,10 +317,15 @@ def robust_weighted_average(
         if 2 * k >= n:
             k = (n - 1) // 2
         if k == 0:
-            return matrix.mean(axis=0)
+            return matrix.mean(axis=0, dtype=np.float64)
         return _trimmed_middle_mean(matrix, k)
     if mode == "coordinate_median":
-        return np.median(matrix, axis=0)
+        # Widened first: the middle pair of an even cohort must be
+        # averaged in float64.
+        out = np.empty(matrix.shape[1])
+        for lo, hi, block in float64_column_blocks(matrix):
+            out[lo:hi] = np.median(block, axis=0, overwrite_input=True)
+        return out
     raise ValueError(f"unknown robust_agg {mode!r}; options: {ROBUST_AGG_MODES}")
 
 
@@ -322,8 +339,10 @@ CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: a bit-for-bit continuation, which a file from a build with other
 #: numerics cannot keep.  Version 5 holds the engine's one event log,
 #: every shared-model strategy's ``matrix``/``labels``/``prox_mu``
-#: payload and the run's ``ScenarioConfig.to_dict()``.
-CHECKPOINT_VERSION = 5
+#: payload and the run's ``ScenarioConfig.to_dict()``; version 6 stores
+#: each buffered and in-flight update row as its own array at its own
+#: dtype (the layout dtype, float64 for a corrupted copy).
+CHECKPOINT_VERSION = 6
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"
@@ -497,7 +516,7 @@ def rebuild_update(meta: Mapping, row: np.ndarray) -> ClientUpdate:
     """Inverse of :func:`update_to_meta` plus the update's checkpointed row."""
     return ClientUpdate(
         client_id=int(meta["client_id"]),
-        flat=np.asarray(row, dtype=np.float64),
+        flat=row,
         n_samples=int(meta["n_samples"]),
         mean_loss=float(meta["mean_loss"]),
         n_batches=int(meta["n_batches"]),

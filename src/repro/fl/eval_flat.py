@@ -20,8 +20,9 @@ This module collapses that n-fold loop to a k-fold one:
   accuracy/loss are recovered afterwards by segment reductions
   (``np.add.reduceat``) over the client-offset index.
 * **Packed input** — :func:`evaluate_packed` accepts the serving models
-  as rows of a ``(k, n_params)`` float64 matrix, so clustered algorithms
-  evaluate straight from the flat plane without materialising dicts.
+  as rows of a ``(k, n_params)`` matrix at the layout dtype, so
+  clustered algorithms evaluate straight from the flat plane without
+  materialising dicts.
 
 Exactness contract
 ------------------
@@ -249,8 +250,8 @@ def evaluate_packed(
 ) -> tuple[float, np.ndarray]:
     """Table-I metric straight from packed cohort rows.
 
-    ``matrix`` holds the serving models as ``(k, n_params)`` float64 rows
-    on the environment's layout (a single packed global vector may be
+    ``matrix`` holds the serving models as ``(k, n_params)`` rows on the
+    environment's layout (a single packed global vector may be
     passed as shape ``(n_params,)``); ``labels[i]`` names the row serving
     client ``i``.  Each referenced row is loaded once via
     :meth:`repro.nn.module.Module.load_flat` — no state dict is ever

@@ -7,11 +7,12 @@ the serial path** — every (round, client) pair derives its RNG stream
 statelessly via :func:`repro.utils.rng.rng_for`, so execution order and
 worker count cannot change the outcome.
 
-All executors move model states as *packed vectors* (see
-:mod:`repro.nn.state_flat`): a task's payload is a packed row (broadcast
-tasks share one row object, so it is converted and encoded once per
-round, not once per client), and every returned :class:`ClientUpdate`
-carries its ``flat`` row so the server can aggregate with a single GEMV.
+All executors move model states as *packed rows* at the layout dtype
+(see :mod:`repro.nn.state_flat`): a task's payload is a packed row
+(broadcast tasks share one row object, so it is encoded once per round,
+not once per client), and every returned :class:`ClientUpdate` carries
+its ``flat`` row at that dtype so the server can aggregate with a
+single GEMV.
 
 Three executors:
 
@@ -19,8 +20,7 @@ Three executors:
   debug.  Each update runs :func:`repro.fl.client.run_client_update_flat`.
 * :class:`ProcessClientExecutor` — fork-based process pool; worker
   processes rebuild the environment once via an initializer, and
-  per-task IPC is one contiguous buffer each way, encoded at the
-  layout's wire dtype (float32 for float32 models).
+  per-task IPC is one contiguous row each way.
 * :class:`BatchedClientExecutor` — trains each cohort that shares a
   broadcast in lockstep (:mod:`repro.fl.train_flat`), equal to the
   serial path up to float summation order; convolutional models fall
@@ -57,10 +57,10 @@ __all__ = [
 class UpdateTask:
     """One client's work order for a round.
 
-    ``flat`` is the packed state the client starts from.  Broadcast
-    tasks share one row object; executors convert and encode each
-    distinct object once, and the batched executor trains the tasks that
-    share one as a lockstep cohort.
+    ``flat`` is the packed state the client starts from, a row at the
+    layout dtype.  Broadcast tasks share one row object; the process
+    executor encodes each distinct object once, and the batched
+    executor trains the tasks that share one as a lockstep cohort.
 
     ``max_steps`` caps this client's local SGD at that many total steps
     (``None`` = the training config's own schedule).  The round engine's
@@ -186,23 +186,6 @@ class InFlightBuffer:
         return len(self._pending)
 
 
-def _pack_tasks(tasks: Sequence[UpdateTask]) -> list[np.ndarray]:
-    """Float64 incoming vector per task, converting shared rows only once.
-
-    Memoised by payload object id: the batched executor's cohort
-    grouping relies on the conversion preserving object sharing.
-    """
-    memo: dict[int, np.ndarray] = {}
-    vectors = []
-    for task in tasks:
-        vec = memo.get(id(task.flat))
-        if vec is None:
-            vec = np.asarray(task.flat, dtype=np.float64)
-            memo[id(task.flat)] = vec
-        vectors.append(vec)
-    return vectors
-
-
 def _budgeted_cfg(cfg, max_steps: int | None):
     """The training config with a task-level step budget folded in.
 
@@ -221,19 +204,16 @@ def _budgeted_cfg(cfg, max_steps: int | None):
     return dataclasses.replace(cfg, max_steps=max_steps)
 
 
-def _zero_budget_update(
-    env: "FederatedEnv", task: UpdateTask, vector: np.ndarray
-) -> ClientUpdate:
+def _zero_budget_update(env: "FederatedEnv", task: UpdateTask) -> ClientUpdate:
     """The update of a client whose compute budget was zero steps.
 
     Bit-identical to what any executor would produce for "load the
-    broadcast, take no step, snapshot": the state is the broadcast
-    rounded through the parameter dtypes (``layout.round_trip``), the
-    loss is 0 over 0 batches.
+    broadcast, take no step, snapshot": the state is a copy of the
+    broadcast row (``layout.round_trip``), the loss is 0 over 0 batches.
     """
     return ClientUpdate(
         client_id=task.client_id,
-        flat=env.layout.round_trip(vector),
+        flat=env.layout.round_trip(task.flat),
         n_samples=len(env.federation.clients[task.client_id].train),
         mean_loss=0.0,
         n_batches=0,
@@ -241,21 +221,17 @@ def _zero_budget_update(
 
 
 def _run_flat(
-    env: "FederatedEnv",
-    task: UpdateTask,
-    vector: np.ndarray,
-    round_index: int,
-    train_cfg,
+    env: "FederatedEnv", task: UpdateTask, round_index: int, train_cfg
 ) -> ClientUpdate:
     """One task on the serial kernel under ``train_cfg``, capped at the
     task's step budget."""
     if task.max_steps == 0:
-        return _zero_budget_update(env, task, vector)
+        return _zero_budget_update(env, task)
     return run_client_update_flat(
         env.scratch_model,
         task.client_id,
         env.federation.clients[task.client_id].train,
-        vector,
+        task.flat,
         env.layout,
         _budgeted_cfg(train_cfg, task.max_steps),
         rng_for(
@@ -271,11 +247,7 @@ class SerialClientExecutor:
     def run(
         self, env: "FederatedEnv", tasks: Sequence[UpdateTask], round_index: int
     ) -> list[ClientUpdate]:
-        vectors = _pack_tasks(tasks)
-        return [
-            _run_flat(env, task, vec, round_index, env.train_cfg)
-            for task, vec in zip(tasks, vectors)
-        ]
+        return [_run_flat(env, task, round_index, env.train_cfg) for task in tasks]
 
     def close(self) -> None:
         """No resources to release."""
@@ -309,9 +281,13 @@ def _process_worker_run(
     client_id, payload, prox_mu, round_index, train_cfg, max_steps = args
     env = _WORKER_ENV
     assert env is not None, "worker initializer did not run"
-    vector = decode_flat_payload(payload, env.layout)
-    task = UpdateTask(client_id, vector, prox_mu=prox_mu, max_steps=max_steps)
-    update = _run_flat(env, task, vector, round_index, train_cfg)
+    task = UpdateTask(
+        client_id,
+        decode_flat_payload(payload, env.layout),
+        prox_mu=prox_mu,
+        max_steps=max_steps,
+    )
+    update = _run_flat(env, task, round_index, train_cfg)
     return (
         update.client_id,
         encode_flat_payload(update.flat, env.layout),
@@ -358,16 +334,14 @@ class ProcessClientExecutor:
         self, env: "FederatedEnv", tasks: Sequence[UpdateTask], round_index: int
     ) -> list[ClientUpdate]:
         pool = self._ensure_pool(env)
-        vectors = _pack_tasks(tasks)
-        # Broadcast tasks share one packed vector; encode each distinct
-        # vector once (mirrors _pack_tasks's memo).
+        # Broadcast tasks share one row; encode each distinct row once.
         encoded: dict[int, bytes] = {}
         payload = []
-        for task, vec in zip(tasks, vectors):
-            buf = encoded.get(id(vec))
+        for task in tasks:
+            buf = encoded.get(id(task.flat))
             if buf is None:
-                buf = encode_flat_payload(vec, env.layout)
-                encoded[id(vec)] = buf
+                buf = encode_flat_payload(task.flat, env.layout)
+                encoded[id(task.flat)] = buf
             payload.append(
                 (
                     task.client_id,
@@ -402,17 +376,16 @@ class ProcessClientExecutor:
 class BatchedClientExecutor:
     """Train whole cohorts in lockstep on the flat plane.
 
-    Tasks are grouped by their broadcast row (the packed-vector object,
-    mirroring ``_pack_tasks``'s sharing memo) and proximal coefficient;
-    each group is one cohort for
+    Tasks are grouped by their broadcast row (the row object) and
+    proximal coefficient; each group is one cohort for
     :func:`repro.fl.train_flat.train_cohort_flat`, which runs the
     cohort's local SGD with a leading client axis — same ``rng_for``
     streams and minibatch composition as the serial path, updates equal
     to float summation order (the parity suite gates it).
 
-    A batched update's ``flat`` is a view into its cohort's emit plane,
-    which aggregation reads in place, so a row a caller retains keeps
-    the whole plane alive: copy a row you keep.
+    A batched update's ``flat`` is a view into its cohort's working
+    plane, which aggregation reads in place, so a row a caller retains
+    keeps the whole plane alive: copy a row you keep.
 
     Architectures without a batched mirror (convolutional models) fall
     back **per task** to the serial reference kernel transparently;
@@ -434,27 +407,25 @@ class BatchedClientExecutor:
     ) -> list[ClientUpdate]:
         from repro.fl.train_flat import supports_batched, train_cohort_flat
 
-        vectors = _pack_tasks(tasks)
         batchable = supports_batched(env.scratch_model)
         self.last_dispatch = {"batched": 0, "serial": 0}
         results: dict[int, ClientUpdate] = {}
         if not batchable:
             self.last_dispatch["serial"] = len(tasks)
             return [
-                _run_flat(env, task, vec, round_index, env.train_cfg)
-                for task, vec in zip(tasks, vectors)
+                _run_flat(env, task, round_index, env.train_cfg) for task in tasks
             ]
-        # Cohorts: tasks sharing a broadcast vector and prox_mu train as
+        # Cohorts: tasks sharing a broadcast row and prox_mu train as
         # one lockstep group (a group of one is still batched — results
         # must not depend on how callers happen to share row objects).
         groups: dict[tuple[int, float], list[int]] = {}
-        for i, (task, vec) in enumerate(zip(tasks, vectors)):
-            groups.setdefault((id(vec), task.prox_mu), []).append(i)
+        for i, task in enumerate(tasks):
+            groups.setdefault((id(task.flat), task.prox_mu), []).append(i)
         for (_, prox_mu), members in groups.items():
             updates = train_cohort_flat(
                 env,
                 [tasks[i].client_id for i in members],
-                vectors[members[0]],
+                tasks[members[0]].flat,
                 round_index,
                 prox_mu=prox_mu,
                 max_steps=[tasks[i].max_steps for i in members],

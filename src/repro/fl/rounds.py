@@ -99,7 +99,7 @@ the executor or the payload format:
 * **checkpoint/resume** — with a
   :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
   writes a versioned single-file checkpoint on a round cadence (server
-  rows at wire dtype, round counter, ledger and buffer, event log,
+  rows at the layout dtype, round counter, ledger and buffer, event log,
   traffic, history, and the scenario's ``to_dict()``) and can resume
   from it; a resume under another scenario is refused.  A resumed run
   reproduces the uninterrupted one bit-identically because all
@@ -697,10 +697,8 @@ class RoundStrategy(abc.ABC):
         """Serialise the strategy's server state for a checkpoint.
 
         Returns ``(meta, arrays)``: JSON-ready scalars plus named numpy
-        arrays.  Server model rows must be stored at the layout's wire
-        dtype (``engine.env.layout.wire_dtype``) — every post-aggregate
-        row is a ``round_trip`` result, so the narrow dtype round-trips
-        it exactly and the file stays small.  The default refuses
+        arrays.  Server model rows are stored as they are held, at the
+        layout dtype (``engine.env.layout.dtype``).  The default refuses
         loudly: checkpointing a strategy that cannot rebuild its state
         would resume from garbage.
         """
@@ -1410,14 +1408,14 @@ class RoundEngine:
     ) -> "Path":
         """Write a resumable checkpoint of the whole run state.
 
-        Serialised: the strategy's server rows (at wire dtype, via its
+        Serialised: the strategy's server rows (via its
         :meth:`RoundStrategy.checkpoint_payload` hook), the scenario's
         :meth:`ScenarioConfig.to_dict`, the round counter, the event
         log, the communication tracker's
         per-phase counters, the history records, the last evaluation,
-        the in-flight ledger and the update buffer — their update *rows*
-        at float64, because a corrupted row awaiting admission need not
-        survive a wire-dtype round-trip.  The rng "state" is just the seed and the round
+        the in-flight ledger and the update buffer — each update *row*
+        as its own array at its own dtype: the layout dtype, or float64
+        for a corrupted copy awaiting admission.  The rng "state" is just the seed and the round
         counter: every stream is stateless in (seed, tag, round,
         client), so resuming re-derives identical draws.
 
@@ -1448,18 +1446,12 @@ class RoundEngine:
 
         def updates_meta(name: str, entries: list) -> list[dict]:
             # (extra metadata, update) pairs: the metadata goes in the
-            # header, the rows in one array blob.  Rows stay float64, not
-            # the wire dtype: a noise-corrupted row awaiting admission
-            # holds float64 perturbations that a float32 round-trip would
-            # alter, breaking resume bit-identity.  Server rows (always
-            # ``round_trip`` results) are stored at wire dtype by the
-            # strategy payload hooks.
-            rows = [np.asarray(u.flat, dtype=np.float64) for _, u in entries]
-            arrays[f"{name}_rows"] = (
-                np.stack(rows)
-                if rows
-                else np.empty((0, env.n_params), dtype=np.float64)
-            )
+            # header, each row in its own array blob at its own dtype.
+            # A noise-corrupted row awaiting admission holds float64
+            # perturbations that the layout dtype would round, breaking
+            # resume bit-identity.
+            for i, (_, update) in enumerate(entries):
+                arrays[f"{name}_rows/{i}"] = update.flat
             return [update_to_meta(update) | extra for extra, update in entries]
 
         buffer_meta = updates_meta(
@@ -1578,10 +1570,10 @@ class RoundEngine:
             RoundRecord(**record) for record in header["history"]["records"]
         ]
         self._buffer.clear()
-        for entry, row in zip(header["buffer"], arrays["buffer_rows"]):
+        for i, entry in enumerate(header["buffer"]):
             self._buffer[int(entry["client_id"])] = (
                 int(entry["dispatch_round"]),
-                rebuild_update(entry, row),
+                rebuild_update(entry, arrays[f"buffer_rows/{i}"]),
             )
         self._in_flight.restore(
             [
@@ -1589,11 +1581,9 @@ class RoundEngine:
                     int(entry["done"]),
                     int(entry["seq"]),
                     int(entry["dispatch_round"]),
-                    rebuild_update(entry, row),
+                    rebuild_update(entry, arrays[f"in_flight_rows/{i}"]),
                 )
-                for entry, row in zip(
-                    header["in_flight"], arrays["in_flight_rows"]
-                )
+                for i, entry in enumerate(header["in_flight"])
             ],
             int(header["in_flight_seq"]),
         )

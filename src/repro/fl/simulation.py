@@ -142,7 +142,7 @@ class FederatedEnv:
         """Per-client state store under this environment's config.
 
         Every client starts at the initial global model; the store keeps
-        rows at the layout's wire dtype (see :mod:`repro.fl.store`), so
+        rows at the layout dtype (see :mod:`repro.fl.store`), so
         ``get`` returns exactly what the historical dict path held after
         an unpack — the default dense config is bit-identical to the
         pre-store per-client state lists.

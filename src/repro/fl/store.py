@@ -1,29 +1,23 @@
-"""Population-scale client state: wire-dtype stores.
+"""Population-scale client state: per-client rows at rest.
 
-Every per-client-state subsystem before this module materialised the
-full ``(n_clients, n_params)`` float64 plane, which caps the
-reproduction near ~1k clients x 1.6M params.  The store abstraction
-splits the population into two tiers:
+Materialising a full ``(n_clients, n_params)`` plane for every
+per-client-state subsystem caps the reproduction near ~1k clients x
+1.6M params.  A store keeps each client's row at the layout dtype
+(``layout.dtype``, float32 for every model here), either as one dense
+matrix (:class:`DenseStore`) or as lazily materialised, optionally
+memory-mapped shards (:class:`ShardedStore`) so resident memory is
+O(touched clients), not O(population).  ``get``/``rows`` copy the
+round's cohort out; the long tail stays at rest.
 
-* the **cohort** — the clients sampled this round — stays on the dense
-  float64 fast path (``rows``/``get`` always hand back float64), and
-* the **long tail** — everyone else — rests at the *wire dtype*
-  (``layout.wire_dtype``, float32 for float32 models), either as one
-  dense wire matrix (:class:`DenseStore`) or as lazily materialised,
-  optionally memory-mapped shards (:class:`ShardedStore`) so resident
-  memory is O(touched clients), not O(population).
-
-Quantisation contract (the bit-identity pin): a row enters the store
-through :meth:`StateLayout.round_trip` and is kept at the wire dtype;
-``get`` widens back to float64.  Because the wire dtype is the widest
-parameter dtype, the round-tripped row embeds losslessly, so
+Row contract (the bit-identity pin): ``set`` stores
+:meth:`StateLayout.round_trip` of its row, so
 
     ``store.get(cid) == layout.round_trip(row)``  (bit for bit)
 
-for *any* float64 input row — exactly what a model holds after loading
-that row (``unpack_state(row)`` repacked).  DenseStore and
-ShardedStore therefore agree bit-for-bit with each other and with every
-pre-store seed pin, including rows corrupted by float64 noise.
+for *any* input row — exactly what a model holds after loading that
+row (``unpack_state(row)`` repacked), a float64 corrupted copy
+included.  DenseStore and ShardedStore therefore agree bit-for-bit with
+each other and with every pre-store seed pin.
 """
 
 from __future__ import annotations
@@ -56,10 +50,10 @@ class StoreConfig:
     Parameters
     ----------
     kind:
-        ``"dense"`` — one wire-dtype ``(n_clients, n_params)`` matrix
-        (the fast path for populations that fit in memory);
-        ``"sharded"`` — lazily materialised wire-dtype shards of
-        ``shard_size`` clients each, so memory is O(touched clients).
+        ``"dense"`` — one ``(n_clients, n_params)`` matrix (the fast
+        path for populations that fit in memory);
+        ``"sharded"`` — lazily materialised shards of ``shard_size``
+        clients each, so memory is O(touched clients).
     shard_size:
         Clients per shard (sharded kind only).
     path:
@@ -87,13 +81,13 @@ class StoreConfig:
 
 
 class ClientStateStore:
-    """Per-client model state, quantised to the wire dtype at rest.
+    """Per-client model state: one row per client at the layout dtype.
 
-    Subclasses implement the storage (`_read_row` / `_write_row`); the
-    base class owns the quantisation contract and the checkpoint /
-    restore protocol, including cross-kind restore (a dense checkpoint
-    restores into a sharded store and vice versa, preserving sparsity
-    where the payload allows it).
+    Subclasses implement the storage (``_read_row``/``_write_row``/
+    ``_reset``); the base class owns the row contract and the checkpoint
+    / restore protocol, including cross-kind restore (a dense
+    checkpoint restores into a sharded store and vice versa, preserving
+    sparsity where the payload allows it).
     """
 
     kind: str = "abstract"
@@ -103,24 +97,8 @@ class ClientStateStore:
             raise ValueError(f"need at least one client, got {n_clients}")
         self.n_clients = int(n_clients)
         self.layout = layout
-        self.wire_dtype = layout.wire_dtype
-        base64 = layout.round_trip(base_row)
-        #: Initial (virgin-client) row, float64 and wire-dtype views.
-        self._base64 = base64
-        self._base_wire = base64.astype(self.wire_dtype)
-
-    # ------------------------------------------------------------------
-    # Quantisation contract
-    # ------------------------------------------------------------------
-    def _quantize(self, row: np.ndarray) -> np.ndarray:
-        """Float64 row -> wire-dtype row, exactly as a model would hold it.
-
-        ``round_trip`` rounds each key segment to its parameter dtype;
-        the result then embeds losslessly into the wire dtype (the
-        widest parameter dtype), so ``_quantize(row).astype(float64)``
-        equals ``layout.round_trip(row)`` bit for bit.
-        """
-        return self.layout.round_trip(row).astype(self.wire_dtype)
+        #: Initial (virgin-client) row.
+        self._base = layout.round_trip(base_row)
 
     def _check_cid(self, client_id: int) -> int:
         cid = int(client_id)
@@ -134,17 +112,17 @@ class ClientStateStore:
     # Row access
     # ------------------------------------------------------------------
     def get(self, client_id: int) -> np.ndarray:
-        """Client's state as a fresh float64 row (the cohort fast path)."""
-        return self._read_row(self._check_cid(client_id)).astype(np.float64)
+        """Client's state as a fresh row."""
+        return self._read_row(self._check_cid(client_id)).copy()
 
     def set(self, client_id: int, row: np.ndarray) -> None:
-        """Store a float64 row, quantising through the layout's dtypes."""
-        self._write_row(self._check_cid(client_id), self._quantize(row))
+        """Store ``layout.round_trip(row)`` as the client's state."""
+        self._write_row(self._check_cid(client_id), self.layout.round_trip(row))
 
     def rows(self, client_ids: Iterable[int]) -> np.ndarray:
-        """Stack ``get`` rows into one float64 cohort matrix."""
+        """Stack ``get`` rows into one cohort matrix."""
         ids = [self._check_cid(c) for c in client_ids]
-        out = np.empty((len(ids), self.layout.n_params), dtype=np.float64)
+        out = np.empty((len(ids), self.layout.n_params), dtype=self.layout.dtype)
         for i, cid in enumerate(ids):
             out[i] = self._read_row(cid)
         return out
@@ -155,7 +133,11 @@ class ClientStateStore:
     def _read_row(self, cid: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _write_row(self, cid: int, wire_row: np.ndarray) -> None:
+    def _write_row(self, cid: int, row: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _reset(self, base: np.ndarray) -> None:
+        """Forget every written row: ``base`` becomes every client's."""
         raise NotImplementedError
 
     def resident_bytes(self) -> int:
@@ -170,7 +152,11 @@ class ClientStateStore:
         raise NotImplementedError
 
     def restore_from(self, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
-        """Load a checkpoint payload written by *any* store kind."""
+        """Load a checkpoint payload written by *any* store kind.
+
+        Rows the store held before are dropped, so afterwards it holds
+        exactly the file's rows.
+        """
         src_kind = meta["kind"]
         p = self.layout.n_params
         if src_kind == "dense":
@@ -180,28 +166,30 @@ class ClientStateStore:
                     f"checkpoint states have shape {matrix.shape}, expected "
                     f"({self.n_clients}, {p})"
                 )
-            self._restore_dense(matrix.astype(self.wire_dtype, copy=False))
+            self._restore_dense(matrix)
         elif src_kind == "sharded":
-            shard_size = int(meta["shard_size"])
-            if int(meta.get("n_clients", self.n_clients)) != self.n_clients:
+            if int(meta["n_clients"]) != self.n_clients:
                 raise ValueError(
                     "checkpoint population "
-                    f"{meta.get('n_clients')} != store population {self.n_clients}"
+                    f"{meta['n_clients']} != store population {self.n_clients}"
                 )
-            base = np.asarray(arrays["base"]).astype(self.wire_dtype, copy=False)
+            base = np.asarray(arrays["base"])
             if base.shape != (p,):
                 raise ValueError(
                     f"checkpoint base row has shape {base.shape}, expected ({p},)"
                 )
-            self._restore_sharded(base, shard_size, meta["shards"], arrays)
+            self._restore_sharded(
+                base, int(meta["shard_size"]), meta["shards"], arrays
+            )
         else:  # pragma: no cover - corrupt meta
             raise ValueError(f"unknown store kind in checkpoint: {src_kind!r}")
 
     def _restore_dense(self, matrix: np.ndarray) -> None:
-        """Default cross-kind restore: write rows that differ from base."""
-        changed = np.flatnonzero(np.any(matrix != self._base_wire, axis=1))
-        for cid in changed:
-            self._write_row(int(cid), np.array(matrix[cid], copy=True))
+        """Default cross-kind restore: write the rows that differ from
+        the base."""
+        self._reset(self._base)
+        for cid in np.flatnonzero(np.any(matrix != self._base, axis=1)):
+            self._write_row(int(cid), matrix[cid])
 
     def _restore_sharded(
         self,
@@ -210,28 +198,22 @@ class ClientStateStore:
         shard_indices: Sequence[int],
         arrays: Mapping[str, np.ndarray],
     ) -> None:
-        """Default cross-kind restore: replay shard rows that changed."""
-        self._base_wire = base
-        self._base64 = base.astype(np.float64)
+        """Default cross-kind restore: take the file's base, then replay
+        the shard rows that differ from it."""
+        self._reset(base)
         for si in shard_indices:
-            shard = np.asarray(arrays[f"shard_{int(si)}"]).astype(
-                self.wire_dtype, copy=False
-            )
             lo = int(si) * shard_size
-            for ri in range(shard.shape[0]):
-                cid = lo + ri
-                if cid >= self.n_clients:
-                    break
-                if np.any(shard[ri] != base):
-                    self._write_row(cid, np.array(shard[ri], copy=True))
+            for ri, row in enumerate(arrays[f"shard_{int(si)}"]):
+                if np.any(row != base):
+                    self._write_row(lo + ri, row)
 
 
 class DenseStore(ClientStateStore):
-    """One wire-dtype ``(n_clients, n_params)`` matrix.
+    """One ``(n_clients, n_params)`` matrix.
 
     The fast path for populations that fit in memory; its checkpoint
     array is byte-identical to the pre-store ``local_only`` payload
-    (``np.stack([pack(s) for s in states]).astype(wire)``).
+    (the stack of packed rows).
     """
 
     kind = "dense"
@@ -239,14 +221,18 @@ class DenseStore(ClientStateStore):
     def __init__(self, n_clients: int, layout: StateLayout, base_row: np.ndarray):
         super().__init__(n_clients, layout, base_row)
         self._matrix = np.broadcast_to(
-            self._base_wire, (self.n_clients, layout.n_params)
+            self._base, (self.n_clients, layout.n_params)
         ).copy()
 
     def _read_row(self, cid: int) -> np.ndarray:
         return self._matrix[cid]
 
-    def _write_row(self, cid: int, wire_row: np.ndarray) -> None:
-        self._matrix[cid] = wire_row
+    def _write_row(self, cid: int, row: np.ndarray) -> None:
+        self._matrix[cid] = row
+
+    def _reset(self, base: np.ndarray) -> None:
+        self._base = base
+        self._matrix[:] = base
 
     def resident_bytes(self) -> int:
         return int(self._matrix.nbytes)
@@ -260,7 +246,7 @@ class DenseStore(ClientStateStore):
 
 
 class ShardedStore(ClientStateStore):
-    """Lazily materialised wire-dtype shards of ``shard_size`` clients.
+    """Lazily materialised shards of ``shard_size`` clients.
 
     A shard exists only once one of its clients is written (copy-on-
     write against the shared base row), so resident memory is
@@ -303,12 +289,12 @@ class ShardedStore(ClientStateStore):
                 shard = np.lib.format.open_memmap(
                     os.path.join(self.path, f"shard_{si:06d}.npy"),
                     mode="w+",
-                    dtype=self.wire_dtype,
+                    dtype=self.layout.dtype,
                     shape=shape,
                 )
-                shard[:] = self._base_wire
+                shard[:] = self._base
             else:
-                shard = np.broadcast_to(self._base_wire, shape).copy()
+                shard = np.broadcast_to(self._base, shape).copy()
             self._shards[si] = shard
         return shard
 
@@ -316,15 +302,19 @@ class ShardedStore(ClientStateStore):
         si, ri = divmod(cid, self.shard_size)
         shard = self._shards.get(si)
         if shard is None:
-            return self._base_wire
+            return self._base
         return shard[ri]
 
-    def _write_row(self, cid: int, wire_row: np.ndarray) -> None:
+    def _write_row(self, cid: int, row: np.ndarray) -> None:
         si, ri = divmod(cid, self.shard_size)
-        self._materialize_shard(si)[ri] = wire_row
+        self._materialize_shard(si)[ri] = row
+
+    def _reset(self, base: np.ndarray) -> None:
+        self._base = base
+        self._shards.clear()
 
     def resident_bytes(self) -> int:
-        return int(self._base_wire.nbytes) + sum(
+        return int(self._base.nbytes) + sum(
             int(s.nbytes) for s in self._shards.values()
         )
 
@@ -340,7 +330,7 @@ class ShardedStore(ClientStateStore):
             "n_clients": self.n_clients,
             "shards": sorted(int(si) for si in self._shards),
         }
-        arrays: dict[str, np.ndarray] = {"base": self._base_wire}
+        arrays: dict[str, np.ndarray] = {"base": self._base}
         for si in meta["shards"]:
             arrays[f"shard_{si}"] = np.asarray(self._shards[si])
         return meta, arrays
@@ -352,23 +342,14 @@ class ShardedStore(ClientStateStore):
         shard_indices: Sequence[int],
         arrays: Mapping[str, np.ndarray],
     ) -> None:
-        if shard_size == self.shard_size:
-            # Same geometry: adopt the payload shards directly, keeping
-            # untouched shards unmaterialised.
-            self._base_wire = base
-            self._base64 = base.astype(np.float64)
-            self._shards.clear()
-            for si in shard_indices:
-                shard = np.asarray(arrays[f"shard_{int(si)}"]).astype(
-                    self.wire_dtype, copy=True
-                )
-                if self.path is not None:
-                    target = self._materialize_shard(int(si))
-                    target[:] = shard
-                else:
-                    self._shards[int(si)] = shard
+        if shard_size != self.shard_size:
+            super()._restore_sharded(base, shard_size, shard_indices, arrays)
             return
-        super()._restore_sharded(base, shard_size, shard_indices, arrays)
+        # Same geometry: adopt the payload shards whole, keeping
+        # untouched shards unmaterialised.
+        self._reset(base)
+        for si in shard_indices:
+            self._materialize_shard(int(si))[:] = arrays[f"shard_{int(si)}"]
 
 
 def make_store(

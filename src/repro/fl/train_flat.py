@@ -27,10 +27,12 @@ Pipeline per cohort:
    layer ``(n_clients, batch)`` slots into them instead of an image
    batch — a sample revisited in later local epochs is never gathered
    or multiplied against the broadcast weight again.
-3. **Emit** — final per-client states are materialised straight into a
-   ``(n_clients, n_params)`` float64 plane; each
-   :class:`~repro.fl.client.ClientUpdate` carries a view of its row as
-   ``flat``, and aggregation reads a whole cohort's rows in place.
+3. **Emit** — the cohort's ``(n_clients, n_params)`` working plane,
+   at the layout dtype, *is* its output: the dense layers trained in
+   it, and a factored weight materialises into its columns at round
+   end.  Each :class:`~repro.fl.client.ClientUpdate` carries a view of
+   its row as ``flat``, and aggregation reads a whole cohort's rows in
+   place.
 
 Parity contract: per-client updates match the serial trainer
 (:func:`repro.fl.client.run_client_update_flat`) to float summation
@@ -266,7 +268,7 @@ def train_cohort_flat(
     """Run one cohort's local training in lockstep on the flat plane.
 
     Every client in ``client_ids`` starts from ``incoming_flat`` (one
-    packed float64 row on ``env.layout``) and trains with
+    packed row on ``env.layout``) and trains with
     ``env.train_cfg`` — the batched equivalent of calling
     :func:`repro.fl.client.run_client_update_flat` per client with the
     same ``rng_for`` streams.  Returns updates in ``client_ids`` order,
@@ -276,7 +278,7 @@ def train_cohort_flat(
     with ``client_ids``; the scenario compute-budget path) — budgeted
     clients drop out of the lockstep schedule early via the per-step
     ``active`` masks, and a zero-budget client's emitted row is exactly
-    the broadcast rounded through the parameter dtypes.
+    the broadcast.
 
     ``gather_cache`` is an optional dict the caller keeps across rounds
     (the batched executor owns one): a cohort whose first layer is dense
@@ -322,8 +324,7 @@ def train_cohort_flat(
             d.images[v].reshape(len(v), in_features)
             for d, v in zip(datasets, visited)
         ]
-    incoming_flat = np.asarray(incoming_flat, dtype=np.float64)
-    batched, _plane = build_batched(
+    batched, plane = build_batched(
         env.scratch_model,
         layout,
         n_clients,
@@ -373,15 +374,14 @@ def train_cohort_flat(
         total_loss += np.where(step.active, losses, 0.0)
         n_batches += step.active
 
-    out = np.empty((n_clients, layout.n_params), dtype=np.float64)
-    flush_cohort(batched, layout, out)
+    flush_cohort(batched, layout, plane)
 
     updates = []
     for i, cid in enumerate(client_ids):
         updates.append(
             ClientUpdate(
                 client_id=cid,
-                flat=out[i],
+                flat=plane[i],
                 n_samples=sizes[i],
                 mean_loss=float(total_loss[i] / n_batches[i]) if n_batches[i] else 0.0,
                 n_batches=int(n_batches[i]),

@@ -12,11 +12,11 @@ whole cohort in lockstep.
 Two weight representations coexist behind one interface:
 
 * **Dense** (:class:`CohortParam`) — per-client weights live as views
-  into a contiguous ``(n_clients, n_params)`` working plane (the same
-  layout :mod:`repro.nn.state_flat` defines), forward/backward are
-  einsum/``matmul`` batches over the client axis, and the optimiser
-  steps directly on the plane.  General: any schedule length, any
-  layer mix supported here.
+  into a contiguous ``(n_clients, n_params)`` working plane at the
+  layout dtype (the same layout :mod:`repro.nn.state_flat` defines),
+  forward/backward are einsum/``matmul`` batches over the client axis,
+  and the optimiser steps directly on the plane.  General: any
+  schedule length, any layer mix supported here.
 * **Factored** (:class:`FactoredParam`) — for the first parameterised
   layer only, whose input is the raw sample.  Every SGD update it gets
   lies in the span of the samples its client visits this round, so
@@ -25,7 +25,8 @@ Two weight representations coexist behind one interface:
   and the Gram matrix ``X Xᵀ`` are computed once per round, a step's
   forward gathers their rows, SGD/momentum/proximal become
   recurrences on ``G``, and the dense per-client weights are
-  materialised **once** at round end.  A sample seen in several local
+  materialised **once** at round end, into the working plane's
+  columns of that weight.  A sample seen in several local
   epochs costs one row, not one per visit, so the representation pays
   while the mean number of distinct samples per client stays below the
   layer's smallest dimension — exactly the few-samples-many-epochs
@@ -34,7 +35,9 @@ Two weight representations coexist behind one interface:
 Both representations produce the same numbers as the serial trainer up
 to float summation order (gated by the parity suite in
 ``tests/test_fl_train_flat.py``); the serial path remains the reference
-kernel.
+kernel.  After :func:`flush_cohort` the working plane's rows are the
+cohort's packed final states, so the plane is also what the cohort
+emits.
 
 Supported layers: :class:`~repro.nn.layers.linear.Linear`,
 :class:`~repro.nn.layers.activation.ReLU`,
@@ -79,8 +82,8 @@ __all__ = [
 class CohortParam:
     """Dense per-client parameter: a ``(n_clients, *shape)`` array.
 
-    ``data`` is typically a zero-copy view into the cohort's working
-    plane (a row-contiguous column slice reshaped per client), so the
+    ``data`` is a zero-copy view into the cohort's working plane (a
+    row-contiguous column slice reshaped per client), so the
     optimiser's in-place update *is* the plane update.  ``grad`` is
     filled by the owning layer's backward each lockstep step.
     """
@@ -98,10 +101,6 @@ class CohortParam:
     @property
     def n_clients(self) -> int:
         return self.data.shape[0]
-
-    def flush_into(self, out: np.ndarray) -> None:
-        """Write final per-client values into ``out`` ``(C, size)``."""
-        np.copyto(out, self.data.reshape(self.data.shape[0], -1))
 
 
 class FactoredParam:
@@ -169,9 +168,9 @@ class FactoredParam:
 
         One ``(out × n) @ (n × in)`` GEMM per client over its ``n``
         distinct samples, paid once per round, into a single reused
-        scratch buffer (the float64 ``out`` rows are the only
-        full-cohort weight storage).  A client that took no step gets
-        the base unchanged.
+        scratch buffer (the ``out`` rows, the working plane's columns of
+        this weight, are the only full-cohort weight storage).  A client
+        that took no step gets the base unchanged.
         """
         base_flat = self.base.reshape(-1)
         scratch = np.empty(self.base.shape, dtype=self.base.dtype)
@@ -537,16 +536,9 @@ def factorable_layer(model: Module) -> "tuple[str, Linear] | None":
 
 
 def supports_batched(model: Module) -> bool:
-    """True when the cohort trainer can batch this architecture.
-
-    Requires every layer to have a batched mirror *and* a uniform
-    parameter dtype (the cohort plane is one array); anything else
-    routes to the serial reference kernel.
-    """
-    if batchable_layers(model) is None:
-        return False
-    dtypes = {p.data.dtype for p in model.parameters()}
-    return len(dtypes) == 1
+    """True when every layer of the model has a batched mirror; anything
+    else routes to the serial reference kernel."""
+    return batchable_layers(model) is not None
 
 
 def build_batched(
@@ -555,23 +547,21 @@ def build_batched(
     n_clients: int,
     broadcast: np.ndarray,
     factored_keys: "set[str] | frozenset[str]" = frozenset(),
-    plane: np.ndarray | None = None,
     samples: "Sequence[np.ndarray] | None" = None,
 ) -> tuple[BatchedSequential, np.ndarray]:
     """Build the lockstep mirror of ``model`` for one cohort.
 
-    ``broadcast`` is the packed float64 state every client starts from
-    (one row, on ``layout``).  ``factored_keys`` may name the weight of
+    ``broadcast`` is the packed state every client starts from (one
+    row, on ``layout``).  ``factored_keys`` may name the weight of
     :func:`factorable_layer` (any other key raises ``ValueError``); it
     then gets the sample-keyed :class:`FactoredParam`, and ``samples``
     must give each client's distinct scheduled samples for the round as
-    an ``(n_c, in_features)`` matrix.  All other parameters are
-    materialised as views into a ``(n_clients, n_params)`` working
-    plane at the model's parameter dtype (allocated here unless the
-    caller passes one to reuse).  Returns ``(batched_model, plane)``.
+    an ``(n_c, in_features)`` matrix.  All other parameters are views
+    into a fresh ``(n_clients, n_params)`` working plane at the layout
+    dtype.  Returns ``(batched_model, plane)``.
 
-    Dense plane slices belonging to factored keys stay uninitialised —
-    they are only written by :func:`flush_cohort` at round end.
+    Plane columns belonging to factored keys stay uninitialised — they
+    are only written by :func:`flush_cohort` at round end.
     """
     named = batchable_layers(model)
     if named is None:
@@ -579,12 +569,7 @@ def build_batched(
             f"model {getattr(model, 'arch', type(model).__name__)!r} has no "
             "batched mirror; use the serial trainer"
         )
-    dtypes = {np.dtype(d) for d in layout.dtypes}
-    if len(dtypes) != 1:
-        raise ValueError(
-            f"batched cohorts need a uniform parameter dtype, got {sorted(map(str, dtypes))}"
-        )
-    dtype = dtypes.pop()
+    dtype = layout.dtype
     factorable = factorable_layer(model)
     allowed = {f"{factorable[0]}.weight"} if factorable is not None else set()
     if set(factored_keys) - allowed:
@@ -595,13 +580,7 @@ def build_batched(
         )
     if factored_keys and (samples is None or len(samples) != n_clients):
         raise ValueError("a factored first layer needs every client's samples")
-    if plane is None:
-        plane = np.empty((n_clients, layout.n_params), dtype=dtype)
-    elif plane.shape != (n_clients, layout.n_params) or plane.dtype != dtype:
-        raise ValueError(
-            f"plane must be {dtype} of shape ({n_clients}, {layout.n_params}), "
-            f"got {plane.dtype} {plane.shape}"
-        )
+    plane = np.empty((n_clients, layout.n_params), dtype=dtype)
 
     def view(key: str) -> np.ndarray:
         sl = layout.slice_of(key)
@@ -655,20 +634,16 @@ def build_batched(
 def flush_cohort(
     batched: BatchedSequential,
     layout,
-    out: np.ndarray,
+    plane: np.ndarray,
 ) -> None:
-    """Write every client's final state into ``out`` ``(C, n_params)`` float64.
+    """Complete ``plane``, the cohort's working plane, with every
+    client's final state.
 
-    Dense params copy their plane views (one cast); a factored weight
-    materialises ``W0 + Gᵀ X`` directly into its column slice — the
-    deferred equivalent of every per-step weight update the serial
-    trainer applied, and the only time the cohort's dense per-client
-    weights exist at all.
+    Dense params already live in it; a factored weight materialises
+    ``W0 + Gᵀ X`` into its column slice — the deferred equivalent of
+    every per-step weight update the serial trainer applied, and the
+    only time the cohort's dense per-client weights exist at all.
     """
     for p in batched.params():
-        sl = layout.slice_of(p.key)
-        target = out[:, sl]
         if isinstance(p, FactoredParam):
-            p.materialize(target)
-        else:
-            p.flush_into(target)
+            p.materialize(plane[:, layout.slice_of(p.key)])

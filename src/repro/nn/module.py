@@ -153,9 +153,9 @@ class Module:
     def load_flat(self, vector: np.ndarray, layout) -> None:
         """Load a packed parameter vector straight into the module tree.
 
-        ``vector`` is a flat float64 buffer laid out per ``layout`` (a
+        ``vector`` is a flat buffer laid out per ``layout`` (a
         :class:`repro.nn.state_flat.StateLayout`) — e.g. one row of a
-        packed cohort matrix, or the output of the aggregation GEMV.
+        packed cohort matrix, or a float64 aggregate.
         Equivalent to ``load_state_dict(unpack_state(vector, layout))``
         bit for bit (each slice is cast to the parameter dtype the same
         way), but never materialises the intermediate dict: values are

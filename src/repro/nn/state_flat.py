@@ -8,11 +8,12 @@ parameters as per-key ``OrderedDict``\\ s forces every one of these
 operations through an O(n_clients x n_keys) Python loop before any BLAS
 kernel can run.  This module provides the alternative representation:
 
-* a :class:`StateLayout` — the key -> (slice, shape, dtype) map derived
-  **once** per model architecture, and
+* a :class:`StateLayout` — the key -> (slice, shape) map and the one
+  parameter dtype, derived **once** per model architecture, and
 * ``pack``/``unpack`` kernels that move a state dict into and out of a
-  single contiguous float64 buffer, so that a cohort of ``n`` client
-  states becomes one C-contiguous ``(n_clients, n_params)`` matrix.
+  single contiguous buffer at that dtype, so that a cohort of ``n``
+  client states becomes one C-contiguous ``(n_clients, n_params)``
+  matrix.
 
 With the cohort in this form the hot paths collapse to single kernels:
 aggregation is one GEMV (``w @ X``), FedClust's final-layer extraction
@@ -31,15 +32,20 @@ Layout invariants
    of disjoint column runs (a single ``slice`` when the keys are stored
    adjacently — true for FedClust's final layer, which is registered
    last).
-3. **Packing is exact.**  The buffer is float64 and every supported
-   parameter dtype (float16/32/64) embeds into float64 losslessly, so
-   ``unpack(pack(state)) == state`` *bit for bit*, including dtype and
-   shape.  Non-contiguous inputs (views, transposes) are packed via
-   C-order ravel; unpacking always returns fresh C-contiguous arrays.
+3. **One dtype, and packing is exact.**  Every parameter of a layout
+   has the same float dtype (float16/32/64; a state that mixes dtypes
+   is rejected when the layout is built), and the buffer is held at
+   that dtype, so ``unpack(pack(state)) == state`` *bit for bit*,
+   including dtype and shape.  Non-contiguous inputs (views,
+   transposes) are packed via C-order ravel; unpacking always returns
+   fresh C-contiguous arrays.  Rows stay at this dtype across the FL
+   stack; float64 appears only as the accumulator of a reduction
+   (aggregation, the robust rules, norms), and
+   :meth:`StateLayout.round_trip` is the one narrowing of such a
+   float64 result back to a row.
 4. **One layout per architecture.**  All states packed with a layout
-   must share its key sequence, shapes and dtypes; :func:`pack_state`
-   validates the key sequence and lets NumPy's shape rules reject the
-   rest.  States from the same model always satisfy this.
+   must share its key sequence and shapes; :func:`pack_state`
+   validates both.  States from the same model always satisfy this.
 
 Client state crosses the FL stack (task payloads, client updates,
 aggregation, the client-state store, checkpoints) only in this packed
@@ -68,13 +74,13 @@ __all__ = [
     "unpack_keys",
 ]
 
-#: Parameter dtypes that embed losslessly into the float64 plane.
-_EXACT_DTYPES = (np.float16, np.float32, np.float64)
+#: Parameter dtypes a layout accepts (each widens to float64 exactly).
+_FLOAT_DTYPES = tuple(np.dtype(d) for d in (np.float16, np.float32, np.float64))
 
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Key -> (slice, shape, dtype) map for one model architecture.
+    """Key -> (slice, shape) map and parameter dtype of one architecture.
 
     Derived once (per environment / per model) and shared by every pack,
     unpack, slice and transport operation on that architecture's states.
@@ -83,7 +89,7 @@ class StateLayout:
 
     keys: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
-    dtypes: tuple[np.dtype, ...]
+    dtype: np.dtype  # every parameter's, and so every packed row's
     offsets: tuple[int, ...]  # len(keys) + 1 cumulative sizes; [-1] == n_params
     _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
@@ -92,22 +98,27 @@ class StateLayout:
     # ------------------------------------------------------------------
     @classmethod
     def from_state(cls, state: Mapping[str, np.ndarray]) -> "StateLayout":
-        """Derive the layout from a template state dict (its own order)."""
+        """Derive the layout from a template state dict (its own order).
+
+        Every value must share one float dtype: rows are held at it.
+        """
         if not state:
             raise ValueError("cannot derive a layout from an empty state")
-        keys, shapes, dtypes, offsets = [], [], [], [0]
-        for key, value in state.items():
-            arr = np.asarray(value)
-            if arr.dtype not in [np.dtype(d) for d in _EXACT_DTYPES]:
-                raise TypeError(
-                    f"key {key!r} has dtype {arr.dtype}, which does not embed "
-                    "losslessly into the float64 parameter plane"
-                )
-            keys.append(key)
-            shapes.append(tuple(arr.shape))
-            dtypes.append(arr.dtype)
+        keys = tuple(state)
+        arrays = [np.asarray(state[key]) for key in keys]
+        dtypes = sorted({str(arr.dtype) for arr in arrays})
+        if len(dtypes) != 1:
+            raise TypeError(f"a layout holds one parameter dtype, got {dtypes}")
+        dtype = arrays[0].dtype
+        if dtype not in _FLOAT_DTYPES:
+            raise TypeError(
+                f"parameters have dtype {dtype}, which does not widen "
+                "losslessly into the float64 accumulators"
+            )
+        offsets = [0]
+        for arr in arrays:
             offsets.append(offsets[-1] + int(arr.size))
-        layout = cls(tuple(keys), tuple(shapes), tuple(dtypes), tuple(offsets))
+        layout = cls(keys, tuple(arr.shape for arr in arrays), dtype, tuple(offsets))
         object.__setattr__(layout, "_index", {k: i for i, k in enumerate(keys)})
         return layout
 
@@ -129,11 +140,6 @@ class StateLayout:
     def n_params(self) -> int:
         """Total scalar count — the packed vector length."""
         return self.offsets[-1]
-
-    @property
-    def wire_dtype(self) -> np.dtype:
-        """Narrowest dtype that round-trips every entry over transport."""
-        return np.dtype(max(self.dtypes, key=lambda d: d.itemsize))
 
     def slice_of(self, key: str) -> slice:
         """Column range of one key in the packed buffer."""
@@ -176,31 +182,20 @@ class StateLayout:
         return pack_state(state, self, out=out)
 
     def round_trip(self, vector: np.ndarray) -> np.ndarray:
-        """Round a float64 vector through each key's parameter dtype.
+        """A fresh row at the layout dtype: ``vector`` rounded to it.
 
         Equivalent to ``pack_state(unpack_state(vector, self), self)``
         without materialising the dict: the result is what a model would
-        actually hold after loading ``vector``.  Flat-plane algorithms
-        that carry aggregated float64 vectors across rounds use this to
-        stay bit-identical to the dict path, which rounds to the
-        parameter dtype at every unpack.
+        actually hold after loading ``vector``.  This is the one
+        narrowing of a float64 aggregate back to a row; a row already at
+        the layout dtype comes back as an exact copy.
         """
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.asarray(vector)
         if vector.shape != (self.n_params,):
             raise ValueError(
                 f"vector has shape {vector.shape}, expected ({self.n_params},)"
             )
-        distinct = set(self.dtypes)
-        if distinct == {np.dtype(np.float64)}:
-            return vector.copy()
-        if len(distinct) == 1:
-            return vector.astype(distinct.pop()).astype(np.float64)
-        out = np.empty_like(vector)
-        for lo, hi, dtype in zip(
-            self.offsets[:-1], self.offsets[1:], self.dtypes
-        ):
-            out[lo:hi] = vector[lo:hi].astype(dtype)
-        return out
+        return vector.astype(self.dtype)
 
 
 def pack_state(
@@ -208,12 +203,11 @@ def pack_state(
     layout: StateLayout,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pack one state dict into a contiguous float64 vector.
+    """Pack one state dict into a contiguous vector at the layout dtype.
 
     The state's key sequence and per-key shapes must equal the layout's
-    (invariant 4); values are cast to float64 exactly and written in C
-    order.  ``out`` lets callers fill a preallocated row of a cohort
-    matrix.
+    (invariant 4); values are written in C order.  ``out`` lets callers
+    fill a preallocated row of a cohort matrix.
     """
     keys = list(state.keys())
     if keys != list(layout.keys):
@@ -222,10 +216,10 @@ def pack_state(
             f"{sorted(set(keys) ^ set(layout.keys)) or 'same set, different order'}"
         )
     if out is None:
-        out = np.empty(layout.n_params, dtype=np.float64)
-    elif out.shape != (layout.n_params,) or out.dtype != np.float64:
+        out = np.empty(layout.n_params, dtype=layout.dtype)
+    elif out.shape != (layout.n_params,) or out.dtype != layout.dtype:
         raise ValueError(
-            f"out must be float64 of shape ({layout.n_params},), "
+            f"out must be {layout.dtype} of shape ({layout.n_params},), "
             f"got {out.dtype} {out.shape}"
         )
     for key, offset_lo, offset_hi, shape in zip(
@@ -249,8 +243,8 @@ def pack_states(
 ) -> tuple[np.ndarray, StateLayout]:
     """Pack a cohort of states into one ``(n_clients, n_params)`` matrix.
 
-    Row ``i`` is client ``i``'s packed state.  The matrix is float64 and
-    C-contiguous — the direct operand of
+    Row ``i`` is client ``i``'s packed state.  The matrix is at the
+    layout dtype and C-contiguous — the direct operand of
     :func:`repro.fl.aggregation.packed_weighted_average` and
     :func:`repro.core.weights.packed_weight_matrix`.
     """
@@ -259,7 +253,7 @@ def pack_states(
         raise ValueError("need at least one state to pack")
     if layout is None:
         layout = StateLayout.from_state(states[0])
-    matrix = np.empty((len(states), layout.n_params), dtype=np.float64)
+    matrix = np.empty((len(states), layout.n_params), dtype=layout.dtype)
     for i, state in enumerate(states):
         pack_state(state, layout, out=matrix[i])
     return matrix, layout
@@ -268,12 +262,12 @@ def pack_states(
 def unpack_state(
     vector: np.ndarray, layout: StateLayout
 ) -> "OrderedDict[str, np.ndarray]":
-    """Unpack a vector into a fresh state dict (original shapes/dtypes).
+    """Unpack a vector into a fresh state dict (original shapes/dtype).
 
     Exact inverse of :func:`pack_state` for vectors produced by it; for
-    arbitrary float64 vectors each entry is rounded to its parameter
-    dtype, exactly as the dict-path aggregation casts its float64
-    accumulator back to the parameter dtype.
+    a float64 vector each entry is rounded to the parameter dtype,
+    exactly as the dict-path aggregation casts its float64 accumulator
+    back to the parameter dtype.
     """
     vector = np.asarray(vector)
     if vector.shape != (layout.n_params,):
@@ -281,14 +275,10 @@ def unpack_state(
             f"vector has shape {vector.shape}, expected ({layout.n_params},)"
         )
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for key, lo, hi, shape, dtype in zip(
-        layout.keys,
-        layout.offsets[:-1],
-        layout.offsets[1:],
-        layout.shapes,
-        layout.dtypes,
+    for key, lo, hi, shape in zip(
+        layout.keys, layout.offsets[:-1], layout.offsets[1:], layout.shapes
     ):
-        out[key] = vector[lo:hi].reshape(shape).astype(dtype, copy=True)
+        out[key] = vector[lo:hi].reshape(shape).astype(layout.dtype, copy=True)
     return out
 
 
@@ -314,7 +304,7 @@ def unpack_keys(
         out[key] = (
             vector[offset : offset + size]
             .reshape(layout.shapes[i])
-            .astype(layout.dtypes[i], copy=True)
+            .astype(layout.dtype, copy=True)
         )
         offset += size
     return out

@@ -378,7 +378,9 @@ class TestCFLFlatDeltas:
         vector = env.layout.pack(incoming)
         _, _, updates = fedavg_round_flat(env, vector, members, round_index=1)
 
-        flat_deltas = np.stack([u.flat for u in updates]) - vector
+        flat_deltas = np.subtract(
+            np.stack([u.flat for u in updates]), vector, dtype=np.float64
+        )
         dict_deltas = np.stack(
             [
                 flatten_state(

@@ -69,8 +69,8 @@ class TestFlatTransportParity:
     def test_updates_carry_consistent_flat(self, small_env):
         updates, _ = self._round(small_env, SerialClientExecutor())
         for u in updates:
-            assert u.flat.dtype == np.float64
-            # The row is a packed model state: exact at the parameter dtypes.
+            assert u.flat.dtype == small_env.layout.dtype
+            # The row is a packed model state: exact at the parameter dtype.
             np.testing.assert_array_equal(u.flat, small_env.layout.round_trip(u.flat))
 
     @pytest.mark.slow

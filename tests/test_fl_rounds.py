@@ -1060,10 +1060,10 @@ class TestCFLWindowedSplits:
         for cache in caches:
             for _, row, _ in cache.values():
                 assert row.base is None  # owns its buffer, pins nothing
-                # Rows are held at the wire dtype, not the server's
-                # float64 working precision — the cache's whole cost is
+                # Rows are held at the layout dtype, not the float64
+                # the deltas are taken in — the cache's whole cost is
                 # W x m x n_params, and float32 halves it.
-                assert row.dtype == env.layout.wire_dtype
+                assert row.dtype == env.layout.dtype
 
     def test_default_window_is_bit_identical_to_pr4(self, env_factory):
         """delta_window=1 (the default) must not change any number under
@@ -1351,8 +1351,8 @@ class TestStoreIntegration:
 
 class TestRowLifetime:
     """A round lets go of its updates' rows, so the batched executor's
-    emit plane is freed before the next round trains; a row the engine
-    banks keeps its values until it folds."""
+    working plane is freed before the next round trains; a row the
+    engine banks keeps its values until it folds."""
 
     @staticmethod
     def _spy(env, record):

@@ -1,10 +1,10 @@
-"""Client-state stores: quantisation contract, sharding, checkpoints.
+"""Client-state stores: row contract, sharding, checkpoints.
 
 The invariants under test are the ones the population-scale path rests
 on (see the ``repro.fl.store`` module docstring): a stored row reads
-back as exactly ``layout.round_trip(row)`` for any float64 input, dense
-and sharded stores are bit-interchangeable, and checkpoints restore
-across kinds.
+back as exactly ``layout.round_trip(row)`` at the layout dtype for any
+float64 input, dense and sharded stores are bit-interchangeable, and
+checkpoints restore across kinds to exactly the file's rows.
 """
 
 from __future__ import annotations
@@ -25,22 +25,22 @@ from repro.fl.store import (
 from repro.nn.state_flat import StateLayout
 
 
-def _mixed_layout() -> StateLayout:
-    """Mixed f32/f64 layout — round_trip is lossy per segment."""
+def _layout() -> StateLayout:
+    """Multi-key float32 layout — round_trip rounds float64 rows."""
     rng = np.random.default_rng(0)
     state = OrderedDict(
         [
             ("conv.weight", rng.standard_normal((3, 2, 2)).astype(np.float32)),
-            ("conv.bias", rng.standard_normal(3).astype(np.float64)),
+            ("conv.bias", rng.standard_normal(3).astype(np.float32)),
             ("fc.weight", rng.standard_normal((4, 5)).astype(np.float32)),
-            ("fc.bias", rng.standard_normal(4).astype(np.float64)),
+            ("fc.bias", rng.standard_normal(4).astype(np.float32)),
         ]
     )
     return StateLayout.from_state(state)
 
 
 def _f32_layout(p: int = 24) -> StateLayout:
-    """Single-dtype float32 layout — wire dtype is float32."""
+    """Single-key float32 layout."""
     state = OrderedDict(
         [("w", np.zeros(p, dtype=np.float32))]
     )
@@ -51,7 +51,7 @@ def _base_row(layout: StateLayout, seed: int = 1) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(layout.n_params)
 
 
-_MIXED_P = _mixed_layout().n_params
+_P = _layout().n_params
 
 
 def _row_strategy(p: int):
@@ -90,22 +90,22 @@ class TestQuantisationContract:
     bit-identity bridge between the store and the historical dict path."""
 
     @settings(max_examples=30, deadline=None)
-    @given(row=_row_strategy(_MIXED_P), kind=st.sampled_from(["dense", "sharded"]))
+    @given(row=_row_strategy(_P), kind=st.sampled_from(["dense", "sharded"]))
     def test_get_is_round_trip(self, row, kind):
-        layout = _mixed_layout()
+        layout = _layout()
         store = make_store(
             StoreConfig(kind=kind, shard_size=3), 5, layout, _base_row(layout)
         )
         store.set(2, row)
         got = store.get(2)
-        assert got.dtype == np.float64
+        assert got.dtype == layout.dtype == np.float32
         np.testing.assert_array_equal(got, layout.round_trip(row))
 
     @settings(max_examples=30, deadline=None)
     @given(row=_row_strategy(24))
     def test_f32_wire_quantisation_bound(self, row):
         layout = _f32_layout()
-        assert layout.wire_dtype == np.float32
+        assert layout.dtype == np.float32
         store = DenseStore(4, layout, np.zeros(24))
         store.set(0, row)
         got = store.get(0)
@@ -114,7 +114,7 @@ class TestQuantisationContract:
         assert np.allclose(got, row, rtol=2.0**-23, atol=1e-38)
 
     def test_get_returns_fresh_rows(self):
-        layout = _mixed_layout()
+        layout = _layout()
         store = ShardedStore(4, layout, _base_row(layout), shard_size=2)
         before = store.get(1)
         store.get(1)[:] = 0.0
@@ -142,7 +142,7 @@ class TestDenseShardedEquivalence:
         shard_size=st.integers(1, 13),
     )
     def test_same_contents_under_any_write_sequence(self, writes, shard_size):
-        layout = _mixed_layout()
+        layout = _layout()
         base = _base_row(layout)
         dense = DenseStore(11, layout, base)
         sharded = ShardedStore(11, layout, base, shard_size=shard_size)
@@ -154,7 +154,7 @@ class TestDenseShardedEquivalence:
         np.testing.assert_array_equal(dense.rows(ids), sharded.rows(ids))
 
     def test_sharded_is_lazy(self):
-        layout = _mixed_layout()
+        layout = _layout()
         store = ShardedStore(64, layout, _base_row(layout), shard_size=8)
         base_only = store.resident_bytes()
         # reads never materialise
@@ -182,7 +182,7 @@ class TestCheckpointRestore:
     @pytest.mark.parametrize("src_kind", ["dense", "sharded"])
     @pytest.mark.parametrize("dst_kind", ["dense", "sharded"])
     def test_cross_kind_round_trip(self, src_kind, dst_kind):
-        layout = _mixed_layout()
+        layout = _layout()
         base = _base_row(layout)
         src = self._filled(
             make_store(StoreConfig(kind=src_kind, shard_size=3), 10, layout, base),
@@ -194,8 +194,32 @@ class TestCheckpointRestore:
         ids = np.arange(10)
         np.testing.assert_array_equal(dst.rows(ids), src.rows(ids))
 
+    @pytest.mark.parametrize(
+        "src_cfg, dst_cfg",
+        [
+            (StoreConfig(kind="sharded", shard_size=3), StoreConfig(kind="dense")),
+            (
+                StoreConfig(kind="sharded", shard_size=2),
+                StoreConfig(kind="sharded", shard_size=4),
+            ),
+            (StoreConfig(kind="dense"), StoreConfig(kind="sharded", shard_size=4)),
+        ],
+        ids=["dense-from-sharded", "sharded-from-resharded", "sharded-from-dense"],
+    )
+    def test_restore_drops_rows_written_before(self, src_cfg, dst_cfg):
+        """A restore leaves exactly the file's rows: a client the store
+        wrote before, whose row in the file is the base, reads the base."""
+        layout = _layout()
+        base = _base_row(layout)
+        src = self._filled(make_store(src_cfg, 10, layout, base), [(0, 7), (4, 8)])
+        dst = self._filled(make_store(dst_cfg, 10, layout, base), [(5, 3), (4, 1)])
+        dst.restore_from(*src.checkpoint_payload())
+        np.testing.assert_array_equal(dst.get(5), layout.round_trip(base))
+        ids = np.arange(10)
+        np.testing.assert_array_equal(dst.rows(ids), src.rows(ids))
+
     def test_same_geometry_restore_preserves_sparsity(self):
-        layout = _mixed_layout()
+        layout = _layout()
         base = _base_row(layout)
         src = self._filled(
             ShardedStore(40, layout, base, shard_size=8), [(3, 1), (30, 2)]
@@ -233,7 +257,7 @@ class TestCheckpointRestore:
 
 class TestMemmapShards:
     def test_memmap_round_trip(self, tmp_path):
-        layout = _mixed_layout()
+        layout = _layout()
         base = _base_row(layout)
         store = ShardedStore(
             20, layout, base, shard_size=4, path=str(tmp_path / "shards")

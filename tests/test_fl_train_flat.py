@@ -8,8 +8,8 @@ for both weight representations (dense plane views and shared-base
 factored), for FedProx's anchored objective, under ragged dataset sizes
 with zero-weight padding, and end-to-end on the Table-I metric.
 Architectures without a batched mirror must route to the serial kernel
-bit-identically.  A cohort's rows are views into one emit plane that
-aggregation reads in place.
+bit-identically.  A cohort's rows are views into its working plane,
+which aggregation reads in place.
 """
 
 from __future__ import annotations
@@ -96,24 +96,33 @@ class TestBatchedSerialParity:
     def test_per_client_updates_match_serial(self, mlp_env_factory):
         """The headline gate: same RNG keys, same minibatch order, same
         updates (to float64-comparison tolerance) for a ragged cohort
-        with momentum — dense and factored layers both in play."""
-        env = mlp_env_factory(
-            TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.9)
-        )
-        tasks = _broadcast_tasks(env)
-        serial = SerialClientExecutor().run(env, tasks, round_index=3)
-        batched = BatchedClientExecutor().run(env, tasks, round_index=3)
-        _assert_parity(serial, batched)
+        with and without momentum — dense and factored layers both in
+        play.  Momentum 0 is FedClust's warm-up default, and runs the
+        optimiser's momentum-free branches."""
+        for momentum in (0.9, 0.0):
+            env = mlp_env_factory(
+                TrainConfig(
+                    local_epochs=2, batch_size=32, lr=0.05, momentum=momentum
+                )
+            )
+            tasks = _broadcast_tasks(env)
+            serial = SerialClientExecutor().run(env, tasks, round_index=3)
+            batched = BatchedClientExecutor().run(env, tasks, round_index=3)
+            _assert_parity(serial, batched)
 
     def test_factored_and_dense_modes_agree(self, mlp_env_factory):
         """Forcing the first layer factored vs keeping every weight dense
         gives the same updates — the representations are two kernels for
-        one computation — under momentum, the proximal pull and
-        per-client budgets on the ragged fixture.  A zero-budget
-        client returns the broadcast bit-for-bit."""
+        one computation — with and without momentum, under the proximal
+        pull and per-client budgets on the ragged fixture.  A
+        zero-budget client returns the broadcast bit-for-bit."""
         cases = [
             (TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.9), 0.0, None),
-            (TrainConfig(local_epochs=2, batch_size=32, lr=0.05), 0.0, None),
+            (
+                TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.0),
+                0.5,
+                [0, 1, 3, None, 0, 5],
+            ),
             (TrainConfig(local_epochs=2, batch_size=32, lr=0.05, momentum=0.9), 0.5, None),
             (
                 TrainConfig(local_epochs=3, batch_size=16, lr=0.05, momentum=0.9),

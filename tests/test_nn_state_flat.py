@@ -1,9 +1,10 @@
 """Flat parameter plane: layout, pack/unpack, and the packed kernels.
 
 The invariants under test are the ones the hot paths rely on (see the
-``repro.nn.state_flat`` module docstring): packing is an exact bijection
-onto the float64 plane, key subsets are column runs, and the packed
-aggregation kernel matches the per-key reference loop.
+``repro.nn.state_flat`` module docstring): a layout holds one dtype,
+packing is an exact bijection onto rows at that dtype, key subsets are
+column runs, and the packed aggregation kernel matches the per-key
+reference loop.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ from repro.nn.state_flat import (
 from repro.core.weights import packed_weight_matrix, weight_matrix
 
 
-def _mixed_state(rng: np.random.Generator) -> "OrderedDict[str, np.ndarray]":
-    """A template with mixed dtypes, shapes and a scalar-free layout."""
+def _state(
+    rng: np.random.Generator, dtype=np.float32
+) -> "OrderedDict[str, np.ndarray]":
+    """A template with mixed shapes and a scalar-free layout."""
     return OrderedDict(
         [
-            ("conv.weight", rng.standard_normal((4, 3, 3, 3)).astype(np.float32)),
-            ("conv.bias", rng.standard_normal(4).astype(np.float32)),
-            ("norm.gamma", rng.standard_normal(4).astype(np.float64)),
-            ("fc.weight", rng.standard_normal((5, 16)).astype(np.float32)),
-            ("fc.bias", rng.standard_normal(5).astype(np.float64)),
+            ("conv.weight", rng.standard_normal((4, 3, 3, 3)).astype(dtype)),
+            ("conv.bias", rng.standard_normal(4).astype(dtype)),
+            ("norm.gamma", rng.standard_normal(4).astype(dtype)),
+            ("fc.weight", rng.standard_normal((5, 16)).astype(dtype)),
+            ("fc.bias", rng.standard_normal(5).astype(dtype)),
         ]
     )
 
@@ -55,9 +58,9 @@ def _like(template, rng):
 
 class TestLayout:
     def test_offsets_tile_the_plane(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         assert layout.offsets[0] == 0
-        assert layout.n_params == sum(v.size for v in _mixed_state(rng).values())
+        assert layout.n_params == sum(v.size for v in _state(rng).values())
         for key in layout.keys:
             s = layout.slice_of(key)
             assert s.stop - s.start == layout.size_of(key)
@@ -68,18 +71,18 @@ class TestLayout:
         assert stops[-1] == layout.n_params
 
     def test_unknown_key_raises(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         with pytest.raises(KeyError, match="nope"):
             layout.slice_of("nope")
 
     def test_columns_contiguous_is_slice(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         cols = layout.columns(["fc.weight", "fc.bias"])
         assert isinstance(cols, slice)
         assert cols.stop == layout.n_params  # final-layer keys sit last
 
     def test_columns_gap_is_index_array(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         cols = layout.columns(["conv.bias", "fc.bias"])
         assert isinstance(cols, np.ndarray)
         expected = np.concatenate(
@@ -90,13 +93,12 @@ class TestLayout:
         )
         np.testing.assert_array_equal(cols, expected)
 
-    def test_wire_dtype_widest(self, rng):
-        mixed = StateLayout.from_state(_mixed_state(rng))
-        assert mixed.wire_dtype == np.dtype(np.float64)
-        f32_only = StateLayout.from_state(
-            OrderedDict(a=np.zeros(3, np.float32), b=np.zeros(2, np.float32))
-        )
-        assert f32_only.wire_dtype == np.dtype(np.float32)
+    def test_mixed_dtypes_rejected(self, rng):
+        assert StateLayout.from_state(_state(rng)).dtype == np.dtype(np.float32)
+        mixed = _state(rng)
+        mixed["fc.bias"] = mixed["fc.bias"].astype(np.float64)
+        with pytest.raises(TypeError, match="one parameter dtype"):
+            StateLayout.from_state(mixed)
 
     def test_rejects_non_float(self):
         with pytest.raises(TypeError, match="losslessly"):
@@ -112,7 +114,7 @@ class TestLayout:
     def test_picklable(self, rng):
         import pickle
 
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         clone = pickle.loads(pickle.dumps(layout))
         assert clone == layout
         assert clone.slice_of("fc.bias") == layout.slice_of("fc.bias")
@@ -120,7 +122,7 @@ class TestLayout:
 
 class TestPackUnpack:
     def test_round_trip_exact(self, rng):
-        state = _mixed_state(rng)
+        state = _state(rng)
         layout = StateLayout.from_state(state)
         back = unpack_state(pack_state(state, layout), layout)
         assert list(back) == list(state)
@@ -146,14 +148,14 @@ class TestPackUnpack:
 
     def test_pack_matches_flatten_state(self, rng):
         # flatten_state is the pre-existing, well-tested oracle.
-        state = _mixed_state(rng)
+        state = _state(rng)
         layout = StateLayout.from_state(state)
         np.testing.assert_array_equal(
             pack_state(state, layout), flatten_state(state)
         )
 
     def test_key_order_mismatch_raises(self, rng):
-        state = _mixed_state(rng)
+        state = _state(rng)
         layout = StateLayout.from_state(state)
         reordered = OrderedDict(reversed(list(state.items())))
         with pytest.raises(KeyError):
@@ -161,7 +163,7 @@ class TestPackUnpack:
 
     def test_equal_size_shape_mismatch_raises(self, rng):
         """A transposed same-size tensor must be rejected, not scrambled."""
-        state = _mixed_state(rng)
+        state = _state(rng)
         layout = StateLayout.from_state(state)
         bad = OrderedDict(state)
         bad["fc.weight"] = np.ascontiguousarray(state["fc.weight"].T)
@@ -171,22 +173,22 @@ class TestPackUnpack:
             pack_states([state, bad])
 
     def test_pack_states_cohort(self, rng):
-        template = _mixed_state(rng)
+        template = _state(rng)
         states = [_like(template, rng) for _ in range(5)]
         matrix, layout = pack_states(states)
         assert matrix.shape == (5, layout.n_params)
-        assert matrix.dtype == np.float64
+        assert matrix.dtype == layout.dtype == np.float32
         assert matrix.flags["C_CONTIGUOUS"]
         for i, s in enumerate(states):
             np.testing.assert_array_equal(matrix[i], flatten_state(s))
 
     def test_unpack_wrong_length(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         with pytest.raises(ValueError, match="expected"):
             unpack_state(np.zeros(layout.n_params + 1), layout)
 
     def test_unpack_keys_partial(self, rng):
-        state = _mixed_state(rng)
+        state = _state(rng)
         layout = StateLayout.from_state(state)
         keys = ["fc.weight", "fc.bias"]
         vec = pack_state(state, layout)[layout.columns(keys)]
@@ -199,22 +201,20 @@ class TestPackUnpack:
     @settings(max_examples=30, deadline=None)
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
-        dtype_bits=st.lists(st.sampled_from([16, 32, 64]), min_size=6, max_size=6),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_round_trip_property(self, sizes, dtype_bits, seed):
+    def test_round_trip_property(self, sizes, dtype, seed):
         """pack ∘ unpack is the identity for any float state."""
         rng = np.random.default_rng(seed)
-        dtypes = {16: np.float16, 32: np.float32, 64: np.float64}
         state = OrderedDict(
-            (
-                f"k{i}",
-                rng.standard_normal(n).astype(dtypes[dtype_bits[i % 6]]),
-            )
+            (f"k{i}", rng.standard_normal(n).astype(dtype))
             for i, n in enumerate(sizes)
         )
         layout = StateLayout.from_state(state)
-        back = unpack_state(pack_state(state, layout), layout)
+        packed = pack_state(state, layout)
+        assert packed.dtype == np.dtype(dtype)
+        back = unpack_state(packed, layout)
         assert list(back) == list(state)
         for k in state:
             assert back[k].dtype == state[k].dtype
@@ -224,7 +224,7 @@ class TestPackUnpack:
 class TestPackedWeightedAverage:
     def test_matches_legacy_loop(self, rng):
         """GEMV vs the per-key reference loop: equal to float64 round-off."""
-        template = _mixed_state(rng)
+        template = _state(rng)
         states = [_like(template, rng) for _ in range(8)]
         weights = rng.integers(1, 50, size=8)
         legacy = weighted_average_dict(states, weights)
@@ -239,7 +239,7 @@ class TestPackedWeightedAverage:
             )
 
     def test_weight_normalisation_identical(self, rng):
-        template = _mixed_state(rng)
+        template = _state(rng)
         matrix, _ = pack_states([_like(template, rng) for _ in range(3)])
         np.testing.assert_array_equal(
             packed_weighted_average(matrix, [2, 2, 2]),
@@ -262,7 +262,7 @@ class TestPackedWeightedAverage:
 
 class TestPackedWeightMatrix:
     def test_matches_dict_weight_matrix(self, rng):
-        template = _mixed_state(rng)
+        template = _state(rng)
         states = [_like(template, rng) for _ in range(6)]
         matrix, layout = pack_states(states)
         for keys in (
@@ -277,14 +277,14 @@ class TestPackedWeightMatrix:
             )
 
     def test_contiguous_selection_is_view(self, rng):
-        template = _mixed_state(rng)
+        template = _state(rng)
         states = [_like(template, rng) for _ in range(4)]
         matrix, layout = pack_states(states)
         w = packed_weight_matrix(matrix, layout, ["fc.weight", "fc.bias"])
         assert np.shares_memory(w, matrix)  # zero-copy column slice
 
     def test_shape_validation(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         with pytest.raises(ValueError, match="packed cohort"):
             packed_weight_matrix(np.zeros((2, 3)), layout, ["fc.bias"])
 
@@ -295,20 +295,22 @@ class TestFlatPayload:
         layout = StateLayout.from_model(model)
         vec = pack_state(model.state_dict(), layout)
         buf = encode_flat_payload(vec, layout)
-        assert layout.wire_dtype == np.dtype(np.float32)  # half of float64
+        assert layout.dtype == np.dtype(np.float32)  # half of float64
         assert len(buf) == layout.n_params * 4
         np.testing.assert_array_equal(decode_flat_payload(buf, layout), vec)
 
-    def test_encode_decode_mixed_dtypes_use_float64(self, rng):
-        state = _mixed_state(rng)
+    def test_encode_decode_float64_model_uses_float64(self, rng):
+        state = _state(rng, np.float64)
         layout = StateLayout.from_state(state)
         vec = pack_state(state, layout)
         buf = encode_flat_payload(vec, layout)
-        assert layout.wire_dtype == np.dtype(np.float64)
-        np.testing.assert_array_equal(decode_flat_payload(buf, layout), vec)
+        assert len(buf) == layout.n_params * 8
+        back = decode_flat_payload(buf, layout)
+        assert back.dtype == np.dtype(np.float64)
+        np.testing.assert_array_equal(back, vec)
 
     def test_length_validation(self, rng):
-        layout = StateLayout.from_state(_mixed_state(rng))
+        layout = StateLayout.from_state(_state(rng))
         with pytest.raises(ValueError, match="expected"):
             encode_flat_payload(np.zeros(3), layout)
         with pytest.raises(ValueError, match="expected"):
