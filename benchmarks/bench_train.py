@@ -1,15 +1,25 @@
-"""Serial vs batched cohort training benchmark (``BENCH_train.json``).
+"""Cohort training benchmark across the executors (``BENCH_train.json``).
 
 Times one communication round's local training — the dominant cost of
-every federated simulation — two ways:
+every federated simulation — three ways:
 
 * **serial executor** (:class:`repro.fl.parallel.SerialClientExecutor`):
   the reference kernel, one load → local-SGD loop → snapshot per client;
+* **process executor** (:class:`repro.fl.parallel.ProcessClientExecutor`,
+  2 workers): the serial kernel in a fork-based pool, bit-identical to
+  serial — the one executor that uses a second core without moving a
+  bit;
 * **batched executor** (:class:`repro.fl.parallel.BatchedClientExecutor`):
   the whole cohort trains in lockstep on the flat plane
   (:mod:`repro.fl.train_flat`), its first linear layer keyed by sample:
   each client's weight is the broadcast base plus one coefficient row
   per distinct scheduled sample (:mod:`repro.nn.batched`).
+
+The record runs at one BLAS thread, or at the count of the first of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+that the environment sets; it sets all three to that count before NumPy
+loads and stores it (``blas_threads``): BLAS threads compete with the
+process pool's workers for the same cores.
 
 The headline preset is the wide MLP from ``BENCH_eval.json`` (~1.6M
 params, ``hidden=(512,)``) at 64 clients × 3 local epochs — the
@@ -20,47 +30,65 @@ convolution, so every client falls back to the serial kernel and the
 batched "speedup" is ~1x by construction (the dispatch counts prove the
 routing).
 
-Also recorded: each executor's peak traced heap for one round (Python
-and NumPy allocations, via :mod:`tracemalloc`), and the worst
-per-client update deviation of the batched executor from serial (the
-fast correctness gates live in ``tests/test_fl_train_flat.py``; this is
-the per-PR trajectory record).
+Also recorded: the serial and batched executors' peak traced heap for
+one round (Python and NumPy allocations, via :mod:`tracemalloc`; a pool
+worker's heap is not traced), and each executor's worst per-client
+update deviation from serial (0.0 for the process pool; the fast
+correctness gates live in ``tests/test_fl_train_flat.py`` and
+``tests/test_fl_parallel.py``; this is the per-PR trajectory record).
 
 Run via ``python benchmarks/bench_train.py`` or ``scripts/bench.sh``.
 """
 
 from __future__ import annotations
 
-import json
-import time
-import tracemalloc
-from pathlib import Path
+import os
 
-import numpy as np
+# Before NumPy loads: the BLAS thread count is fixed at load time.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREADS = next((os.environ[v] for v in _BLAS_VARS if os.environ.get(v)), "1")
+for _var in _BLAS_VARS:
+    os.environ[_var] = BLAS_THREADS
+
+import json  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 try:  # package import (pytest) vs script import (scripts/bench.sh)
-    from benchmarks.bench_eval import _federation_env
+    from benchmarks.bench_eval import _federation_env  # noqa: E402
 except ImportError:  # pragma: no cover - script entry point
-    from bench_eval import _federation_env
+    from bench_eval import _federation_env  # noqa: E402
 
-from repro.fl.config import TrainConfig
-from repro.fl.parallel import (
+from repro.fl.config import TrainConfig  # noqa: E402
+from repro.fl.parallel import (  # noqa: E402
     BatchedClientExecutor,
+    ProcessClientExecutor,
     SerialClientExecutor,
     UpdateTask,
 )
 
+#: Process-pool size of the ``process`` rows.
+N_WORKERS = 2
 
-def _time_ms(fn, reps: int, warmup: int = 1) -> float:
-    """Median wall time of ``fn()`` over ``reps`` runs, in milliseconds."""
-    for _ in range(warmup):
+
+def _round_robin_ms(fns: dict, reps: int) -> dict:
+    """Median wall time of each ``fns[kind]()``, in milliseconds.
+
+    One warm-up call each, then ``reps`` rounds that call every entry in
+    turn, so a host that changes speed mid-run slows every entry alike.
+    """
+    for fn in fns.values():
         fn()
-    samples = []
+    samples: dict = {kind: [] for kind in fns}
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(samples))
+        for kind, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            samples[kind].append((time.perf_counter() - t0) * 1e3)
+    return {kind: float(np.median(ms)) for kind, ms in samples.items()}
 
 
 def _peak_mb(fn) -> float:
@@ -82,7 +110,7 @@ def _max_abs_diff(reference, updates) -> float:
     )
 
 
-def run_serial_vs_batched(
+def run_executors(
     n_clients: int = 64,
     samples_per_client: int = 40,
     local_epochs: int = 3,
@@ -91,8 +119,8 @@ def run_serial_vs_batched(
     model_kwargs: dict | None = None,
     reps: int = 5,
 ) -> dict:
-    """Time one round of cohort training on the serial and batched
-    executors.
+    """Time one round of cohort training on the serial, process and
+    batched executors.
 
     Every executor receives identical tasks (one shared packed broadcast
     row, the flat payload the in-tree algorithms ship) and the same
@@ -112,22 +140,30 @@ def run_serial_vs_batched(
     tasks = [UpdateTask(cid, flat=vector) for cid in range(n_clients)]
 
     batched = BatchedClientExecutor()
-    executors = {"serial": SerialClientExecutor(), "batched": batched}
-    times = {
-        kind: _time_ms(lambda ex=ex: ex.run(env, tasks, 1), reps=reps)
-        for kind, ex in executors.items()
+    executors = {
+        "serial": SerialClientExecutor(),
+        "process": ProcessClientExecutor(N_WORKERS),
+        "batched": batched,
     }
-    peak_mb = {
-        kind: round(_peak_mb(lambda ex=ex: ex.run(env, tasks, 1)), 1)
-        for kind, ex in executors.items()
-    }
-    updates = {kind: ex.run(env, tasks, 1) for kind, ex in executors.items()}
-    serial_ms, batched_ms = times["serial"], times["batched"]
+    try:
+        times = _round_robin_ms(
+            {kind: lambda ex=ex: ex.run(env, tasks, 1) for kind, ex in executors.items()},
+            reps=reps,
+        )
+        peak_mb = {
+            kind: round(_peak_mb(lambda ex=executors[kind]: ex.run(env, tasks, 1)), 1)
+            for kind in ("serial", "batched")
+        }
+        updates = {kind: ex.run(env, tasks, 1) for kind, ex in executors.items()}
+    finally:
+        for ex in executors.values():
+            ex.close()
     serial_updates = updates["serial"]
     scale = max(float(np.abs(s.flat).max()) for s in serial_updates)
 
     return {
         "model": f"{model_name}({model_kwargs})" if model_kwargs else model_name,
+        "blas_threads": int(BLAS_THREADS),
         "n_clients": n_clients,
         "n_params": env.n_params,
         "train_samples_per_client": int(
@@ -136,14 +172,21 @@ def run_serial_vs_batched(
         "local_epochs": local_epochs,
         "batch_size": batch_size,
         "steps_per_client": int(serial_updates[0].n_batches),
-        "serial_ms": round(serial_ms, 3),
-        "batched_ms": round(batched_ms, 3),
-        "speedup": round(serial_ms / batched_ms, 2),
+        "process_workers": N_WORKERS,
+        "serial_ms": round(times["serial"], 3),
+        "process_ms": round(times["process"], 3),
+        "batched_ms": round(times["batched"], 3),
+        "process_speedup": round(times["serial"] / times["process"], 2),
+        "speedup": round(times["serial"] / times["batched"], 2),
         "peak_mb": peak_mb,
-        # Worst per-client deviation between executors (float32 models
-        # diverge at summation-order level; the tolerance gate is in
+        # Worst per-client deviation from serial: the pool runs the
+        # serial kernel (0.0); batched float32 models diverge at
+        # summation-order level (the tolerance gate is in
         # tests/test_fl_train_flat.py).
-        "max_update_abs_diff": _max_abs_diff(serial_updates, updates["batched"]),
+        "max_update_abs_diff": {
+            kind: _max_abs_diff(serial_updates, updates[kind])
+            for kind in ("process", "batched")
+        },
         "max_update_abs": float(scale),
         # How the batched executor actually routed the tasks — "serial"
         # counts are transparent fallbacks (conv models).
@@ -161,39 +204,47 @@ if __name__ == "__main__":
     )
     result = {
         "benchmark": (
-            "cohort local training: serial per-client loop vs lockstep "
-            "batched executor (flat plane, sample-keyed factored first layer)"
+            "cohort local training: serial per-client loop vs a 2-worker "
+            "process pool vs lockstep batched executor (flat plane, "
+            "sample-keyed factored first layer)"
         )
     }
-    result.update(run_serial_vs_batched())
+    result.update(run_executors())
     # Shorter-schedule secondary: 2 local epochs amortises the round's
     # fixed costs over fewer lockstep steps, so the ratio is lower —
     # recorded so the trajectory shows the schedule dependence.
-    short = run_serial_vs_batched(local_epochs=2)
+    short = run_executors(local_epochs=2)
     result["secondary_2_epochs"] = {
         k: short[k]
         for k in (
             "local_epochs",
             "serial_ms",
+            "process_ms",
             "batched_ms",
+            "process_speedup",
             "speedup",
             "dispatch",
         )
     }
     # Conv counterpoint: LeNet-5 has no batched mirror, so the batched
     # executor routes every client to the serial reference kernel —
-    # honest ~1x, with the dispatch counts making the fallback explicit.
-    conv = run_serial_vs_batched(
-        n_clients=32, model_name="lenet5", model_kwargs={}, reps=2
+    # honest ~1x, with the dispatch counts making the fallback explicit;
+    # the process pool is the executor that speeds conv training up.
+    conv = run_executors(
+        n_clients=32, model_name="lenet5", model_kwargs={}, reps=3
     )
     result["secondary_lenet5"] = {
         k: conv[k]
         for k in (
             "model",
+            "blas_threads",
             "serial_ms",
+            "process_ms",
             "batched_ms",
+            "process_speedup",
             "speedup",
             "peak_mb",
+            "max_update_abs_diff",
             "dispatch",
         )
     }

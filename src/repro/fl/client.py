@@ -5,6 +5,12 @@ received packed row into a scratch model, run ``local_epochs`` of
 (proximal) SGD over the local split, and return the updated row.  They
 are plain functions over explicit arguments — no hidden globals — so
 the parallel executors can ship them to worker processes unchanged.
+
+The model's parameters and gradients are views into one buffer pair in
+layout order (:meth:`repro.nn.module.Module.flatten_parameters`), so the
+row loads with one copy into the buffer, every step zeroes the gradient
+buffer with one fill and the optimiser steps the whole buffer, and the
+updated row is one copy out of it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.fl.config import TrainConfig
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD, ProximalSGD
-from repro.nn.state_flat import StateLayout, pack_state, unpack_state
+from repro.nn.state_flat import StateLayout
 
 __all__ = [
     "ClientUpdate",
@@ -62,13 +68,13 @@ def local_train(
     rng: np.random.Generator,
     prox_mu: float = 0.0,
     anchor_flat: np.ndarray | None = None,
-    layout: StateLayout | None = None,
 ) -> tuple[float, int]:
     """Train ``model`` in place on ``dataset``; return (mean loss, batches).
 
+    ``model`` must have its flat buffer (every registered model does).
     With ``prox_mu > 0`` the optimiser is :class:`ProximalSGD` anchored at
-    ``anchor_flat`` (on ``layout``) — the packed global model the server
-    just broadcast — which is exactly FedProx's local objective.
+    ``anchor_flat`` — the packed global model the server just broadcast,
+    on the model's layout — which is exactly FedProx's local objective.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -76,14 +82,14 @@ def local_train(
     loss_fn = CrossEntropyLoss()
     if prox_mu > 0.0:
         optimizer: SGD = ProximalSGD(
-            model.parameters(),
+            model.flat_param,
             lr=cfg.lr,
             mu=prox_mu,
             momentum=cfg.momentum,
         )
-        optimizer.set_anchor_flat(anchor_flat, layout)
+        optimizer.set_anchor_flat(anchor_flat)
     else:
-        optimizer = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
+        optimizer = SGD(model.flat_param, lr=cfg.lr, momentum=cfg.momentum)
 
     batch_size = min(cfg.batch_size, len(dataset))
     loader = DataLoader(dataset, batch_size, rng=rng, shuffle=True)
@@ -119,24 +125,19 @@ def run_client_update_flat(
 ) -> ClientUpdate:
     """Full client round: one packed row in, one out.
 
-    Loads ``incoming_flat`` into ``model``, trains it locally and packs
-    the new state at the layout dtype.  The payload each way is a single
+    Loads ``incoming_flat`` into ``model``'s buffer, trains it locally
+    and copies the buffer out as a fresh row at the layout dtype, which
+    shares no memory with the model.  The payload each way is a single
     contiguous row, which is what the parallel executors ship across
     process boundaries.
     """
-    model.load_state_dict(unpack_state(incoming_flat, layout))
+    model.load_flat(incoming_flat, layout)
     mean_loss, n_batches = local_train(
-        model,
-        dataset,
-        cfg,
-        rng,
-        prox_mu=prox_mu,
-        anchor_flat=incoming_flat,
-        layout=layout,
+        model, dataset, cfg, rng, prox_mu=prox_mu, anchor_flat=incoming_flat
     )
     return ClientUpdate(
         client_id=client_id,
-        flat=pack_state(model.state_dict(copy=False), layout),
+        flat=model.flat_param.data.astype(layout.dtype),
         n_samples=len(dataset),
         mean_loss=mean_loss,
         n_batches=n_batches,

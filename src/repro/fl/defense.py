@@ -252,8 +252,10 @@ def _trimmed_middle_mean(matrix: np.ndarray, k: int) -> np.ndarray:
     the whole (n, p) cohort.  This kernel transposes blocks of columns
     into one contiguous (block, n) buffer so each lane is a short
     contiguous run — the layout NumPy's vectorised small-array sort is
-    built for — and reduces the middle slice in place.  Measured ~2.5×
-    the strided sort at cohort shapes (64 × 395k); selection via
+    built for — and reduces the middle slice in place.  On float32 rows
+    at cohort shape (64 × 394,634, k = 6) it takes 0.69–0.78 of the
+    strided sort's time (medians of 9 pairs, 2-CPU Xeon container), a
+    ratio ``benchmarks/bench_scenarios.py --check`` gates; selection via
     ``np.partition`` (single- and multi-kth) was benchmarked too and
     loses at these lane lengths, because introselect has no vectorised
     path.  Same surviving multiset per column as the sorted reference,

@@ -300,11 +300,14 @@ def _process_worker_run(
 class ProcessClientExecutor:
     """Fork-based process pool; workers hold a full environment copy.
 
-    Slower than serial unless BLAS is pinned to one thread.  On a 2-CPU
-    host with 2 workers (64 MLP clients or 32 LeNet-5 clients, 40
-    samples and 3 local epochs each), a round ran at 0.17–0.28× the
-    serial executor's speed at the default BLAS threading; with one
-    BLAS thread it ran at 1.03× on the MLP and 1.80× on LeNet-5.
+    Slower than serial unless BLAS is pinned to one thread: on a 2-CPU
+    host with 2 workers a round ran at 0.17–0.28× the serial executor's
+    speed at the default BLAS threading.  At one BLAS thread
+    (``BENCH_train.json``'s ``process`` rows: 32 training samples per
+    client, 3 local epochs) it ran at 1.64× on 32 LeNet-5 clients and
+    at 1.05× on 64 clients of the 1.6M-parameter MLP, whose rows cost
+    more to ship than to train (0.83× at 2 epochs).  Its updates equal
+    the serial executor's bit for bit.
 
     The pool is created lazily on first use (so the environment is fully
     constructed when pickled to workers) and must be :meth:`close`-d, or

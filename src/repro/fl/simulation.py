@@ -45,7 +45,6 @@ from repro.fl.parallel import SerialClientExecutor, UpdateTask, make_executor
 from repro.fl.store import ClientStateStore, StoreConfig, make_store
 from repro.nn.models import build_model, final_linear_name
 from repro.nn.module import Sequential
-from repro.nn.state_flat import StateLayout
 from repro.utils.rng import STREAM_TAGS, rng_for
 
 __all__ = ["FederatedEnv"]
@@ -111,8 +110,9 @@ class FederatedEnv:
         self.scratch_model = self.make_model()
         self._init_state = self.scratch_model.state_dict(copy=True)
         #: Flat-plane layout shared by executors, aggregation and
-        #: clustering for this architecture (see repro.nn.state_flat).
-        self.layout = StateLayout.from_state(self._init_state)
+        #: clustering for this architecture (see repro.nn.state_flat):
+        #: the one the model built with its flat buffer.
+        self.layout = self.scratch_model.layout
         self.n_params = self.scratch_model.num_parameters()
         self.final_layer = final_linear_name(self.scratch_model)
         self.final_layer_keys = [

@@ -53,10 +53,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
 from repro.nn.layers.activation import ReLU
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.linear import Linear
+from repro.nn.loss import softmax_minus_one_hot, target_log_probs
 from repro.nn.module import Module, Sequential
 
 __all__ = [
@@ -301,31 +301,29 @@ class BatchedCrossEntropyLoss:
     ``c``'s current batch and ``0`` for a padding row, which makes the
     per-client loss the serial batch *mean* and zeroes padded rows out
     of the gradient — a padded client's update is untouched by padding.
+    The softmax and its gradient are the serial loss's own helpers
+    (:func:`repro.nn.loss.target_log_probs`), so both share one formula.
     """
 
     def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple | None = None
 
     def forward(
         self, logits: np.ndarray, targets: np.ndarray, row_weights: np.ndarray
     ) -> np.ndarray:
         """Per-client weighted NLL, shape ``(C,)``."""
-        log_probs = log_softmax(logits, axis=2)
-        picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)[:, :, 0]
-        self._cache = (logits, targets, row_weights)
+        picked, state = target_log_probs(logits, targets)
+        self._cache = (state, row_weights)
         return -(picked * row_weights).sum(axis=1)
 
     def backward(self) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        logits, targets, row_weights = self._cache
+        state, row_weights = self._cache
         self._cache = None
-        grad = softmax(logits, axis=2)
-        grad -= one_hot(
-            targets.reshape(-1), logits.shape[2], dtype=grad.dtype
-        ).reshape(grad.shape)
+        grad = softmax_minus_one_hot(state)
         grad *= row_weights[:, :, None]
-        return grad.astype(logits.dtype, copy=False)
+        return grad
 
 
 class BatchedSequential:

@@ -52,7 +52,9 @@ def _stamp(model: Sequential, arch: str, input_shape: tuple[int, int, int], n_cl
     model.arch = arch  # type: ignore[attr-defined]
     model.input_shape = input_shape  # type: ignore[attr-defined]
     model.n_classes = n_classes  # type: ignore[attr-defined]
-    model.finalize_names()
+    # Parameters and gradients become views into one buffer pair in
+    # layout order (see repro.nn.module); every model here is one dtype.
+    model.finalize_names().flatten_parameters()
     return model
 
 

@@ -22,6 +22,20 @@ Design notes
 * **Caching contract.**  ``backward`` must be called right after the
   ``forward`` whose intermediate values it consumes.  The training loop in
   :mod:`repro.fl.client` honours this; the tests enforce it.
+* **One flat buffer.**  :meth:`Module.flatten_parameters` (which every
+  registered model factory calls) moves the tree's parameters into one
+  contiguous buffer and their gradients into a second, in
+  :class:`~repro.nn.state_flat.StateLayout` order: each
+  ``Parameter.data`` and ``.grad`` is then a view at its layout
+  offsets, and :attr:`Module.flat_param` is a :class:`Parameter` over
+  the two whole buffers.  A packed row loads with one copy
+  (:meth:`load_flat`), a row is emitted with one copy of
+  ``flat_param.data``, ``zero_grad`` is one fill, and the optimisers
+  step ``flat_param`` as one array.  Layers write parameters and
+  gradients in place (``data[...] = ``, ``grad +=``); rebinding
+  ``Parameter.data`` or ``.grad`` to a new array detaches it from the
+  buffer.  A copied model (pickle, ``copy.deepcopy``) copies each view
+  separately: build a new model and load the row instead.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn.parameter import Parameter
+from repro.nn.state_flat import StateLayout
 
 __all__ = ["Module", "Sequential"]
 
@@ -43,6 +58,11 @@ class Module:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
+        #: The subtree's parameters and gradients as one flat Parameter,
+        #: and their layout (see :meth:`flatten_parameters`); ``None``
+        #: until the buffer is built.
+        object.__setattr__(self, "flat_param", None)
+        object.__setattr__(self, "layout", None)
 
     # ------------------------------------------------------------------
     # Registration via attribute assignment
@@ -114,9 +134,36 @@ class Module:
             yield from child.named_modules(prefix=f"{prefix}{child_name}.")
 
     def zero_grad(self) -> None:
-        """Reset every parameter gradient in the subtree."""
+        """Reset every parameter gradient in the subtree (one fill of
+        the gradient buffer once :meth:`flatten_parameters` built it)."""
+        if self.flat_param is not None:
+            self.flat_param.zero_grad()
+            return
         for param in self.parameters():
             param.zero_grad()
+
+    def flatten_parameters(self) -> "Module":
+        """Move every parameter and gradient into one buffer pair.
+
+        The values are copied, in :class:`StateLayout` order, into one
+        contiguous buffer, and each ``Parameter.data`` and ``.grad`` is
+        rebound to its view of that buffer and of a zeroed gradient
+        buffer; :attr:`flat_param` holds both whole buffers and
+        :attr:`layout` the tree's layout.  Every parameter must share
+        one dtype.  Model factories call this once, after the tree is
+        assembled and named.
+        """
+        params = self.parameters()
+        if not params:
+            raise ValueError("a module without parameters has no buffer")
+        layout = StateLayout.from_model(self)  # rejects mixed dtypes
+        flat = Parameter(np.concatenate([p.data.reshape(-1) for p in params]))
+        for param, lo, hi in zip(params, layout.offsets[:-1], layout.offsets[1:]):
+            param.data = flat.data[lo:hi].reshape(param.shape)
+            param.grad = flat.grad[lo:hi].reshape(param.shape)
+        object.__setattr__(self, "flat_param", flat)
+        object.__setattr__(self, "layout", layout)
+        return self
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (the unit of communication cost)."""
@@ -150,40 +197,31 @@ class Module:
         for name, param in own.items():
             param.copy_(state[name])
 
-    def load_flat(self, vector: np.ndarray, layout) -> None:
-        """Load a packed parameter vector straight into the module tree.
+    def load_flat(self, vector: np.ndarray, layout: StateLayout) -> None:
+        """Load a packed parameter vector into the buffer: one copy.
 
-        ``vector`` is a flat buffer laid out per ``layout`` (a
-        :class:`repro.nn.state_flat.StateLayout`) — e.g. one row of a
-        packed cohort matrix, or a float64 aggregate.
-        Equivalent to ``load_state_dict(unpack_state(vector, layout))``
-        bit for bit (each slice is cast to the parameter dtype the same
-        way), but never materialises the intermediate dict: values are
-        copied from the buffer into the parameters directly.
+        ``vector`` is a flat buffer laid out per ``layout`` — e.g. one
+        row of a packed cohort matrix, or a float64 aggregate, which is
+        rounded to the parameter dtype.  Bit-identical to
+        ``load_state_dict(unpack_state(vector, layout))``.  Needs the
+        buffer (:meth:`flatten_parameters`), and ``layout`` must have
+        this tree's keys and shapes.
         """
+        own = self.layout
+        if own is None:
+            raise TypeError("load_flat needs the flat buffer: call flatten_parameters()")
         vector = np.asarray(vector)
         if vector.shape != (layout.n_params,):
             raise ValueError(
                 f"vector has shape {vector.shape}, expected ({layout.n_params},)"
             )
-        own = dict(self.named_parameters())
-        missing = own.keys() - set(layout.keys)
-        unexpected = set(layout.keys) - own.keys()
-        if missing or unexpected:
+        if (layout.keys, layout.shapes) != (own.keys, own.shapes):
             raise KeyError(
-                f"layout mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
+                f"layout mismatch: missing={sorted(set(own.keys) - set(layout.keys))}, "
+                f"unexpected={sorted(set(layout.keys) - set(own.keys))}, "
+                "or keys in another order or of other shapes"
             )
-        for key, lo, hi, shape in zip(
-            layout.keys, layout.offsets[:-1], layout.offsets[1:], layout.shapes
-        ):
-            param = own[key]
-            if param.shape != shape:
-                raise ValueError(
-                    f"parameter {key!r} has shape {param.shape}, "
-                    f"layout expects {shape}"
-                )
-            param.data[...] = vector[lo:hi].reshape(shape)
+        self.flat_param.data[...] = vector
 
     def finalize_names(self) -> "Module":
         """Stamp fully-qualified names onto every parameter.

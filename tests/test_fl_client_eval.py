@@ -88,7 +88,6 @@ class TestLocalTrain:
             np.random.default_rng(0),
             prox_mu=10.0,
             anchor_flat=layout.pack(start),
-            layout=layout,
         )
         prox_drift = sum(
             float(np.abs(model.state_dict()[k] - start[k]).sum()) for k in start

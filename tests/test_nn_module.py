@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.synthetic import make_dataset
+from repro.fl.client import local_train, run_client_update_flat
+from repro.fl.config import TrainConfig
 from repro.nn.batched import BatchedLinear, build_batched
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.models import available_models, build_model, mlp
@@ -175,6 +178,108 @@ class TestTrainingBackward:
         assert model.first_param_index is None
         model.forward(rng.standard_normal((2, 3)))
         assert model.backward(np.ones((2, 3)), input_grad=False) is None
+
+
+class TestFlatBuffer:
+    """Every registered model's parameters and gradients are views into
+    one buffer pair at their ``StateLayout`` offsets, whatever the model
+    goes through; the optimiser, ``zero_grad`` and ``load_flat`` act on
+    the whole buffer, so a detached tensor would silently stop training."""
+
+    @staticmethod
+    def _model(name: str) -> Sequential:
+        return build_model(name, (3, 32, 32), 10, np.random.default_rng(0))
+
+    @staticmethod
+    def _assert_views(model: Sequential) -> None:
+        layout = StateLayout.from_model(model)
+        assert model.layout == layout
+        flat = model.flat_param
+        assert flat.data.shape == flat.grad.shape == (layout.n_params,)
+        assert flat.data.dtype == flat.grad.dtype == layout.dtype
+        assert not np.shares_memory(flat.data, flat.grad)
+        params = model.parameters()
+        assert len(params) == len(layout.keys)
+        for param, lo, shape in zip(params, layout.offsets, layout.shapes):
+            for view, whole in ((param.data, flat.data), (param.grad, flat.grad)):
+                assert view.base is whole
+                assert view.ctypes.data == whole.ctypes.data + lo * whole.itemsize
+                assert view.shape == shape and view.flags.c_contiguous
+
+    @staticmethod
+    def _data(n: int = 16):
+        return make_dataset("cifar10", n, 0)
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_built_as_views(self, name):
+        self._assert_views(self._model(name))
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_views_survive_loads_and_modes(self, name):
+        model = self._model(name)
+        rng = np.random.default_rng(1)
+        state = {k: rng.standard_normal(v.shape).astype(v.dtype)
+                 for k, v in model.state_dict().items()}
+        model.load_state_dict(state)
+        self._assert_views(model)
+        np.testing.assert_array_equal(model.flat_param.data, model.layout.pack(state))
+        row = rng.standard_normal(model.layout.n_params)
+        model.load_flat(row, model.layout)
+        self._assert_views(model)
+        np.testing.assert_array_equal(model.flat_param.data, row.astype(np.float32))
+        model.eval()
+        self._assert_views(model)
+        model.train()
+        self._assert_views(model)
+
+    @pytest.mark.parametrize("name", available_models())
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.5])
+    def test_views_survive_training(self, name, prox_mu):
+        model = self._model(name)
+        before = model.flat_param.data.copy()
+        cfg = TrainConfig(local_epochs=1, batch_size=8, lr=0.05, momentum=0.9)
+        local_train(
+            model, self._data(), cfg, np.random.default_rng(2),
+            prox_mu=prox_mu, anchor_flat=before,
+        )
+        self._assert_views(model)
+        assert not np.array_equal(model.flat_param.data, before)
+        model.zero_grad()
+        assert not model.flat_param.grad.any()
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_emitted_row_is_a_copy(self, name):
+        model = self._model(name)
+        layout = model.layout
+        cfg = TrainConfig(local_epochs=1, batch_size=8, max_steps=1)
+        update = run_client_update_flat(
+            model, 0, self._data(), model.flat_param.data.copy(), layout, cfg,
+            np.random.default_rng(3),
+        )
+        assert update.flat.dtype == layout.dtype
+        np.testing.assert_array_equal(update.flat, model.flat_param.data)
+        assert not np.shares_memory(update.flat, model.flat_param.data)
+        assert not np.shares_memory(update.flat, model.flat_param.grad)
+        self._assert_views(model)
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_load_flat_rejects_bad_rows(self, name):
+        model = self._model(name)
+        layout = model.layout
+        with pytest.raises(ValueError, match="shape"):
+            model.load_flat(np.zeros(layout.n_params + 1), layout)
+        other = mlp((3, 32, 32), 10, np.random.default_rng(0), hidden=(7,))
+        with pytest.raises(KeyError, match="layout mismatch"):
+            model.load_flat(np.zeros(other.layout.n_params), other.layout)
+        self._assert_views(model)
+
+    def test_plain_modules_have_no_buffer(self, rng):
+        model = Sequential(("fc", Linear(3, 2, rng)))
+        assert model.flat_param is None and model.layout is None
+        with pytest.raises(TypeError, match="flatten_parameters"):
+            model.load_flat(np.zeros(8), StateLayout.from_model(model))
+        model.flatten_parameters()
+        self._assert_views(model)
 
 
 class TestCustomModule:

@@ -323,18 +323,16 @@ class TestFlatProxAnchor:
         layout = StateLayout.from_model(model)
         vec = pack_state(model.state_dict(), layout)
 
-        loaded = [p.data.copy() for p in model.parameters()]
-        opt_b = ProximalSGD(model.parameters(), lr=0.1, mu=0.5)
-        opt_b.set_anchor_flat(vec, layout)
+        opt = ProximalSGD(model.flat_param, lr=0.1, mu=0.5)
+        opt.set_anchor_flat(vec)
 
-        assert len(loaded) == len(opt_b._anchor)
-        for a, b, p in zip(loaded, opt_b._anchor, model.parameters()):
-            assert b.dtype == p.data.dtype
-            np.testing.assert_array_equal(a, b)
+        assert opt._anchor.dtype == model.flat_param.dtype
+        assert not np.shares_memory(opt._anchor, model.flat_param.data)
+        np.testing.assert_array_equal(opt._anchor, model.flat_param.data)
 
     def test_set_anchor_flat_validates(self, rng):
         model = lenet5((1, 28, 28), 10, rng)
         layout = StateLayout.from_model(model)
-        opt = ProximalSGD(model.parameters()[:2], lr=0.1, mu=0.5)
-        with pytest.raises(ValueError, match="entries"):
-            opt.set_anchor_flat(np.zeros(layout.n_params), layout)
+        opt = ProximalSGD(model.flat_param, lr=0.1, mu=0.5)
+        with pytest.raises(ValueError, match="anchor has shape"):
+            opt.set_anchor_flat(np.zeros(layout.n_params - 1))
