@@ -51,6 +51,8 @@ class PACFL(FLAlgorithm):
         max_clusters: int | None = None,
     ) -> None:
         check_positive("n_components", n_components)
+        if max_clusters is not None and max_clusters < 1:
+            raise ValueError(f"max_clusters must be >= 1, got {max_clusters}")
         self.n_components = n_components
         self.max_clusters = max_clusters
 

@@ -15,13 +15,16 @@ Exposes the experiment drivers without writing any Python:
 
 All commands accept ``--scale quick|bench|paper`` (or the ``REPRO_SCALE``
 environment variable) and ``--out results.json`` to persist metrics.
-``table1``, ``sweep``, ``comm`` and ``ablate`` train through the
-ablation harness's cells (:mod:`repro.experiments.ablation`).
+``table1``, ``sweep``, ``comm``, ``ablate`` and ``run`` train through
+the ablation harness's cells (:mod:`repro.experiments.ablation`): ``run``
+is one cell of Table I's preset resized by its flags, and its ``--out``
+writes that cell's run record.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Callable, Sequence
 
@@ -310,136 +313,91 @@ def _cmd_comm(args: argparse.Namespace) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
-    from repro.algorithms.registry import make_algorithm
-    from repro.data.federation import build_federation
-    from repro.experiments.presets import algorithm_kwargs, get_scale
-    from repro.fl.defense import CheckpointConfig, CorruptionConfig
-    from repro.fl.parallel import make_executor
-    from repro.fl.rounds import AsyncConfig, ScenarioConfig
-    from repro.fl.simulation import FederatedEnv
+    from repro.experiments.ablation import canonical_scenario, generate_cells, run_cell
+    from repro.experiments.presets import get_scale
+    from repro.experiments.table1 import table1_matrix
+    from repro.fl.defense import CheckpointConfig
     from repro.fl.store import StoreConfig
     from repro.fl.trace import AvailabilityTrace
 
-    scale = get_scale(args.scale)
-    budget = args.compute_budget
-    if budget is not None:
-        if len(budget) > 2:
-            raise SystemExit(
-                f"--compute-budget takes one or two ints, got {budget}"
-            )
-        budget = (budget[0], budget[-1])
+    # The flag combinations no config can see; every other bad value is
+    # rejected by the config it builds, below.
+    if args.resume and args.checkpoint is None:
+        raise SystemExit("--resume needs --checkpoint DIR")
+    if args.async_buffer is None and (
+        args.async_concurrency is not None or args.async_duration is not None
+    ):
+        raise SystemExit("--async-concurrency/--async-duration need --async-buffer K")
+    if args.corruption_kinds and args.corruption_rate <= 0.0:
+        raise SystemExit("--corruption-kinds needs --corruption-rate > 0")
     async_config = None
     if args.async_buffer is not None:
-        duration = args.async_duration
-        if duration is not None and len(duration) > 2:
-            raise SystemExit(
-                f"--async-duration takes one or two ints, got {duration}"
+        async_config = {
+            "buffer_size": args.async_buffer,
+            "max_concurrency": args.async_concurrency,
+        }
+        if args.async_duration is not None:
+            async_config["duration_range"] = args.async_duration
+    corruption = {"rate": args.corruption_rate, "scale": args.corruption_scale}
+    if args.corruption_kinds:
+        corruption["kinds"] = args.corruption_kinds
+    try:
+        scale = get_scale(args.scale)
+        # The run is Table I's preset resized by the flags, so the
+        # per-method cluster caps and warm-ups follow the run's sizes.
+        scale = dataclasses.replace(
+            scale,
+            n_clients=scale.n_clients if args.clients is None else args.clients,
+            n_rounds=scale.n_rounds if args.rounds is None else args.rounds,
+        )
+        baseline = canonical_scenario(
+            dict(
+                client_fraction=args.client_fraction,
+                failure_rate=args.failure_rate,
+                straggler_rate=args.straggler_rate,
+                staleness_decay=args.staleness_decay,
+                compute_budget=args.compute_budget,
+                trace=AvailabilityTrace.load(args.trace) if args.trace else None,
+                async_config=async_config,
+                corruption=corruption,
+                robust_agg=args.robust_agg,
+                norm_bound=args.norm_bound,
+                min_survivors=args.min_survivors,
+                max_retries=args.max_retries,
             )
-        kwargs = {"buffer_size": args.async_buffer}
-        if args.async_concurrency is not None:
-            kwargs["max_concurrency"] = args.async_concurrency
-        if duration is not None:
-            kwargs["duration_range"] = (duration[0], duration[-1])
-        async_config = AsyncConfig(**kwargs)
-    elif args.async_concurrency is not None or args.async_duration is not None:
-        raise SystemExit(
-            "--async-concurrency/--async-duration need --async-buffer K "
-            "(they configure the async engine)"
         )
-    corruption = None
-    if args.corruption_rate > 0.0:
-        kwargs = {"rate": args.corruption_rate, "scale": args.corruption_scale}
-        if args.corruption_kinds:
-            kwargs["kinds"] = tuple(args.corruption_kinds)
-        corruption = CorruptionConfig(**kwargs)
-    elif args.corruption_kinds:
-        raise SystemExit(
-            "--corruption-kinds needs --corruption-rate > 0 "
-            "(it configures fault injection)"
+        config = dataclasses.replace(
+            table1_matrix(
+                args.dataset,
+                args.seed,
+                scale,
+                (args.algorithm,),
+                alpha=args.alpha,
+                partition=args.partition,
+                model_name=args.model,
+            ),
+            name="run",
+            baseline=baseline,
+            executor=args.executor,
         )
-    checkpoint = None
-    if args.checkpoint is not None:
-        checkpoint = CheckpointConfig(
-            directory=args.checkpoint,
-            every=args.checkpoint_every,
-            resume=args.resume,
+        (cell,) = generate_cells(config)
+        store = StoreConfig(
+            kind=args.store, shard_size=args.shard_size, path=args.store_path
         )
-    elif args.resume:
-        raise SystemExit("--resume needs --checkpoint DIR")
-    # Scenario policy composes with every algorithm through the round
-    # engine — not just FedAvg's constructor fraction.
-    scenario = ScenarioConfig(
-        client_fraction=args.client_fraction,
-        failure_rate=args.failure_rate,
-        straggler_rate=args.straggler_rate,
-        staleness_decay=args.staleness_decay,
-        compute_budget=budget,
-        trace=AvailabilityTrace.load(args.trace) if args.trace else None,
-        async_config=async_config,
-        corruption=corruption,
-        robust_agg=args.robust_agg,
-        norm_bound=args.norm_bound,
-        min_survivors=args.min_survivors,
-        max_retries=args.max_retries,
-        checkpoint=checkpoint,
-    )
-    if args.store_path is not None and args.store != "sharded":
-        raise SystemExit("--store-path needs --store sharded")
-    store_config = StoreConfig(
-        kind=args.store,
-        shard_size=args.shard_size,
-        path=args.store_path,
-    )
-    n_clients = args.clients or scale.n_clients
-    n_rounds = args.rounds or scale.n_rounds
-    federation = build_federation(
-        args.dataset,
-        n_clients=n_clients,
-        n_samples=scale.n_samples,
-        seed=args.seed,
-        partition=args.partition,
-        alpha=args.alpha,
-    )
-    print(federation.summary())
-    with FederatedEnv(
-        federation,
-        model_name=args.model,
-        train_cfg=scale.train,
-        seed=args.seed,
-        executor=make_executor(args.executor),
-        store=store_config,
-    ) as env:
-        algorithm = make_algorithm(
-            args.algorithm, **algorithm_kwargs(args.algorithm, scale)
+        checkpoint = None if args.checkpoint is None else CheckpointConfig(
+            args.checkpoint, every=args.checkpoint_every, resume=args.resume
         )
-        result = algorithm.run(
-            env,
-            n_rounds=n_rounds,
-            eval_every=scale.eval_every,
-            scenario=scenario,
-        )
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro run: {exc}") from exc
+    record = run_cell(config, cell, store=store, checkpoint=checkpoint)
+    m = record["metrics"]
     print(
-        f"{args.algorithm}: final accuracy {result.final_accuracy:.3f} "
-        f"(± {result.accuracy_std:.3f} across clients), "
-        f"{result.n_clusters} cluster(s), "
-        f"{result.comm['total']['bytes'] / 1e6:.1f} MB transferred"
+        f"{args.algorithm}: final accuracy {m['final_accuracy']:.3f} "
+        f"(± {m['accuracy_std']:.3f} across clients), {m['n_clusters']} "
+        f"cluster(s), {record['traffic']['total']['bytes'] / 1e6:.1f} MB "
+        f"transferred (run {record['run_id']})"
     )
-    return {
-        "experiment": "run",
-        "algorithm": args.algorithm,
-        "dataset": args.dataset,
-        "final_accuracy": result.final_accuracy,
-        "n_clusters": result.n_clusters,
-        "population": {
-            "n_clients": n_clients,
-            "store": store_config.describe(),
-        },
-        "scenario": scenario.to_dict(),
-        # How the run executed, not what it computed: outside the
-        # scenario's dict (save_json writes the config's fields).
-        "checkpoint": scenario.checkpoint,
-        "history": result.history.to_dict(),
-    }
+    return record
 
 
 def _cmd_ablate(args: argparse.Namespace) -> dict:
@@ -458,9 +416,12 @@ def _cmd_ablate(args: argparse.Namespace) -> dict:
             return {"experiment": "ablate_check"} | run_check()
         except AblationCheckError as exc:
             raise SystemExit(f"ablate --check: FAIL — {exc}") from exc
-    config = (
-        load_config(args.config) if args.config else named_matrix(args.matrix)
-    )
+    try:
+        config = (
+            load_config(args.config) if args.config else named_matrix(args.matrix)
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro ablate: {exc}") from exc
     if args.list_cells:
         cells = generate_cells(config)
         for cell in cells:

@@ -28,6 +28,7 @@ from repro.experiments.ablation import (
     generate_cells,
     named_matrix,
     nightly_matrix,
+    run_cell,
     run_cells,
     run_check,
     run_matrix,
@@ -65,6 +66,7 @@ __all__ = [
     "generate_cells",
     "named_matrix",
     "nightly_matrix",
+    "run_cell",
     "run_cells",
     "run_check",
     "run_matrix",

@@ -16,21 +16,24 @@ Table I answers by sweeping one factor at a time:
   (:meth:`~repro.fl.rounds.ScenarioConfig.to_dict`) + preset → sha256
   prefix), so the same experiment always lands in the
   same record file regardless of process, ordering or machine;
-* :func:`run_matrix` executes the cells through the round engine,
-  writes **one versioned JSON record per run ID** (Table-I accuracy,
-  wall-clock, traffic, quarantine/stale/quorum counters plus the
-  engine's :meth:`~repro.fl.rounds.RoundEngine.run_record` export) and
+* :func:`run_cell` runs one cell through the round engine and returns
+  its **versioned JSON record** (Table-I accuracy, wall-clock, traffic
+  by phase, quarantine/stale/quorum counters, the engine's
+  :meth:`~repro.fl.rounds.RoundEngine.run_record` export, and the
+  executor, store and checkpoint settings under ``execution``);
+* :func:`run_matrix` runs every cell, writes one record per run ID and
   **skips already-completed run IDs on re-invocation** — a matrix is
   resumable at cell granularity, and long cells can additionally ride
-  the existing checkpoint machinery (``checkpoint_every > 0`` threads a
-  per-run-ID :class:`~repro.fl.defense.CheckpointConfig` into the
-  scenario with ``resume=True``);
+  the existing checkpoint machinery (``checkpoint_every > 0`` gives
+  each cell a per-run-ID :class:`~repro.fl.defense.CheckpointConfig`
+  with ``resume=True``);
 * :func:`build_report` ranks each knob's effect on accuracy /
   wall-clock / traffic per algorithm (the importance report, emitted as
   ``ABLATION.json`` + ``ABLATION.md``);
 * :func:`run_cells` runs a matrix afresh and keeps nothing on disk —
   how the paper's studies that train end to end (Table I, A3, C1 in
-  :mod:`repro.experiments.table1`) run and record.
+  :mod:`repro.experiments.table1`) run and record; ``repro run`` is
+  one :func:`run_cell`.
 
 Because the engine is deterministic and every middleware stream is
 stateless in (seed, round, client), the matrix is exactly reproducible
@@ -52,7 +55,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.algorithms.registry import make_algorithm
+from repro.data.federation import Federation, build_federation
+from repro.fl.config import TrainConfig
+from repro.fl.defense import CheckpointConfig
 from repro.fl.rounds import ScenarioConfig
+from repro.fl.simulation import FederatedEnv
+from repro.fl.store import StoreConfig
 from repro.utils.serialization import load_json, save_json, to_jsonable
 
 __all__ = [
@@ -73,6 +82,7 @@ __all__ = [
     "load_config",
     "named_matrix",
     "nightly_matrix",
+    "run_cell",
     "run_cells",
     "run_check",
     "run_matrix",
@@ -82,8 +92,10 @@ __all__ = [
 #: record layout (or anything feeding :func:`cell_run_id`) changes —
 #: stale-schema records are re-executed, never silently reused.  Version
 #: 2: the embedded engine record counts every dispatched task.  Version
-#: 3: the record carries the tracker's traffic by phase.
-SCHEMA_VERSION = 3
+#: 3: the record carries the tracker's traffic by phase.  Version 4: the
+#: record carries its ``execution`` settings and the cell's algorithm
+#: kwargs.
+SCHEMA_VERSION = 4
 
 #: The knob name reserved for the unmodified baseline cell.
 BASELINE = "baseline"
@@ -144,6 +156,8 @@ class AblationConfig:
         Horizon and evaluation cadence of every cell.
     algorithms / algorithm_kwargs:
         Registry names to sweep and their per-name constructor kwargs.
+        Each algorithm is built once at declaration, so an unknown name
+        or a bad kwarg fails before any cell runs.
     seeds:
         Environment seeds; every (algorithm, knob) cell runs once per
         seed and the report averages over them.
@@ -167,10 +181,10 @@ class AblationConfig:
         run ID: executor invariance is a gated engine property, so the
         experiment identity is the maths, not the backend.
     checkpoint_every:
-        ``0`` (default) runs each cell in memory.  ``N > 0`` threads a
-        per-run-ID checkpoint (``<out>/ckpt/<run_id>``, cadence ``N``,
-        ``resume=True``) into every cell's scenario, so a killed long
-        cell resumes mid-run on the next invocation.
+        ``0`` (default) runs each cell in memory.  ``N > 0`` gives
+        every cell a per-run-ID checkpoint (``<out>/ckpt/<run_id>``,
+        cadence ``N``, ``resume=True``) in :func:`run_matrix`, so a
+        killed long cell resumes mid-run on the next invocation.
     """
 
     name: str
@@ -223,6 +237,8 @@ class AblationConfig:
                 raise ValueError(
                     f"pair {pair!r} references unknown knobs {missing}"
                 )
+        for name in self.algorithms:
+            make_algorithm(name, **self.algorithm_kwargs.get(name, {}))
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AblationConfig":
@@ -378,27 +394,23 @@ class MatrixOutcome:
         raise KeyError(f"no cell {algorithm}/{knob} in this outcome")
 
 
-def _execute_cell(
+def run_cell(
     config: AblationConfig,
     cell: AblationCell,
-    run_id: str,
-    federation,
-    out_dir: Path,
+    federation: Federation | None = None,
+    store: StoreConfig | None = None,
+    checkpoint: CheckpointConfig | None = None,
 ) -> dict:
-    """Run one cell through the engine and build its versioned record."""
-    from repro.algorithms.registry import make_algorithm
-    from repro.fl.config import TrainConfig
-    from repro.fl.simulation import FederatedEnv
+    """Run one cell through the engine and return its versioned record.
 
-    checkpoint = None
-    if config.checkpoint_every > 0:
-        from repro.fl.defense import CheckpointConfig
-
-        checkpoint = CheckpointConfig(
-            directory=out_dir / "ckpt" / run_id,
-            every=config.checkpoint_every,
-            resume=True,
-        )
+    ``store`` (default dense) and ``checkpoint`` (default none), like
+    ``config.executor``, decide how the cell runs, never what it
+    computes: the record lists them under ``execution``, not in the ID.
+    """
+    store = store or StoreConfig()
+    if federation is None:
+        federation = build_federation(**config.federation)
+    kwargs = config.algorithm_kwargs.get(cell.algorithm, {})
     scenario = ScenarioConfig(**cell.scenario, checkpoint=checkpoint)
     t0 = time.perf_counter()
     with FederatedEnv(
@@ -408,11 +420,9 @@ def _execute_cell(
         train_cfg=TrainConfig(**config.train),
         seed=cell.seed,
         executor=config.executor,
+        store=store,
     ) as env:
-        algorithm = make_algorithm(
-            cell.algorithm, **config.algorithm_kwargs.get(cell.algorithm, {})
-        )
-        result = algorithm.run(
+        result = make_algorithm(cell.algorithm, **kwargs).run(
             env,
             n_rounds=config.n_rounds,
             eval_every=config.eval_every,
@@ -441,7 +451,7 @@ def _execute_cell(
     return to_jsonable(
         {
             "schema": SCHEMA_VERSION,
-            "run_id": run_id,
+            "run_id": cell_run_id(config, cell),
             "matrix": config.name,
             "algorithm": cell.algorithm,
             "seed": cell.seed,
@@ -454,6 +464,12 @@ def _execute_cell(
                 "train": config.train,
                 "n_rounds": config.n_rounds,
                 "eval_every": config.eval_every,
+                "algorithm_kwargs": {cell.algorithm: kwargs},
+            },
+            "execution": {
+                "executor": config.executor,
+                "store": store.describe(),
+                "checkpoint": checkpoint,
             },
             "metrics": metrics,
             # Per phase ("clustering", "training") plus the "total".
@@ -479,8 +495,6 @@ def run_matrix(
     ``ABLATION.md`` — re-invoking on a complete directory is therefore
     a cheap report refresh.
     """
-    from repro.data.federation import build_federation
-
     say = echo or (lambda message: None)
     out = Path(out_dir)
     runs_dir = out / "runs"
@@ -508,7 +522,12 @@ def run_matrix(
             # pays for dataset generation.
             federation = build_federation(**config.federation)
         say(f"[{index}/{len(cells)}] {cell.label()} — running ({run_id})")
-        record = _execute_cell(config, cell, run_id, federation, out)
+        checkpoint = None
+        if config.checkpoint_every > 0:
+            checkpoint = CheckpointConfig(
+                out / "ckpt" / run_id, every=config.checkpoint_every, resume=True
+            )
+        record = run_cell(config, cell, federation, checkpoint=checkpoint)
         save_json(path, record)
         results.append(CellResult(cell, run_id, record, True))
     report = build_report(config, [r.record for r in results])

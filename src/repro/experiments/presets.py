@@ -40,8 +40,10 @@ class ExperimentScale:
     fig1_local_steps: int = 30
 
     def __post_init__(self) -> None:
-        if self.n_rounds < 2:
-            raise ValueError("n_rounds must be >= 2 (one-shot methods need 2)")
+        if self.n_clients < 1:
+            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
+        if self.n_rounds < 1:
+            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if not self.seeds:
             raise ValueError("need at least one seed")
 
@@ -94,8 +96,9 @@ def get_scale(name: ExperimentScale | str | None = None) -> ExperimentScale:
 def algorithm_kwargs(method: str, scale: ExperimentScale) -> dict:
     """Per-method hyper-parameters used by the experiment harness.
 
-    Centralised so Table I, its A3 and C1 studies and the examples all
-    run each baseline with the same settings.
+    Centralised so Table I, its A3 and C1 studies, ``repro run`` and the
+    examples all run each baseline with the same settings, sized by
+    ``scale.n_clients`` and ``scale.n_rounds``.
     """
     max_k = max(2, scale.n_clients // 2)
     if method == "fedclust":

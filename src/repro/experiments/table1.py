@@ -129,7 +129,8 @@ def table1_matrix(
     Every method in ``methods`` runs with its :func:`algorithm_kwargs` on
     the federation of ``dataset`` at ``seed`` (``alpha`` is read by the
     Dirichlet partition only), in a fresh environment with the same
-    model init, under the default scenario.
+    model init, under the default scenario.  ``repro run`` builds its
+    one cell from this preset too, at a resized ``scale``.
     """
     return AblationConfig(
         name=f"table1-{dataset}-seed{seed}",

@@ -249,11 +249,11 @@ def discounted_update(
 
 def _int_range(name: str, value, floor: int) -> tuple[int, int]:
     """``value`` as a ``(lo, hi)`` pair with ``floor <= lo <= hi``; an int
-    ``v`` is shorthand for ``(v, v)``."""
-    pair = (value, value) if isinstance(value, (int, np.integer)) else tuple(value)
-    if len(pair) != 2:
-        raise ValueError(f"{name} must be an int or a (lo, hi) pair, got {value!r}")
-    lo, hi = (int(v) for v in pair)
+    ``v``, or a one-int sequence ``[v]``, is shorthand for ``(v, v)``."""
+    pair = [value] if isinstance(value, (int, np.integer)) else list(value)
+    if len(pair) not in (1, 2):
+        raise ValueError(f"{name} must be one or two ints, got {value!r}")
+    lo, hi = int(pair[0]), int(pair[-1])
     if lo < floor or hi < lo:
         raise ValueError(f"{name} needs {floor} <= lo <= hi, got ({lo}, {hi})")
     return lo, hi

@@ -76,6 +76,12 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             PACFL(n_components=0)
 
+    @pytest.mark.parametrize("max_clusters", [0, -2])
+    def test_pacfl_cluster_cap_fails_at_construction(self, max_clusters):
+        # Rejected before a clustering round could charge any upload.
+        with pytest.raises(ValueError, match="max_clusters must be >= 1"):
+            PACFL(max_clusters=max_clusters)
+
 
 class TestCFLMechanics:
     def test_bipartition_splits_opposed_updates(self, rng):

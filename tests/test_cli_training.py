@@ -1,4 +1,4 @@
-"""CLI plumbing: argument parsing and end-to-end commands."""
+"""CLI plumbing: argument parsing, input errors and end-to-end commands."""
 
 from __future__ import annotations
 
@@ -7,6 +7,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import ablation
+from repro.experiments.ablation import SCHEMA_VERSION, run_cells
+from repro.experiments.presets import get_scale
+from repro.experiments.table1 import table1_matrix
 
 
 class TestParser:
@@ -65,6 +69,49 @@ class TestParser:
             build_parser().parse_args(["run", "--scale", "galactic"])
 
 
+#: (flags, a fragment of the exit message) for every bad ``repro run``
+#: flag set: first the combinations only the CLI can see, then values a
+#: config rejects.
+REJECTED_RUN_FLAGS = [
+    (["--resume"], "--resume needs --checkpoint"),
+    (["--async-concurrency", "2"], "need --async-buffer"),
+    (["--async-duration", "1", "2"], "need --async-buffer"),
+    (["--corruption-kinds", "nan"], "needs --corruption-rate"),
+    (["--store-path", "shards"], "only meaningful for the sharded"),
+    (["--compute-budget", "1", "2", "3"], "compute_budget must be"),
+    (
+        ["--async-buffer", "2", "--async-duration", "1", "2", "3"],
+        "duration_range must be",
+    ),
+    (["--failure-rate", "1.5"], "failure_rate"),
+    (["--clients", "0"], "n_clients must be >= 1"),
+    (["--rounds", "0"], "n_rounds must be >= 1"),
+    (["--algorithm", "nope"], "unknown algorithm"),
+    (["--checkpoint", "ckpt", "--checkpoint-every", "0"], "every"),
+]
+
+
+class TestRunRejections:
+    """Every bad flag set exits with a message before any data is built."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        REJECTED_RUN_FLAGS,
+        ids=["_".join(flags) for flags, _ in REJECTED_RUN_FLAGS],
+    )
+    def test_exits_before_the_federation_is_built(
+        self, flags, message, monkeypatch
+    ):
+        def no_federation(**kwargs):
+            raise AssertionError("a federation was built")
+
+        monkeypatch.setattr(ablation, "build_federation", no_federation)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", "fmnist", "--model", "mlp", *flags])
+        assert exc.value.code not in (0, None)
+        assert message in str(exc.value.code)
+
+
 @pytest.mark.slow
 class TestCliExecution:
     def test_run_command_writes_json(self, tmp_path, monkeypatch, capsys):
@@ -81,10 +128,68 @@ class TestCliExecution:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["experiment"] == "run"
-        assert 0.0 <= payload["final_accuracy"] <= 1.0
+        assert payload["schema"] == SCHEMA_VERSION
+        assert payload["matrix"] == "run"
+        assert payload["knob"] == "baseline"
+        assert 0.0 <= payload["metrics"]["final_accuracy"] <= 1.0
         printed = capsys.readouterr().out
         assert "final accuracy" in printed
+        assert payload["run_id"] in printed
+
+    def test_size_flags_reach_the_algorithm_kwargs(self, tmp_path, capsys):
+        # IFCA's k follows the run's 4 clients (max(2, 4 // 5)), not the
+        # quick preset's 16.
+        out = tmp_path / "ifca.json"
+        main(
+            [
+                "run",
+                "--algorithm", "ifca",
+                "--dataset", "fmnist",
+                "--clients", "4",
+                "--rounds", "2",
+                "--model", "mlp",
+                "--out", str(out),
+            ]
+        )
+        payload = json.loads(out.read_text())
+        assert payload["preset"]["algorithm_kwargs"]["ifca"]["n_clusters"] == 2
+        assert payload["preset"]["federation"]["n_clients"] == 4
+        assert payload["preset"]["n_rounds"] == 2
+        assert payload["metrics"]["n_clusters"] == 2
+        capsys.readouterr()
+
+    def test_run_record_is_the_table1_cell(self, tmp_path, capsys):
+        """`repro run` at a preset's sizes is Table I's cell: the same
+        run ID and the same record, bar the matrix name and wall-clock."""
+        out = tmp_path / "r.json"
+        main(
+            [
+                "run",
+                "--algorithm", "fedavg",
+                "--dataset", "fmnist",
+                "--scale", "quick",
+                "--out", str(out),
+            ]
+        )
+        payload = json.loads(out.read_text())
+        config = table1_matrix("fmnist", 0, get_scale("quick"), ("fedavg",))
+        (cell,) = run_cells(config).results
+        cell_record = json.loads(json.dumps(cell.record))
+
+        def strip(record):
+            metrics = {
+                key: value
+                for key, value in record["metrics"].items()
+                if key not in ("wall_seconds", "round_wall_seconds")
+            }
+            return {**record, "matrix": None, "metrics": metrics}
+
+        assert payload["run_id"] == cell.run_id
+        assert strip(payload) == strip(cell_record)
+        # The quick preset's FedAvg on fmnist, as before the CLI ran
+        # through the harness.
+        assert payload["metrics"]["final_accuracy"] == 0.45042418528837874
+        capsys.readouterr()
 
     def test_run_command_scenario_flags_route_to_engine(self, tmp_path, capsys):
         """End-to-end seeded smoke: scenario flags reach every algorithm
@@ -115,12 +220,16 @@ class TestCliExecution:
             "failure_rate": 0.25,
             "straggler_rate": 0.25,
         }
-        assert payload["checkpoint"] is None
-        assert 0.0 <= payload["final_accuracy"] <= 1.0
+        assert payload["execution"]["checkpoint"] is None
+        assert 0.0 <= payload["metrics"]["final_accuracy"] <= 1.0
         # IFCA has no constructor fraction — participation must have
         # come through the engine scenario (4 of 6 clients per round).
         repeat = run_once()
-        assert repeat["final_accuracy"] == payload["final_accuracy"]
+        assert repeat["run_id"] == payload["run_id"]
+        assert (
+            repeat["metrics"]["final_accuracy"]
+            == payload["metrics"]["final_accuracy"]
+        )
         assert repeat["history"] == payload["history"]
         capsys.readouterr()
 

@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.experiments import ablation
 from repro.experiments.ablation import (
     BASELINE,
     FEDAVG_PIN,
@@ -37,9 +39,12 @@ from repro.experiments.ablation import (
     generate_cells,
     named_matrix,
     nightly_matrix,
+    run_cell,
     run_check,
     run_matrix,
 )
+from repro.fl.defense import CheckpointConfig
+from repro.fl.store import StoreConfig
 from repro.utils.serialization import load_json, save_json
 
 
@@ -208,6 +213,40 @@ class TestGenerateCells:
         with pytest.raises(ValueError, match="unknown matrix"):
             named_matrix("missing")
 
+    def test_algorithms_are_checked_at_declaration(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            tiny_config(algorithms=("fedavg", "nope"))
+        with pytest.raises(ValueError, match="max_clusters must be >= 1"):
+            tiny_config(
+                algorithms=("pacfl",),
+                algorithm_kwargs={"pacfl": {"max_clusters": 0}},
+            )
+
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            {
+                "algorithms": ["pacfl"],
+                "algorithm_kwargs": {"pacfl": {"max_clusters": 0}},
+            },
+            {"algorithms": ["fedavg", "nope"]},
+        ],
+        ids=["bad_pacfl_kwarg", "unknown_algorithm"],
+    )
+    def test_bad_matrix_file_runs_no_cell(
+        self, declaration, tmp_path, monkeypatch
+    ):
+        def no_federation(**kwargs):
+            raise AssertionError("a cell started: a federation was built")
+
+        monkeypatch.setattr(ablation, "build_federation", no_federation)
+        path = tmp_path / "matrix.json"
+        save_json(path, {**tiny_config().to_dict(), **declaration})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="repro ablate"):
+            main(["ablate", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
     def test_builtin_matrices_expand_cleanly(self):
         for config in (check_matrix(), nightly_matrix()):
             cells = generate_cells(config)
@@ -269,6 +308,12 @@ class TestResume:
         ):
             assert key in record["metrics"], key
         assert record["engine"]["n_dispatched"] == 4  # everyone, 1 round
+        assert record["preset"]["algorithm_kwargs"] == {"fedavg": {}}
+        assert record["execution"] == {
+            "executor": "serial",
+            "store": StoreConfig().describe(),
+            "checkpoint": None,
+        }
         path = first.out_dir / "runs" / f"{record['run_id']}.json"
         assert load_json(path) == record
 
@@ -315,6 +360,38 @@ class TestResume:
         assert strip(outcome.results[0].record["metrics"]) == strip(
             plain.results[0].record["metrics"]
         )
+        assert outcome.results[0].record["execution"]["checkpoint"] == {
+            "directory": str(tmp_path / "ckpt_run" / "ckpt" / rid),
+            "every": 1,
+            "resume": True,
+            "filename": "checkpoint.bin",
+        }
+
+
+class TestRunCell:
+    def test_store_and_checkpoint_change_only_the_execution_section(
+        self, tmp_path
+    ):
+        config = tiny_config(algorithms=("local_only",), n_rounds=2, knobs={})
+        (cell,) = generate_cells(config)
+        plain = run_cell(config, cell)
+        store = StoreConfig(kind="sharded", shard_size=3)
+        checkpoint = CheckpointConfig(directory=tmp_path)
+        other = run_cell(config, cell, store=store, checkpoint=checkpoint)
+        assert other["execution"]["store"] == store.describe()
+        assert other["execution"]["checkpoint"]["directory"] == str(tmp_path)
+        assert (tmp_path / "checkpoint.bin").exists()
+
+        def strip(record):
+            metrics = {
+                key: value
+                for key, value in record["metrics"].items()
+                if key not in ("wall_seconds", "round_wall_seconds")
+            }
+            return {**record, "metrics": metrics, "execution": None}
+
+        assert strip(other) == strip(plain)
+        assert plain["run_id"] == cell_run_id(config, cell)
 
 
 # ---------------------------------------------------------------------------
