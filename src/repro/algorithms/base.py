@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
-from repro.fl.defense import CheckpointError, robust_weighted_average
+from repro.fl.defense import robust_weighted_average
 from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import (
@@ -189,7 +189,7 @@ class RunResult:
             accuracy_std=float(np.std(per_client)),
             per_client_accuracy=per_client,
             cluster_labels=cluster_labels,
-            comm=tracker.by_phase() | {"total": tracker.snapshot()},
+            comm=tracker.by_phase() | {"total": tracker.totals()},
             extras=extras
             | {"engine_record": engine.run_record(), "events": engine.events},
         )
@@ -200,6 +200,9 @@ class FLAlgorithm(abc.ABC):
 
     #: Registry/reporting name; subclasses override.
     name: str = "abstract"
+    #: The shortest horizon :meth:`run` accepts: 2 for the one-shot
+    #: methods, whose first round only clusters.
+    min_rounds: int = 1
 
     @abc.abstractmethod
     def run(
@@ -236,10 +239,14 @@ class ClusteredRounds(RoundStrategy):
     cluster's survivors into a fresh row, and evaluation consumes the
     matrix directly.  A cluster with no surviving participants this
     round keeps its model.  FedAvg and FedProx are the one-row case;
-    ``prox_mu`` rides every task.
+    ``prox_mu`` rides every task.  A checkpoint holds the matrix and the
+    labels; ``prox_mu`` is part of its identity.
     """
 
     name = "clustered"
+    resumable = ("matrix", "labels")
+    matrix: np.ndarray
+    labels: np.ndarray
 
     def __init__(
         self, matrix: np.ndarray, labels: np.ndarray, prox_mu: float = 0.0
@@ -318,24 +325,8 @@ class ClusteredRounds(RoundStrategy):
     def current_n_clusters(self) -> int:
         return len(np.unique(self.labels))
 
-    def checkpoint_payload(
-        self, engine: RoundEngine
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"prox_mu": float(self.prox_mu)}, {
-            "matrix": self.matrix,
-            "labels": self.labels,
-        }
-
-    def restore_payload(
-        self, engine: RoundEngine, meta: Mapping, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        if meta["prox_mu"] != self.prox_mu:
-            raise CheckpointError(
-                "checkpoint prox_mu mismatch: this run expects "
-                f"{self.prox_mu!r}, the file holds {meta['prox_mu']!r}"
-            )
-        self.matrix = arrays["matrix"]
-        self.labels = arrays["labels"].astype(np.int64)
+    def identity(self) -> dict:
+        return {"prox_mu": float(self.prox_mu)}
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,8 @@ class _CFLRounds(ClusteredRounds):
     """Per-cluster FedAvg plus the recursive bipartition test."""
 
     name = "cfl"
+    resumable = (*ClusteredRounds.resumable, "clusters")
+    clusters: list[_Cluster]
 
     def __init__(self, algo: "CFL", env: FederatedEnv) -> None:
         super().__init__(
@@ -281,58 +283,6 @@ class _CFLRounds(ClusteredRounds):
         ):
             return left, right
         return None
-
-    def checkpoint_payload(
-        self, engine: RoundEngine
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        # Cached deltas already live at the layout dtype.
-        meta, arrays = super().checkpoint_payload(engine)
-        meta_clusters: list[dict] = []
-        cache_rows: list[np.ndarray] = []
-        for cluster in self.clusters:
-            cache_meta = []
-            for cid in sorted(cluster.delta_cache):
-                produced, row, weight = cluster.delta_cache[cid]
-                cache_meta.append(
-                    {
-                        "client_id": int(cid),
-                        "round": int(produced),
-                        "weight": float(weight),
-                    }
-                )
-                cache_rows.append(row)
-            meta_clusters.append(
-                {
-                    "scale0": cluster.scale0,
-                    "splits": cluster.history_of_splits,
-                    "cache": cache_meta,
-                }
-            )
-        arrays["cache_rows"] = (
-            np.stack(cache_rows)
-            if cache_rows
-            else np.empty((0, engine.env.n_params), engine.env.layout.dtype)
-        )
-        return meta | {"clusters": meta_clusters}, arrays
-
-    def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
-        super().restore_payload(engine, meta, arrays)
-        rows = iter(arrays["cache_rows"])
-        self.clusters = [
-            _Cluster(
-                scale0=entry["scale0"],
-                history_of_splits=entry["splits"],
-                delta_cache={
-                    int(item["client_id"]): (
-                        int(item["round"]),
-                        next(rows),
-                        float(item["weight"]),
-                    )
-                    for item in entry["cache"]
-                },
-            )
-            for entry in meta["clusters"]
-        ]
 
 
 class CFL(FLAlgorithm):

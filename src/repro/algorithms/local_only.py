@@ -32,6 +32,7 @@ from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, RoundStrategy, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
+from repro.fl.store import StoreRows
 from repro.nn.state_flat import unpack_state
 
 __all__ = ["LocalOnly"]
@@ -42,6 +43,8 @@ class _LocalRounds(RoundStrategy):
 
     name = "local_only"
     charges_communication = False
+    resumable = ("rows",)
+    rows: StoreRows
 
     def __init__(self, env: FederatedEnv) -> None:
         # Every client starts from the shared init (fair comparison) and
@@ -87,17 +90,15 @@ class _LocalRounds(RoundStrategy):
     def current_n_clusters(self) -> int:
         return self.store.n_clients  # every client is its own island
 
-    def checkpoint_payload(
-        self, engine: RoundEngine
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        # The dense kind's array is byte-identical to the pre-store
-        # payload (the stack of packed rows).
-        meta, arrays = self.store.checkpoint_payload()
-        return {"store": meta}, arrays
+    @property
+    def rows(self) -> StoreRows:
+        """The store's contents, as a checkpoint holds them; assigning
+        them refills the store (any kind from any kind)."""
+        return self.store.contents()
 
-    def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
-        # Cross-kind: a dense file restores into a sharded store and back.
-        self.store.restore_from(meta["store"], arrays)
+    @rows.setter
+    def rows(self, contents: StoreRows) -> None:
+        self.store.restore(contents)
 
 
 class LocalOnly(FLAlgorithm):

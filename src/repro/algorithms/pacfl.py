@@ -44,6 +44,7 @@ class PACFL(FLAlgorithm):
     """
 
     name = "pacfl"
+    min_rounds = 2
 
     def __init__(
         self,
@@ -77,8 +78,10 @@ class PACFL(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 2:
-            raise ValueError("PACFL needs >= 2 rounds (1 clustering + training)")
+        if n_rounds < self.min_rounds:
+            raise ValueError(
+                f"PACFL needs >= {self.min_rounds} rounds (1 clustering + training)"
+            )
         if eval_every < 1:
             # The clustering round uploads before the engine checks this.
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")

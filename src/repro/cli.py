@@ -18,7 +18,9 @@ environment variable) and ``--out results.json`` to persist metrics.
 ``table1``, ``sweep``, ``comm``, ``ablate`` and ``run`` train through
 the ablation harness's cells (:mod:`repro.experiments.ablation`): ``run``
 is one cell of Table I's preset resized by its flags, and its ``--out``
-writes that cell's run record.
+writes that cell's run record; the ``--out`` of ``table1``, ``sweep``
+and ``comm`` writes ``{"records": [...]}``, the run record of every
+cell they ran.
 """
 
 from __future__ import annotations
@@ -231,14 +233,7 @@ def _cmd_table1(args: argparse.Namespace) -> dict:
         alpha=args.alpha,
     )
     print(format_table1(result))
-    return {
-        "experiment": "table1",
-        "scale": result.scale_name,
-        "cells": {
-            f"{m}/{d}": {"mean": c.mean, "std": c.std, "accs": c.accuracies}
-            for (m, d), c in result.cells.items()
-        },
-    }
+    return {"records": result.records}
 
 
 def _cmd_fig1(args: argparse.Namespace) -> dict:
@@ -290,13 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
         seed=args.seed,
     )
     print(result.format())
-    return {
-        "experiment": "alpha_sweep",
-        "alphas": result.alphas,
-        "fedavg": result.fedavg,
-        "fedclust": result.fedclust,
-        "fedclust_k": result.fedclust_k,
-    }
+    return {"records": result.records}
 
 
 def _cmd_comm(args: argparse.Namespace) -> dict:
@@ -309,14 +298,14 @@ def _cmd_comm(args: argparse.Namespace) -> dict:
         target_accuracy=args.target,
     )
     print(result.format())
-    return {"experiment": "communication", "rows": result.rows}
+    return {"records": result.records}
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
     from repro.experiments.ablation import canonical_scenario, generate_cells, run_cell
     from repro.experiments.presets import get_scale
     from repro.experiments.table1 import table1_matrix
-    from repro.fl.defense import CheckpointConfig
+    from repro.fl.checkpoint import CheckpointConfig
     from repro.fl.store import StoreConfig
     from repro.fl.trace import AvailabilityTrace
 

@@ -212,16 +212,14 @@ class _FedClustRounds(ClusteredRounds):
     arriving client runs the paper's step ⑥ — warm up from the retained
     initial model, upload the partial-weight signature, match against
     the responders' weight matrix — and is re-routed from its fallback
-    cluster *before* it first participates.
-
-    Checkpointing rides on :class:`ClusteredRounds`' hooks (cluster
-    matrix + labels).  The ``onboarded`` diagnostic dict is *not*
-    serialised: a resumed run re-derives labels from the checkpoint,
-    so ``RunResult.extras["onboarded"]`` only covers arrivals after
-    the resume point.
+    cluster *before* it first participates.  A checkpoint holds the
+    cluster matrix, the labels and the ``onboarded`` assignments.
     """
 
     name = "fedclust"
+    resumable = (*ClusteredRounds.resumable, "onboarded")
+    #: client id → NewcomerAssignment for arrivals onboarded mid-run.
+    onboarded: dict[int, NewcomerAssignment]
 
     def __init__(
         self, algo: "FedClust", fitted: FittedFedClust, matrix: np.ndarray
@@ -229,8 +227,7 @@ class _FedClustRounds(ClusteredRounds):
         super().__init__(matrix, fitted.labels)
         self.algo = algo
         self.fitted = fitted
-        #: client id → NewcomerAssignment for arrivals onboarded mid-run.
-        self.onboarded: dict[int, NewcomerAssignment] = {}
+        self.onboarded = {}
 
     def on_arrivals(
         self, engine: RoundEngine, round_index: int, arrived: np.ndarray
@@ -249,6 +246,7 @@ class FedClust(FLAlgorithm):
     """One-shot weight-driven clustered federated learning."""
 
     name = "fedclust"
+    min_rounds = 2
 
     def __init__(self, config: FedClustConfig | None = None) -> None:
         self.config = config or FedClustConfig()
@@ -386,8 +384,10 @@ class FedClust(FLAlgorithm):
         eval_every: int = 1,
         scenario: ScenarioConfig | None = None,
     ) -> RunResult:
-        if n_rounds < 2:
-            raise ValueError("FedClust needs >= 2 rounds (1 clustering + training)")
+        if n_rounds < self.min_rounds:
+            raise ValueError(
+                f"FedClust needs >= {self.min_rounds} rounds (1 clustering + training)"
+            )
         if eval_every < 1:
             # The clustering round trains before the engine checks this.
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")

@@ -25,7 +25,7 @@ Table I answers by sweeping one factor at a time:
   **skips already-completed run IDs on re-invocation** — a matrix is
   resumable at cell granularity, and long cells can additionally ride
   the existing checkpoint machinery (``checkpoint_every > 0`` gives
-  each cell a per-run-ID :class:`~repro.fl.defense.CheckpointConfig`
+  each cell a per-run-ID :class:`~repro.fl.checkpoint.CheckpointConfig`
   with ``resume=True``);
 * :func:`build_report` ranks each knob's effect on accuracy /
   wall-clock / traffic per algorithm (the importance report, emitted as
@@ -58,7 +58,7 @@ from typing import Callable, Mapping, Sequence
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import Federation, build_federation
 from repro.fl.config import TrainConfig
-from repro.fl.defense import CheckpointConfig
+from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.rounds import ScenarioConfig
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
@@ -156,8 +156,9 @@ class AblationConfig:
         Horizon and evaluation cadence of every cell.
     algorithms / algorithm_kwargs:
         Registry names to sweep and their per-name constructor kwargs.
-        Each algorithm is built once at declaration, so an unknown name
-        or a bad kwarg fails before any cell runs.
+        Each algorithm is built once at declaration, so an unknown name,
+        a bad kwarg or a horizon below the algorithm's ``min_rounds``
+        fails before any cell runs.
     seeds:
         Environment seeds; every (algorithm, knob) cell runs once per
         seed and the report averages over them.
@@ -238,7 +239,12 @@ class AblationConfig:
                     f"pair {pair!r} references unknown knobs {missing}"
                 )
         for name in self.algorithms:
-            make_algorithm(name, **self.algorithm_kwargs.get(name, {}))
+            algorithm = make_algorithm(name, **self.algorithm_kwargs.get(name, {}))
+            if self.n_rounds < algorithm.min_rounds:
+                raise ValueError(
+                    f"{name} needs n_rounds >= {algorithm.min_rounds}, "
+                    f"got {self.n_rounds}"
+                )
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AblationConfig":

@@ -98,13 +98,15 @@ class Table1Cell:
 
 @dataclass
 class Table1Result:
-    """All cells plus the scale they were produced at."""
+    """All cells plus the scale they were produced at, and the harness
+    run record of every cell run."""
 
     cells: dict[tuple[str, str], Table1Cell]
     datasets: list[str]
     methods: list[str]
     scale_name: str
     alpha: float
+    records: list[dict] = field(default_factory=list)
 
     def cell(self, method: str, dataset: str) -> Table1Cell:
         return self.cells[(method, dataset)]
@@ -163,25 +165,26 @@ def run_table1(
     (dataset, seed)."""
     scale = get_scale(scale)
     methods = tuple(methods) if methods else tuple(available_algorithms())
-    cells = {
-        (method, ds): Table1Cell(method, ds) for method in methods for ds in datasets
-    }
+    result = Table1Result(
+        cells={
+            (method, ds): Table1Cell(method, ds) for method in methods for ds in datasets
+        },
+        datasets=list(datasets),
+        methods=list(methods),
+        scale_name=scale.name,
+        alpha=alpha,
+    )
     for dataset in datasets:
         for seed in scale.seeds:
             config = table1_matrix(
                 dataset, seed, scale, methods, alpha=alpha, model_name=model_name
             )
             for run in run_cells(config, echo=_LOG.info).results:
-                cells[(run.cell.algorithm, dataset)].accuracies.append(
+                result.cells[(run.cell.algorithm, dataset)].accuracies.append(
                     run.record["metrics"]["final_accuracy"]
                 )
-    return Table1Result(
-        cells=cells,
-        datasets=list(datasets),
-        methods=list(methods),
-        scale_name=scale.name,
-        alpha=alpha,
-    )
+                result.records.append(run.record)
+    return result
 
 
 def format_table1(result: Table1Result, with_paper: bool = True) -> str:
@@ -212,12 +215,14 @@ def format_table1(result: Table1Result, with_paper: bool = True) -> str:
 
 @dataclass
 class AlphaSweepResult:
-    """A3: FedClust vs FedAvg accuracy across Dirichlet α."""
+    """A3: FedClust vs FedAvg accuracy across Dirichlet α, and the
+    harness run record of every cell run."""
 
     alphas: list[float]
     fedavg: list[float] = field(default_factory=list)
     fedclust: list[float] = field(default_factory=list)
     fedclust_k: list[int] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
 
     def format(self) -> str:
         table = Table(
@@ -253,15 +258,18 @@ def run_alpha_sweep(
         result.fedavg.append(fedavg["final_accuracy"])
         result.fedclust.append(fedclust["final_accuracy"])
         result.fedclust_k.append(fedclust["n_clusters"])
+        result.records.extend(run.record for run in outcome.results)
     return result
 
 
 @dataclass
 class CommunicationResult:
-    """C1: traffic accounting per method."""
+    """C1: traffic accounting per method, and the harness run record of
+    every cell run."""
 
     rows: list[dict]
     target_accuracy: float
+    records: list[dict] = field(default_factory=list)
 
     def format(self) -> str:
         target = f"{100 * self.target_accuracy:.0f}%"
@@ -333,4 +341,5 @@ def run_communication_study(
                 "final_accuracy": metrics["final_accuracy"],
             }
         )
+        result.records.append(run.record)
     return result

@@ -8,18 +8,20 @@ from repro.fl.communication import (
     decode_flat_payload,
     encode_flat_payload,
 )
+from repro.fl.checkpoint import (
+    CheckpointConfig,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
     CORRUPTION_KINDS,
     ROBUST_AGG_MODES,
-    CheckpointConfig,
-    CheckpointError,
     CorruptionConfig,
     admit_updates,
-    load_checkpoint,
     maybe_corrupt,
     robust_weighted_average,
-    save_checkpoint,
 )
 from repro.fl.eval_flat import (
     CohortEval,

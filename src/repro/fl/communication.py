@@ -59,6 +59,9 @@ def decode_flat_payload(payload: bytes, layout: "StateLayout") -> np.ndarray:
 class CommunicationTracker:
     """Up/down parameter counters, bucketed by phase label."""
 
+    #: A checkpoint's part of the tracker (see ``repro.fl.checkpoint``).
+    resumable = ("uploads", "downloads")
+
     uploads: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     downloads: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
@@ -97,7 +100,7 @@ class CommunicationTracker:
     def downloaded_in(self, phase: str) -> int:
         return self.downloads.get(phase, 0)
 
-    def snapshot(self) -> dict[str, int]:
+    def totals(self) -> dict[str, int]:
         """Immutable totals for history records."""
         return {
             "uploaded": self.total_uploaded,

@@ -1,10 +1,10 @@
-"""Server hardening: fault injection, update admission, robust
-aggregation and the checkpoint codec.
+"""Server hardening: fault injection, update admission and robust
+aggregation.
 
 The scenario middleware (participation, failures, stragglers, budgets,
 traces, async lateness) simulates *absent* or *late* clients; this
 module covers the remaining failure class — clients whose update
-arrives on time but is **wrong**.  Four pieces, wired through
+arrives on time but is **wrong**.  Three pieces, wired through
 :class:`repro.fl.rounds.RoundEngine`:
 
 * **Corruption injection** (:class:`CorruptionConfig`) — seeded
@@ -29,21 +29,12 @@ arrives on time but is **wrong**.  Four pieces, wired through
   rule; the robust statistics deliberately ignore sample-count weights
   (a poisoned client could otherwise buy influence by claiming samples)
   except for ``"clip"``, which only rescales rows.
-* **Checkpoint codec** (:func:`save_checkpoint` /
-  :func:`load_checkpoint`) — a versioned single-file format (magic,
-  version word, JSON header, raw array blobs) for the engine's
-  checkpoint/resume path.  Version mismatches and truncated files fail
-  loudly with the expected/found values; arrays round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,15 +53,6 @@ __all__ = [
     "maybe_corrupt",
     "admit_updates",
     "robust_weighted_average",
-    "CheckpointConfig",
-    "CheckpointError",
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "CHECKPOINT_FORMAT",
-    "save_checkpoint",
-    "load_checkpoint",
-    "update_to_meta",
-    "rebuild_update",
 ]
 
 #: The corruption stream — independent of the failure, straggler,
@@ -329,198 +311,3 @@ def robust_weighted_average(
             out[lo:hi] = np.median(block, axis=0, overwrite_input=True)
         return out
     raise ValueError(f"unknown robust_agg {mode!r}; options: {ROBUST_AGG_MODES}")
-
-
-# ----------------------------------------------------------------------
-# Checkpoint codec
-# ----------------------------------------------------------------------
-#: File magic — rejects arbitrary files before any parsing happens.
-CHECKPOINT_MAGIC = b"RPCKPT\x00"
-#: Codec version word; bumped on any layout change.  Readers refuse
-#: every other version loudly instead of mis-parsing: a resume promises
-#: a bit-for-bit continuation, which a file from a build with other
-#: numerics cannot keep.  Version 5 holds the engine's one event log,
-#: every shared-model strategy's ``matrix``/``labels``/``prox_mu``
-#: payload and the run's ``ScenarioConfig.to_dict()``; version 6 stores
-#: each buffered and in-flight update row as its own array at its own
-#: dtype (the layout dtype, float64 for a corrupted copy).
-CHECKPOINT_VERSION = 6
-#: Format tag embedded in the JSON header (mirrors the availability
-#: trace's ``repro.availability-trace.v1`` convention).
-CHECKPOINT_FORMAT = "repro.checkpoint.v1"
-
-_HEAD = struct.Struct("<IQ")  # version word, header length
-
-
-class CheckpointError(RuntimeError):
-    """A checkpoint file that cannot be trusted: wrong magic, wrong
-    version, truncated payload, or metadata that contradicts the run
-    being resumed."""
-
-
-@dataclass(frozen=True)
-class CheckpointConfig:
-    """Engine checkpoint policy (rides on ``ScenarioConfig``).
-
-    Attributes
-    ----------
-    directory:
-        Where the checkpoint file lives (created on first write).  One
-        file, overwritten atomically each time — the latest round wins.
-    every:
-        Write cadence in rounds (the final round always writes).
-    resume:
-        If True, :meth:`repro.fl.rounds.RoundEngine.run` restores from
-        an existing checkpoint file before its first round (a missing
-        file is not an error — the run simply starts fresh, so one CLI
-        invocation works both before and after a crash).
-    filename:
-        File name inside ``directory``.
-    """
-
-    directory: str | Path
-    every: int = 1
-    resume: bool = False
-    filename: str = "checkpoint.bin"
-
-    def __post_init__(self) -> None:
-        check_positive("every", self.every)
-
-    @property
-    def path(self) -> Path:
-        return Path(self.directory) / self.filename
-
-
-def save_checkpoint(
-    path: str | Path, header: dict, arrays: Mapping[str, np.ndarray]
-) -> Path:
-    """Write a versioned checkpoint file atomically.
-
-    Layout: magic, ``<u32 version, u64 header-length>``, the UTF-8 JSON
-    header (with an array manifest recording name/dtype/shape/bytes in
-    blob order), then the raw array blobs concatenated.  The write goes
-    to a sibling temp file first and is renamed into place, so a crash
-    mid-write can never leave a torn file under the canonical name.
-    """
-    path = Path(path)
-    manifest: list[dict] = []
-    blobs: list[bytes] = []
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        blob = array.tobytes()
-        manifest.append(
-            {
-                "name": str(name),
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "nbytes": len(blob),
-            }
-        )
-        blobs.append(blob)
-    head = dict(header)
-    head["format"] = CHECKPOINT_FORMAT
-    head["arrays"] = manifest
-    payload = json.dumps(head).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(_HEAD.pack(CHECKPOINT_VERSION, len(payload)))
-        f.write(payload)
-        for blob in blobs:
-            f.write(blob)
-    os.replace(tmp, path)
-    return path
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    Every failure mode is loud and specific: wrong magic, a version this
-    build does not read (quoting expected vs found), and truncation at
-    any stage (quoting how many bytes were expected vs present).
-    Returns ``(header, arrays)`` with each array restored bit-exactly at
-    its recorded dtype and shape.
-    """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise CheckpointError(f"no checkpoint file at {path}") from None
-    prelude = len(CHECKPOINT_MAGIC) + _HEAD.size
-    if len(data) < prelude:
-        raise CheckpointError(
-            f"truncated checkpoint {path}: needs at least {prelude} bytes "
-            f"of prelude, found {len(data)}"
-        )
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"{path} is not a repro checkpoint (bad magic "
-            f"{data[: len(CHECKPOINT_MAGIC)]!r}, expected {CHECKPOINT_MAGIC!r})"
-        )
-    version, header_len = _HEAD.unpack_from(data, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version mismatch in {path}: file has version "
-            f"{version}, this build reads version {CHECKPOINT_VERSION}"
-        )
-    offset = prelude
-    if len(data) < offset + header_len:
-        raise CheckpointError(
-            f"truncated checkpoint {path}: header claims {header_len} bytes "
-            f"but only {len(data) - offset} follow the prelude"
-        )
-    try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"checkpoint format mismatch in {path}: expected "
-            f"{CHECKPOINT_FORMAT!r}, found {header.get('format')!r}"
-        )
-    offset += header_len
-    manifest = header.pop("arrays", [])
-    header.pop("format", None)  # codec bookkeeping, not caller data
-    total = sum(int(entry["nbytes"]) for entry in manifest)
-    if len(data) < offset + total:
-        raise CheckpointError(
-            f"truncated checkpoint {path}: array blobs need {total} bytes "
-            f"but only {len(data) - offset} remain"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        nbytes = int(entry["nbytes"])
-        blob = data[offset : offset + nbytes]
-        offset += nbytes
-        arrays[entry["name"]] = np.frombuffer(
-            blob, dtype=np.dtype(entry["dtype"])
-        ).reshape(tuple(entry["shape"])).copy()
-    return header, arrays
-
-
-# ----------------------------------------------------------------------
-# ClientUpdate (de)serialisation for engine buffers
-# ----------------------------------------------------------------------
-def update_to_meta(update: ClientUpdate) -> dict:
-    """JSON-ready scalars of a buffered update (the row travels as an
-    array blob alongside)."""
-    return {
-        "client_id": int(update.client_id),
-        "n_samples": int(update.n_samples),
-        "mean_loss": float(update.mean_loss),
-        "n_batches": int(update.n_batches),
-        "weight": None if update.weight is None else float(update.weight),
-    }
-
-
-def rebuild_update(meta: Mapping, row: np.ndarray) -> ClientUpdate:
-    """Inverse of :func:`update_to_meta` plus the update's checkpointed row."""
-    return ClientUpdate(
-        client_id=int(meta["client_id"]),
-        flat=row,
-        n_samples=int(meta["n_samples"]),
-        mean_loss=float(meta["mean_loss"]),
-        n_batches=int(meta["n_batches"]),
-        weight=None if meta["weight"] is None else float(meta["weight"]),
-    )

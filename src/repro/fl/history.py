@@ -65,6 +65,9 @@ class RoundRecord:
 class RunHistory:
     """Ordered round records plus run-level metadata."""
 
+    #: A checkpoint's part of the history (see ``repro.fl.checkpoint``).
+    resumable = ("records",)
+
     algorithm: str
     dataset: str
     seed: int

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -84,6 +84,7 @@ class UpdateTask:
             )
 
 
+@dataclass
 class InFlightBuffer:
     """Dispatched-but-undelivered client work, keyed by delivery round.
 
@@ -97,10 +98,22 @@ class InFlightBuffer:
     regardless of executor kind or duration interleaving.
     """
 
-    def __init__(self) -> None:
-        # (delivery round, dispatch sequence, dispatch round, update)
-        self._pending: list[tuple[int, int, int, ClientUpdate]] = []
-        self._seq = 0
+    #: ``(delivery round, dispatch sequence, dispatch round, update)``
+    #: per undelivered update, in dispatch order.
+    pending: list[tuple[int, int, int, ClientUpdate]] = field(default_factory=list)
+    #: The dispatch sequence number the next update gets.
+    seq: int = 0
+
+    def __post_init__(self) -> None:
+        # A restored ledger must number later dispatches above every
+        # pending one, or they would collide with buffered ones and break
+        # the deterministic delivery order.
+        top = max((entry[1] for entry in self.pending), default=-1)
+        if self.seq <= top:
+            raise ValueError(
+                f"seq {self.seq} collides with a pending entry "
+                f"(highest pending sequence: {top})"
+            )
 
     def add(
         self,
@@ -119,10 +132,8 @@ class InFlightBuffer:
                     f"client {update.client_id} would deliver in round {done}, "
                     f"before its dispatch round {dispatch_round}"
                 )
-            self._pending.append(
-                (int(done), self._seq, int(dispatch_round), update)
-            )
-            self._seq += 1
+            self.pending.append((int(done), self.seq, int(dispatch_round), update))
+            self.seq += 1
 
     def collect_due(
         self, round_index: int
@@ -133,57 +144,19 @@ class InFlightBuffer:
         order, so the server's buffer fills identically however the
         durations interleave.
         """
-        due = [entry for entry in self._pending if entry[0] <= round_index]
+        due = [entry for entry in self.pending if entry[0] <= round_index]
         if due:
-            self._pending = [
-                entry for entry in self._pending if entry[0] > round_index
-            ]
+            self.pending = [entry for entry in self.pending if entry[0] > round_index]
             due.sort(key=lambda entry: entry[1])
         return [(dispatch_round, update) for _, _, dispatch_round, update in due]
 
     @property
     def client_ids(self) -> frozenset[int]:
         """Clients currently mid-training (never re-dispatched)."""
-        return frozenset(update.client_id for *_, update in self._pending)
-
-    def snapshot(self) -> list[tuple[int, int, int, ClientUpdate]]:
-        """The pending entries, for checkpoint serialisation.
-
-        Each entry is ``(delivery round, dispatch sequence, dispatch
-        round, update)`` in insertion order.  Pair with
-        :attr:`next_seq` — the sequence counter must survive a restore,
-        or post-resume dispatches would collide with buffered ones and
-        break the deterministic delivery order.
-        """
-        return list(self._pending)
-
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next dispatched update will get."""
-        return self._seq
-
-    def restore(
-        self,
-        entries: Sequence[tuple[int, int, int, ClientUpdate]],
-        next_seq: int,
-    ) -> None:
-        """Inverse of :meth:`snapshot` (checkpoint resume)."""
-        entries = [
-            (int(done), int(seq), int(dispatch_round), update)
-            for done, seq, dispatch_round, update in entries
-        ]
-        next_seq = int(next_seq)
-        top = max((seq for _, seq, _, _ in entries), default=-1)
-        if next_seq <= top:
-            raise ValueError(
-                f"next_seq {next_seq} collides with a restored entry "
-                f"(highest buffered sequence: {top})"
-            )
-        self._pending = entries
-        self._seq = next_seq
+        return frozenset(update.client_id for *_, update in self.pending)
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
 
 def _budgeted_cfg(cfg, max_steps: int | None):

@@ -97,11 +97,16 @@ the executor or the payload format:
   after the retries, the round degrades gracefully: no aggregation
   event, server state frozen, NaN loss, ``RoundRecord.quorum_failed``;
 * **checkpoint/resume** — with a
-  :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
-  writes a versioned single-file checkpoint on a round cadence (server
-  rows at the layout dtype, round counter, ledger and buffer, event log,
-  traffic, history, and the scenario's ``to_dict()``) and can resume
-  from it; a resume under another scenario is refused.  A resumed run
+  :class:`repro.fl.checkpoint.CheckpointConfig` on the scenario the
+  engine writes a versioned single-file checkpoint on a round cadence
+  and can resume from it.  What the file holds is declared once: the
+  engine, the strategy, the traffic tracker and the history each list
+  their resumable attributes in ``resumable``, typed by their class
+  annotations, and :meth:`RoundEngine.checkpoint` and
+  :meth:`RoundEngine.resume` walk those same lists
+  (:mod:`repro.fl.checkpoint`).  The file's identity (seed, algorithm,
+  scenario ``to_dict()``, BLAS thread count, the strategy's settings
+  such as FedProx's μ) must equal the resuming run's.  A resumed run
   reproduces the uninterrupted one bit-identically because all
   middleware randomness is stateless in (seed, round, client) — the
   file only needs the round counter, never a generator state.
@@ -141,24 +146,25 @@ import abc
 import time
 from collections import Counter
 from itertools import groupby
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.fl.checkpoint import (
+    CheckpointConfig,
+    CheckpointError,
+    blas_threads,
+    load_state,
+    save_state,
+)
 from repro.fl.client import ClientUpdate
 from repro.fl.defense import (
     CORRUPTION_TAG,
     ROBUST_AGG_MODES,
-    CheckpointConfig,
-    CheckpointError,
     CorruptionConfig,
     admit_updates,
-    load_checkpoint,
     maybe_corrupt,
-    rebuild_update,
-    save_checkpoint,
-    update_to_meta,
 )
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import InFlightBuffer, UpdateTask
@@ -422,7 +428,7 @@ class ScenarioConfig:
         Redispatch attempts per round while below ``min_survivors``.
     checkpoint:
         ``None`` (default) never touches disk.  A
-        :class:`repro.fl.defense.CheckpointConfig` (or a bare
+        :class:`repro.fl.checkpoint.CheckpointConfig` (or a bare
         directory, coerced) makes the engine write a resumable
         checkpoint file every ``every`` rounds; with ``resume=True``
         :meth:`RoundEngine.run` restores from an existing file before
@@ -637,6 +643,11 @@ class RoundStrategy(abc.ABC):
     #: False for methods with no server round-trip (local-only); the
     #: engine then skips the per-round download/upload accounting.
     charges_communication: bool = True
+    #: The attributes a checkpoint saves and a resume restores, each
+    #: typed by its class annotation.  ``None`` means undeclared: such a
+    #: strategy cannot be checkpointed, because a resume would continue
+    #: from state it never saved.
+    resumable: tuple[str, ...] | None = None
 
     @abc.abstractmethod
     def broadcast_for(
@@ -691,30 +702,10 @@ class RoundStrategy(abc.ABC):
     def on_round_end(self, engine: "RoundEngine", outcome: RoundOutcome) -> None:
         """Post-round notification (after history logging)."""
 
-    def checkpoint_payload(
-        self, engine: "RoundEngine"
-    ) -> tuple[dict, dict[str, np.ndarray]]:
-        """Serialise the strategy's server state for a checkpoint.
-
-        Returns ``(meta, arrays)``: JSON-ready scalars plus named numpy
-        arrays.  Server model rows are stored as they are held, at the
-        layout dtype (``engine.env.layout.dtype``).  The default refuses
-        loudly: checkpointing a strategy that cannot rebuild its state
-        would resume from garbage.
-        """
-        raise NotImplementedError(
-            f"strategy {self.name!r} does not support checkpointing — "
-            "it implements no checkpoint_payload()/restore_payload()"
-        )
-
-    def restore_payload(
-        self, engine: "RoundEngine", meta: Mapping, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        """Inverse of :meth:`checkpoint_payload`."""
-        raise NotImplementedError(
-            f"strategy {self.name!r} does not support checkpointing — "
-            "it implements no checkpoint_payload()/restore_payload()"
-        )
+    def identity(self) -> dict:
+        """Settings a checkpoint must share with the run that resumes
+        it; compared on resume, never restored."""
+        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -728,6 +719,26 @@ class RoundEngine:
     the environment, the scenario policy, the event log, the in-flight
     ledger and the update buffer.
     """
+
+    #: The engine's part of a checkpoint, each typed below.
+    resumable = (
+        "events",
+        "_buffer",
+        "_in_flight",
+        "n_dispatched",
+        "n_aggregation_events",
+        "n_updates_absorbed",
+        "_next_round",
+        "_last_eval",
+    )
+    events: list[tuple[int, str, int, str | None]]
+    _buffer: dict[int, tuple[int, ClientUpdate]]
+    _in_flight: InFlightBuffer
+    n_dispatched: int
+    n_aggregation_events: int
+    n_updates_absorbed: int
+    _next_round: int
+    _last_eval: tuple[float, np.ndarray]
 
     def __init__(
         self,
@@ -1400,6 +1411,44 @@ class RoundEngine:
         if round_index % ckpt.every == 0 or round_index == last_round:
             self.checkpoint(ckpt.path)
 
+    def _owners(
+        self, strategy: RoundStrategy, history: RunHistory
+    ) -> dict[str, object]:
+        """Everything a checkpoint holds, by header section: each owner
+        declares its part in ``resumable``."""
+        if strategy.resumable is None:
+            raise NotImplementedError(
+                f"strategy {strategy.name!r} declares no resumable state, so "
+                "it cannot be checkpointed"
+            )
+        return {
+            "engine": self,
+            "strategy": strategy,
+            "tracker": self.env.tracker,
+            "history": history,
+        }
+
+    def identity(self, strategy: RoundStrategy, history: RunHistory) -> dict:
+        """What a checkpoint must share with the run that resumes it.
+
+        FedAvg, FedProx and PACFL share one strategy, so the history's
+        algorithm name tells their files apart, and the strategy adds
+        its own settings (:meth:`RoundStrategy.identity`, such as
+        FedProx's μ).  OpenBLAS's thread count changes how large GEMMs
+        sum, so a file written at another count is refused too.
+        """
+        env = self.env
+        return {
+            "seed": int(env.seed),
+            "strategy": strategy.name,
+            "algorithm": history.algorithm,
+            "n_clients": int(env.federation.n_clients),
+            "n_params": int(env.n_params),
+            "scenario": self.scenario.to_dict(),
+            "blas_threads": blas_threads(),
+            **strategy.identity(),
+        }
+
     def checkpoint(
         self,
         path: "str | Path | None" = None,
@@ -1408,16 +1457,14 @@ class RoundEngine:
     ) -> "Path":
         """Write a resumable checkpoint of the whole run state.
 
-        Serialised: the strategy's server rows (via its
-        :meth:`RoundStrategy.checkpoint_payload` hook), the scenario's
-        :meth:`ScenarioConfig.to_dict`, the round counter, the event
-        log, the communication tracker's
-        per-phase counters, the history records, the last evaluation,
-        the in-flight ledger and the update buffer — each update *row*
-        as its own array at its own dtype: the layout dtype, or float64
-        for a corrupted copy awaiting admission.  The rng "state" is just the seed and the round
-        counter: every stream is stateless in (seed, tag, round,
-        client), so resuming re-derives identical draws.
+        The file holds :meth:`identity` and the state each owner
+        declares in ``resumable``: the engine (event log, update buffer,
+        in-flight ledger, counters, next round, last evaluation), the
+        strategy, the traffic tracker and the history records.  Each
+        update row keeps its own dtype, so a corrupted float64 copy
+        awaiting admission survives.  The rng "state" is just the seed
+        and the round counter: every stream is stateless in (seed, tag,
+        round, client).
 
         Called automatically on the :class:`CheckpointConfig` cadence
         during :meth:`run`; callable directly mid-run (the strategy and
@@ -1438,72 +1485,9 @@ class RoundEngine:
                     "ScenarioConfig.checkpoint"
                 )
             path = self.scenario.checkpoint.path
-        env = self.env
-        meta, strategy_arrays = strategy.checkpoint_payload(self)
-        arrays: dict[str, np.ndarray] = {
-            f"strategy/{name}": array for name, array in strategy_arrays.items()
-        }
-
-        def updates_meta(name: str, entries: list) -> list[dict]:
-            # (extra metadata, update) pairs: the metadata goes in the
-            # header, each row in its own array blob at its own dtype.
-            # A noise-corrupted row awaiting admission holds float64
-            # perturbations that the layout dtype would round, breaking
-            # resume bit-identity.
-            for i, (_, update) in enumerate(entries):
-                arrays[f"{name}_rows/{i}"] = update.flat
-            return [update_to_meta(update) | extra for extra, update in entries]
-
-        buffer_meta = updates_meta(
-            "buffer",
-            [
-                ({"dispatch_round": sent}, update)
-                for sent, update in self._buffer.values()
-            ],
+        return save_state(
+            path, self.identity(strategy, history), self._owners(strategy, history)
         )
-        flight_meta = updates_meta(
-            "in_flight",
-            [
-                ({"done": done, "seq": seq, "dispatch_round": sent}, update)
-                for done, seq, sent, update in self._in_flight.snapshot()
-            ],
-        )
-        mean_acc, per_client = self._last_eval
-        arrays["per_client_accuracy"] = np.asarray(per_client, dtype=np.float64)
-
-        header = {
-            "seed": int(env.seed),
-            "strategy": strategy.name,
-            "n_clients": int(env.federation.n_clients),
-            "n_params": int(env.n_params),
-            "scenario": self.scenario.to_dict(),
-            "next_round": int(self._next_round),
-            "mean_accuracy": float(mean_acc),
-            "strategy_meta": meta,
-            # JSON writes the event tuples as lists.
-            "events": self.events,
-            "counters": {
-                "n_dispatched": int(self.n_dispatched),
-                "n_aggregation_events": int(self.n_aggregation_events),
-                "n_updates_absorbed": int(self.n_updates_absorbed),
-            },
-            "traffic": {
-                "uploads": {k: int(v) for k, v in env.tracker.uploads.items()},
-                "downloads": {
-                    k: int(v) for k, v in env.tracker.downloads.items()
-                },
-            },
-            "history": {
-                "algorithm": history.algorithm,
-                "dataset": history.dataset,
-                "seed": int(history.seed),
-                "records": [asdict(record) for record in history.records],
-            },
-            "buffer": buffer_meta,
-            "in_flight": flight_meta,
-            "in_flight_seq": int(self._in_flight.next_seq),
-        }
-        return save_checkpoint(path, header, arrays)
 
     def resume(
         self,
@@ -1513,85 +1497,18 @@ class RoundEngine:
     ) -> tuple[int, float, np.ndarray]:
         """Restore a checkpoint written by :meth:`checkpoint`.
 
-        Validates that the file belongs to this run (seed, strategy
-        name, algorithm, federation size, parameter count and the
-        scenario's :meth:`ScenarioConfig.to_dict` — a mismatch raises
-        :class:`repro.fl.defense.CheckpointError` quoting expected vs
-        found; FedAvg, FedProx and PACFL share one strategy, so the
-        history's algorithm name tells their files apart, and the
-        strategy refuses a file whose own settings, such as FedProx's
-        μ, differ from the run's), then restores the strategy state,
-        event log and buffers, tracker counters and history records
-        **in place** and returns ``(next round, last mean accuracy, last
-        per-client accuracies)``.  ``history.records`` is replaced
-        wholesale, so a caller that pre-seeded records (FedClust re-runs
-        its round-1 clustering deterministically before resuming)
-        converges on the checkpointed truth.  Only files of this build's
-        :data:`repro.fl.defense.CHECKPOINT_VERSION` load.
+        The file's identity must equal this run's :meth:`identity` key
+        by key, or :class:`repro.fl.checkpoint.CheckpointError` quotes
+        the key and both values.  The declared state is restored in
+        place, ``history.records`` wholesale (FedClust re-runs its
+        round-1 clustering before resuming, and converges on the file),
+        and ``(next round, last mean accuracy, last per-client
+        accuracies)`` is returned.
         """
-        header, arrays = load_checkpoint(path)
-        env = self.env
-        expectations = (
-            ("seed", header.get("seed"), int(env.seed)),
-            ("strategy", header.get("strategy"), strategy.name),
-            ("algorithm", header["history"]["algorithm"], history.algorithm),
-            ("n_clients", header.get("n_clients"), int(env.federation.n_clients)),
-            ("n_params", header.get("n_params"), int(env.n_params)),
-            ("scenario", header["scenario"], self.scenario.to_dict()),
+        load_state(
+            path, self.identity(strategy, history), self._owners(strategy, history)
         )
-        for key, found, want in expectations:
-            if found != want:
-                raise CheckpointError(
-                    f"checkpoint {key} mismatch in {path}: this run expects "
-                    f"{want!r}, the file holds {found!r}"
-                )
-        strategy.restore_payload(
-            self,
-            header.get("strategy_meta", {}),
-            {
-                name.split("/", 1)[1]: array
-                for name, array in arrays.items()
-                if name.startswith("strategy/")
-            },
-        )
-        self.events[:] = [tuple(event) for event in header["events"]]
-        counters = header["counters"]
-        self.n_dispatched = int(counters["n_dispatched"])
-        self.n_aggregation_events = int(counters["n_aggregation_events"])
-        self.n_updates_absorbed = int(counters["n_updates_absorbed"])
-        tracker = env.tracker
-        tracker.uploads.clear()
-        for phase, count in header["traffic"]["uploads"].items():
-            tracker.uploads[phase] = int(count)
-        tracker.downloads.clear()
-        for phase, count in header["traffic"]["downloads"].items():
-            tracker.downloads[phase] = int(count)
-        history.records[:] = [
-            RoundRecord(**record) for record in header["history"]["records"]
-        ]
-        self._buffer.clear()
-        for i, entry in enumerate(header["buffer"]):
-            self._buffer[int(entry["client_id"])] = (
-                int(entry["dispatch_round"]),
-                rebuild_update(entry, arrays[f"buffer_rows/{i}"]),
-            )
-        self._in_flight.restore(
-            [
-                (
-                    int(entry["done"]),
-                    int(entry["seq"]),
-                    int(entry["dispatch_round"]),
-                    rebuild_update(entry, arrays[f"in_flight_rows/{i}"]),
-                )
-                for i, entry in enumerate(header["in_flight"])
-            ],
-            int(header["in_flight_seq"]),
-        )
-        mean_acc = float(header["mean_accuracy"])
-        per_client = arrays["per_client_accuracy"].astype(np.float64)
-        self._next_round = int(header["next_round"])
-        self._last_eval = (mean_acc, per_client)
-        return self._next_round, mean_acc, per_client
+        return self._next_round, *self._last_eval
 
     # ------------------------------------------------------------------
     # Realized-schedule capture

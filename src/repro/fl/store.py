@@ -18,13 +18,18 @@ for *any* input row — exactly what a model holds after loading that
 row (``unpack_state(row)`` repacked), a float64 corrupted copy
 included.  DenseStore and ShardedStore therefore agree bit-for-bit with
 each other and with every pre-store seed pin.
+
+Checkpoints see one shape for every kind, :class:`StoreRows`: the base
+row plus the rows held apart from it.  :meth:`ClientStateStore.contents`
+writes it and :meth:`ClientStateStore.restore` reads any kind's into any
+kind, dropping the rows the store held before.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from repro.nn.state_flat import StateLayout
 __all__ = [
     "STORE_KINDS",
     "StoreConfig",
+    "StoreRows",
     "ClientStateStore",
     "DenseStore",
     "ShardedStore",
@@ -76,18 +82,28 @@ class StoreConfig:
             raise ValueError("path is only meaningful for the sharded store")
 
     def describe(self) -> dict:
-        """JSON-safe summary for run output and checkpoints."""
+        """JSON-safe summary for run records."""
         return asdict(self)
+
+
+@dataclass
+class StoreRows:
+    """A store's contents in one shape for every kind: the ``base`` row
+    every client starts from, and the rows held apart from it by client
+    id."""
+
+    base: np.ndarray
+    rows: dict[int, np.ndarray]
 
 
 class ClientStateStore:
     """Per-client model state: one row per client at the layout dtype.
 
     Subclasses implement the storage (``_read_row``/``_write_row``/
-    ``_reset``); the base class owns the row contract and the checkpoint
-    / restore protocol, including cross-kind restore (a dense
-    checkpoint restores into a sharded store and vice versa, preserving
-    sparsity where the payload allows it).
+    ``_reset``) and list the rows they hold apart from the base
+    (:meth:`contents`); the base class owns the row contract and
+    :meth:`restore`, which reads any kind's contents into any kind (a
+    dense checkpoint restores into a sharded store and back).
     """
 
     kind: str = "abstract"
@@ -147,73 +163,36 @@ class ClientStateStore:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def checkpoint_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """(JSON-safe meta, named arrays) for the checkpoint codec."""
+    def contents(self) -> StoreRows:
+        """The base row and the rows held apart from it."""
         raise NotImplementedError
 
-    def restore_from(self, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
-        """Load a checkpoint payload written by *any* store kind.
+    def restore(self, contents: StoreRows) -> None:
+        """Hold exactly ``contents``, written by a store of any kind.
 
-        Rows the store held before are dropped, so afterwards it holds
-        exactly the file's rows.
+        The rows held before are dropped and ``contents.base`` becomes
+        every other client's row; each row enters through :meth:`set`,
+        so it rests at the layout dtype.
         """
-        src_kind = meta["kind"]
-        p = self.layout.n_params
-        if src_kind == "dense":
-            matrix = np.asarray(arrays["states"])
-            if matrix.shape != (self.n_clients, p):
-                raise ValueError(
-                    f"checkpoint states have shape {matrix.shape}, expected "
-                    f"({self.n_clients}, {p})"
-                )
-            self._restore_dense(matrix)
-        elif src_kind == "sharded":
-            if int(meta["n_clients"]) != self.n_clients:
-                raise ValueError(
-                    "checkpoint population "
-                    f"{meta['n_clients']} != store population {self.n_clients}"
-                )
-            base = np.asarray(arrays["base"])
-            if base.shape != (p,):
-                raise ValueError(
-                    f"checkpoint base row has shape {base.shape}, expected ({p},)"
-                )
-            self._restore_sharded(
-                base, int(meta["shard_size"]), meta["shards"], arrays
+        base = self.layout.round_trip(contents.base)
+        outside = sorted(c for c in contents.rows if not 0 <= c < self.n_clients)
+        if outside:
+            raise ValueError(
+                f"checkpoint rows of clients {outside} fall outside this "
+                f"store's population (its shape is "
+                f"({self.n_clients}, {self.layout.n_params}))"
             )
-        else:  # pragma: no cover - corrupt meta
-            raise ValueError(f"unknown store kind in checkpoint: {src_kind!r}")
-
-    def _restore_dense(self, matrix: np.ndarray) -> None:
-        """Default cross-kind restore: write the rows that differ from
-        the base."""
-        self._reset(self._base)
-        for cid in np.flatnonzero(np.any(matrix != self._base, axis=1)):
-            self._write_row(int(cid), matrix[cid])
-
-    def _restore_sharded(
-        self,
-        base: np.ndarray,
-        shard_size: int,
-        shard_indices: Sequence[int],
-        arrays: Mapping[str, np.ndarray],
-    ) -> None:
-        """Default cross-kind restore: take the file's base, then replay
-        the shard rows that differ from it."""
         self._reset(base)
-        for si in shard_indices:
-            lo = int(si) * shard_size
-            for ri, row in enumerate(arrays[f"shard_{int(si)}"]):
-                if np.any(row != base):
-                    self._write_row(lo + ri, row)
+        for cid, row in contents.rows.items():
+            self.set(cid, row)
 
 
 class DenseStore(ClientStateStore):
     """One ``(n_clients, n_params)`` matrix.
 
-    The fast path for populations that fit in memory; its checkpoint
-    array is byte-identical to the pre-store ``local_only`` payload
-    (the stack of packed rows).
+    The fast path for populations that fit in memory.  It holds every
+    row, and its :meth:`contents` are the rows that differ from the
+    base.
     """
 
     kind = "dense"
@@ -237,12 +216,9 @@ class DenseStore(ClientStateStore):
     def resident_bytes(self) -> int:
         return int(self._matrix.nbytes)
 
-    def checkpoint_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {"kind": "dense", "n_clients": self.n_clients}
-        return meta, {"states": self._matrix}
-
-    def _restore_dense(self, matrix: np.ndarray) -> None:
-        self._matrix[:] = matrix
+    def contents(self) -> StoreRows:
+        apart = np.flatnonzero(np.any(self._matrix != self._base, axis=1))
+        return StoreRows(self._base, {int(c): self._matrix[c] for c in apart})
 
 
 class ShardedStore(ClientStateStore):
@@ -323,33 +299,17 @@ class ShardedStore(ClientStateStore):
         """Shards actually materialised (touched at least once)."""
         return len(self._shards)
 
-    def checkpoint_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "kind": "sharded",
-            "shard_size": self.shard_size,
-            "n_clients": self.n_clients,
-            "shards": sorted(int(si) for si in self._shards),
-        }
-        arrays: dict[str, np.ndarray] = {"base": self._base}
-        for si in meta["shards"]:
-            arrays[f"shard_{si}"] = np.asarray(self._shards[si])
-        return meta, arrays
-
-    def _restore_sharded(
-        self,
-        base: np.ndarray,
-        shard_size: int,
-        shard_indices: Sequence[int],
-        arrays: Mapping[str, np.ndarray],
-    ) -> None:
-        if shard_size != self.shard_size:
-            super()._restore_sharded(base, shard_size, shard_indices, arrays)
-            return
-        # Same geometry: adopt the payload shards whole, keeping
-        # untouched shards unmaterialised.
-        self._reset(base)
-        for si in shard_indices:
-            self._materialize_shard(int(si))[:] = arrays[f"shard_{int(si)}"]
+    def contents(self) -> StoreRows:
+        # Every row of each materialised shard, base-equal ones included,
+        # so a restore into the same geometry materialises the same shards.
+        return StoreRows(
+            self._base,
+            {
+                si * self.shard_size + ri: row
+                for si in sorted(self._shards)
+                for ri, row in enumerate(self._shards[si])
+            },
+        )
 
 
 def make_store(

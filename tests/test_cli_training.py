@@ -7,10 +7,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ablation
+from repro.experiments import ablation, table1
 from repro.experiments.ablation import SCHEMA_VERSION, run_cells
-from repro.experiments.presets import get_scale
+from repro.experiments.presets import SCALES, ExperimentScale, get_scale
 from repro.experiments.table1 import table1_matrix
+from repro.fl.config import TrainConfig
 
 
 class TestParser:
@@ -86,6 +87,8 @@ REJECTED_RUN_FLAGS = [
     (["--failure-rate", "1.5"], "failure_rate"),
     (["--clients", "0"], "n_clients must be >= 1"),
     (["--rounds", "0"], "n_rounds must be >= 1"),
+    (["--algorithm", "fedclust", "--rounds", "1"], "fedclust needs n_rounds >= 2"),
+    (["--algorithm", "pacfl", "--rounds", "1"], "pacfl needs n_rounds >= 2"),
     (["--algorithm", "nope"], "unknown algorithm"),
     (["--checkpoint", "ckpt", "--checkpoint-every", "0"], "every"),
 ]
@@ -110,6 +113,51 @@ class TestRunRejections:
             main(["run", "--dataset", "fmnist", "--model", "mlp", *flags])
         assert exc.value.code not in (0, None)
         assert message in str(exc.value.code)
+
+
+#: Table I's preset shrunk to seconds: 4 clients, 2 rounds, 2 steps a round.
+TINY = ExperimentScale(
+    name="quick",
+    n_clients=4,
+    n_samples=200,
+    n_rounds=2,
+    seeds=(0,),
+    train=TrainConfig(local_epochs=1, batch_size=32, lr=0.05, max_steps=2),
+    eval_every=2,
+)
+
+
+def test_table1_out_writes_each_cells_record(tmp_path, monkeypatch, capsys):
+    """``table1 --out`` writes the harness record of every cell it ran,
+    and each record's accuracy is the table's."""
+    monkeypatch.setitem(SCALES, "quick", TINY)
+    printed = []
+    format_table1 = table1.format_table1
+    monkeypatch.setattr(
+        table1,
+        "format_table1",
+        lambda result: printed.append(result) or format_table1(result),
+    )
+    out = tmp_path / "table1.json"
+    main(
+        [
+            "table1",
+            "--datasets", "fmnist",
+            "--methods", "fedavg", "fedclust",
+            "--scale", "quick",
+            "--out", str(out),
+        ]
+    )
+    capsys.readouterr()
+    records = json.loads(out.read_text())["records"]
+    (result,) = printed
+    assert [r["algorithm"] for r in records] == ["fedavg", "fedclust"]
+    for record in records:
+        assert record["schema"] == SCHEMA_VERSION
+        assert {"run_id", "traffic", "engine"} <= set(record)
+        assert record["metrics"]["final_accuracy"] == result.cell(
+            record["algorithm"], "fmnist"
+        ).accuracies[0]
 
 
 @pytest.mark.slow

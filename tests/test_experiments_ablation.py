@@ -43,7 +43,7 @@ from repro.experiments.ablation import (
     run_check,
     run_matrix,
 )
-from repro.fl.defense import CheckpointConfig
+from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.store import StoreConfig
 from repro.utils.serialization import load_json, save_json
 
@@ -221,6 +221,8 @@ class TestGenerateCells:
                 algorithms=("pacfl",),
                 algorithm_kwargs={"pacfl": {"max_clusters": 0}},
             )
+        with pytest.raises(ValueError, match="fedclust needs n_rounds >= 2, got 1"):
+            tiny_config(algorithms=("fedclust", "pacfl"), n_rounds=1)
 
     @pytest.mark.parametrize(
         "declaration",
@@ -364,7 +366,6 @@ class TestResume:
             "directory": str(tmp_path / "ckpt_run" / "ckpt" / rid),
             "every": 1,
             "resume": True,
-            "filename": "checkpoint.bin",
         }
 
 

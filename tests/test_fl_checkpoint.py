@@ -15,32 +15,40 @@ counters, the event log, every history field except wall-clock.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import fates, global_rounds
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_fl_rounds import legal_scenarios
 
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
-from repro.fl import defense
-from repro.fl.config import TrainConfig
-from repro.fl.defense import (
+from repro.fl import checkpoint, rounds
+from repro.fl.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointConfig,
     CheckpointError,
-    CorruptionConfig,
+    blas_threads,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.fl.config import TrainConfig
+from repro.fl.defense import CorruptionConfig
 from repro.fl.history import RunHistory
 from repro.fl.rounds import AsyncConfig, RoundEngine, RoundStrategy, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
+from repro.fl.store import StoreConfig
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +349,7 @@ class TestResumeBitIdentity:
         ref = (strategy, engine, history, *engine.run(strategy, total, history))
         env.close()
         header, _ = load_checkpoint(tmp_path / "checkpoint.bin")
-        assert header["buffer"]
+        assert header["engine"]["_buffer"]
 
         def resume():
             env = env_factory()
@@ -406,7 +414,7 @@ class TestResumeBitIdentity:
         self._run(env, ScenarioConfig(checkpoint=ckpt), 3)
         env.close()
         header, _ = load_checkpoint(ckpt.path)
-        assert header["next_round"] == 4  # round 3 (odd) was still written
+        assert header["engine"]["_next_round"] == 4  # round 3 (odd) was still written
 
     def test_fedclust_resume(self, env_factory, tmp_path):
         def run(d, resume, n_rounds):
@@ -519,13 +527,33 @@ class TestResumeGuards:
             engine.run(global_rounds(env), 2, RunHistory("fedavg", "synthetic", 2))
         env.close()
 
+    def test_another_blas_thread_count_is_refused(
+        self, env_factory, tmp_path, monkeypatch
+    ):
+        # OpenBLAS sums large GEMMs differently at another thread count,
+        # so the continuation could not be bit-for-bit.
+        monkeypatch.setattr(rounds, "blas_threads", lambda: 2)
+        ckpt = self._checkpointed(env_factory, tmp_path)
+        monkeypatch.setattr(rounds, "blas_threads", lambda: 1)
+        env = env_factory()
+        engine = RoundEngine(env, ScenarioConfig(checkpoint=ckpt))
+        with pytest.raises(
+            CheckpointError, match=r"blas_threads mismatch.*expects 1.*holds 2"
+        ):
+            engine.run(global_rounds(env), 2, RunHistory("fedavg", "synthetic", 2))
+        env.close()
+
+    def test_blas_threads_reads_the_live_count(self):
+        # conftest.py pins OpenBLAS to one thread; another BLAS reads None.
+        assert blas_threads() in (1, None)
+
     def test_version_3_file_is_refused(self, env_factory, tmp_path, monkeypatch):
         # An earlier build's files (version 3 held a FedAvg ``vector``
         # payload) are refused, not converted.
         ckpt = self._checkpointed(env_factory, tmp_path)
         header, arrays = load_checkpoint(ckpt.path)
         with monkeypatch.context() as patch:
-            patch.setattr(defense, "CHECKPOINT_VERSION", 3)
+            patch.setattr(checkpoint, "CHECKPOINT_VERSION", 3)
             save_checkpoint(ckpt.path, header, arrays)
         env = env_factory()
         engine = RoundEngine(env, ScenarioConfig(checkpoint=ckpt))
@@ -621,3 +649,283 @@ class TestResumeGuards:
         with pytest.raises(NotImplementedError, match="opaque"):
             engine.run(Opaque(), 1, RunHistory("opaque", "synthetic", env.seed))
         env.close()
+
+
+# ----------------------------------------------------------------------
+# Resume properties: any legal scenario × algorithm × executor × cut
+# ----------------------------------------------------------------------
+#: Every algorithm at a size a 10-client run of a few rounds finishes in.
+_ALGORITHMS = {
+    "fedavg": {},
+    "fedprox": {"mu": 0.1},
+    "cfl": {"warmup_rounds": 1},
+    "ifca": {"n_clusters": 2},
+    "pacfl": {},
+    "fedclust": {"warmup_steps": 4, "warmup_lr": 0.01},
+    "local_only": {},
+}
+
+#: Engine attributes that are not run state: what it was built with,
+#: and the run it serves (``checkpoint()``'s defaults).
+_ENGINE_SETTINGS = {"env", "scenario", "phase", "_run_strategy", "_run_history"}
+#: Per strategy class, its attributes that are not run state.
+_STRATEGY_SETTINGS = {
+    "ClusteredRounds": {"prox_mu"},
+    "_IFCARounds": {"prox_mu", "algo"},
+    "_CFLRounds": {"prox_mu", "algo"},
+    "_FedClustRounds": {"prox_mu", "algo", "fitted"},
+    "_LocalRounds": {"store"},
+}
+
+
+@pytest.fixture(scope="module")
+def ten_clients():
+    """``legal_scenarios`` draws client ids 0–9."""
+    return build_federation(
+        "fmnist", n_clients=10, n_samples=300, seed=3, partition="label_cluster"
+    )
+
+
+@st.composite
+def resume_cases(draw):
+    """A legal scenario, an algorithm, an executor, a store and a cut
+    round inside the horizon (FedClust's and PACFL's engine rounds start
+    at 2)."""
+    n_rounds = draw(st.integers(3, 5))
+    return dict(
+        algorithm=draw(st.sampled_from(sorted(_ALGORITHMS))),
+        kwargs=None,
+        scenario=draw(legal_scenarios()),
+        executor=draw(st.sampled_from(["serial", "batched"])),
+        store=draw(st.sampled_from(["dense", "sharded"])),
+        n_rounds=n_rounds,
+        cut=draw(st.integers(2, n_rounds - 1)),
+    )
+
+
+@contextmanager
+def _watched(cut=None, path=None):
+    """Record each engine round's ``(engine, strategy)``; at round
+    ``cut`` the engine checkpoints itself to ``path``.  No strategy
+    overrides ``on_round_end``."""
+    seen = []
+
+    def on_round_end(strategy, engine, outcome):
+        seen.append((engine, strategy))
+        if outcome.round_index == cut:
+            engine.checkpoint(path)
+
+    with mock.patch.object(RoundStrategy, "on_round_end", on_round_end):
+        yield seen
+
+
+def _run(federation, case, cut=None, path=None, resume=False):
+    """Run ``case`` on a fresh env; returns ``(result, engine, strategy)``
+    with the env still open.  Draws whose FedClust clustering round gets
+    fewer than two responders are rejected."""
+    env = FederatedEnv(
+        federation,
+        model_name="mlp",
+        model_kwargs={"hidden": (8,)},
+        train_cfg=TrainConfig(local_epochs=1, batch_size=16, lr=0.05, momentum=0.9),
+        seed=1,
+        executor=case["executor"],
+        store=StoreConfig(kind=case["store"], shard_size=3),
+    )
+    scenario = case["scenario"]
+    if resume:
+        scenario = dataclasses.replace(
+            scenario, checkpoint=CheckpointConfig(Path(path).parent, resume=True)
+        )
+    kwargs = case["kwargs"] or _ALGORITHMS[case["algorithm"]]
+    try:
+        with _watched(cut, path) as seen:
+            result = make_algorithm(case["algorithm"], **kwargs).run(
+                env, case["n_rounds"], scenario=scenario
+            )
+    except BaseException as exc:
+        env.close()
+        assume("responding clients" not in str(exc))
+        raise
+    engine, strategy = seen[-1]
+    return result, engine, strategy
+
+
+def _canon(value):
+    """``value`` as plain data that compares NaN-safely and no longer
+    aliases the run's live objects."""
+    if isinstance(value, np.ndarray):
+        return _canon(value.tolist())
+    if isinstance(value, dict):
+        return {k: _canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if isinstance(value, float) and np.isnan(value):
+        return "nan"
+    return value
+
+
+def _observed(engine, strategy, history, accuracy):
+    """What a resumed run must reproduce: accuracies, server rows and
+    labels, history (without wall-clock), events, the engine record,
+    traffic and FedClust's onboarded newcomers."""
+    if hasattr(strategy, "store"):
+        rows, labels = strategy.store.rows(range(strategy.store.n_clients)), None
+    else:
+        rows, labels = strategy.matrix, strategy.labels
+    tracker = engine.env.tracker
+    return _canon(
+        {
+            "accuracy": accuracy,
+            "rows": rows,
+            "labels": labels,
+            "history": [
+                {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_seconds"}
+                for r in history.records
+            ],
+            "events": engine.events,
+            "engine_record": engine.run_record(),
+            "comm": tracker.by_phase() | {"total": tracker.totals()},
+            "onboarded": {
+                cid: (a.cluster, a.distances, a.margin)
+                for cid, a in getattr(strategy, "onboarded", {}).items()
+            },
+        }
+    )
+
+
+def _result_observed(result, engine, strategy):
+    accuracy = (result.final_accuracy, result.per_client_accuracy)
+    return _observed(engine, strategy, result.history, accuracy)
+
+
+_PROPERTY = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+class TestResumeProperties:
+    """A run checkpointed at any cut and resumed equals the uninterrupted
+    run, and a file is only resumed by the run that wrote it.
+
+    Timings on a 2-CPU container at one BLAS thread: the fresh-resume
+    property's 300 examples take ~30 s, the used-engine property's 150
+    ~14 s and the refusal property's 100 ~3 s.
+    """
+
+    @settings(max_examples=300, **_PROPERTY)
+    @given(case=resume_cases())
+    def test_fresh_resume_equals_the_uninterrupted_run(self, ten_clients, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.bin"
+            result, engine, strategy = _run(ten_clients, case, case["cut"], path)
+            engine.env.close()
+            want = _result_observed(result, engine, strategy)
+            # A resume with no file starts fresh, which would pass vacuously.
+            assert path.exists()
+            result, engine, strategy = _run(ten_clients, case, path=path, resume=True)
+            engine.env.close()
+        assert _result_observed(result, engine, strategy) == want
+
+    @settings(max_examples=150, **_PROPERTY)
+    @given(case=resume_cases())
+    def test_resume_into_a_used_engine(self, ten_clients, case):
+        """The finished run's own engine and strategy, sent back to the
+        cut, run on to the same end: a resume replaces what they hold."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.bin"
+            result, engine, strategy = _run(ten_clients, case, case["cut"], path)
+            try:
+                history = result.history
+                want = _result_observed(result, engine, strategy)
+                next_round, *_ = engine.resume(path, strategy, history)
+                assert next_round == case["cut"] + 1
+                accuracy = engine.run(
+                    strategy, case["n_rounds"] - case["cut"], history, next_round
+                )
+            finally:
+                engine.env.close()
+        assert _observed(engine, strategy, history, accuracy) == want
+
+    @settings(max_examples=100, **_PROPERTY)
+    @given(case=resume_cases(), data=st.data())
+    def test_another_run_is_refused(self, ten_clients, case, data):
+        """A file is refused by a run of another algorithm, another
+        FedProx μ or another scenario."""
+        change = data.draw(st.sampled_from(["algorithm", "mu", "scenario"]))
+        case = dict(case, n_rounds=2)
+        other = dict(case, n_rounds=3)
+        if change == "algorithm":
+            other["algorithm"] = data.draw(
+                st.sampled_from(sorted(set(_ALGORITHMS) - {case["algorithm"]}))
+            )
+        elif change == "mu":
+            case["algorithm"] = other["algorithm"] = "fedprox"
+            case["kwargs"], other["kwargs"] = {"mu": 0.1}, {"mu": 0.5}
+        else:
+            other["scenario"] = data.draw(legal_scenarios())
+            assume(other["scenario"].to_dict() != case["scenario"].to_dict())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.bin"
+            _, engine, _ = _run(ten_clients, case, 2, path)
+            engine.env.close()
+            assert path.exists()
+            with pytest.raises(CheckpointError, match="mismatch"):
+                _run(ten_clients, other, path=path, resume=True)
+
+
+@pytest.mark.parametrize("algorithm", sorted(_ALGORITHMS))
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(
+            client_fraction=0.8,
+            failure_rate=0.2,
+            straggler_rate=0.2,
+            arrivals={9: 2},
+            staleness_decay=0.5,
+            compute_budget=(1, 3),
+            departures={8: 3},
+            trace={7: [1, 3]},
+            corruption=CorruptionConfig(rate=0.2),
+            robust_agg="trimmed_mean",
+            trim_fraction=0.2,
+            norm_bound=5.0,
+            min_survivors=2,
+            max_retries=1,
+        ),
+        dict(
+            client_fraction=0.8,
+            failure_rate=0.2,
+            arrivals={9: 2},
+            staleness_decay=0.5,
+            compute_budget=(1, 3),
+            departures={8: 3},
+            trace={7: [1, 3]},
+            async_config=AsyncConfig(buffer_size=3, max_concurrency=6),
+            corruption=CorruptionConfig(rate=0.2),
+            robust_agg="coordinate_median",
+            norm_bound=5.0,
+        ),
+    ],
+    ids=["sync", "async"],
+)
+def test_field_tables_cover_every_attribute(ten_clients, algorithm, knobs, tmp_path):
+    """Every attribute of the engine and of each strategy class is run
+    state a checkpoint declares or a setting listed above: an attribute
+    added to either fails here until it is classified."""
+    case = dict(
+        algorithm=algorithm,
+        kwargs=None,
+        scenario=ScenarioConfig(**knobs, checkpoint=CheckpointConfig(tmp_path)),
+        executor="serial",
+        store="sharded",
+        n_rounds=4,
+    )
+    _, engine, strategy = _run(ten_clients, case)
+    engine.env.close()
+    assert (tmp_path / "checkpoint.bin").exists()
+    assert set(vars(engine)) == set(RoundEngine.resumable) | _ENGINE_SETTINGS
+    declared = set(type(strategy).resumable)
+    assert set(vars(strategy)) - declared == _STRATEGY_SETTINGS[type(strategy).__name__]

@@ -36,7 +36,7 @@ class TestCounting:
     def test_snapshot(self):
         tracker = CommunicationTracker()
         tracker.record_upload(2)
-        snap = tracker.snapshot()
+        snap = tracker.totals()
         tracker.record_upload(2)
         assert snap["uploaded"] == 2  # snapshot is immutable
 

@@ -34,12 +34,12 @@ from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
+from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
     CORRUPTION_KINDS,
     QUARANTINE_NON_FINITE,
     QUARANTINE_NORM_BOUND,
-    CheckpointConfig,
     CorruptionConfig,
     admit_updates,
     maybe_corrupt,

@@ -33,11 +33,11 @@ from hypothesis import strategies as st
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
+from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
     CORRUPTION_KINDS,
     ROBUST_AGG_MODES,
-    CheckpointConfig,
     CorruptionConfig,
 )
 from repro.fl.parallel import UpdateTask

@@ -18,21 +18,25 @@ import pytest
 from helpers import global_rounds
 
 from repro.data.federation import build_federation
+from repro.fl.checkpoint import (
+    CheckpointConfig,
+    decode,
+    encode,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
     ROBUST_AGG_MODES,
-    CheckpointConfig,
     CorruptionConfig,
-    load_checkpoint,
     maybe_corrupt,
     robust_weighted_average,
-    save_checkpoint,
 )
 from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
-from repro.fl.store import StoreConfig
+from repro.fl.store import StoreConfig, StoreRows
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +101,12 @@ class TestRowsAtLayoutDtype:
         store = env.make_store()
         row = np.random.default_rng(0).standard_normal(env.n_params)
         store.set(2, row)
-        meta, arrays = store.checkpoint_payload()
-        save_checkpoint(tmp_path / "store.bin", {}, arrays)
-        _, loaded = load_checkpoint(tmp_path / "store.bin")
+        arrays = {}
+        header = {"store": encode(store.contents(), arrays)}
+        save_checkpoint(tmp_path / "store.bin", header, arrays)
+        header, loaded = load_checkpoint(tmp_path / "store.bin")
         restored = env.make_store()
-        restored.restore_from(meta, loaded)
+        restored.restore(decode(header["store"], StoreRows, loaded))
         for s in (store, restored):
             assert s.get(2).dtype == s.get(5).dtype == env.layout.dtype
             assert s.rows([0, 2]).dtype == env.layout.dtype
@@ -124,7 +129,7 @@ class TestRowsAtLayoutDtype:
         first = tmp_path / "first.bin"
         engine.checkpoint(first, strategy, history)
         header, arrays = load_checkpoint(first)
-        rows = [arrays[f"buffer_rows/{i}"] for i in range(len(header["buffer"]))]
+        rows = [arrays[update["flat"]] for _, (_, update) in header["engine"]["_buffer"]]
         assert {row.dtype for row in rows} == {np.dtype(np.float32), np.dtype(np.float64)}
 
         resumed_strategy = global_rounds(env)

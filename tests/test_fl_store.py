@@ -20,6 +20,7 @@ from repro.fl.store import (
     DenseStore,
     ShardedStore,
     StoreConfig,
+    StoreRows,
     make_store,
 )
 from repro.nn.state_flat import StateLayout
@@ -188,9 +189,8 @@ class TestCheckpointRestore:
             make_store(StoreConfig(kind=src_kind, shard_size=3), 10, layout, base),
             [(0, 7), (4, 8), (9, 9)],
         )
-        meta, arrays = src.checkpoint_payload()
         dst = make_store(StoreConfig(kind=dst_kind, shard_size=4), 10, layout, base)
-        dst.restore_from(meta, arrays)
+        dst.restore(src.contents())
         ids = np.arange(10)
         np.testing.assert_array_equal(dst.rows(ids), src.rows(ids))
 
@@ -213,7 +213,7 @@ class TestCheckpointRestore:
         base = _base_row(layout)
         src = self._filled(make_store(src_cfg, 10, layout, base), [(0, 7), (4, 8)])
         dst = self._filled(make_store(dst_cfg, 10, layout, base), [(5, 3), (4, 1)])
-        dst.restore_from(*src.checkpoint_payload())
+        dst.restore(src.contents())
         np.testing.assert_array_equal(dst.get(5), layout.round_trip(base))
         ids = np.arange(10)
         np.testing.assert_array_equal(dst.rows(ids), src.rows(ids))
@@ -224,9 +224,8 @@ class TestCheckpointRestore:
         src = self._filled(
             ShardedStore(40, layout, base, shard_size=8), [(3, 1), (30, 2)]
         )
-        meta, arrays = src.checkpoint_payload()
         dst = ShardedStore(40, layout, base, shard_size=8)
-        dst.restore_from(meta, arrays)
+        dst.restore(src.contents())
         assert dst.n_resident_shards == src.n_resident_shards == 2
         np.testing.assert_array_equal(
             dst.rows(np.arange(40)), src.rows(np.arange(40))
@@ -236,22 +235,19 @@ class TestCheckpointRestore:
         layout = _f32_layout()
         store = DenseStore(4, layout, np.zeros(24))
         with pytest.raises(ValueError, match="shape"):
-            store.restore_from(
-                {"kind": "dense"}, {"states": np.zeros((5, 24), np.float32)}
+            store.restore(
+                StoreRows(
+                    np.zeros(24, np.float32),
+                    {cid: np.zeros(24, np.float32) for cid in range(5)},
+                )
             )
 
     def test_restore_rejects_population_mismatch_sharded(self):
         layout = _f32_layout()
         store = ShardedStore(4, layout, np.zeros(24), shard_size=2)
         with pytest.raises(ValueError, match="population"):
-            store.restore_from(
-                {
-                    "kind": "sharded",
-                    "shard_size": 2,
-                    "n_clients": 8,
-                    "shards": [],
-                },
-                {"base": np.zeros(24, np.float32)},
+            store.restore(
+                StoreRows(np.zeros(24, np.float32), {7: np.zeros(24, np.float32)})
             )
 
 
@@ -275,9 +271,8 @@ class TestMemmapShards:
         layout = _f32_layout()
         src = ShardedStore(9, layout, np.zeros(24), shard_size=3)
         src.set(7, np.full(24, 2.5))
-        meta, arrays = src.checkpoint_payload()
         dst = ShardedStore(
             9, layout, np.zeros(24), shard_size=3, path=str(tmp_path)
         )
-        dst.restore_from(meta, arrays)
+        dst.restore(src.contents())
         np.testing.assert_array_equal(dst.rows(np.arange(9)), src.rows(np.arange(9)))
