@@ -75,7 +75,7 @@ def main() -> None:
 
     env.scratch_model.load_state_dict(dict(serving_state))
     with_cluster = evaluate_model(env.scratch_model, newcomer.test).accuracy
-    env.scratch_model.load_state_dict(fitted.init_state)
+    env.scratch_model.load_state_dict(env.init_state())
     with_init = evaluate_model(env.scratch_model, newcomer.test).accuracy
     print(f"newcomer local-test accuracy: {with_cluster:.3f} with its cluster "
           f"model vs {with_init:.3f} with the initial global model")

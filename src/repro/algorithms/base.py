@@ -1,18 +1,19 @@
 """Algorithm interface and shared round machinery.
 
 Every method in the paper's Table I — FedAvg, FedProx, CFL, IFCA, PACFL
-and FedClust — is a strategy object with a single entry point,
-``run(env, n_rounds)``.  Since the round-engine refactor the per-round
-lifecycle (participant selection, broadcast, dispatch, failure and
-straggler injection, aggregation over survivors, evaluation cadence,
-history logging) lives once in :class:`repro.fl.rounds.RoundEngine`;
-this module contributes the building blocks the algorithms plug into it:
+and FedClust — and the ``local_only`` reference is an
+:class:`FLAlgorithm`, and :meth:`FLAlgorithm.run` is written once: it
+builds the engine and the history, asks the algorithm for its strategy,
+runs a one-shot method's clustering round as round 1 unless the engine
+resumes, and hands the rest to :class:`repro.fl.rounds.RoundEngine`,
+which owns the per-round lifecycle.  This module also holds the
+building blocks the strategies plug in:
 
 * :class:`ClusteredRounds` — per-cluster FedAvg over a packed
   ``(n_clusters, n_params)`` matrix plus one cluster label per client,
   the server state of every algorithm whose clients share models:
   FedAvg and FedProx are its one-row case, IFCA and CFL subclass it to
-  re-label or split clusters, and FedClust and PACFL use it after their
+  re-label or split clusters, and FedClust and PACFL fill it in their
   clustering round (``local_only`` keeps per-client rows in a store);
 * :func:`fedavg_round_flat` — the one-round primitive, kept as the
   reference kernel for tests and the engine-overhead benchmark.
@@ -35,7 +36,7 @@ import numpy as np
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
 from repro.fl.defense import robust_weighted_average
-from repro.fl.history import RunHistory
+from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import (
     RoundEngine,
@@ -44,6 +45,7 @@ from repro.fl.rounds import (
     aggregation_weights,
 )
 from repro.fl.simulation import FederatedEnv
+from repro.utils.serialization import to_jsonable
 
 __all__ = [
     "RunResult",
@@ -51,6 +53,7 @@ __all__ = [
     "ClusteredRounds",
     "fedavg_round_flat",
     "cohort_matrix",
+    "global_state",
     "survivor_mean_loss",
     "survivor_weighted_average",
 ]
@@ -196,15 +199,43 @@ class RunResult:
 
 
 class FLAlgorithm(abc.ABC):
-    """A federated training strategy."""
+    """A federated training method: the strategy it drives the round
+    engine with, and for the one-shot methods the clustering round
+    before it.  An algorithm's attributes are its settings."""
 
     #: Registry/reporting name; subclasses override.
     name: str = "abstract"
-    #: The shortest horizon :meth:`run` accepts: 2 for the one-shot
-    #: methods, whose first round only clusters.
-    min_rounds: int = 1
+    #: True for the methods whose round 1 only clusters the clients
+    #: (:meth:`cluster`): FedClust and PACFL.
+    one_shot: bool = False
+
+    @property
+    def min_rounds(self) -> int:
+        """The shortest horizon :meth:`run` accepts: a one-shot method
+        trains at least one round after its clustering round."""
+        return 2 if self.one_shot else 1
 
     @abc.abstractmethod
+    def strategy(self, env: FederatedEnv) -> RoundStrategy:
+        """The server state and round hooks the engine drives; a
+        one-shot method's :meth:`cluster` fills it in round 1."""
+
+    def cluster(self, engine: RoundEngine, strategy: RoundStrategy) -> int:
+        """A one-shot method's clustering round: cluster the clients
+        into ``strategy``'s rows and labels and return how many took
+        part."""
+        raise NotImplementedError(f"{self.name} has no clustering round")
+
+    def extras(self, engine: RoundEngine, strategy: RoundStrategy) -> dict:
+        """The method's own entries of ``RunResult.extras``, read after
+        the last round."""
+        return {}
+
+    def settings(self) -> dict:
+        """The algorithm's settings as JSON; a checkpoint's identity
+        carries each of them."""
+        return to_jsonable(vars(self))
+
     def run(
         self,
         env: FederatedEnv,
@@ -218,8 +249,49 @@ class FLAlgorithm(abc.ABC):
         final round is always evaluated.  ``scenario`` sets the
         system-heterogeneity policy (participation fraction, failures,
         stragglers, arrivals); ``None`` is the paper-scale default —
-        every client, every round.
+        every client, every round.  A one-shot method's round 1 is its
+        clustering round, which a resumed run restores from the
+        checkpoint instead of running.
         """
+        if n_rounds < self.min_rounds:
+            raise ValueError(
+                f"{self.name} needs n_rounds >= {self.min_rounds}, got {n_rounds}"
+            )
+        if eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+        history = RunHistory(
+            self.name, env.federation.dataset_name, env.seed, settings=self.settings()
+        )
+        engine = RoundEngine(env, scenario)
+        strategy = self.strategy(env)
+        first_round = 2 if self.one_shot else 1
+        if self.one_shot and not engine.resumes:
+            n_participants = self.cluster(engine, strategy)
+            mean_acc, _ = strategy.evaluate(engine, 1)
+            history.append(
+                RoundRecord(
+                    round_index=1,
+                    mean_train_loss=float("nan"),
+                    mean_local_accuracy=mean_acc,
+                    n_participants=n_participants,
+                    n_clusters=strategy.current_n_clusters(),
+                    uploaded_params=env.tracker.total_uploaded,
+                    downloaded_params=env.tracker.total_downloaded,
+                    # Nothing is folded.  The wall time stays 0.0: only
+                    # engine rounds are timed.
+                    aggregation_event=False,
+                )
+            )
+        accuracy = engine.run(
+            strategy,
+            n_rounds - first_round + 1,
+            history,
+            first_round=first_round,
+            eval_every=eval_every,
+        )
+        return RunResult.from_engine(
+            engine, history, accuracy, strategy.labels, **self.extras(engine, strategy)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -240,7 +312,7 @@ class ClusteredRounds(RoundStrategy):
     matrix directly.  A cluster with no surviving participants this
     round keeps its model.  FedAvg and FedProx are the one-row case;
     ``prox_mu`` rides every task.  A checkpoint holds the matrix and the
-    labels; ``prox_mu`` is part of its identity.
+    labels.
     """
 
     name = "clustered"
@@ -325,8 +397,15 @@ class ClusteredRounds(RoundStrategy):
     def current_n_clusters(self) -> int:
         return len(np.unique(self.labels))
 
-    def identity(self) -> dict:
-        return {"prox_mu": float(self.prox_mu)}
+
+def global_state(env: FederatedEnv) -> tuple[np.ndarray, np.ndarray]:
+    """FedAvg's server state on ``env`` (CFL's too, and the one-shot
+    methods' before their clustering round): the initial model as the
+    one row of a matrix, and every client labelled 0."""
+    return (
+        env.layout.pack(env.init_state())[None],
+        np.zeros(env.federation.n_clients, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -51,14 +51,13 @@ import numpy as np
 from repro.algorithms.base import (
     ClusteredRounds,
     FLAlgorithm,
-    RunResult,
     cohort_matrix,
+    global_state,
 )
 from repro.cluster.distance import pairwise_cosine_distance
 from repro.cluster.hierarchy import cut_by_k, linkage
 from repro.fl.client import ClientUpdate
-from repro.fl.history import RunHistory
-from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
+from repro.fl.rounds import RoundEngine, aggregation_weights
 from repro.fl.simulation import FederatedEnv
 from repro.utils.validation import check_positive
 
@@ -95,10 +94,7 @@ class _CFLRounds(ClusteredRounds):
     clusters: list[_Cluster]
 
     def __init__(self, algo: "CFL", env: FederatedEnv) -> None:
-        super().__init__(
-            env.layout.pack(env.init_state())[None],
-            np.zeros(env.federation.n_clients, dtype=np.int64),
-        )
+        super().__init__(*global_state(env))
         self.algo = algo
         self.clusters = [_Cluster()]
 
@@ -360,23 +356,12 @@ class CFL(FLAlgorithm):
         return np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        strategy = _CFLRounds(self, env)
-        engine = RoundEngine(env, scenario)
-        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
-        return RunResult.from_engine(
-            engine,
-            history,
-            accuracy,
-            strategy.labels,
-            split_rounds=sorted(
+    def strategy(self, env: FederatedEnv) -> _CFLRounds:
+        return _CFLRounds(self, env)
+
+    def extras(self, engine: RoundEngine, strategy: _CFLRounds) -> dict:
+        return {
+            "split_rounds": sorted(
                 {r for c in strategy.clusters for r in c.history_of_splits}
-            ),
-        )
+            )
+        }

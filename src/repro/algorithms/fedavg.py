@@ -15,11 +15,8 @@ Partial participation (the fraction ``C``) is
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
-from repro.fl.history import RunHistory
-from repro.fl.rounds import RoundEngine, ScenarioConfig
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm, global_state
+from repro.fl.rounds import RoundEngine
 from repro.fl.simulation import FederatedEnv
 
 __all__ = ["FedAvg"]
@@ -33,31 +30,14 @@ class FedAvg(FLAlgorithm):
     #: Proximal coefficient; 0 for FedAvg, overridden by FedProx.
     prox_mu: float = 0.0
 
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
+    def strategy(self, env: FederatedEnv) -> ClusteredRounds:
         # The global model lives as one packed row for the whole run:
         # broadcast payload, aggregation result and evaluation input are
         # all the same buffer — no state dict on the round loop.
-        strategy = ClusteredRounds(
-            env.layout.pack(env.init_state())[None],
-            np.zeros(env.federation.n_clients, dtype=np.int64),
-            prox_mu=self.prox_mu,
-        )
-        engine = RoundEngine(env, scenario)
-        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
-        return RunResult.from_engine(
-            engine,
-            history,
-            accuracy,
-            strategy.labels,
-            # The schedule that actually happened (dispatches minus
-            # seeded drops/deadline misses) — replayable through
-            # ``ScenarioConfig(trace=...)``.
-            realized_trace=engine.realized_trace(),
-        )
+        return ClusteredRounds(*global_state(env), prox_mu=self.prox_mu)
+
+    def extras(self, engine: RoundEngine, strategy: ClusteredRounds) -> dict:
+        # The schedule that actually happened (dispatches minus seeded
+        # drops/deadline misses) — replayable through
+        # ``ScenarioConfig(trace=...)``.
+        return {"realized_trace": engine.realized_trace()}

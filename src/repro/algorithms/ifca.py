@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm
 from repro.fl.eval_flat import fused_evaluate
-from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, ScenarioConfig
+from repro.fl.rounds import RoundEngine
 from repro.fl.simulation import FederatedEnv
 from repro.nn.models import build_model
 from repro.utils.rng import STREAM_TAGS, rng_for
@@ -140,18 +139,5 @@ class IFCA(FLAlgorithm):
             ).loss
         return losses.argmin(axis=1)
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        strategy = _IFCARounds(self, env)
-        engine = RoundEngine(env, scenario)
-        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
-        return RunResult.from_engine(
-            engine, history, accuracy, strategy.labels, k=self.n_clusters
-        )
+    def strategy(self, env: FederatedEnv) -> _IFCARounds:
+        return _IFCARounds(self, env)

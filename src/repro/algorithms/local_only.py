@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FLAlgorithm, RunResult, survivor_mean_loss
+from repro.algorithms.base import FLAlgorithm, survivor_mean_loss
 from repro.fl.client import ClientUpdate
-from repro.fl.history import RunHistory
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, RoundStrategy, ScenarioConfig
+from repro.fl.rounds import RoundEngine, RoundStrategy
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreRows
 from repro.nn.state_flat import unpack_state
@@ -91,6 +90,11 @@ class _LocalRounds(RoundStrategy):
         return self.store.n_clients  # every client is its own island
 
     @property
+    def labels(self) -> np.ndarray:
+        """Every client is its own cluster."""
+        return np.arange(self.store.n_clients, dtype=np.int64)
+
+    @property
     def rows(self) -> StoreRows:
         """The store's contents, as a checkpoint holds them; assigning
         them refills the store (any kind from any kind)."""
@@ -106,20 +110,5 @@ class LocalOnly(FLAlgorithm):
 
     name = "local_only"
 
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        strategy = _LocalRounds(env)
-        engine = RoundEngine(env, scenario)
-        accuracy = engine.run(strategy, n_rounds, history, eval_every=eval_every)
-        return RunResult.from_engine(
-            engine,
-            history,
-            accuracy,
-            np.arange(env.federation.n_clients, dtype=np.int64),
-        )
+    def strategy(self, env: FederatedEnv) -> _LocalRounds:
+        return _LocalRounds(env)

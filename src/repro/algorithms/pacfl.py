@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm, global_state
 from repro.cluster.hierarchy import auto_cut_gap, linkage
 from repro.cluster.subspace import data_subspace, pairwise_subspace_distances
-from repro.fl.history import RoundRecord, RunHistory
-from repro.fl.rounds import RoundEngine, ScenarioConfig
+from repro.fl.rounds import RoundEngine
 from repro.fl.simulation import FederatedEnv
 from repro.utils.validation import check_positive
 
@@ -44,7 +43,7 @@ class PACFL(FLAlgorithm):
     """
 
     name = "pacfl"
-    min_rounds = 2
+    one_shot = True
 
     def __init__(
         self,
@@ -58,68 +57,29 @@ class PACFL(FLAlgorithm):
         self.max_clusters = max_clusters
 
     # ------------------------------------------------------------------
-    def cluster_clients(self, env: FederatedEnv) -> tuple[np.ndarray, np.ndarray]:
-        """The one-shot clustering step; returns (labels, proximity)."""
+    def cluster_clients(self, env: FederatedEnv) -> np.ndarray:
+        """The one-shot clustering step: every client uploads its data
+        basis, and the server cuts the dendrogram; returns the labels."""
         bases = []
         d = int(np.prod(env.federation.input_shape))
         for client in env.federation.clients:
             flat = client.train.images.reshape(len(client.train), d)
             bases.append(data_subspace(flat, self.n_components))
             env.tracker.record_upload(bases[-1].size, phase="clustering")
-        proximity = pairwise_subspace_distances(bases)
-        z = linkage(proximity, "average")
-        return auto_cut_gap(z, max_clusters=self.max_clusters), proximity
+        z = linkage(pairwise_subspace_distances(bases), "average")
+        return auto_cut_gap(z, max_clusters=self.max_clusters)
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        if n_rounds < self.min_rounds:
-            raise ValueError(
-                f"PACFL needs >= {self.min_rounds} rounds (1 clustering + training)"
-            )
-        if eval_every < 1:
-            # The clustering round uploads before the engine checks this.
-            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-        m = env.federation.n_clients
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        engine = RoundEngine(env, scenario)
+    def strategy(self, env: FederatedEnv) -> ClusteredRounds:
+        return ClusteredRounds(*global_state(env))
 
-        # Round 1: the one-shot clustering round (basis upload only).
+    def cluster(self, engine: RoundEngine, strategy: ClusteredRounds) -> int:
         # PACFL's signatures are data subspaces the server computes from
         # the one-off basis upload, so clustering covers every client up
         # front; scenario policy shapes the training rounds that follow.
-        labels, proximity = self.cluster_clients(env)
-        n_clusters = int(labels.max()) + 1
-        # Every cluster starts from the initial model, one packed row each.
-        strategy = ClusteredRounds(
-            np.tile(env.layout.pack(env.init_state()), (n_clusters, 1)), labels
-        )
-        mean_acc, _ = env.evaluate_packed(strategy.matrix, strategy.labels)
-        history.append(
-            RoundRecord(
-                round_index=1,
-                mean_train_loss=float("nan"),
-                mean_local_accuracy=mean_acc,
-                n_participants=m,
-                n_clusters=n_clusters,
-                uploaded_params=env.tracker.total_uploaded,
-                downloaded_params=env.tracker.total_downloaded,
-            )
-        )
+        strategy.labels = np.asarray(self.cluster_clients(engine.env), dtype=np.int64)
+        # Every cluster starts from the initial model, one row each.
+        strategy.matrix = np.tile(strategy.matrix, (strategy.labels.max() + 1, 1))
+        return engine.env.federation.n_clients
 
-        accuracy = engine.run(
-            strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
-        )
-        return RunResult.from_engine(
-            engine,
-            history,
-            accuracy,
-            labels,
-            proximity=proximity,
-            n_clusters=n_clusters,
-        )
+    def extras(self, engine: RoundEngine, strategy: ClusteredRounds) -> dict:
+        return {"n_clusters": len(strategy.matrix)}

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.algorithms.base import (
     ClusteredRounds,
     FLAlgorithm,
-    RunResult,
     cohort_matrix,
+    global_state,
 )
 from repro.core.clustering import ClusteringConfig, ClusteringResult, cluster_clients
 from repro.core.newcomer import NewcomerAssignment, assign_newcomer
@@ -44,14 +44,14 @@ from repro.core.weights import (
 from repro.data.dataset import ArrayDataset
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import local_train
-from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, ScenarioConfig
+from repro.fl.rounds import RoundEngine
 from repro.fl.simulation import FederatedEnv
 from repro.nn.module import Module
 from repro.nn.state import flatten_state
 from repro.nn.state_flat import unpack_keys, unpack_state
 from repro.utils.rng import STREAM_TAGS, rng_for
+from repro.utils.serialization import to_jsonable
 from repro.utils.validation import check_positive
 
 __all__ = ["FedClustConfig", "FedClust", "FittedFedClust", "resolve_selection_keys"]
@@ -162,6 +162,8 @@ class FittedFedClust:
     Retained so newcomers can be assigned without re-clustering (step ⑥)
     and so the proximity matrix (the Fig. 1 heat map) and the linkage
     matrix (``clustering.linkage_matrix``) can be read after the run.
+    A run's strategy declares it as checkpoint state.  After the run,
+    ``labels`` and ``cluster_states`` are the served ones.
     """
 
     labels: np.ndarray
@@ -170,17 +172,17 @@ class FittedFedClust:
     clustering: ClusteringResult
     selection_keys: list[str]
     config: FedClustConfig
-    init_state: dict[str, np.ndarray]
-    cluster_states: list[dict[str, np.ndarray]] = field(default_factory=list)
+    cluster_states: list[dict[str, np.ndarray]]
     #: Clients whose warm-up never arrived (assigned by fallback).
-    stragglers: list[int] = field(default_factory=list)
-    #: Clients not yet present at the clustering round (scenario arrival
-    #: events); they hold the fallback label until onboarded as
-    #: newcomers at their arrival round.
-    absent: list[int] = field(default_factory=list)
+    stragglers: list[int]
+    #: Clients not eligible at the clustering round (a later scenario
+    #: arrival, or off the availability trace).  They hold the fallback
+    #: label; scenario arrivals are onboarded as newcomers when they
+    #: arrive.
+    absent: list[int]
     #: Client ids whose rows make up ``weight_matrix`` (all clients when
-    #: nothing straggled).
-    responders: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: nothing straggled or was absent).
+    responders: np.ndarray
 
     @property
     def n_clusters(self) -> int:
@@ -192,15 +194,10 @@ class FittedFedClust:
         Matches against the retained *responder* signatures — stragglers
         have no signature and never dilute the matching.
         """
-        responder_labels = (
-            self.labels[self.responders]
-            if self.responders.size
-            else self.labels
-        )
         return assign_newcomer(
             vector,
             self.weight_matrix,
-            responder_labels,
+            self.labels[self.responders],
             linkage_method=self.config.clustering.linkage_method,
         )
 
@@ -208,25 +205,30 @@ class FittedFedClust:
 class _FedClustRounds(ClusteredRounds):
     """Per-cluster training with arrival-driven newcomer onboarding.
 
-    The engine notifies the strategy when scenario arrivals occur; each
-    arriving client runs the paper's step ⑥ — warm up from the retained
-    initial model, upload the partial-weight signature, match against
-    the responders' weight matrix — and is re-routed from its fallback
-    cluster *before* it first participates.  A checkpoint holds the
-    cluster matrix, the labels and the ``onboarded`` assignments.
+    Built on FedAvg's one row; the clustering round
+    (:meth:`FedClust.cluster`) replaces the matrix and the labels and
+    keeps its ``fitted`` result.  The engine notifies the strategy when
+    scenario arrivals occur; each arriving client runs the paper's step
+    ⑥ — warm up from the initial model, upload the
+    partial-weight signature, match against the responders' weight
+    matrix — and is re-routed from its fallback cluster *before* it
+    first participates.  A checkpoint holds the cluster matrix, the
+    labels, ``fitted`` and the ``onboarded`` assignments, so a resumed
+    run matches newcomers against the file's signatures and never
+    repeats the clustering round.
     """
 
     name = "fedclust"
-    resumable = (*ClusteredRounds.resumable, "onboarded")
+    resumable = (*ClusteredRounds.resumable, "fitted", "onboarded")
+    #: The clustering round's result (``None`` until it ran).
+    fitted: FittedFedClust | None
     #: client id → NewcomerAssignment for arrivals onboarded mid-run.
     onboarded: dict[int, NewcomerAssignment]
 
-    def __init__(
-        self, algo: "FedClust", fitted: FittedFedClust, matrix: np.ndarray
-    ) -> None:
-        super().__init__(matrix, fitted.labels)
+    def __init__(self, algo: "FedClust", env: FederatedEnv) -> None:
+        super().__init__(*global_state(env))
         self.algo = algo
-        self.fitted = fitted
+        self.fitted = None
         self.onboarded = {}
 
     def on_arrivals(
@@ -246,10 +248,14 @@ class FedClust(FLAlgorithm):
     """One-shot weight-driven clustered federated learning."""
 
     name = "fedclust"
-    min_rounds = 2
+    one_shot = True
 
     def __init__(self, config: FedClustConfig | None = None) -> None:
         self.config = config or FedClustConfig()
+
+    def settings(self) -> dict:
+        # One key per config field, so a refused resume names the field.
+        return to_jsonable(self.config)
 
     # ------------------------------------------------------------------
     # Step ①–⑤: the clustering round
@@ -259,16 +265,16 @@ class FedClust(FLAlgorithm):
         env: FederatedEnv,
         round_index: int = 1,
         engine: RoundEngine | None = None,
-        absent: Sequence[int] = (),
     ) -> FittedFedClust:
         """Run the one-shot clustering round and fit the cluster structure.
 
-        ``engine`` supplies the scenario middleware (seeded failures and
-        stragglers compose with the retry loop below); the default is a
-        no-failure engine, which reproduces the historical behaviour
-        exactly.  ``absent`` names clients not yet present (scenario
-        arrival events): they receive no warm-up task and hold the
-        fallback label until the newcomer path re-routes them.
+        ``engine`` supplies the scenario: the round targets the clients
+        eligible at ``round_index`` (the others, such as later arrivals
+        or clients off the availability trace, receive no warm-up task
+        and hold the fallback label as ``absent``), and seeded failures
+        and stragglers compose with the retry loop below.  The default
+        is a no-failure engine, which reproduces the historical
+        behaviour exactly.
 
         The clustering round is a synchronous barrier even under an
         async scenario: it runs through :meth:`RoundEngine.dispatch`
@@ -290,8 +296,8 @@ class FedClust(FLAlgorithm):
         # first attempt, so the retry loop is free in the common path.
         original = env.train_cfg
         warmup_cfg = self.config.warmup_train_cfg(original)
-        absent = sorted(int(c) for c in absent)
-        targets = [cid for cid in range(m) if cid not in set(absent)]
+        targets = [int(cid) for cid in engine.eligible_clients(round_index)]
+        absent = sorted(set(range(m)) - set(targets))
         # Broadcast payload: the packed init row (shared by every task,
         # so executors encode it once); no dict ships.
         init_vector = env.layout.pack(init)
@@ -337,9 +343,9 @@ class FedClust(FLAlgorithm):
         prox = proximity_matrix(w)
         clustering = cluster_clients(prox.matrix, self.config.clustering)
 
-        # Expand responder labels to all clients; stragglers (and clients
-        # not yet arrived) fall back to the largest cluster until they
-        # can be onboarded as newcomers.
+        # Expand responder labels to all clients; stragglers and absent
+        # clients fall back to the largest cluster (arrivals until they
+        # are onboarded as newcomers).
         labels = np.full(m, -1, dtype=np.int64)
         labels[responders] = clustering.labels
         if stragglers or absent:
@@ -367,7 +373,6 @@ class FedClust(FLAlgorithm):
             clustering=clustering,
             selection_keys=selection,
             config=self.config,
-            init_state=init,
             cluster_states=cluster_states,
             stragglers=stragglers,
             absent=absent,
@@ -375,67 +380,37 @@ class FedClust(FLAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # Full training run
+    # The run's hooks
     # ------------------------------------------------------------------
-    def run(
-        self,
-        env: FederatedEnv,
-        n_rounds: int,
-        eval_every: int = 1,
-        scenario: ScenarioConfig | None = None,
-    ) -> RunResult:
-        if n_rounds < self.min_rounds:
-            raise ValueError(
-                f"FedClust needs >= {self.min_rounds} rounds (1 clustering + training)"
-            )
-        if eval_every < 1:
-            # The clustering round trains before the engine checks this.
-            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-        m = env.federation.n_clients
-        history = RunHistory(self.name, env.federation.dataset_name, env.seed)
-        engine = RoundEngine(env, scenario)
+    def strategy(self, env: FederatedEnv) -> _FedClustRounds:
+        return _FedClustRounds(self, env)
 
+    def cluster(self, engine: RoundEngine, strategy: _FedClustRounds) -> int:
         # Scenario arrivals after round 1 miss the one-shot clustering;
         # they are onboarded through the newcomer path (step ⑥) by the
         # training strategy at their arrival round.
-        absent = [
-            cid for cid, r in (engine.scenario.arrivals or {}).items() if r > 1
-        ]
-        fitted = self.clustering_round(env, round_index=1, engine=engine, absent=absent)
-        # Grouped Table-I eval: each cluster model is loaded once and its
-        # members' test splits share fused batches (repro.fl.eval_flat).
-        mean_acc, _ = env.evaluate_assignment(fitted.cluster_states, fitted.labels)
-        history.append(
-            RoundRecord(
-                round_index=1,
-                mean_train_loss=float("nan"),
-                mean_local_accuracy=mean_acc,
-                n_participants=m - len(absent),
-                n_clusters=fitted.n_clusters,
-                uploaded_params=env.tracker.total_uploaded,
-                downloaded_params=env.tracker.total_downloaded,
-            )
+        fitted = self.clustering_round(engine.env, engine=engine)
+        strategy.fitted = fitted
+        # The cluster models move into the matrix the run trains, so a
+        # checkpoint holds them once; extras() hands the trained ones back.
+        strategy.matrix = np.stack(
+            [engine.env.layout.pack(s) for s in fitted.cluster_states]
         )
+        fitted.cluster_states = []
+        strategy.labels = fitted.labels.copy()
+        return len(fitted.responders) + len(fitted.stragglers)
 
-        matrix = np.stack([env.layout.pack(s) for s in fitted.cluster_states])
-        strategy = _FedClustRounds(self, fitted, matrix)
-        accuracy = engine.run(
-            strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
-        )
+    def extras(self, engine: RoundEngine, strategy: _FedClustRounds) -> dict:
+        fitted = strategy.fitted
         fitted.cluster_states = [
-            dict(unpack_state(row, env.layout)) for row in strategy.matrix
+            dict(unpack_state(row, engine.env.layout)) for row in strategy.matrix
         ]
         fitted.labels = strategy.labels.copy()
-        return RunResult.from_engine(
-            engine,
-            history,
-            accuracy,
-            fitted.labels,
-            fitted=fitted,
-            proximity=fitted.proximity.matrix,
-            n_clusters=fitted.n_clusters,
-            onboarded=strategy.onboarded,
-        )
+        return {
+            "fitted": fitted,
+            "n_clusters": fitted.n_clusters,
+            "onboarded": strategy.onboarded,
+        }
 
     # ------------------------------------------------------------------
     # Step ⑥: newcomers
@@ -455,12 +430,8 @@ class FedClust(FLAlgorithm):
         Returns the assignment plus the cluster model it should now use.
         """
         assignment = self._match_newcomer(env, fitted, train_dataset, newcomer_id)
-        if fitted.cluster_states:
-            env.tracker.record_download(env.n_params, phase="newcomer")
-            serving_state = fitted.cluster_states[assignment.cluster]
-        else:
-            serving_state = fitted.init_state
-        return assignment, serving_state
+        env.tracker.record_download(env.n_params, phase="newcomer")
+        return assignment, fitted.cluster_states[assignment.cluster]
 
     def _match_newcomer(
         self,
@@ -474,7 +445,7 @@ class FedClust(FLAlgorithm):
         clustering round did, upload the selected weights, match them."""
         env.tracker.record_download(env.n_params, phase="newcomer")
         model = env.scratch_model
-        model.load_state_dict(fitted.init_state)
+        model.load_state_dict(env.init_state())
         local_train(
             model,
             train_dataset,

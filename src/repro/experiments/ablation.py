@@ -20,7 +20,8 @@ Table I answers by sweeping one factor at a time:
   its **versioned JSON record** (Table-I accuracy, wall-clock, traffic
   by phase, quarantine/stale/quorum counters, the engine's
   :meth:`~repro.fl.rounds.RoundEngine.run_record` export, and the
-  executor, store and checkpoint settings under ``execution``);
+  executor, store and checkpoint settings, the BLAS thread count and
+  the NumPy version under ``execution``);
 * :func:`run_matrix` runs every cell, writes one record per run ID and
   **skips already-completed run IDs on re-invocation** — a matrix is
   resumable at cell granularity, and long cells can additionally ride
@@ -55,10 +56,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import Federation, build_federation
 from repro.fl.config import TrainConfig
-from repro.fl.checkpoint import CheckpointConfig
+from repro.fl.checkpoint import CheckpointConfig, blas_threads
 from repro.fl.rounds import ScenarioConfig
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
@@ -94,7 +97,9 @@ __all__ = [
 #: 2: the embedded engine record counts every dispatched task.  Version
 #: 3: the record carries the tracker's traffic by phase.  Version 4: the
 #: record carries its ``execution`` settings and the cell's algorithm
-#: kwargs.
+#: kwargs.  ``execution`` gained the BLAS thread count and the NumPy
+#: version without a bump, which would move every run ID: a record
+#: without the live count is re-run instead of served.
 SCHEMA_VERSION = 4
 
 #: The knob name reserved for the unmodified baseline cell.
@@ -412,6 +417,9 @@ def run_cell(
     ``store`` (default dense) and ``checkpoint`` (default none), like
     ``config.executor``, decide how the cell runs, never what it
     computes: the record lists them under ``execution``, not in the ID.
+    ``execution`` also holds the OpenBLAS thread count, which does
+    change what some cells compute (:func:`run_matrix` serves a record
+    only at the live count), and the NumPy version.
     """
     store = store or StoreConfig()
     if federation is None:
@@ -476,6 +484,8 @@ def run_cell(
                 "executor": config.executor,
                 "store": store.describe(),
                 "checkpoint": checkpoint,
+                "blas_threads": blas_threads(),
+                "numpy": np.__version__,
             },
             "metrics": metrics,
             # Per phase ("clustering", "training") plus the "total".
@@ -494,12 +504,13 @@ def run_matrix(
     """Execute the matrix, skipping run IDs already on disk.
 
     One JSON record per run ID lands in ``<out_dir>/runs/``; a record
-    with the current schema and a matching run ID is trusted and its
-    cell is **not** re-executed (a stale-schema record is re-run in
-    place).  After the sweep the importance report is rebuilt from all
-    records and written to ``<out_dir>/ABLATION.json`` and
-    ``ABLATION.md`` — re-invoking on a complete directory is therefore
-    a cheap report refresh.
+    with the current schema, a matching run ID and the live BLAS thread
+    count is trusted and its cell is **not** re-executed (a stale-schema
+    record, or one written at another or an unrecorded thread count, is
+    re-run in place).  After the sweep the importance report is rebuilt
+    from all records and written to ``<out_dir>/ABLATION.json`` and
+    ``ABLATION.md`` — re-invoking on a complete directory is therefore a
+    cheap report refresh.
     """
     say = echo or (lambda message: None)
     out = Path(out_dir)
@@ -513,9 +524,12 @@ def run_matrix(
         path = runs_dir / f"{run_id}.json"
         if path.exists():
             record = load_json(path)
+            execution = record.get("execution") or {}
             if (
                 record.get("schema") == SCHEMA_VERSION
                 and record.get("run_id") == run_id
+                and "blas_threads" in execution
+                and execution["blas_threads"] == blas_threads()
             ):
                 say(
                     f"[{index}/{len(cells)}] {cell.label()} — cached "

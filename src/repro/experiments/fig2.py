@@ -105,9 +105,7 @@ def run_fig2(
     result = algorithm.run(env, n_rounds=scale.n_rounds, eval_every=scale.eval_every)
     fitted = result.extras["fitted"]
     m = federation.n_clients
-    partial = len(
-        np.concatenate([fitted.init_state[k].ravel() for k in fitted.selection_keys])
-    )
+    partial = fitted.weight_matrix.shape[1]
     steps.append(
         WorkflowStep(1, "Broadcast global model", f"{env.n_params} params × {m} clients")
     )
@@ -159,7 +157,7 @@ def run_fig2(
     acc_cluster = evaluate_model(
         env.scratch_model, newcomer_data.test, batch_size=batch
     ).accuracy
-    env.scratch_model.load_state_dict(fitted.init_state)
+    env.scratch_model.load_state_dict(env.init_state())
     acc_init = evaluate_model(
         env.scratch_model, newcomer_data.test, batch_size=batch
     ).accuracy

@@ -64,8 +64,10 @@ CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: a bit-for-bit continuation, which a file from a build with other
 #: numerics cannot keep.  Version 6 stored each buffered and in-flight
 #: row as its own array at its own dtype; version 7 writes every owner's
-#: declared state through :func:`encode` under an ``identity`` dict.
-CHECKPOINT_VERSION = 7
+#: declared state through :func:`encode` under an ``identity`` dict;
+#: version 8 adds FedClust's fitted clustering to its strategy's state
+#: and the algorithm's settings to the identity.
+CHECKPOINT_VERSION = 8
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"

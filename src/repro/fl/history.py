@@ -63,7 +63,12 @@ class RoundRecord:
 
 @dataclass
 class RunHistory:
-    """Ordered round records plus run-level metadata."""
+    """Ordered round records plus run-level metadata.
+
+    ``settings`` are the algorithm's constructor settings as JSON
+    (``FLAlgorithm.settings()``); a checkpoint's identity carries them
+    with the algorithm's name.
+    """
 
     #: A checkpoint's part of the history (see ``repro.fl.checkpoint``).
     resumable = ("records",)
@@ -72,6 +77,7 @@ class RunHistory:
     dataset: str
     seed: int
     records: list[RoundRecord] = field(default_factory=list)
+    settings: dict = field(default_factory=dict)
 
     def append(self, record: RoundRecord) -> None:
         if self.records and record.round_index <= self.records[-1].round_index:

@@ -13,7 +13,10 @@ only as an executor wrapper.  This module extracts the loop once:
 ``broadcast_for`` (participants → packed-row tasks), ``aggregate``
 (buffered updates → new server state, returning the round's train-loss
 statistic) and ``evaluate`` (the Table-I metric for the current state) —
-plus optional ``on_arrivals``/``on_round_end`` notifications.
+plus optional ``on_arrivals``/``on_round_end`` notifications.  Every
+algorithm reaches the engine through one entry point,
+:meth:`repro.algorithms.base.FLAlgorithm.run`, which builds the engine,
+the history and the algorithm's strategy.
 
 **One loop, two configurations.**  Every round's updates pass through
 the :class:`repro.fl.parallel.InFlightBuffer` ledger and then through
@@ -104,12 +107,16 @@ the executor or the payload format:
   their resumable attributes in ``resumable``, typed by their class
   annotations, and :meth:`RoundEngine.checkpoint` and
   :meth:`RoundEngine.resume` walk those same lists
-  (:mod:`repro.fl.checkpoint`).  The file's identity (seed, algorithm,
-  scenario ``to_dict()``, BLAS thread count, the strategy's settings
-  such as FedProx's μ) must equal the resuming run's.  A resumed run
-  reproduces the uninterrupted one bit-identically because all
-  middleware randomness is stateless in (seed, round, client) — the
-  file only needs the round counter, never a generator state.
+  (:mod:`repro.fl.checkpoint`).  The file's identity (seed, algorithm
+  and its settings such as FedProx's μ or IFCA's cluster count,
+  scenario ``to_dict()``, BLAS thread count) must equal the resuming
+  run's.  A one-shot method's clustering round runs before the first
+  engine round (:meth:`repro.algorithms.base.FLAlgorithm.run`), and
+  what it fitted is strategy state like the rest, so a run that
+  :attr:`RoundEngine.resumes` skips it.  A resumed run reproduces the
+  uninterrupted one bit-identically because all middleware randomness
+  is stateless in (seed, round, client) — the file only needs the round
+  counter, never a generator state.
 
 **One event log.**  What happened to each client is recorded once, in
 :attr:`RoundEngine.events`: ``(round, kind, client id, reason)``
@@ -701,11 +708,6 @@ class RoundStrategy(abc.ABC):
 
     def on_round_end(self, engine: "RoundEngine", outcome: RoundOutcome) -> None:
         """Post-round notification (after history logging)."""
-
-    def identity(self) -> dict:
-        """Settings a checkpoint must share with the run that resumes
-        it; compared on resume, never restored."""
-        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -1384,21 +1386,27 @@ class RoundEngine:
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
+    @property
+    def resumes(self) -> bool:
+        """True when :meth:`run` will restore its state from the
+        configured checkpoint file: resuming is asked for and the file
+        exists.  A missing file is not an error: the same invocation
+        then runs from scratch, which is what a crash-restart wrapper
+        wants."""
+        ckpt = self.scenario.checkpoint
+        return ckpt is not None and ckpt.resume and ckpt.path.exists()
+
     def _maybe_resume(
         self, strategy: RoundStrategy, history: RunHistory, first_round: int
     ) -> tuple[int, tuple[float, np.ndarray] | None]:
-        """Resume from the configured checkpoint file if asked and present.
-
-        Returns ``(start round, restored last-eval or None)``.  A
-        missing file is not an error: the same invocation then runs
-        from scratch, which is what a crash-restart wrapper wants.
-        """
+        """Resume from the configured checkpoint file when
+        :attr:`resumes`; returns ``(start round, restored last-eval or
+        None)``."""
         self._run_strategy, self._run_history = strategy, history
-        ckpt = self.scenario.checkpoint
-        if ckpt is None or not ckpt.resume or not ckpt.path.exists():
+        if not self.resumes:
             return first_round, None
         next_round, mean_acc, per_client = self.resume(
-            ckpt.path, strategy, history
+            self.scenario.checkpoint.path, strategy, history
         )
         return max(first_round, next_round), (mean_acc, per_client)
 
@@ -1432,21 +1440,22 @@ class RoundEngine:
         """What a checkpoint must share with the run that resumes it.
 
         FedAvg, FedProx and PACFL share one strategy, so the history's
-        algorithm name tells their files apart, and the strategy adds
-        its own settings (:meth:`RoundStrategy.identity`, such as
-        FedProx's μ).  OpenBLAS's thread count changes how large GEMMs
-        sum, so a file written at another count is refused too.
+        algorithm name tells their files apart, and each of the
+        algorithm's settings (``history.settings``, such as FedProx's μ
+        or IFCA's cluster count) is a key of its own.  OpenBLAS's thread
+        count changes how large GEMMs sum, so a file written at another
+        count is refused too.
         """
         env = self.env
         return {
             "seed": int(env.seed),
             "strategy": strategy.name,
             "algorithm": history.algorithm,
+            **history.settings,
             "n_clients": int(env.federation.n_clients),
             "n_params": int(env.n_params),
             "scenario": self.scenario.to_dict(),
             "blas_threads": blas_threads(),
-            **strategy.identity(),
         }
 
     def checkpoint(
@@ -1500,10 +1509,10 @@ class RoundEngine:
         The file's identity must equal this run's :meth:`identity` key
         by key, or :class:`repro.fl.checkpoint.CheckpointError` quotes
         the key and both values.  The declared state is restored in
-        place, ``history.records`` wholesale (FedClust re-runs its
-        round-1 clustering before resuming, and converges on the file),
-        and ``(next round, last mean accuracy, last per-client
-        accuracies)`` is returned.
+        place, ``history.records`` wholesale (a one-shot method's
+        round-1 record and fitted clustering included), and ``(next
+        round, last mean accuracy, last per-client accuracies)`` is
+        returned.
         """
         load_state(
             path, self.identity(strategy, history), self._owners(strategy, history)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ from repro.experiments.ablation import (
     run_check,
     run_matrix,
 )
-from repro.fl.checkpoint import CheckpointConfig
+from repro.fl.checkpoint import CheckpointConfig, blas_threads
 from repro.fl.store import StoreConfig
 from repro.utils.serialization import load_json, save_json
 
@@ -315,6 +316,8 @@ class TestResume:
             "executor": "serial",
             "store": StoreConfig().describe(),
             "checkpoint": None,
+            "blas_threads": blas_threads(),
+            "numpy": np.__version__,
         }
         path = first.out_dir / "runs" / f"{record['run_id']}.json"
         assert load_json(path) == record
@@ -331,6 +334,35 @@ class TestResume:
         outcome = run_matrix(config, out)
         assert outcome.n_executed == 3  # stale records are not trusted
         assert outcome.run_ids == first.run_ids
+
+    def test_record_at_another_blas_thread_count_is_reexecuted(
+        self, tiny_outcomes, tmp_path
+    ):
+        """The thread count stays out of the run ID but changes what some
+        cells compute, so a cached record is served only at the live
+        count: one edited to another count and one without a count run
+        again, one at the live count is served."""
+        config, first, _ = tiny_outcomes
+        out = tmp_path / "threads"
+        (out / "runs").mkdir(parents=True)
+        other, same, unrecorded = first.results
+        execution = dict(other.record["execution"])
+        execution["blas_threads"] = (blas_threads() or 1) + 1
+        execution_missing = dict(unrecorded.record["execution"])
+        del execution_missing["blas_threads"]
+        for result, record in (
+            (other, {**other.record, "execution": execution}),
+            (same, same.record),
+            (unrecorded, {**unrecorded.record, "execution": execution_missing}),
+        ):
+            save_json(out / "runs" / f"{result.run_id}.json", record)
+        outcome = run_matrix(config, out)
+        assert [r.executed for r in outcome.results] == [True, False, True]
+        assert outcome.run_ids == first.run_ids
+        assert all(
+            r.record["execution"]["blas_threads"] == blas_threads()
+            for r in outcome.results
+        )
 
     def test_partial_directory_resumes_missing_cells_only(
         self, tiny_outcomes, tmp_path

@@ -164,11 +164,14 @@ class TestSyncEquivalence:
             env_sync.tracker.total_downloaded
             == env_async.tracker.total_downloaded
         )
+        one_shot = make_algorithm(algorithm, **_KWARGS[algorithm]).one_shot
         for a, b in zip(sync.history.records, asynchronous.history.records):
             assert a.round_index == b.round_index
             assert a.mean_train_loss == pytest.approx(b.mean_train_loss, nan_ok=True)
             assert a.n_participants == b.n_participants
-            assert b.aggregation_event  # buffer fills every round
+            # The buffer fills every engine round; a one-shot method's
+            # clustering round (round 1) folds nothing.
+            assert b.aggregation_event == (b.round_index > 1 or not one_shot)
             assert b.n_buffered == 0  # ... and drains every round
 
     def test_sampled_sync_draws_are_untouched_by_exclusion_plumbing(
@@ -360,6 +363,27 @@ class TestBufferSemantics:
         dispatched = sum(len(ids) for _, ids in engine.participation_log)
         assert engine.n_updates_absorbed <= dispatched
         assert history.to_dict()["n_aggregation_events"] == len(events)
+
+    @pytest.mark.parametrize(
+        "async_config",
+        [None, AsyncConfig(buffer_size=3, duration_range=(1, 3))],
+        ids=["sync", "async"],
+    )
+    @pytest.mark.parametrize("algorithm", sorted(_KWARGS))
+    def test_history_counts_the_engines_aggregation_events(
+        self, env_factory, algorithm, async_config
+    ):
+        """Through ``FLAlgorithm.run`` the history (whose count is the
+        harness record's ``metrics.n_aggregation_events``) agrees with
+        the engine: a one-shot method's clustering round folds nothing,
+        so it is no aggregation event."""
+        env = env_factory()
+        result = make_algorithm(algorithm, **_KWARGS[algorithm]).run(
+            env, n_rounds=4, scenario=ScenarioConfig(async_config=async_config)
+        )
+        engine_count = result.extras["engine_record"]["n_aggregation_events"]
+        assert result.history.to_dict()["n_aggregation_events"] == engine_count
+        assert engine_count >= 1
 
 
 class TestConcurrencyCap:

@@ -43,6 +43,7 @@ from repro.fl.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.fl.communication import CommunicationTracker
 from repro.fl.config import TrainConfig
 from repro.fl.defense import CorruptionConfig
 from repro.fl.history import RunHistory
@@ -613,6 +614,44 @@ class TestResumeGuards:
         with pytest.raises(CheckpointError, match=match):
             run(*resuming, resume=True)
 
+    @pytest.mark.parametrize(
+        "algorithm, key, written, resuming",
+        [
+            ("ifca", "n_clusters", 2, 3),
+            ("cfl", "eps1", 0.4, 0.9),
+            ("pacfl", "n_components", 3, 5),
+            ("fedclust", "warmup_steps", 4, 8),
+        ],
+    )
+    def test_other_algorithm_settings_are_refused(
+        self, env_factory, tmp_path, algorithm, key, written, resuming
+    ):
+        """Each of an algorithm's settings is a key of the file's
+        identity: IFCA resumed at another cluster count died mid-run with
+        an IndexError, and the other three resumed silently."""
+
+        def run(value, n_rounds, resume):
+            env = env_factory()
+            try:
+                make_algorithm(algorithm, **{key: value}).run(
+                    env,
+                    n_rounds=n_rounds,
+                    scenario=ScenarioConfig(
+                        checkpoint=CheckpointConfig(
+                            directory=tmp_path, resume=resume
+                        )
+                    ),
+                )
+            finally:
+                env.close()
+
+        run(written, 2, resume=False)
+        with pytest.raises(
+            CheckpointError,
+            match=rf"{key} mismatch.*expects {resuming}.*holds {written}",
+        ):
+            run(resuming, 3, resume=True)
+
     def test_resume_without_file_starts_fresh(self, env_factory, tmp_path):
         # resume=True against an empty directory is a cold start, not an
         # error — the first checkpoint appears after round 1.
@@ -673,7 +712,7 @@ _STRATEGY_SETTINGS = {
     "ClusteredRounds": {"prox_mu"},
     "_IFCARounds": {"prox_mu", "algo"},
     "_CFLRounds": {"prox_mu", "algo"},
-    "_FedClustRounds": {"prox_mu", "algo", "fitted"},
+    "_FedClustRounds": {"prox_mu", "algo"},
     "_LocalRounds": {"store"},
 }
 
@@ -719,19 +758,23 @@ def _watched(cut=None, path=None):
         yield seen
 
 
-def _run(federation, case, cut=None, path=None, resume=False):
-    """Run ``case`` on a fresh env; returns ``(result, engine, strategy)``
-    with the env still open.  Draws whose FedClust clustering round gets
-    fewer than two responders are rejected."""
-    env = FederatedEnv(
+def _env(federation, executor="serial", store="dense"):
+    return FederatedEnv(
         federation,
         model_name="mlp",
         model_kwargs={"hidden": (8,)},
         train_cfg=TrainConfig(local_epochs=1, batch_size=16, lr=0.05, momentum=0.9),
         seed=1,
-        executor=case["executor"],
-        store=StoreConfig(kind=case["store"], shard_size=3),
+        executor=executor,
+        store=StoreConfig(kind=store, shard_size=3),
     )
+
+
+def _run(federation, case, cut=None, path=None, resume=False):
+    """Run ``case`` on a fresh env; returns ``(result, engine, strategy)``
+    with the env still open.  Draws whose FedClust clustering round gets
+    fewer than two responders are rejected."""
+    env = _env(federation, case["executor"], case["store"])
     scenario = case["scenario"]
     if resume:
         scenario = dataclasses.replace(
@@ -873,6 +916,56 @@ class TestResumeProperties:
             assert path.exists()
             with pytest.raises(CheckpointError, match="mismatch"):
                 _run(ten_clients, other, path=path, resume=True)
+
+
+def _spy(owner, name):
+    """Patch ``owner.name`` with a mock that records each call and runs
+    the original."""
+    return mock.patch.object(
+        owner, name, autospec=True, side_effect=getattr(owner, name)
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["fedclust", "pacfl"])
+def test_a_finished_one_shot_run_resumes_without_clustering_again(
+    ten_clients, algorithm, tmp_path
+):
+    """A FedClust or PACFL run resumed from its own finished file trains
+    no client and charges no traffic, and equals the uninterrupted run,
+    the fitted clustering and the onboarded newcomer included: what the
+    clustering round fitted is declared state, so a resume skips the
+    round instead of redoing it for the file to overwrite."""
+    observed = []
+    for resume in (False, True):
+        env = _env(ten_clients)
+        scenario = ScenarioConfig(
+            arrivals={9: 2}, checkpoint=CheckpointConfig(tmp_path, resume=resume)
+        )
+        with (
+            _spy(RoundEngine, "run") as engine_run,
+            _spy(FederatedEnv, "run_updates") as trained,
+            _spy(CommunicationTracker, "record_upload") as uploads,
+            _spy(CommunicationTracker, "record_download") as downloads,
+        ):
+            result = make_algorithm(algorithm, **_ALGORITHMS[algorithm]).run(
+                env, 3, scenario=scenario
+            )
+        env.close()
+        engine, strategy = engine_run.call_args.args[:2]
+        fitted = result.extras.get("fitted")
+        observed.append(
+            _result_observed(result, engine, strategy)
+            | _canon(
+                {
+                    "fitted": fitted
+                    and [fitted.weight_matrix, fitted.responders, fitted.labels]
+                }
+            )
+        )
+    assert (trained.call_count, uploads.call_count, downloads.call_count) == (0, 0, 0)
+    assert observed[1] == observed[0]
+    if algorithm == "fedclust":
+        assert observed[0]["onboarded"].keys() == {9}
 
 
 @pytest.mark.parametrize("algorithm", sorted(_ALGORITHMS))

@@ -23,6 +23,7 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -760,6 +761,36 @@ class TestDeparturesAndTraces:
         assert env.tracker.total_downloaded == 7 * env.n_params
         assert env.tracker.total_uploaded == 7 * env.n_params
 
+    def test_fedclust_clustering_round_follows_the_trace(self, env_factory):
+        """FedClust's clustering round targets the clients eligible in
+        round 1, as FedAvg's round 1 does: a client off the trace gets no
+        warm-up and no download, and is not clustered.  It holds the
+        fallback label, and only scenario arrivals are onboarded."""
+        env = env_factory(local_epochs=1)
+        with mock.patch.object(
+            FederatedEnv,
+            "run_updates",
+            autospec=True,
+            side_effect=FederatedEnv.run_updates,
+        ) as trained:
+            result = make_algorithm("fedclust", **_KWARGS["fedclust"]).run(
+                env, n_rounds=4, scenario=ScenarioConfig(trace={0: [3, 4]})
+            )
+        sent_to_0 = [
+            call.args[2]
+            for call in trained.call_args_list
+            if 0 in [task.client_id for task in call.args[1]]
+        ]
+        assert sent_to_0 == [3, 4]
+        assert env.tracker.downloaded_in("clustering") == 7 * env.n_params
+        fitted = result.extras["fitted"]
+        assert fitted.absent == [0]
+        assert 0 not in fitted.responders
+        responder_labels = fitted.labels[fitted.responders]
+        assert fitted.labels[0] == np.bincount(responder_labels).argmax()
+        assert result.extras["onboarded"] == {}
+        assert result.history.records[0].n_participants == 7
+
     def test_trace_composes_with_arrivals_by_intersection(self, env_factory):
         env = env_factory(local_epochs=1)
         engine = RoundEngine(
@@ -1253,8 +1284,8 @@ class TestEvalCadence:
     def test_eval_every_below_one_fails_before_any_work(
         self, env_factory, algorithm, eval_every
     ):
-        """One case per entry point: ``RoundEngine.run`` (FedAvg) and the
-        clustering rounds FedClust and PACFL run before the engine.
+        """One case per kind of first round: FedAvg's engine round and
+        the clustering rounds FedClust and PACFL run before the engine.
         Unchecked, 0 raised ZeroDivisionError after round 1 had trained
         and uploaded, and -1 silently evaluated every round."""
         env = env_factory(local_epochs=1)
